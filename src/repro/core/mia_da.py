@@ -49,7 +49,7 @@ class MiaQueryDiagnostics:
 
     ``setup_seconds`` is the per-query bound setup (node weights plus the
     anchor/region bound evaluation) that :attr:`SeedResult.elapsed`
-    deliberately excludes — ``elapsed`` is documented as *selection only*.
+    deliberately excludes — MIA-DA's ``elapsed`` is *selection only*.
     ``heap_pops`` counts priority-queue pops; together with
     ``evaluations`` it measures how well the bounds prune.
     """

@@ -19,17 +19,19 @@ weight vector, which stays polynomial.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.query import SeedResult
-from repro.exceptions import QueryError, SamplingError
+from repro.exceptions import QueryError
 from repro.geo.point import PointLike, as_point
 from repro.geo.weights import DistanceDecay
-from repro.ris.coverage import weighted_greedy_cover
-from repro.ris.sample_size import required_sample_size
+
+# Not called here any more (the shared RIS-DA body sizes and selects);
+# kept because the benchmark's span recorder wraps these module names.
+from repro.ris.coverage import weighted_greedy_cover  # noqa: F401
+from repro.ris.sample_size import required_sample_size  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.ris_da import RisDaIndex
@@ -42,7 +44,8 @@ def multi_location_weights(
 ) -> np.ndarray:
     """``w(v, Q) = max_i w(v, q_i)`` for every node.
 
-    ``coords`` is the ``(n, 2)`` node-location array.
+    ``coords`` is the ``(n, 2)`` node-location array.  With one location
+    this is bit-identical to ``decay.weights(coords, q)``.
     """
     locs = [as_point(q) for q in locations]
     if not locs:
@@ -60,39 +63,16 @@ def multi_location_query(
 ) -> SeedResult:
     """Answer a multi-store DAIM query from an existing RIS-DA index.
 
-    Sample sizing uses ``max_i L_{q_i}^k`` (a valid lower bound of
-    ``OPT_Q^k``); the greedy runs once over the combined weights.
+    One plan of the shared RIS-DA body: sample sizing uses
+    ``max_i L_{q_i}^k`` (a valid lower bound of ``OPT_Q^k``), the weights
+    are :func:`multi_location_weights`, and the greedy runs once under
+    the index's selection kernel and backend.
     """
-    locs = [as_point(q) for q in locations]
+    # Deferred: repro.core.ris_da imports this module.
+    from repro.core.ris_da import _Plan
+
+    locs = tuple(as_point(q) for q in locations)
     if not locs:
         raise QueryError("need at least one promoted location")
-    if not 0 < k <= index.k_max:
-        raise QueryError(f"k must be in [1, {index.k_max}], got {k}")
-
-    start = time.perf_counter()
-    lb = max(index.lower_bound_for(q, k)[0] for q in locs)
-    if lb <= 0:
-        raise SamplingError(
-            "no usable lower bound for any promoted location"
-        )
-    cfg = index.config
-    n = index.network.n
-    delta_pivot, delta_online = cfg.resolved_deltas(n)
-    l_required = required_sample_size(
-        n, k, index.decay.w_max, cfg.epsilon, delta_online - delta_pivot, lb
-    )
-    l_used = min(l_required, len(index.corpus))
-
-    roots = index.corpus.roots[:l_used]
-    sample_weights = multi_location_weights(
-        index.decay, index.network.coords[roots], locs
-    )
-    cover = weighted_greedy_cover(index.corpus, sample_weights, k, prefix=l_used)
-    elapsed = time.perf_counter() - start
-    return SeedResult(
-        seeds=cover.seeds,
-        estimate=cover.estimate,
-        method="RIS-DA-multi",
-        elapsed=elapsed,
-        samples_used=l_used,
-    )
+    plan = _Plan(locs, k, method="RIS-DA-multi")
+    return index._answer([plan], return_diagnostics=False)[0]

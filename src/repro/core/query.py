@@ -44,10 +44,15 @@ class SeedResult:
     method:
         Human-readable method name ("MIA-DA", "RIS-DA", "PMIA", ...).
     elapsed:
-        Online query latency in seconds — seed *selection* only.  Index
-        construction and per-query bound setup are excluded; MIA-DA
-        reports its setup time separately as
-        ``MiaQueryDiagnostics.setup_seconds``.
+        Online query latency in seconds; index construction is always
+        excluded, the rest depends on the family.  RIS-DA (every kind,
+        multi-location included): the whole online query — nearest-pivot
+        lookup, Lemma 8 / Lemma 7 sizing, weight evaluation and
+        selection (``QueryTimings.total``).  MIA-DA: seed *selection*
+        only; its per-query bound setup is reported separately as
+        ``MiaQueryDiagnostics.setup_seconds``.  Ad-hoc RIS, the naive
+        greedy and the heuristics: the whole call, sampling or scoring
+        included.
     samples_used:
         RIS prefix length used (RIS methods only).
     evaluations:

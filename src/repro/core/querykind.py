@@ -30,6 +30,7 @@ of the result-cache key (see ``serve/cache.py``).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -116,8 +117,8 @@ class BudgetedQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", as_point(self.location))
         budget = float(self.budget)
-        if not budget > 0:
-            raise QueryError(f"budget must be positive, got {budget}")
+        if not (budget > 0 and math.isfinite(budget)):
+            raise QueryError(f"budget must be positive and finite, got {budget}")
         object.__setattr__(self, "budget", budget)
         default = float(self.default_cost)
         if not default > 0:

@@ -14,7 +14,8 @@ Offline (:meth:`RisDaIndex.build`, run by the constructor):
    the worst (cell, k) combination.  The pool then suffices for *any*
    online query.
 
-Online (:meth:`RisDaIndex.query`): find the nearest pivot, derive the
+Online (:meth:`RisDaIndex.query` and every other kind, all through the one
+body :meth:`RisDaIndex._answer`): find the nearest pivot, derive the
 query-specific lower bound via Lemma 8, compute the (much smaller) sample
 prefix it implies, and run Algorithm 2 over that prefix only — the paper's
 key observation that building the coverage structures dominates online
@@ -30,16 +31,18 @@ indexed report ``guarantee_met=False`` in their diagnostics).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.multi_location import multi_location_weights
 from repro.core.query import DaimQuery, SeedResult
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.kdtree import KDTree
-from repro.geo.point import PointLike, as_point
+from repro.geo.point import Point, PointLike, as_point
 from repro.geo.sampling import (
     farthest_point_sample,
     sample_density_pivots,
@@ -159,12 +162,14 @@ class RisDaConfig:
 class QueryTimings:
     """Per-stage wall-clock seconds of one online query.
 
-    ``weight_eval`` is the distance-decay evaluation over the prefix
-    roots; ``score_build`` / ``selection`` / ``bound`` come from the
-    greedy cover (see :class:`repro.ris.coverage.SelectionTimings`);
-    ``total`` is the whole query including pivot lookup and sizing.
+    ``sizing`` is the nearest-pivot lookup plus the Lemma 8 / Lemma 7
+    prefix sizing; ``weight_eval`` is the distance-decay evaluation over
+    the prefix roots; ``score_build`` / ``selection`` / ``bound`` come
+    from the greedy cover (see :class:`repro.ris.coverage.SelectionTimings`);
+    ``total`` is the whole query, sizing included.
     """
 
+    sizing: float
     weight_eval: float
     score_build: float
     selection: float
@@ -173,6 +178,7 @@ class QueryTimings:
 
     def as_dict(self) -> dict:
         return {
+            "sizing": self.sizing,
             "weight_eval": self.weight_eval,
             "score_build": self.score_build,
             "selection": self.selection,
@@ -196,6 +202,24 @@ class QueryDiagnostics:
     samples_used: int
     guarantee_met: bool
     timings: Optional[QueryTimings] = field(default=None, compare=False)
+
+
+class _Plan(NamedTuple):
+    """One online query as :meth:`RisDaIndex._answer` runs it.
+
+    Every kind is the same recipe with three knobs: the weight transform
+    (``w(v, q)``, the max over several ``locations`` for multi-location,
+    times ``mask[root]`` for a genuine target mask), the sizing ``k``
+    (``k_eff`` for budgeted), and the selector (top-``k`` greedy, or the
+    gain/cost greedy when ``costs`` is set).
+    """
+
+    locations: Tuple[Point, ...]
+    k: int
+    mask: Optional[np.ndarray] = None
+    costs: Optional[np.ndarray] = None
+    budget: float = 0.0
+    method: str = "RIS-DA"
 
 
 class RisDaIndex:
@@ -630,36 +654,122 @@ class RisDaIndex:
     # Online phase
     # ------------------------------------------------------------------
 
-    def lower_bound_for(self, q: PointLike, k: int) -> Tuple[float, QueryDiagnostics]:
-        """Lemma 8 lower bound of ``OPT_q^k`` plus diagnostics skeleton."""
-        delta_pivot, _ = self.config.resolved_deltas(self.network.n)
-        return self._lower_bound_at(as_point(q), k, delta_pivot)
+    def _answer(
+        self, plans: Sequence[_Plan], return_diagnostics: bool
+    ) -> list:
+        """The one online body every RIS-DA query kind runs.
 
-    def _lower_bound_at(
-        self, loc: Tuple[float, float], k: int, delta_pivot: float
-    ) -> Tuple[float, QueryDiagnostics]:
-        if not 0 < k <= self.k_max:
-            raise QueryError(f"k must be in [1, {self.k_max}], got {k}")
-        pi, dist = self._pivot_tree.nearest(loc)
+        Sizes each plan first — nearest pivot, Lemma 8 per location (the
+        max over a multi-location plan's locations), Lemma 7 — then
+        gathers ``coords[roots]`` once at the largest prefix any plan
+        needs (``coords[roots[:l]]`` equals that gather sliced to ``l``
+        value-for-value), and per plan evaluates the Eq. 9 weights and
+        runs its selector.  A plan's ``total`` covers its own sizing,
+        weights and selection; the first plan also carries the shared
+        gather, which is booked under its ``weight_eval``.
+        """
         cfg = self.config
         n = self.network.n
-        lb = lemma8_lower_bound(
-            float(self.pivot_estimates[pi, k - 1]), dist,
-            self.decay.alpha, cfg.epsilon_pivot, delta_pivot, n, k,
-        )
-        if lb <= 0:
-            lb = float(self.pivot_lower_bounds[pi, k - 1]) * float(
-                np.exp(-self.decay.alpha * dist)
+        alpha = self.decay.alpha
+        delta_pivot, delta_online = cfg.resolved_deltas(n)
+        sized = []
+        for plan in plans:
+            t_sizing = time.perf_counter()
+            k = plan.k
+            if not 0 < k <= self.k_max:
+                raise QueryError(f"k must be in [1, {self.k_max}], got {k}")
+            best = None
+            for loc in plan.locations:
+                pi, dist = self._pivot_tree.nearest(loc)
+                lb = lemma8_lower_bound(
+                    float(self.pivot_estimates[pi, k - 1]), dist,
+                    alpha, cfg.epsilon_pivot, delta_pivot, n, k,
+                )
+                if lb <= 0:
+                    lb = float(self.pivot_lower_bounds[pi, k - 1]) * float(
+                        np.exp(-alpha * dist)
+                    )
+                # OPT_Q^k >= OPT_q^k for every q in Q: keep the best bound.
+                if best is None or lb > best[0]:
+                    best = (lb, pi, dist)
+            if best[0] <= 0:
+                raise SamplingError(
+                    f"lower bound collapsed to {best[0]} at "
+                    f"{list(plan.locations)}; the pivot phase produced no "
+                    "usable estimate (graph too sparse or decay too "
+                    "aggressive)"
+                )
+            l_required = required_sample_size(
+                n, k, self.decay.w_max, cfg.epsilon,
+                delta_online - delta_pivot, best[0],
             )
-        diag = QueryDiagnostics(
-            pivot_index=pi,
-            pivot_distance=dist,
-            lower_bound=lb,
-            samples_required=0,
-            samples_used=0,
-            guarantee_met=True,
-        )
-        return lb, diag
+            l_used = min(l_required, len(self.corpus))
+            sized.append((best, l_required, l_used,
+                          time.perf_counter() - t_sizing))
+
+        t_gather = time.perf_counter()
+        roots = self.corpus.roots[:max((s[2] for s in sized), default=0)]
+        root_coords = self.network.coords[roots]
+        gather = time.perf_counter() - t_gather
+        out = []
+        for plan, ((lb, pi, dist), l_required, l_used, sizing) in zip(
+            plans, sized
+        ):
+            start = time.perf_counter()
+            weights = multi_location_weights(
+                self.decay, root_coords[:l_used], plan.locations
+            )
+            if plan.mask is not None:
+                weights = weights * plan.mask[roots[:l_used]]
+            weight_eval = time.perf_counter() - start + gather
+            if plan.costs is None:
+                # Serving default: no certification bound (certify.py
+                # draws its own fresh samples and requests it there).
+                cover = weighted_greedy_cover(
+                    self.corpus, weights, plan.k, prefix=l_used,
+                    compute_bound=False, method=cfg.selection,
+                    backend=self.kernel_backend,
+                )
+            else:
+                cover = weighted_budgeted_cover(
+                    self.corpus, weights, plan.costs, plan.budget,
+                    prefix=l_used, method=cfg.selection,
+                    backend=self.kernel_backend,
+                )
+            elapsed = sizing + gather + (time.perf_counter() - start)
+            gather = 0.0
+            result = SeedResult(
+                seeds=cover.seeds,
+                estimate=cover.estimate,
+                method=plan.method,
+                elapsed=elapsed,
+                samples_used=l_used,
+            )
+            if not return_diagnostics:
+                out.append(result)
+                continue
+            ct = cover.timings
+            out.append((result, QueryDiagnostics(
+                pivot_index=pi,
+                pivot_distance=dist,
+                lower_bound=lb,
+                samples_required=l_required,
+                samples_used=l_used,
+                # A genuine mask shrinks OPT below the unmasked Lemma 8
+                # bound, so the (1 - 1/e - eps) certificate no longer
+                # transfers; the estimate stays unbiased for the masked
+                # spread at any prefix length.
+                guarantee_met=l_used >= l_required and plan.mask is None,
+                timings=QueryTimings(
+                    sizing=sizing,
+                    weight_eval=weight_eval,
+                    score_build=ct.score_build if ct else 0.0,
+                    selection=ct.selection if ct else 0.0,
+                    bound=ct.bound if ct else 0.0,
+                    total=elapsed,
+                ),
+            )))
+        return out
 
     def query(
         self,
@@ -677,82 +787,7 @@ class RisDaIndex:
             if k is None:
                 raise QueryError("k is required when passing a bare location")
             location = as_point(q)
-        deltas = self.config.resolved_deltas(self.network.n)
-        return self._query_at(location, k, return_diagnostics, deltas)
-
-    def _query_at(
-        self,
-        location: Tuple[float, float],
-        k: int,
-        return_diagnostics: bool,
-        deltas: Tuple[float, float],
-        mask: np.ndarray | None = None,
-    ) -> SeedResult | Tuple[SeedResult, QueryDiagnostics]:
-        start = time.perf_counter()
-        cfg = self.config
-        n = self.network.n
-        delta_pivot, delta_online = deltas
-        lb, diag = self._lower_bound_at(location, k, delta_pivot)
-        if lb <= 0:
-            raise SamplingError(
-                f"lower bound collapsed to {lb} at {location}; the pivot "
-                "phase produced no usable estimate (graph too sparse or "
-                "decay too aggressive)"
-            )
-        l_required = required_sample_size(
-            n, k, self.decay.w_max, cfg.epsilon, delta_online - delta_pivot, lb
-        )
-        l_used = min(l_required, len(self.corpus))
-        guarantee = l_used >= l_required
-        if mask is not None and not bool(np.all(mask == 1.0)):
-            # The Lemma 8 sizing lower-bounds the *unmasked* optimum; a
-            # genuine mask shrinks OPT below it, so the (1 - 1/e - eps)
-            # certificate no longer transfers.  The estimate stays
-            # unbiased for the masked spread at any prefix length.
-            guarantee = False
-
-        t_weights = time.perf_counter()
-        roots = self.corpus.roots[:l_used]
-        sample_weights = self.decay.weights(
-            self.network.coords[roots], location
-        )
-        if mask is not None:
-            sample_weights = sample_weights * mask[roots]
-        weight_seconds = time.perf_counter() - t_weights
-        # Serving default: no certification bound (certify.py draws its
-        # own fresh samples and requests the bound explicitly there).
-        cover = weighted_greedy_cover(
-            self.corpus, sample_weights, k, prefix=l_used,
-            compute_bound=False, method=cfg.selection,
-            backend=self.kernel_backend,
-        )
-        elapsed = time.perf_counter() - start
-        result = SeedResult(
-            seeds=cover.seeds,
-            estimate=cover.estimate,
-            method="RIS-DA",
-            elapsed=elapsed,
-            samples_used=l_used,
-        )
-        if return_diagnostics:
-            ct = cover.timings
-            diag = QueryDiagnostics(
-                pivot_index=diag.pivot_index,
-                pivot_distance=diag.pivot_distance,
-                lower_bound=lb,
-                samples_required=l_required,
-                samples_used=l_used,
-                guarantee_met=guarantee,
-                timings=QueryTimings(
-                    weight_eval=weight_seconds,
-                    score_build=ct.score_build if ct else 0.0,
-                    selection=ct.selection if ct else 0.0,
-                    bound=ct.bound if ct else 0.0,
-                    total=elapsed,
-                ),
-            )
-            return result, diag
-        return result
+        return self._answer([_Plan((location,), k)], return_diagnostics)[0]
 
     def _validate_mask(self, mask: np.ndarray) -> np.ndarray:
         mask = np.asarray(mask, dtype=float)
@@ -777,13 +812,17 @@ class RisDaIndex:
         subset): sample ``i``'s weight becomes ``w(v_i, q) * mask[v_i]``,
         so only influence landing on masked-in nodes counts.  With an
         all-ones mask this is bit-identical to :meth:`query` (multiplying
-        by 1.0 is exact); with a genuine mask the estimate remains
-        unbiased for the masked spread but ``guarantee_met`` reports
-        ``False`` — the Lemma 8 sizing bounds the unmasked optimum.
+        by 1.0 is exact, so the mask is simply dropped); with a genuine
+        mask the estimate remains unbiased for the masked spread but
+        ``guarantee_met`` reports ``False`` — the Lemma 8 sizing bounds
+        the unmasked optimum.
         """
         mask = self._validate_mask(mask)
-        deltas = self.config.resolved_deltas(self.network.n)
-        return self._query_at(as_point(q), k, return_diagnostics, deltas, mask=mask)
+        plan = _Plan(
+            (as_point(q),), k,
+            mask=None if bool(np.all(mask == 1.0)) else mask,
+        )
+        return self._answer([plan], return_diagnostics)[0]
 
     def query_budgeted(
         self,
@@ -802,70 +841,24 @@ class RisDaIndex:
         seeds the budget can possibly buy.  With uniform costs ``c`` and
         budget ``k * c`` the answer is bit-identical to ``query(q, k)``.
         """
-        start = time.perf_counter()
-        cfg = self.config
         n = self.network.n
         location = as_point(q)
+        budget = float(budget)
+        if not math.isfinite(budget):
+            raise QueryError(f"budget must be finite, got {budget}")
         costs = np.asarray(costs, dtype=float)
         if costs.shape != (n,):
             raise QueryError(f"costs must have shape ({n},), got {costs.shape}")
         if not np.all(costs > 0):
             raise QueryError("all node costs must be positive")
-        k_eff = min(self.k_max, int(float(budget) // float(costs.min())))
+        k_eff = min(self.k_max, int(budget // float(costs.min())))
         if k_eff < 1:
             raise QueryError(
                 f"budget {budget} cannot afford any node (cheapest costs "
                 f"{float(costs.min())})"
             )
-        delta_pivot, delta_online = cfg.resolved_deltas(n)
-        lb, diag = self._lower_bound_at(location, k_eff, delta_pivot)
-        if lb <= 0:
-            raise SamplingError(
-                f"lower bound collapsed to {lb} at {location}; the pivot "
-                "phase produced no usable estimate"
-            )
-        l_required = required_sample_size(
-            n, k_eff, self.decay.w_max, cfg.epsilon, delta_online - delta_pivot, lb
-        )
-        l_used = min(l_required, len(self.corpus))
-        guarantee = l_used >= l_required
-
-        t_weights = time.perf_counter()
-        roots = self.corpus.roots[:l_used]
-        sample_weights = self.decay.weights(self.network.coords[roots], location)
-        weight_seconds = time.perf_counter() - t_weights
-        cover = weighted_budgeted_cover(
-            self.corpus, sample_weights, costs, float(budget),
-            prefix=l_used, method=cfg.selection,
-            backend=self.kernel_backend,
-        )
-        elapsed = time.perf_counter() - start
-        result = SeedResult(
-            seeds=cover.seeds,
-            estimate=cover.estimate,
-            method="RIS-DA",
-            elapsed=elapsed,
-            samples_used=l_used,
-        )
-        if return_diagnostics:
-            ct = cover.timings
-            diag = QueryDiagnostics(
-                pivot_index=diag.pivot_index,
-                pivot_distance=diag.pivot_distance,
-                lower_bound=lb,
-                samples_required=l_required,
-                samples_used=l_used,
-                guarantee_met=guarantee,
-                timings=QueryTimings(
-                    weight_eval=weight_seconds,
-                    score_build=ct.score_build if ct else 0.0,
-                    selection=ct.selection if ct else 0.0,
-                    bound=ct.bound if ct else 0.0,
-                    total=elapsed,
-                ),
-            )
-            return result, diag
-        return result
+        plan = _Plan((location,), k_eff, costs=costs, budget=budget)
+        return self._answer([plan], return_diagnostics)[0]
 
     def query_trajectory(
         self,
@@ -875,80 +868,13 @@ class RisDaIndex:
     ) -> list[SeedResult] | list[Tuple[SeedResult, QueryDiagnostics]]:
         """Answer a trajectory: one seed set per waypoint, shared setup.
 
-        Equivalent to ``[query(wp, k) for wp in waypoints]`` bit-for-bit,
-        but the root-coordinate gather — the dominant per-query numpy
-        allocation besides selection itself — is done once at the largest
-        prefix any waypoint needs and sliced per waypoint, and the delta
-        resolution is hoisted out of the loop.  Only the distance-decay
-        evaluation and the greedy cover remain per-waypoint.
+        Equivalent to ``[query(wp, k) for wp in waypoints]`` bit-for-bit;
+        it is :meth:`query_many` (one root-coordinate gather for every
+        waypoint) except that an empty trajectory is an error.
         """
         if not len(waypoints):
             raise QueryError("trajectory needs at least one waypoint")
-        cfg = self.config
-        n = self.network.n
-        locs = [as_point(wp) for wp in waypoints]
-        delta_pivot, delta_online = cfg.resolved_deltas(n)
-        sized = []
-        for loc in locs:
-            lb, diag = self._lower_bound_at(loc, k, delta_pivot)
-            if lb <= 0:
-                raise SamplingError(
-                    f"lower bound collapsed to {lb} at {loc}; the pivot "
-                    "phase produced no usable estimate"
-                )
-            l_required = required_sample_size(
-                n, k, self.decay.w_max, cfg.epsilon,
-                delta_online - delta_pivot, lb,
-            )
-            l_used = min(l_required, len(self.corpus))
-            sized.append((loc, lb, diag, l_required, l_used))
-        l_max = max(s[4] for s in sized)
-        t_gather = time.perf_counter()
-        # One gather serves every waypoint: coords[roots[:l]] equals
-        # coords[roots[:l_max]][:l] value-for-value for any l <= l_max.
-        root_coords = self.network.coords[self.corpus.roots[:l_max]]
-        gather_seconds = time.perf_counter() - t_gather
-        out = []
-        for wi, (loc, lb, diag, l_required, l_used) in enumerate(sized):
-            start = time.perf_counter()
-            t_weights = time.perf_counter()
-            sample_weights = self.decay.weights(root_coords[:l_used], loc)
-            weight_seconds = time.perf_counter() - t_weights
-            if wi == 0:
-                weight_seconds += gather_seconds
-            cover = weighted_greedy_cover(
-                self.corpus, sample_weights, k, prefix=l_used,
-                compute_bound=False, method=cfg.selection,
-                backend=self.kernel_backend,
-            )
-            elapsed = time.perf_counter() - start
-            result = SeedResult(
-                seeds=cover.seeds,
-                estimate=cover.estimate,
-                method="RIS-DA",
-                elapsed=elapsed,
-                samples_used=l_used,
-            )
-            if return_diagnostics:
-                ct = cover.timings
-                out.append((result, QueryDiagnostics(
-                    pivot_index=diag.pivot_index,
-                    pivot_distance=diag.pivot_distance,
-                    lower_bound=lb,
-                    samples_required=l_required,
-                    samples_used=l_used,
-                    guarantee_met=l_used >= l_required,
-                    timings=QueryTimings(
-                        weight_eval=weight_seconds,
-                        score_build=ct.score_build if ct else 0.0,
-                        selection=ct.selection if ct else 0.0,
-                        bound=ct.bound if ct else 0.0,
-                        total=elapsed,
-                    ),
-                )))
-            else:
-                out.append(result)
-        return out  # type: ignore[return-value]
+        return self.query_many(waypoints, k, return_diagnostics)
 
     def query_many(
         self,
@@ -958,18 +884,17 @@ class RisDaIndex:
     ) -> list[SeedResult] | list[Tuple[SeedResult, QueryDiagnostics]]:
         """Answer a batch of queries with the same budget.
 
-        With ``return_diagnostics`` each element is the same
+        Bit-identical to looping :meth:`query`; with
+        ``return_diagnostics`` each element is the same
         ``(SeedResult, QueryDiagnostics)`` pair :meth:`query` returns.
-        The per-query delta resolution is hoisted out of the loop — the
-        deltas depend only on the network size, not the location.  For
-        cached, concurrent, metered batches, wrap the index in a
-        :class:`repro.serve.QueryEngine` (see :meth:`serve`) instead.
+        The batch shares one delta resolution and one root-coordinate
+        gather (see :meth:`_answer`).  For cached, concurrent, metered
+        batches, wrap the index in a :class:`repro.serve.QueryEngine`
+        (see :meth:`serve`) instead.
         """
-        deltas = self.config.resolved_deltas(self.network.n)
-        return [
-            self._query_at(as_point(q), k, return_diagnostics, deltas)
-            for q in locations
-        ]  # type: ignore[return-value]
+        return self._answer(
+            [_Plan((as_point(q),), k) for q in locations], return_diagnostics
+        )
 
     def serve(self, config=None, metrics=None, **kwargs):
         """A :class:`repro.serve.QueryEngine` over this index.

@@ -81,8 +81,36 @@ class TestQuery:
         with pytest.raises(QueryError):
             multi_location_query(index, [(0.0, 0.0)], 99)
 
-    def test_single_location_consistent_with_plain_query(self, index):
+    def test_single_location_consistent_with_plain_query(self, net):
+        """One location is the point query bit-for-bit, under either of
+        the index's selection kernels."""
         q = (40.0, 60.0)
-        multi = multi_location_query(index, [q], 5)
-        plain = index.query(q, 5)
-        assert multi.seeds == plain.seeds
+        for selection in ("eager", "lazy"):
+            cfg = RisDaConfig(
+                k_max=8, n_pivots=10, epsilon_pivot=0.35,
+                max_index_samples=20_000, seed=2, selection=selection,
+            )
+            index = RisDaIndex(net, DistanceDecay(alpha=0.02), cfg)
+            multi = multi_location_query(index, [q], 5)
+            plain = index.query(q, 5)
+            assert multi.seeds == plain.seeds, selection
+            assert multi.estimate == plain.estimate, selection
+            assert multi.samples_used == plain.samples_used, selection
+
+    def test_uses_index_kernel_settings(self, index, monkeypatch):
+        """The cover runs with the index's selection kernel and backend,
+        and skips the certification bound like every serving query."""
+        import repro.core.ris_da as ris_da
+
+        seen = {}
+        real = ris_da.weighted_greedy_cover
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ris_da, "weighted_greedy_cover", spy)
+        multi_location_query(index, [(20.0, 20.0), (80.0, 80.0)], 5)
+        assert seen["method"] == index.config.selection
+        assert seen["backend"] == index.kernel_backend
+        assert seen["compute_bound"] is False

@@ -121,13 +121,15 @@ class TestQuery:
         assert t is not None
         stages = t.as_dict()
         assert set(stages) == {
-            "weight_eval", "score_build", "selection", "bound", "total"
+            "sizing", "weight_eval", "score_build", "selection", "bound",
+            "total",
         }
         assert all(v >= 0.0 for v in stages.values())
+        assert stages["sizing"] > 0.0
         assert stages["bound"] == 0.0
-        assert stages["total"] >= (
-            stages["weight_eval"] + stages["score_build"]
-            + stages["selection"] - 1e-6
+        # total covers every stage, sizing included.
+        assert stages["total"] >= sum(
+            v for name, v in stages.items() if name != "total"
         )
         # Wall-clock never repeats, but diagnostics compare equal anyway.
         _, again = index.query((50.0, 50.0), 5, return_diagnostics=True)
@@ -193,6 +195,25 @@ class TestQuery:
             assert isinstance(diag, QueryDiagnostics)
             assert res.seeds == single_res.seeds
             assert diag == single_diag
+
+    def test_batch_totals_include_sizing(self, index):
+        """Every waypoint's total covers its own sizing, as a point
+        query's does, and stays the sum-bound of its stages."""
+        locs = [(15.0, 15.0), (70.0, 40.0), (33.0, 90.0)]
+        for _, diag in index.query_trajectory(
+            locs, 3, return_diagnostics=True
+        ):
+            stages = diag.timings.as_dict()
+            assert stages["sizing"] > 0.0
+            assert stages["total"] >= sum(
+                v for name, v in stages.items() if name != "total"
+            )
+
+    @pytest.mark.parametrize("budget", [float("inf"), float("1e400"),
+                                        float("nan"), "inf"])
+    def test_non_finite_budget_rejected(self, index, net, budget):
+        with pytest.raises(QueryError):
+            index.query_budgeted((50.0, 50.0), budget, np.ones(net.n))
 
 
 class TestParallelBuild:

@@ -142,7 +142,8 @@ class TestResultCache:
         engine.query((10.0, 80.0), k=4)
         engine.query((50.0, 50.0), k=4)  # cache hit: no new stage samples
         for stage in (
-            "weight_eval", "score_build", "selection", "bound", "total"
+            "sizing", "weight_eval", "score_build", "selection", "bound",
+            "total",
         ):
             h = metrics.histogram(f"stage_{stage}_ms")
             assert h.count == 2, f"stage_{stage}_ms missing observations"

@@ -21,9 +21,10 @@ from repro.core.querykind import (
     HeuristicQuery,
     TargetedQuery,
     TrajectoryQuery,
+    query_from_json,
 )
 from repro.core.ris_da import RisDaConfig, RisDaIndex
-from repro.exceptions import ServeError
+from repro.exceptions import QueryError, ServeError
 from repro.geo.weights import DistanceDecay
 from repro.network.generators import GeoSocialConfig, generate_geo_social_network
 from repro.serve.engine import QueryEngine, ServeConfig
@@ -85,6 +86,17 @@ class TestPerKindMetrics:
         plain = metrics.histogram("latency_ms")
         kinded = metrics.histogram(labelled("latency_ms", kind="point"))
         assert plain.buckets == kinded.buckets
+
+
+class TestNonFiniteBudget:
+    """A non-finite budget is a query error at parse time, so the engine
+    (``int(budget // min_cost)``) never sees one."""
+
+    @pytest.mark.parametrize("budget", ["inf", "1e400", "nan", "-inf"])
+    def test_rejected_at_parse(self, budget):
+        row = {"kind": "budgeted", "x": 50, "y": 50, "budget": budget}
+        with pytest.raises(QueryError):
+            query_from_json(row, 5)
 
 
 class TestHeuristicKind:
@@ -285,6 +297,13 @@ class TestHttpKinds:
 
         with pytest.raises(urllib.error.HTTPError) as err:
             self._get(server, "/query?kind=psychic&x=1&y=1")
+        assert err.value.code == 400
+
+    def test_non_finite_budget_is_400(self, server):
+        import urllib.error
+
+        with pytest.raises(urllib.error.HTTPError) as err:
+            self._get(server, "/query?kind=budgeted&x=50&y=50&budget=inf")
         assert err.value.code == 400
 
     def test_malformed_waypoints_is_400(self, server):
