@@ -29,7 +29,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.bounds import AnchorBounds, RegionBounds
-from repro.core.query import DaimQuery, SeedResult
+from repro.core.query import DaimQuery, SeedResult, validate_mask
 from repro.exceptions import QueryError
 from repro.geo.point import PointLike
 from repro.geo.sampling import sample_density_pivots, sample_uniform_points
@@ -410,18 +410,8 @@ class MiaDaIndex:
         singleton bounds.  With an all-ones mask both scalings are by
         exactly 1.0, so the search is bit-identical to :meth:`query`.
         """
-        mask = self._validate_mask(mask)
+        mask = validate_mask(mask, self.network.n)
         return self._priority_query(q, k, return_diagnostics, mask=mask)
-
-    def _validate_mask(self, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask, dtype=float)
-        if mask.shape != (self.network.n,):
-            raise QueryError(
-                f"mask must have shape ({self.network.n},), got {mask.shape}"
-            )
-        if not np.all(mask >= 0):
-            raise QueryError("mask entries must be >= 0")
-        return mask
 
     def _priority_query(
         self,

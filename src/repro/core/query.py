@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.exceptions import QueryError
 from repro.geo.point import Point, as_point
 
@@ -74,3 +76,24 @@ class SeedResult:
     @property
     def k(self) -> int:
         return len(self.seeds)
+
+
+def validate_mask(mask, n_nodes: int) -> np.ndarray:
+    """A targeted query's per-node weight mask as a float ``(n,)`` array.
+
+    Shared by both index families' ``query_masked``.  Raises
+    :class:`~repro.exceptions.QueryError` on a wrong shape or on any
+    negative or non-finite entry: an ``inf`` weight turns the Eq. 9
+    estimate into ``nan`` and the greedy's picks into noise.
+    """
+    try:
+        mask = np.asarray(mask, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise QueryError(f"mask must be numeric: {exc}") from None
+    if mask.shape != (n_nodes,):
+        raise QueryError(f"mask must have shape ({n_nodes},), got {mask.shape}")
+    if not np.all(np.isfinite(mask)):
+        raise QueryError("mask entries must be finite")
+    if not np.all(mask >= 0):
+        raise QueryError("mask entries must be >= 0")
+    return mask

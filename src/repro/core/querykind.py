@@ -7,8 +7,7 @@ the shared vocabulary for them:
 
 * :class:`TrajectoryQuery` — a sequence of locations answered
   incrementally; each waypoint reuses the result cache's grid
-  quantization, and the RIS backend shares one root-coordinate gather
-  across waypoints;
+  quantization, and the RIS backend answers every waypoint in one call;
 * :class:`TargetedQuery` — bichromatic influence maximization over a
   specified target-node subset, realised as a per-node 0/1 weight mask
   pushed into the flat coverage kernels and the MIA anchor bounds;

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.multi_location import multi_location_weights
-from repro.core.query import DaimQuery, SeedResult
+from repro.core.query import DaimQuery, SeedResult, validate_mask
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.kdtree import KDTree
 from repro.geo.point import Point, PointLike, as_point
@@ -164,8 +164,9 @@ class QueryTimings:
 
     ``sizing`` is the nearest-pivot lookup plus the Lemma 8 / Lemma 7
     prefix sizing; ``weight_eval`` is the distance-decay evaluation over
-    the prefix roots; ``score_build`` / ``selection`` / ``bound`` come
-    from the greedy cover (see :class:`repro.ris.coverage.SelectionTimings`);
+    the ``n`` nodes (times a genuine mask) plus its gather to the prefix
+    roots; ``score_build`` / ``selection`` / ``bound`` come from the
+    greedy cover (see :class:`repro.ris.coverage.SelectionTimings`);
     ``total`` is the whole query, sizing included.
     """
 
@@ -207,11 +208,11 @@ class QueryDiagnostics:
 class _Plan(NamedTuple):
     """One online query as :meth:`RisDaIndex._answer` runs it.
 
-    Every kind is the same recipe with three knobs: the weight transform
-    (``w(v, q)``, the max over several ``locations`` for multi-location,
-    times ``mask[root]`` for a genuine target mask), the sizing ``k``
-    (``k_eff`` for budgeted), and the selector (top-``k`` greedy, or the
-    gain/cost greedy when ``costs`` is set).
+    Every kind is the same recipe with three knobs: the node-space weight
+    transform (``w(v, q)``, the max over several ``locations`` for
+    multi-location, times ``mask[v]`` for a genuine target mask), the
+    sizing ``k`` (``k_eff`` for budgeted), and the selector (top-``k``
+    greedy, or the gain/cost greedy when ``costs`` is set).
     """
 
     locations: Tuple[Point, ...]
@@ -659,20 +660,23 @@ class RisDaIndex:
     ) -> list:
         """The one online body every RIS-DA query kind runs.
 
-        Sizes each plan first — nearest pivot, Lemma 8 per location (the
-        max over a multi-location plan's locations), Lemma 7 — then
-        gathers ``coords[roots]`` once at the largest prefix any plan
-        needs (``coords[roots[:l]]`` equals that gather sliced to ``l``
-        value-for-value), and per plan evaluates the Eq. 9 weights and
-        runs its selector.  A plan's ``total`` covers its own sizing,
-        weights and selection; the first plan also carries the shared
-        gather, which is booked under its ``weight_eval``.
+        Per plan: size it — nearest pivot, Lemma 8 per location (the max
+        over a multi-location plan's locations), Lemma 7 — then evaluate
+        the Eq. 9 weights and run its selector.  A sample's weight
+        depends only on its root, so the weights (and a genuine mask) are
+        evaluated once per *node* and then gathered per sample,
+        ``w_node[roots[:l]]``: the same floats as evaluating
+        ``w(v_i, q)`` per sample, at O(n) instead of O(l) distance and
+        ``exp`` work.  A plan's ``total`` covers its own sizing, weights
+        and selection.
         """
         cfg = self.config
         n = self.network.n
         alpha = self.decay.alpha
         delta_pivot, delta_online = cfg.resolved_deltas(n)
-        sized = []
+        coords = self.network.coords
+        roots = self.corpus.roots
+        out = []
         for plan in plans:
             t_sizing = time.perf_counter()
             k = plan.k
@@ -692,36 +696,28 @@ class RisDaIndex:
                 # OPT_Q^k >= OPT_q^k for every q in Q: keep the best bound.
                 if best is None or lb > best[0]:
                     best = (lb, pi, dist)
-            if best[0] <= 0:
+            lb, pi, dist = best
+            if lb <= 0:
                 raise SamplingError(
-                    f"lower bound collapsed to {best[0]} at "
+                    f"lower bound collapsed to {lb} at "
                     f"{list(plan.locations)}; the pivot phase produced no "
                     "usable estimate (graph too sparse or decay too "
                     "aggressive)"
                 )
             l_required = required_sample_size(
                 n, k, self.decay.w_max, cfg.epsilon,
-                delta_online - delta_pivot, best[0],
+                delta_online - delta_pivot, lb,
             )
             l_used = min(l_required, len(self.corpus))
-            sized.append((best, l_required, l_used,
-                          time.perf_counter() - t_sizing))
-
-        t_gather = time.perf_counter()
-        roots = self.corpus.roots[:max((s[2] for s in sized), default=0)]
-        root_coords = self.network.coords[roots]
-        gather = time.perf_counter() - t_gather
-        out = []
-        for plan, ((lb, pi, dist), l_required, l_used, sizing) in zip(
-            plans, sized
-        ):
             start = time.perf_counter()
-            weights = multi_location_weights(
-                self.decay, root_coords[:l_used], plan.locations
+            sizing = start - t_sizing
+            w_node = multi_location_weights(
+                self.decay, coords, plan.locations
             )
             if plan.mask is not None:
-                weights = weights * plan.mask[roots[:l_used]]
-            weight_eval = time.perf_counter() - start + gather
+                w_node *= plan.mask
+            weights = w_node[roots[:l_used]]
+            weight_eval = time.perf_counter() - start
             if plan.costs is None:
                 # Serving default: no certification bound (certify.py
                 # draws its own fresh samples and requests it there).
@@ -736,8 +732,7 @@ class RisDaIndex:
                     prefix=l_used, method=cfg.selection,
                     backend=self.kernel_backend,
                 )
-            elapsed = sizing + gather + (time.perf_counter() - start)
-            gather = 0.0
+            elapsed = sizing + (time.perf_counter() - start)
             result = SeedResult(
                 seeds=cover.seeds,
                 estimate=cover.estimate,
@@ -789,16 +784,6 @@ class RisDaIndex:
             location = as_point(q)
         return self._answer([_Plan((location,), k)], return_diagnostics)[0]
 
-    def _validate_mask(self, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask, dtype=float)
-        if mask.shape != (self.network.n,):
-            raise QueryError(
-                f"mask must have shape ({self.network.n},), got {mask.shape}"
-            )
-        if not np.all(mask >= 0):
-            raise QueryError("mask entries must be >= 0")
-        return mask
-
     def query_masked(
         self,
         q: PointLike,
@@ -817,7 +802,7 @@ class RisDaIndex:
         ``guarantee_met`` reports ``False`` — the Lemma 8 sizing bounds
         the unmasked optimum.
         """
-        mask = self._validate_mask(mask)
+        mask = validate_mask(mask, self.network.n)
         plan = _Plan(
             (as_point(q),), k,
             mask=None if bool(np.all(mask == 1.0)) else mask,
@@ -869,8 +854,8 @@ class RisDaIndex:
         """Answer a trajectory: one seed set per waypoint, shared setup.
 
         Equivalent to ``[query(wp, k) for wp in waypoints]`` bit-for-bit;
-        it is :meth:`query_many` (one root-coordinate gather for every
-        waypoint) except that an empty trajectory is an error.
+        it is :meth:`query_many` except that an empty trajectory is an
+        error.
         """
         if not len(waypoints):
             raise QueryError("trajectory needs at least one waypoint")
@@ -887,10 +872,10 @@ class RisDaIndex:
         Bit-identical to looping :meth:`query`; with
         ``return_diagnostics`` each element is the same
         ``(SeedResult, QueryDiagnostics)`` pair :meth:`query` returns.
-        The batch shares one delta resolution and one root-coordinate
-        gather (see :meth:`_answer`).  For cached, concurrent, metered
-        batches, wrap the index in a :class:`repro.serve.QueryEngine`
-        (see :meth:`serve`) instead.
+        The batch shares one delta resolution (see :meth:`_answer`);
+        each query evaluates its own node-space weights.  For cached,
+        concurrent, metered batches, wrap the index in a
+        :class:`repro.serve.QueryEngine` (see :meth:`serve`) instead.
         """
         return self._answer(
             [_Plan((as_point(q),), k) for q in locations], return_diagnostics

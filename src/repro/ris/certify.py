@@ -119,8 +119,9 @@ def certify_seed_set(
     q = as_point(query_location)
     corpus = RRCorpus(RRSampler(network, seed=seed, diffusion=diffusion))
     corpus.ensure(n_samples)
-    roots = corpus.roots
-    omega = decay.weights(network.coords[roots], q)
+    # Node-space weights gathered per sample: w(v_i, q) depends only on
+    # the root, so evaluate it once per node.
+    omega = decay.weights(network.coords, q)[corpus.roots]
     w_max = decay.w_max
     n = network.n
     a = math.log(2.0 / delta)  # each one-sided event gets delta / 2

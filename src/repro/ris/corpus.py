@@ -12,8 +12,9 @@ finds the samples whose reverse-reach sets intersect a dirty-node set
 :meth:`RRCorpus.replace_sampler` swaps in a sampler over the updated
 network so subsequent :meth:`RRCorpus.ensure` growth draws from the new
 graph.  Every mutation funnels through :meth:`RRCorpus._invalidate`,
-which drops all three caches (flat, roots, inverted) together — a stale
-inverted index would silently mis-route the next retirement.
+which drops every cache (flat, roots, entry samples, inverted) together —
+a stale inverted index would silently mis-route the next retirement, and
+a stale entry -> sample array would silently mis-weight the next query.
 
 A corpus over a :class:`~repro.ris.coupled.CoupledRRSampler` is *keyed*:
 every slot stores the integer key that, with the sampler seed, fully
@@ -54,6 +55,7 @@ class RRCorpus:
         )
         self._flat_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._roots_cache: np.ndarray | None = None
+        self._entry_samples_cache: np.ndarray | None = None
         self._inverted_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -393,8 +395,8 @@ class RRCorpus:
 
         Returns how many were retired.  Sample ids shift down to stay
         dense (the estimator treats the corpus as an exchangeable pool —
-        identity of individual samples carries no meaning), and all three
-        caches are invalidated together.
+        identity of individual samples carries no meaning), and every
+        cache is invalidated together.
         """
         ids = np.unique(np.asarray(sample_ids, dtype=np.int64).reshape(-1))
         if len(ids) == 0:
@@ -414,7 +416,7 @@ class RRCorpus:
         return int(len(ids))
 
     def shuffle(self, rng: np.random.Generator) -> None:
-        """Randomly permute sample order (all three caches drop).
+        """Randomly permute sample order (every cache drops).
 
         The streaming refresh retires dirty-touching samples in place —
         survivors keep the head of the pool — and appends replacements at
@@ -434,6 +436,7 @@ class RRCorpus:
     def _invalidate(self) -> None:
         self._flat_cache = None
         self._roots_cache = None
+        self._entry_samples_cache = None
         self._inverted_cache = None
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
@@ -454,6 +457,22 @@ class RRCorpus:
             self._flat_cache = (flat, offsets)
         return self._flat_cache
 
+    def entry_samples(self) -> np.ndarray:
+        """The sample id of every :meth:`flat` member entry.
+
+        ``entry_samples()[j]`` is the ``i`` with ``offsets[i] <= j <
+        offsets[i+1]`` — ``np.repeat(arange(len), diff(offsets))`` — so
+        per-entry sample weights are one gather,
+        ``weights[entry_samples()[:offsets[l]]]``, for any prefix ``l``.
+        Cached until the corpus changes.
+        """
+        if self._entry_samples_cache is None:
+            _, offsets = self.flat()
+            self._entry_samples_cache = np.repeat(
+                np.arange(len(self._roots), dtype=np.int64), np.diff(offsets)
+            )
+        return self._entry_samples_cache
+
     def inverted(self) -> tuple[np.ndarray, np.ndarray]:
         """``(inv_samples, inv_offsets)`` — the node -> samples index.
 
@@ -464,13 +483,9 @@ class RRCorpus:
         first query, so index construction calls this eagerly.
         """
         if self._inverted_cache is None:
-            flat, offsets = self.flat()
-            n_samples = len(self._roots)
-            sample_of_entry = np.repeat(
-                np.arange(n_samples, dtype=np.int64), np.diff(offsets)
-            )
+            flat, _ = self.flat()
             order = np.argsort(flat, kind="stable")
-            inv_samples = sample_of_entry[order]
+            inv_samples = self.entry_samples()[order]
             inv_offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
             np.add.at(inv_offsets, flat + 1, 1)
             np.cumsum(inv_offsets, out=inv_offsets)

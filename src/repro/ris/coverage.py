@@ -12,10 +12,13 @@ online path — see DESIGN.md, "Selection kernels"):
 
 * the initial score array is one weighted ``np.bincount`` over the flat
   member prefix (not ``np.add.at``, which takes a slow generalized
-  ufunc path);
+  ufunc path); the per-entry weights are one gather through the
+  corpus's cached entry -> sample array
+  (:meth:`~repro.ris.corpus.RRCorpus.entry_samples`);
 * when a seed is chosen, all samples it newly covers are decremented in
-  a single batch: their member slices are gathered through the CSR
-  offsets and subtracted with one weighted ``bincount``;
+  a single batch: the flat positions of their member slices are gathered
+  through the CSR offsets, and members and entry weights read at those
+  positions are subtracted with one weighted ``bincount``;
 * the per-iteration submodular certification bound (a ``np.partition``
   over all ``n`` scores) is **opt-in** via ``compute_bound`` — the
   default serving path runs without it, certification requests it;
@@ -65,8 +68,9 @@ _DRIFT_RTOL = 1e-12
 class SelectionTimings:
     """Per-stage wall-clock seconds of one greedy-cover run.
 
-    ``score_build`` covers the flat-prefix gather, the weighted
-    ``bincount`` and (on a cold corpus) the lazy inverted-index build;
+    ``score_build`` covers the per-entry weight gather, the weighted
+    ``bincount`` and (on a cold corpus) the lazy entry -> sample and
+    inverted-index builds;
     ``selection`` is the pick/decrement loop excluding bound work;
     ``bound`` is the submodular upper-bound computation (0 when
     ``compute_bound=False``); ``total`` the whole call.
@@ -134,26 +138,22 @@ def _topk_residual(score: np.ndarray, n: int, k: int) -> float:
     return float(score[score > 0].sum())
 
 
-def _gather_slices(
-    flat: np.ndarray, offsets: np.ndarray, ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ``flat`` slices of the samples in ``ids``.
+def _gather_slices(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Flat positions of the member slices of the samples in ``ids``.
 
-    Returns ``(entries, counts)`` where ``entries`` is the concatenation
-    of ``flat[offsets[i]:offsets[i+1]]`` for each ``i`` in ``ids`` and
-    ``counts[j] = len(slice j)`` — the ragged gather done entirely with
-    array ops (no per-sample Python loop).
+    The concatenation of ``arange(offsets[i], offsets[i+1])`` for each
+    ``i`` in ``ids`` — the ragged gather done entirely with array ops (no
+    per-sample Python loop).  Indexing ``flat`` with it yields the
+    members; indexing the per-entry weights yields their weights.
     """
     starts = offsets[ids]
     counts = offsets[ids + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=flat.dtype), counts
+    cum = np.cumsum(counts)
+    total = int(cum[-1]) if len(cum) else 0
     # Within block j the flat position runs starts[j] .. starts[j]+counts[j)-1:
     # a global arange shifted back to each block's start.
-    cum = np.cumsum(counts)
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - counts), counts)
-    return flat[idx], counts
+    shift = np.repeat(starts - (cum - counts), counts)
+    return np.arange(total, dtype=np.int64) + shift
 
 
 def weighted_greedy_cover(
@@ -242,10 +242,10 @@ def weighted_greedy_cover(
 
     flat, offsets = corpus.flat()
     end = int(offsets[l])
-    flat_prefix = flat[:end]
     # Per-entry weight: each member entry of sample i carries omega_i.
-    entry_weight = np.repeat(weights[:l], np.diff(offsets[: l + 1]))
-    score = np.bincount(flat_prefix, weights=entry_weight, minlength=n)
+    # The batched decrement below reuses it, indexed by flat position.
+    entry_weight = weights[corpus.entry_samples()[:end]]
+    score = np.bincount(flat[:end], weights=entry_weight, minlength=n)
 
     # Inverted index (node -> ascending sample ids) is cached corpus-wide;
     # per-node prefix restriction is one binary search for the cutoff.
@@ -304,18 +304,20 @@ def weighted_greedy_cover(
         seeds.append(u)
         gains[it] = gain
         covered_weight += gain
-        # Batch-decrement every sample newly covered by u: gather their
-        # member slices through the CSR offsets and subtract one weighted
-        # bincount — no per-sample Python loop.
+        # Batch-decrement every sample newly covered by u: gather the
+        # flat positions of their member slices through the CSR offsets
+        # and subtract one weighted bincount of the members and entry
+        # weights there — no per-sample Python loop.
         u_samples = inv_samples[inv_offsets[u] : inv_offsets[u + 1]]
         cut = int(np.searchsorted(u_samples, l))
         candidates = u_samples[:cut]
         newly = candidates[~covered[candidates]]
         if len(newly):
             covered[newly] = True
-            entries, counts = _gather_slices(flat, offsets, newly)
-            dec_weight = np.repeat(weights[newly], counts)
-            score -= np.bincount(entries, weights=dec_weight, minlength=n)
+            pos = _gather_slices(offsets, newly)
+            score -= np.bincount(
+                flat[pos], weights=entry_weight[pos], minlength=n
+            )
         # Guard against float drift leaving the seed positive.
         score[u] = -np.inf
     if compute_bound is not False:
@@ -477,9 +479,8 @@ def weighted_budgeted_cover(
 
     flat, offsets = corpus.flat()
     end = int(offsets[l])
-    flat_prefix = flat[:end]
-    entry_weight = np.repeat(weights[:l], np.diff(offsets[: l + 1]))
-    score = np.bincount(flat_prefix, weights=entry_weight, minlength=n)
+    entry_weight = weights[corpus.entry_samples()[:end]]
+    score = np.bincount(flat[:end], weights=entry_weight, minlength=n)
     inv_samples, inv_offsets = corpus.inverted()
     t_built = time.perf_counter()
 
@@ -544,9 +545,10 @@ def weighted_budgeted_cover(
         newly = candidates[~covered[candidates]]
         if len(newly):
             covered[newly] = True
-            entries, counts = _gather_slices(flat, offsets, newly)
-            dec_weight = np.repeat(weights[newly], counts)
-            score -= np.bincount(entries, weights=dec_weight, minlength=n)
+            pos = _gather_slices(offsets, newly)
+            score -= np.bincount(
+                flat[pos], weights=entry_weight[pos], minlength=n
+            )
         score[u] = -np.inf
     estimate = n * covered_weight / l
     t_end = time.perf_counter()

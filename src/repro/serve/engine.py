@@ -707,10 +707,9 @@ class QueryEngine:
         """Serve a trajectory: per-waypoint cache, one shared index call.
 
         Each waypoint hits the result cache under its *point* key; the
-        misses go to the index together (``query_trajectory`` shares the
-        root-coordinate gather across them on the RIS backend) and are
-        cached individually, so a trajectory warms the point cache cell
-        by cell.
+        misses go to the index together in one ``query_trajectory`` call
+        and are cached individually, so a trajectory warms the point
+        cache cell by cell.
         """
         m = self.metrics
         tracer = self.tracer

@@ -4,8 +4,8 @@ Each rich query kind has a degenerate parameterisation that is *by
 construction* the standard point query, and the implementations are
 written so those cases stay bit-identical, not merely close:
 
-* a 1-waypoint trajectory — the shared root-coordinate gather sliced to
-  one waypoint yields the exact same weight floats as the point path;
+* a 1-waypoint trajectory — one plan of the same RIS-DA body, whose
+  node-space weights gathered per sample are the point path's floats;
 * an all-ones target mask — multiplying sample weights (RIS) or node
   weights and bounds (MIA) by 1.0 is exact in IEEE arithmetic;
 * uniform power-of-two costs ``c`` with budget ``k * c`` — dividing every
@@ -96,7 +96,7 @@ class TestIndexLevelParity:
 
     def test_trajectory_slices_match_separate_queries(self, index):
         """Every waypoint of a trajectory equals its standalone query —
-        the shared gather must not perturb later waypoints either."""
+        batching must not perturb later waypoints either."""
         waypoints = [(10.0, 10.0), (50.0, 50.0), (90.0, 90.0)]
         results = index.query_trajectory(waypoints, 3)
         for wp, res in zip(waypoints, results):

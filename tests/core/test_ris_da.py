@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.multi_location import multi_location_query, multi_location_weights
 from repro.core.query import DaimQuery
-from repro.core.ris_da import QueryDiagnostics, RisDaConfig, RisDaIndex
+from repro.core.ris_da import QueryDiagnostics, RisDaConfig, RisDaIndex, _Plan
 from repro.diffusion.spread import monte_carlo_weighted_spread
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.weights import DistanceDecay
+from repro.ris.coverage import weighted_budgeted_cover, weighted_greedy_cover
 from repro.ris.sample_size import required_sample_size
 
 
@@ -248,3 +250,100 @@ class TestParallelBuild:
         index = RisDaIndex(net, DistanceDecay(alpha=0.02), cfg)
         assert not index.sampler.pool_active
         assert index.query((40.0, 40.0), 2).seeds
+
+
+@pytest.fixture(scope="module", params=["euclidean", "manhattan"])
+def metric_index(request, net):
+    decay = DistanceDecay(alpha=0.02, metric=request.param)
+    cfg = RisDaConfig(
+        k_max=8, n_pivots=8, epsilon_pivot=0.4, max_index_samples=10_000,
+        seed=5,
+    )
+    return RisDaIndex(net, decay, cfg)
+
+
+def _per_sample_reference(index, locations, k, l, mask=None, costs=None,
+                          budget=0.0):
+    """The cover over weights evaluated once per *sample*, as the online
+    body did before it moved the Eq. 9 weights to node space."""
+    roots = index.corpus.roots[:l]
+    weights = multi_location_weights(
+        index.decay, index.network.coords[roots], locations
+    )
+    if mask is not None:
+        weights = weights * mask[roots]
+    if costs is None:
+        return weighted_greedy_cover(
+            index.corpus, weights, k, prefix=l, compute_bound=False,
+            method=index.config.selection,
+        )
+    return weighted_budgeted_cover(
+        index.corpus, weights, costs, budget, prefix=l,
+        method=index.config.selection,
+    )
+
+
+def _assert_matches_reference(res, ref):
+    assert res.seeds == ref.seeds
+    # The reference estimate is Eq. 9 over its own covered gains.
+    assert res.estimate == ref.estimate
+    assert res.samples_used == ref.samples_used
+
+
+class TestNodeSpaceWeights:
+    """Node-space weights ``w_node[roots]`` are the per-sample weights
+    ``w(coords[roots])`` float for float, so every plan kind answers
+    exactly what the per-sample formula answers."""
+
+    Q = (42.0, 58.0)
+
+    def test_point(self, metric_index):
+        res, diag = metric_index.query(self.Q, 5, return_diagnostics=True)
+        ref = _per_sample_reference(
+            metric_index, [self.Q], 5, diag.samples_used
+        )
+        _assert_matches_reference(res, ref)
+
+    def test_genuine_mask(self, metric_index, net):
+        mask = np.random.default_rng(3).uniform(0.0, 2.0, net.n)
+        mask[::4] = 0.0
+        res, diag = metric_index.query_masked(
+            self.Q, 5, mask, return_diagnostics=True
+        )
+        ref = _per_sample_reference(
+            metric_index, [self.Q], 5, diag.samples_used, mask=mask
+        )
+        _assert_matches_reference(res, ref)
+        assert not diag.guarantee_met
+
+    def test_budgeted(self, metric_index, net):
+        costs = np.random.default_rng(4).uniform(0.5, 2.0, net.n)
+        res, diag = metric_index.query_budgeted(
+            self.Q, 6.0, costs, return_diagnostics=True
+        )
+        ref = _per_sample_reference(
+            metric_index, [self.Q], None, diag.samples_used,
+            costs=costs, budget=6.0,
+        )
+        _assert_matches_reference(res, ref)
+
+    def test_trajectory(self, metric_index):
+        waypoints = [(10.0, 10.0), (50.0, 50.0), (90.0, 30.0)]
+        answers = metric_index.query_trajectory(
+            waypoints, 4, return_diagnostics=True
+        )
+        for wp, (res, diag) in zip(waypoints, answers):
+            ref = _per_sample_reference(
+                metric_index, [wp], 4, diag.samples_used
+            )
+            _assert_matches_reference(res, ref)
+
+    def test_multi_location(self, metric_index):
+        locs = ((20.0, 30.0), (70.0, 60.0), (45.0, 85.0))
+        plan = _Plan(locs, 5, method="RIS-DA-multi")
+        [(res, diag)] = metric_index._answer([plan], return_diagnostics=True)
+        ref = _per_sample_reference(metric_index, locs, 5, diag.samples_used)
+        _assert_matches_reference(res, ref)
+        public = multi_location_query(metric_index, locs, 5)
+        assert public.seeds == res.seeds
+        assert public.estimate == res.estimate
