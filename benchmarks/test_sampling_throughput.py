@@ -8,12 +8,13 @@ assertion at 4 workers only fires when the machine actually exposes >= 4
 cores (a single-core container cannot speed anything up).
 
 ``test_coupled_backend_throughput`` times the counter-based coupled
-sampler's reverse-BFS inner loop on the numpy backend vs the compiled
-one (when the optional numba extra resolves): the two hash the same
-coin domain, so the batches must be **bit-identical**, and on a
-standard (non-tiny) run the compiled traversal must be >= 2x the
-numpy one.  Without numba the test still runs the numpy timing and
-publishes it report-only.
+sampler's ``sample_batch`` on the numpy backend (one batched,
+level-by-level array-op reverse BFS over many slots at once) vs the
+compiled backend (a per-slot reverse BFS, when the optional numba extra
+resolves): the two hash the same coin domain, so the batches must be
+**bit-identical**, and on a standard (non-tiny) run the compiled
+traversal must be >= 2x the batched numpy one.  Without numba the test
+still runs the numpy timing and publishes it report-only.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def test_coupled_backend_throughput():
         list(rows[0]),
         [list(r.values()) for r in rows],
         title=(
-            f"coupled reverse-BFS sampling ({network.n} nodes, "
+            f"coupled sample_batch ({network.n} nodes, "
             f"{COUPLED_SAMPLES} slots, median of {COUPLED_REPS})"
         ),
     )
@@ -152,7 +153,8 @@ def test_coupled_backend_throughput():
 
     if numba_on and not TINY:
         assert speedup >= COUPLED_BAR, (
-            f"compiled reverse-BFS only {speedup:.2f}x the numpy traversal "
+            f"compiled reverse-BFS only {speedup:.2f}x the batched numpy "
+            f"traversal "
             f"(bar: {COUPLED_BAR}x)"
         )
 

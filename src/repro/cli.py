@@ -749,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for RR-set sampling (1 = serial; builds "
-             "are reproducible per (seed, workers) pair)",
+             "are reproducible per (seed, workers) pair). For IC the "
+             "serial build is faster and keeps the keyed update path",
     )
     p.add_argument(
         "--selection", choices=("eager", "lazy"), default="eager",

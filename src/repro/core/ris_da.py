@@ -85,6 +85,9 @@ class RisDaConfig:
     offline phases (pivot growth and the Algorithm 5 worst-case top-up).
     The build stays fully reproducible per ``(seed, n_workers)`` pair;
     different worker counts yield different, equally valid sample streams.
+    For IC the pool is slower than the serial batched coupled sampler
+    (``perfbench`` ``std`` size, 2-vCPU x86-64: ~1.8 s at 2 workers vs
+    ~0.45 s serial) and its keyless corpus loses the keyed ``update()``.
 
     ``selection`` picks the greedy-cover kernel for both the pivot phase
     and online queries: ``"eager"`` (default; argmax scan, reproducible

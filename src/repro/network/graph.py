@@ -95,7 +95,7 @@ class GeoSocialNetwork:
                 raise GraphError(
                     f"probabilities must have shape ({m},), got {probs.shape}"
                 )
-            if m and (probs.min() < 0.0 or probs.max() > 1.0):
+            if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
                 raise GraphError("edge probabilities must lie in [0, 1]")
 
         # Reject duplicate edges — they would double-count influence.

@@ -264,11 +264,12 @@ class RRCorpus:
                 f"sample ids must be in [0, {len(self._roots)}), got "
                 f"range [{ids[0]}, {ids[-1]}]"
             )
-        regen = self._sampler.regenerate
-        for i in ids:
-            root, members = regen(self._keys[i])
-            self._roots[i] = int(root)
-            self._members[i] = members
+        roots, flat, offsets = self._sampler._traverse(
+            np.asarray([self._keys[i] for i in ids], dtype=np.int64)
+        )
+        for j, i in enumerate(ids):
+            self._roots[i] = int(roots[j])
+            self._members[i] = flat[offsets[j] : offsets[j + 1]]
         self._invalidate()
         return int(len(ids))
 
@@ -484,11 +485,11 @@ class RRCorpus:
         """
         if self._inverted_cache is None:
             flat, _ = self.flat()
-            order = np.argsort(flat, kind="stable")
-            inv_samples = self.entry_samples()[order]
+            # Same stable order either way; numpy radix-sorts 16-bit keys.
+            keys = flat.astype(np.uint16) if self.n_nodes <= 1 << 16 else flat
+            inv_samples = self.entry_samples()[np.argsort(keys, kind="stable")]
             inv_offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.add.at(inv_offsets, flat + 1, 1)
-            np.cumsum(inv_offsets, out=inv_offsets)
+            np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=inv_offsets[1:])
             self._inverted_cache = (inv_samples, inv_offsets)
         return self._inverted_cache
 

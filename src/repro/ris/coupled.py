@@ -1,15 +1,11 @@
 """Counter-based RR sampling for coupled streaming regeneration.
 
 The sequential :class:`~repro.ris.rrset.RRSampler` draws every sample
-from one RNG stream — perfect for builds, hostile to streaming
-maintenance: after a graph delta there is no way to re-derive the
-randomness a stored sample consumed, so an update must retire the
-samples touching the dirty set and resample *conditioned on touching
-it* (see :meth:`repro.ris.corpus.RRCorpus.extend_touching`).  The
-rejection pass costs ``count / P(touch)`` draws, and with
-``count ≈ |corpus| · P(touch)`` that is one corpus-sized sampling
-sweep no matter how small the delta — the update can never beat a
-rebuild by much.
+from one RNG stream, so after a graph delta an update cannot re-derive
+a stored sample's randomness: it must retire the touching samples and
+resample *conditioned on touching* the dirty set
+(:meth:`repro.ris.corpus.RRCorpus.extend_touching`), one corpus-sized
+sweep no matter how small the delta.
 
 This sampler removes the sequential stream entirely.  Each sample slot
 carries an integer **key**, and the slot is a *pure function* of
@@ -32,9 +28,11 @@ touching slot's re-run is exactly one fresh RR set of the new graph.
 The streaming update therefore regenerates only the touching slots:
 cost proportional to the dirty fraction, not to the corpus size.
 
-Hashing uses the SplitMix64 finalizer (wrapping ``uint64`` arithmetic,
-vectorised over each in-edge row), whose avalanche quality is the
-standard choice for counter-based ("stateless") sampling.
+Purity also makes sampling fast: no coin depends on traversal order,
+so build growth and streaming regeneration both traverse thousands of
+slots together, level by level, as array ops.  Hashing uses the
+SplitMix64 finalizer (wrapping ``uint64`` arithmetic), the standard
+choice for counter-based ("stateless") sampling.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.network.graph import GeoSocialNetwork
+from repro.ris.coverage import _gather_slices
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -53,6 +52,11 @@ _U64_SHIFT_30 = np.uint64(30)
 _U64_SHIFT_27 = np.uint64(27)
 _U64_SHIFT_31 = np.uint64(31)
 _U64_SHIFT_11 = np.uint64(11)
+#: Slots per batched reverse-BFS pass: bounds the transient
+#: ``(slot, node)`` arrays independently of the network size.
+_CHUNK_SLOTS = 2048
+
+
 def _mix64(z):
     """SplitMix64 finalizer over ``uint64`` scalars or arrays.
 
@@ -145,6 +149,7 @@ class CoupledRRSampler:
             self._thresholds = (
                 np.minimum(network.in_probs, 1.0) * float(1 << 53)
             ).astype(np.uint64)
+        self._in_degree = np.diff(network.in_offsets)
 
     # -- drawing -------------------------------------------------------
 
@@ -168,28 +173,8 @@ class CoupledRRSampler:
         keys = np.arange(
             self.draw_count, self.draw_count + count, dtype=np.int64
         )
+        roots, flat, offsets = self._traverse(keys)
         self.draw_count += count
-        if self.kernel_backend == "numba" and count:
-            roots, flat, offsets = self._batch_compiled(keys)
-            return keys, roots, flat, offsets
-        roots = np.empty(count, dtype=np.int64)
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        buf = np.empty(max(1024, 4 * count), dtype=np.int64)
-        total = 0
-        for i in range(count):
-            root, mem = self.regenerate(int(keys[i]))
-            roots[i] = root
-            size = len(mem)
-            if total + size > len(buf):
-                grown = np.empty(
-                    max(2 * len(buf), total + size), dtype=np.int64
-                )
-                grown[:total] = buf[:total]
-                buf = grown
-            buf[total : total + size] = mem
-            total += size
-            offsets[i + 1] = total
-        flat = buf[:total].copy() if 2 * total < len(buf) else buf[:total]
         return keys, roots, flat, offsets
 
     def edge_coin_bits(self, keys, u: int, v: int) -> np.ndarray:
@@ -220,62 +205,71 @@ class CoupledRRSampler:
     def regenerate(self, key: int) -> tuple[int, np.ndarray]:
         """The RR set of slot ``key`` — pure in ``(seed, key, graph)``.
 
-        Does not advance :attr:`draw_count`: the streaming update calls
-        this for stored keys against the *new* network, and coupling
+        Does not advance :attr:`draw_count`: the streaming update
+        re-runs stored keys against the *new* network, and coupling
         makes the result a fresh exact RR set of that network.
         """
-        if key < 0:
-            raise GraphError(f"slot keys are non-negative, got {key}")
-        net = self.network
-        if net.n == 0:
-            raise GraphError("cannot sample from an empty network")
-        if self.kernel_backend == "numba":
-            keys = np.asarray([key], dtype=np.int64)
-            roots, flat, _ = self._batch_compiled(keys)
-            return int(roots[0]), flat
-        with np.errstate(over="ignore"):
-            slot = _mix64(self._seed64 ^ (np.uint64(key) * _GOLDEN))
-            root = int(_mix64(slot ^ _ROOT_SALT) % np.uint64(net.n))
-            return root, self._reverse_reach(slot, root)
+        roots, flat, _ = self._traverse(np.asarray([key], dtype=np.int64))
+        return int(roots[0]), flat
 
     # ------------------------------------------------------------------
 
-    def _batch_compiled(
+    def _traverse(
         self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run the JIT traversal over ``keys``; bit-identical to numpy."""
-        from repro.kernels import kernels
+        """The RR sets of slots ``keys`` as ``(roots, flat, offsets)``.
 
-        ks = kernels("numba")
+        Any int64 key array (unsorted, repeated, non-contiguous), in the
+        :meth:`RRCorpus.flat` layout.  Each chunk of :data:`_CHUNK_SLOTS`
+        slots runs one level-synchronous reverse BFS over ``(slot,
+        node)`` pairs encoded ``slot_index * n + node``; the visited
+        codes stay sorted, so dedupe is a ``searchsorted`` and the final
+        codes list every slot's members ascending.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        if len(keys) and keys.min() < 0:
+            raise GraphError(
+                f"slot keys are non-negative, got {int(keys.min())}"
+            )
         net = self.network
-        return ks.coupled_batch(
-            self._seed64, keys, net.in_offsets, net.in_sources,
-            self._edge_mix, self._thresholds, net.n,
-        )
+        n = net.n
+        if len(keys) and n == 0:
+            raise GraphError("cannot sample from an empty network")
+        if self.kernel_backend == "numba" and len(keys):
+            from repro.kernels import kernels
 
-    def _reverse_reach(self, slot: np.uint64, root: int) -> np.ndarray:
-        """IC reverse traversal with hashed coins (LIFO, like the
-        sequential sampler — any order samples the same distribution
-        because each in-edge's coin is read exactly once, and here the
-        coin value itself is order-independent)."""
-        net = self.network
-        edge_mix = self._edge_mix
-        in_offsets = net.in_offsets
-        in_sources = net.in_sources
-        thresholds = self._thresholds
-        visited = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            lo = int(in_offsets[x])
-            hi = int(in_offsets[x + 1])
-            if hi == lo:
-                continue
-            coins = _mix64(slot ^ edge_mix[lo:hi]) >> _U64_SHIFT_11
-            live = np.flatnonzero(coins < thresholds[lo:hi])
-            for j in live:
-                u = int(in_sources[lo + int(j)])
-                if u not in visited:
-                    visited.add(u)
-                    stack.append(u)
-        return np.asarray(sorted(visited), dtype=np.int64)
+            return kernels("numba").coupled_batch(
+                self._seed64, keys, net.in_offsets, net.in_sources,
+                self._edge_mix, self._thresholds, n,
+            )
+        roots = np.empty(len(keys), dtype=np.int64)
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        parts = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, len(keys), _CHUNK_SLOTS):
+            chunk = keys[lo : lo + _CHUNK_SLOTS]
+            hi = lo + len(chunk)
+            with np.errstate(over="ignore"):
+                slot = _mix64(self._seed64 ^ (chunk.astype(np.uint64) * _GOLDEN))
+                roots[lo:hi] = _mix64(slot ^ _ROOT_SALT) % np.uint64(n)
+            visited = np.arange(len(chunk), dtype=np.int64) * n + roots[lo:hi]
+            frontier = visited
+            while len(frontier):
+                slot_idx, node = np.divmod(frontier, n)
+                pos = _gather_slices(net.in_offsets, node)
+                edge_slot = np.repeat(slot_idx, self._in_degree[node])
+                with np.errstate(over="ignore"):
+                    coins = _mix64(slot[edge_slot] ^ self._edge_mix[pos])
+                live = (coins >> _U64_SHIFT_11) < self._thresholds[pos]
+                reached = np.unique(
+                    edge_slot[live] * n + net.in_sources[pos[live]]
+                )
+                at = np.searchsorted(visited, reached)
+                seen = at < len(visited)
+                seen[seen] = visited[at[seen]] == reached[seen]
+                frontier = reached[~seen]
+                visited = np.insert(visited, at[~seen], frontier)
+            slot_idx, members = np.divmod(visited, n)
+            offsets[lo + 1 : hi + 1] = np.bincount(slot_idx, minlength=len(chunk))
+            parts.append(members)
+        np.cumsum(offsets, out=offsets)
+        return roots, np.concatenate(parts), offsets

@@ -92,7 +92,7 @@ class GraphDelta:
                 f"probabilities must have shape ({len(edge_arr)},), "
                 f"got {probs.shape}"
             )
-        if len(probs) and (probs.min() < 0.0 or probs.max() > 1.0):
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
             raise GraphError("edge probabilities must lie in [0, 1]")
         if len(edge_arr) and np.any(edge_arr[:, 0] == edge_arr[:, 1]):
             raise GraphError("self-loops are not allowed")

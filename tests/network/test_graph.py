@@ -52,6 +52,12 @@ class TestValidation:
                 2, np.array([[0, 1]]), np.array([1.5]), np.zeros((2, 2))
             )
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(GraphError, match=r"\[0, 1\]"):
+            GeoSocialNetwork(
+                2, np.array([[0, 1]]), np.array([np.nan]), np.zeros((2, 2))
+            )
+
     def test_probability_shape_enforced(self):
         with pytest.raises(GraphError):
             GeoSocialNetwork(

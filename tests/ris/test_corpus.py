@@ -68,6 +68,29 @@ class TestFlat:
         assert offsets.tolist() == [0]
 
 
+class TestInverted:
+    @pytest.mark.parametrize("n", [50, 70_000])  # 16-bit sort keys or not
+    def test_matches_per_node_scan(self, n):
+        from repro.network.graph import GeoSocialNetwork
+
+        rng = np.random.default_rng(n)
+        net = GeoSocialNetwork(n, np.empty((0, 2)), None, np.zeros((n, 2)))
+        hot = rng.choice(n, size=40, replace=False)
+        members = [np.unique(rng.choice(hot, size=rng.integers(1, 6)))
+                   for _ in range(300)]
+        offsets = np.concatenate([[0], np.cumsum([len(m) for m in members])])
+        corpus = RRCorpus.from_arrays(
+            RRSampler(net, seed=0), [int(m[0]) for m in members],
+            np.concatenate(members), offsets,
+        )
+        inv_samples, inv_offsets = corpus.inverted()
+        assert inv_offsets.shape == (n + 1,)
+        for u in range(n) if n < 1000 else np.append(hot, [0, n - 1]):
+            want = [i for i, m in enumerate(members) if u in m]
+            got = inv_samples[inv_offsets[u]: inv_offsets[u + 1]]
+            assert got.tolist() == want
+
+
 class TestStats:
     def test_average_size(self, corpus):
         corpus.ensure(30)

@@ -11,14 +11,28 @@ The contracts that make coupled streaming regeneration sound:
   bit-for-bit (common random numbers, keyed by edge endpoints).
 """
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.exceptions import GraphError, SamplingError
+from repro.kernels.registry import _Interpreted
+from repro.network.graph import GeoSocialNetwork
+from repro.ris import coupled
 from repro.ris.corpus import RRCorpus
 from repro.ris.coupled import CoupledRRSampler, quantize_probability
 from repro.ris.rrset import RRSampler
 from repro.stream.delta import GraphDelta, apply_delta
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised only without hypothesis
+    HAVE_HYPOTHESIS = False
 
 
 @pytest.fixture
@@ -128,6 +142,97 @@ class TestCoupling:
         assert rate == pytest.approx(0.3, abs=0.02)
 
 
+def _oracle(sampler, keys):
+    """The per-slot algorithm: ``coupled_batch`` run interpreted."""
+    net = sampler.network
+    return _Interpreted().coupled_batch(
+        sampler._seed64, np.asarray(keys, dtype=np.int64), net.in_offsets,
+        net.in_sources, sampler._edge_mix, sampler._thresholds, net.n,
+    )
+
+
+def _assert_batches_equal(got, want):
+    for name, a, b in zip(("roots", "flat", "offsets"), got, want):
+        assert a.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+
+
+def _random_net(graph_seed: int) -> GeoSocialNetwork:
+    """A small random graph mixing p=0, p=1 and fractional edges.
+
+    Node 0 never receives an edge, so every graph has a zero in-degree
+    node; tiny or sparse draws add more.
+    """
+    rng = np.random.default_rng(graph_seed)
+    n = int(rng.integers(1, 14))
+    density = float(rng.uniform(0.0, 0.5))
+    edges = [
+        (u, v) for u in range(n) for v in range(1, n)
+        if u != v and rng.random() < density
+    ]
+    probs = rng.uniform(0.0, 1.0, size=len(edges))
+    probs[rng.random(len(edges)) < 0.3] = 1.0
+    probs[rng.random(len(edges)) < 0.1] = 0.0
+    return GeoSocialNetwork.from_edges(
+        edges, rng.uniform(0.0, 10.0, size=(n, 2)), probs
+    )
+
+
+class TestBatchedTraversal:
+    """The batched level-by-level traversal vs the per-slot algorithm."""
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=120, deadline=None)
+        @given(
+            graph_seed=st.integers(0, 2**32 - 1),
+            seed=st.integers(-(2**63), 2**64 - 1),
+            keys=st.lists(st.integers(0, 2**62), max_size=40),
+            chunk=st.sampled_from([1, 3, 7, coupled._CHUNK_SLOTS]),
+        )
+        @example(graph_seed=0, seed=0, keys=[], chunk=3)
+        @example(graph_seed=1, seed=5, keys=[17], chunk=3)
+        @example(graph_seed=2, seed=5, keys=[900, 4, 4, 31, 4, 0], chunk=3)
+        def test_matches_per_slot_oracle(self, graph_seed, seed, keys, chunk):
+            sampler = CoupledRRSampler(_random_net(graph_seed), seed=seed)
+            with mock.patch.object(coupled, "_CHUNK_SLOTS", chunk):
+                got = sampler._traverse(np.asarray(keys, dtype=np.int64))
+            _assert_batches_equal(got, _oracle(sampler, keys))
+
+    def test_range_spanning_several_chunks(self, small_net):
+        sampler = CoupledRRSampler(small_net, seed=21)
+        keys = np.arange(50, 50 + 2 * coupled._CHUNK_SLOTS + 37)
+        _assert_batches_equal(sampler._traverse(keys), _oracle(sampler, keys))
+        shuffled = np.random.default_rng(2).permutation(keys)
+        _assert_batches_equal(
+            sampler._traverse(shuffled), _oracle(sampler, shuffled)
+        )
+
+    def test_sample_batch_and_regenerate_use_it(self, small_net):
+        sampler = CoupledRRSampler(small_net, seed=4)
+        sampler.draw_count = 300
+        keys, *batch = sampler.sample_batch(2 * coupled._CHUNK_SLOTS + 5)
+        _assert_batches_equal(batch, _oracle(sampler, keys))
+        root, members = sampler.regenerate(12345)
+        want_roots, want_flat, _ = _oracle(sampler, [12345])
+        assert root == want_roots[0]
+        assert np.array_equal(members, want_flat)
+
+    def test_corpus_regenerate_is_one_batched_traversal(self, small_net):
+        corpus = RRCorpus(CoupledRRSampler(small_net, seed=9))
+        corpus.ensure(400)
+        before = [corpus.members(i).copy() for i in range(len(corpus))]
+        with mock.patch.object(
+            CoupledRRSampler, "_traverse", autospec=True,
+            side_effect=CoupledRRSampler._traverse,
+        ) as spy:
+            assert corpus.regenerate([399, 3, 3, 250, 0]) == 4
+        assert spy.call_count == 1
+        assert spy.call_args.args[1].tolist() == [0, 3, 250, 399]
+        for i in range(len(corpus)):
+            assert np.array_equal(corpus.members(i), before[i])
+
+
 class TestValidation:
     def test_non_integer_seed_rejected(self, small_net):
         with pytest.raises(GraphError, match="integer seed"):
@@ -137,9 +242,33 @@ class TestValidation:
         with pytest.raises(GraphError, match="non-negative"):
             sampler.regenerate(-1)
 
+    def test_negative_key_in_batch_rejected(self, sampler):
+        with pytest.raises(GraphError, match="non-negative"):
+            sampler._traverse(np.asarray([4, -3, 9]))
+
     def test_negative_count_rejected(self, sampler):
         with pytest.raises(GraphError, match="non-negative"):
             sampler.sample_batch(-1)
+
+    def test_empty_batch(self, sampler):
+        keys, roots, flat, offsets = sampler.sample_batch(0)
+        for arr in (keys, roots, flat):
+            assert arr.dtype == np.int64 and arr.shape == (0,)
+        assert offsets.tolist() == [0]
+        assert sampler.draw_count == 0
+
+    def test_empty_network_rejected(self):
+        # GeoSocialNetwork itself refuses n=0, so stand one in.
+        empty = SimpleNamespace(
+            n=0, in_offsets=np.zeros(1, dtype=np.int64),
+            in_sources=np.empty(0, dtype=np.int64), in_probs=np.empty(0),
+        )
+        sampler = CoupledRRSampler(empty, seed=1)
+        with pytest.raises(GraphError, match="empty network"):
+            sampler.sample_batch(2)
+        with pytest.raises(GraphError, match="empty network"):
+            sampler.regenerate(0)
+        assert sampler.sample_batch(0)[3].tolist() == [0]
 
 
 class TestKeyedCorpus:

@@ -26,6 +26,10 @@ class TestGraphDeltaMake:
         with pytest.raises(GraphError, match=r"\[0, 1\]"):
             GraphDelta.make(edges=[(0, 1)], probabilities=[1.5])
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(GraphError, match=r"\[0, 1\]"):
+            GraphDelta.make(edges=[(0, 1)], probabilities=[float("nan")])
+
     def test_self_loops_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             GraphDelta.make(edges=[(3, 3)], probabilities=[0.1])
@@ -59,6 +63,12 @@ class TestFromEvents:
     def test_malformed_event_rejected(self):
         with pytest.raises(DataFormatError, match="malformed"):
             GraphDelta.from_events([{"op": "edge", "u": 0}])  # missing v, p
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(GraphError, match=r"\[0, 1\]"):
+            GraphDelta.from_events(
+                [{"op": "edge", "u": 0, "v": 1, "p": float("nan")}]
+            )
 
 
 class TestApplyDelta:

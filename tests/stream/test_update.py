@@ -233,6 +233,70 @@ class TestRisUpdateParity:
         assert np.array_equal(runs[0][2], runs[1][2])
 
 
+def mixed_delta(net, rng) -> GraphDelta:
+    """Upserts (new edges and re-weighted existing ones), removals of
+    existing edges and moved check-ins, all against ``net``."""
+    edges, probs = net.edge_array()
+    picked = rng.choice(len(edges), size=4, replace=False)
+    removed = [tuple(int(z) for z in edges[i]) for i in picked[:2]]
+    upserts = [tuple(int(z) for z in edges[i]) for i in picked[2:]]
+    seen = {tuple(e) for e in edges.tolist()}
+    while len(upserts) < 6:
+        u, v = (int(z) for z in rng.integers(0, net.n, size=2))
+        if u != v and (u, v) not in seen:
+            seen.add((u, v))
+            upserts.append((u, v))
+    p_new = rng.uniform(0.02, 0.6, size=len(upserts))
+    p_new[rng.random(len(upserts)) < 0.2] = 1.0
+    moved = rng.choice(net.n, size=3, replace=False)
+    checkins = [
+        (int(m), float(net.coords[m, 0] + rng.normal(0, 2.0)),
+         float(net.coords[m, 1] + rng.normal(0, 2.0)))
+        for m in moved
+    ]
+    return GraphDelta.make(
+        edges=upserts, probabilities=p_new, removed=removed,
+        checkins=checkins,
+    )
+
+
+class TestKeyedCorpusOracle:
+    """A streamed keyed corpus is exactly a fresh traversal of its keys.
+
+    ``update()`` regenerates only the slots whose replay flips and
+    leaves every other slot as it was; coupling says that is the same
+    corpus a fresh traversal of the stored keys over the final graph
+    yields — bit for bit, not just within sampling tolerance.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_fresh_traversal(self, seed):
+        from repro.geo.weights import DistanceDecay
+        from repro.network.datasets import load_dataset
+        from repro.ris.coupled import CoupledRRSampler
+
+        net = load_dataset("brightkite", scale=0.1)
+        cfg = RisDaConfig(
+            k_max=5, n_pivots=4, epsilon_pivot=0.4,
+            max_index_samples=4000, seed=seed,
+        )
+        index = RisDaIndex(net, DistanceDecay(c=1.0, alpha=0.02), cfg)
+        assert index.corpus.keyed
+        rng = np.random.default_rng(1000 + seed)
+        regenerated = 0
+        for _ in range(4):
+            stats = index.update(delta=mixed_delta(index.network, rng))
+            regenerated += stats.samples_retired
+            corpus = index.corpus
+            fresh = CoupledRRSampler(index.network, seed=seed)
+            roots, flat, offsets = fresh._traverse(corpus.keys)
+            got_flat, got_offsets = corpus.flat()
+            assert np.array_equal(corpus.roots, roots)
+            assert np.array_equal(got_flat, flat)
+            assert np.array_equal(got_offsets, offsets)
+        assert regenerated > 0
+
+
 class TestMiaUpdateParity:
     @pytest.fixture(scope="class")
     def setup(self, small_net):
