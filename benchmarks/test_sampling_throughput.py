@@ -1,12 +1,6 @@
-"""Sampling throughput: serial vs parallel RR-set generation.
+"""Sampling throughput of the coupled RR sampler, per kernel backend.
 
-The offline phase of RIS-DA is dominated by RR-set sampling, which the
-worker-pool engine (:mod:`repro.ris.parallel`) parallelises with
-deterministic per-chunk RNG streams.  This benchmark records the
-serial-vs-parallel speedup so the trajectory captures the win; the >= 2x
-assertion at 4 workers only fires when the machine actually exposes >= 4
-cores (a single-core container cannot speed anything up).
-
+The offline phase of RIS-DA is dominated by RR-set sampling.
 ``test_coupled_backend_throughput`` times the counter-based coupled
 sampler's ``sample_batch`` on the numpy backend (one batched,
 level-by-level array-op reverse BFS over many slots at once) vs the
@@ -26,53 +20,16 @@ import numpy as np
 
 from benchmarks.conftest import emit, emit_json
 from repro.bench.reporting import format_table
-from repro.bench.workloads import sampling_throughput
 from repro.kernels import resolve_backend
 from repro.network.datasets import load_dataset
 from repro.ris.coupled import CoupledRRSampler
-from repro.ris.parallel import ParallelRRSampler
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
-
-N_SAMPLES = int(os.environ.get("REPRO_THROUGHPUT_SAMPLES", "20000"))
-WORKER_COUNTS = (1, 2, 4)
 
 #: Coupled-sampler backend comparison workload and acceptance bar.
 COUPLED_SAMPLES = 2_000 if TINY else 20_000
 COUPLED_REPS = 2 if TINY else 3
 COUPLED_BAR = 2.0
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def test_sampling_throughput():
-    network = load_dataset("gowalla")
-    rows = sampling_throughput(
-        network, N_SAMPLES, workers=WORKER_COUNTS, seed=3
-    )
-    table = format_table(
-        ["workers", "samples", "sec", "samples/s", "speedup"],
-        [list(r.as_row().values()) for r in rows],
-        title=f"RR-set sampling throughput ({network.n} nodes, "
-        f"{_available_cores()} cores visible)",
-    )
-    emit("sampling_throughput", table)
-
-    assert [r.workers for r in rows] == list(WORKER_COUNTS)
-    assert all(r.samples == N_SAMPLES for r in rows)
-    assert all(r.seconds > 0 for r in rows)
-    # The speedup claim is only testable on hardware with enough cores.
-    if _available_cores() >= 4:
-        by_workers = {r.workers: r for r in rows}
-        assert by_workers[4].speedup >= 2.0, (
-            f"expected >= 2x speedup at 4 workers, got "
-            f"{by_workers[4].speedup:.2f}x"
-        )
 
 
 def _time_coupled(network, backend: str) -> tuple[float, tuple]:
@@ -158,18 +115,3 @@ def test_coupled_backend_throughput():
             f"(bar: {COUPLED_BAR}x)"
         )
 
-
-def test_parallel_corpus_reproducible():
-    """The benchmark's determinism premise: same (seed, workers) -> same corpus."""
-    network = load_dataset("brightkite")
-    a = ParallelRRSampler(network, seed=11, n_workers=4)
-    b = ParallelRRSampler(network, seed=11, n_workers=4)
-    try:
-        ra, fa, oa = a.sample_many_flat(4000)
-        rb, fb, ob = b.sample_many_flat(4000)
-    finally:
-        a.close()
-        b.close()
-    assert np.array_equal(ra, rb)
-    assert np.array_equal(fa, fb)
-    assert np.array_equal(oa, ob)

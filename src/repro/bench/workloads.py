@@ -1,12 +1,12 @@
-"""Query and sampling workload generators for the evaluation.
+"""Query workload generators and throughput probes for the evaluation.
 
 The paper's query workload: "query locations are randomly selected from
 the entire space" (Section 5.1), plus Figure 7's partitioning of queries
 into quintiles by the average user-to-query distance.  In addition,
-:func:`sampling_throughput` and :func:`mia_build_throughput` measure the
-offline side — serial vs parallel RR-set generation and MIIA
-construction — and :func:`serve_throughput` measures the online side:
-cold-cache vs warm-cache queries/sec through the serving engine.
+:func:`mia_build_throughput` measures the offline side — serial vs
+parallel MIIA construction — and :func:`serve_throughput` measures the
+online side: cold-cache vs warm-cache queries/sec through the serving
+engine.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.geo.point import Point
 from repro.geo.sampling import sample_uniform_points
 from repro.mia.parallel import ParallelMiaBuilder
 from repro.network.graph import GeoSocialNetwork
-from repro.ris.parallel import ParallelRRSampler
 from repro.rng import RandomLike, as_generator
 
 
@@ -69,73 +68,6 @@ def distance_partitioned_queries(
         idx = rng.choice(len(segment), size=per_bucket, replace=False)
         buckets.append([segment[int(i)] for i in idx])
     return buckets
-
-
-@dataclass(frozen=True)
-class SamplingThroughput:
-    """One row of the RR-set sampling-throughput workload."""
-
-    workers: int
-    samples: int
-    entries: int
-    seconds: float
-    samples_per_second: float
-    speedup: float
-
-    def as_row(self) -> dict[str, object]:
-        return {
-            "workers": self.workers,
-            "samples": self.samples,
-            "sec": round(self.seconds, 3),
-            "samples/s": int(self.samples_per_second),
-            "speedup": round(self.speedup, 2),
-        }
-
-
-def sampling_throughput(
-    network: GeoSocialNetwork,
-    n_samples: int,
-    workers: Sequence[int] = (1, 2, 4),
-    diffusion: str = "ic",
-    seed: int = 0,
-) -> List[SamplingThroughput]:
-    """Serial-vs-parallel RR-set generation throughput.
-
-    Draws ``n_samples`` RR sets once per worker count in ``workers`` and
-    reports wall-clock, throughput, and the speedup over the first entry
-    (conventionally ``workers[0] == 1``, the serial baseline).  Each run
-    uses the same ``seed``, so runs differ only in chunk-plan layout, not
-    in sampling distribution.
-    """
-    if n_samples <= 0:
-        raise QueryError(f"n_samples must be positive, got {n_samples}")
-    if not workers:
-        raise QueryError("workers must name at least one worker count")
-    rows: List[SamplingThroughput] = []
-    baseline: float | None = None
-    for w in workers:
-        sampler = ParallelRRSampler(
-            network, seed=seed, diffusion=diffusion, n_workers=w
-        )
-        try:
-            start = time.perf_counter()
-            _, flat, _ = sampler.sample_many_flat(n_samples)
-            elapsed = time.perf_counter() - start
-        finally:
-            sampler.close()
-        if baseline is None:
-            baseline = elapsed
-        rows.append(
-            SamplingThroughput(
-                workers=int(w),
-                samples=int(n_samples),
-                entries=int(len(flat)),
-                seconds=elapsed,
-                samples_per_second=n_samples / elapsed if elapsed > 0 else 0.0,
-                speedup=baseline / elapsed if elapsed > 0 else 0.0,
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,6 @@ def cmd_build_ris(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         max_index_samples=args.max_samples,
         seed=args.seed,
-        n_workers=args.workers,
         selection=args.selection,
         kernel_backend=args.kernel_backend,
     )
@@ -746,12 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--max-samples", type=int, default=300_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for RR-set sampling (1 = serial; builds "
-             "are reproducible per (seed, workers) pair). For IC the "
-             "serial build is faster and keeps the keyed update path",
-    )
     p.add_argument(
         "--selection", choices=("eager", "lazy"), default="eager",
         help="greedy-cover kernel: eager argmax scan (default) or "

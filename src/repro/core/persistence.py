@@ -45,8 +45,6 @@ from repro.kernels import resolve_backend
 from repro.mia.pmia import MiaModel
 from repro.network.graph import GeoSocialNetwork
 from repro.ris.corpus import RRCorpus
-from repro.ris.coupled import CoupledRRSampler
-from repro.ris.rrset import RRSampler
 
 PathLike = Union[str, Path]
 
@@ -189,7 +187,6 @@ def ris_index_arrays(
             "lb_k_grid": index.config.lb_k_grid,
             "diffusion": index.config.diffusion,
             "seed": index.config.seed,
-            "n_workers": index.config.n_workers,
             "selection": index.config.selection,
             "kernel_backend": index.config.kernel_backend,
         },
@@ -204,9 +201,8 @@ def ris_index_arrays(
     }
     keys = index.corpus.keys
     if keys is not None:
-        # Per-slot randomness keys of a coupled corpus: without them a
-        # restored index loses the cheap regeneration-based update path
-        # (it would fall back to rejection refresh).
+        # Per-slot randomness keys: without them a restored index must
+        # re-key its whole corpus on the first update.
         arrays["corpus_keys"] = keys
     return meta, arrays
 
@@ -233,11 +229,13 @@ def load_ris_index(path: PathLike, network: GeoSocialNetwork) -> RisDaIndex:
 
     ``network`` must be the same graph the index was built over (checked
     by node/edge counts).  The returned index answers queries exactly as
-    the original did.  Keyed (coupled-sampler) corpora also grow and
-    regenerate deterministically after the round-trip — the stored slot
-    keys plus the config seed reconstruct every slot's randomness;
-    keyless corpora get a fresh sequential sampler, which only matters
-    if the caller mutates them.
+    the original did.  Keyed corpora also grow and regenerate
+    deterministically after the round-trip — the stored slot keys plus
+    the config seed reconstruct every slot's randomness.  Keyless files
+    (saved before slot keys existed, or by a build with a sequential or
+    worker-pool sampler) load and answer as saved, and are re-keyed
+    wholesale on their first :meth:`~RisDaIndex.update`.  Negative or
+    repeated slot keys raise :class:`~repro.exceptions.SamplingError`.
     """
     path = _with_npz_suffix(path)
     _, meta, arrays = read_index_arrays(path)
@@ -298,7 +296,6 @@ def assemble_ris_index(
         lb_k_grid=cfg_raw["lb_k_grid"],
         diffusion=cfg_raw.get("diffusion", "ic"),
         seed=cfg_raw["seed"],
-        n_workers=cfg_raw.get("n_workers", 1),
         # Pre-kernel-PR files carry no selection field: they were eager.
         selection=cfg_raw.get("selection", "eager"),
         # The *request* is persisted; each loading host resolves it
@@ -316,20 +313,10 @@ def assemble_ris_index(
     index.kernel_backend = resolve_backend(config.kernel_backend)
     index.pivots = pivots
     index._pivot_tree = KDTree(pivots)
-    if "corpus_keys" in arrays:
-        # Keyed corpora restore with a coupled sampler so streaming
-        # updates keep the regeneration path after a round-trip.
-        index.sampler = CoupledRRSampler(
-            network, seed=config.seed, kernel_backend=index.kernel_backend
-        )
-        index.corpus = RRCorpus.from_arrays(
-            index.sampler, roots, flat, offsets, keys=arrays["corpus_keys"]
-        )
-    else:
-        index.sampler = RRSampler(
-            network, seed=config.seed, diffusion=config.diffusion
-        )
-        index.corpus = RRCorpus.from_arrays(index.sampler, roots, flat, offsets)
+    index.sampler = index._coupled_sampler(network)
+    index.corpus = RRCorpus.from_arrays(
+        index.sampler, roots, flat, offsets, keys=arrays.get("corpus_keys")
+    )
     index.corpus.inverted()  # pay the inverted-index cost at load time
     index.pivot_estimates = pivot_estimates
     index.pivot_lower_bounds = pivot_lower_bounds

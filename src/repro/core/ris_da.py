@@ -59,8 +59,6 @@ from repro.ris.corpus import RRCorpus
 from repro.ris.coupled import CoupledRRSampler, quantize_probability
 from repro.ris.coverage import weighted_budgeted_cover, weighted_greedy_cover
 from repro.ris.lower_bound import lb_est, lb_est_lt
-from repro.ris.parallel import ParallelRRSampler
-from repro.ris.rrset import RRSampler
 from repro.ris.sample_size import lemma8_lower_bound, required_sample_size
 from repro.rng import as_generator
 
@@ -79,15 +77,6 @@ class RisDaConfig:
     point below ``k`` remains valid for ``k``); 0 means every ``k``.
     ``max_index_samples`` caps the pool size (memory valve; see module
     docs).
-
-    ``n_workers > 1`` samples RR sets over a
-    :class:`~repro.ris.parallel.ParallelRRSampler` worker pool during both
-    offline phases (pivot growth and the Algorithm 5 worst-case top-up).
-    The build stays fully reproducible per ``(seed, n_workers)`` pair;
-    different worker counts yield different, equally valid sample streams.
-    For IC the pool is slower than the serial batched coupled sampler
-    (``perfbench`` ``std`` size, 2-vCPU x86-64: ~1.8 s at 2 workers vs
-    ~0.45 s serial) and its keyless corpus loses the keyed ``update()``.
 
     ``selection`` picks the greedy-cover kernel for both the pivot phase
     and online queries: ``"eager"`` (default; argmax scan, reproducible
@@ -115,7 +104,6 @@ class RisDaConfig:
     lb_k_grid: int = 8
     diffusion: str = "ic"
     seed: int = 0
-    n_workers: int = 1
     selection: str = "eager"
     kernel_backend: str = "auto"
 
@@ -135,10 +123,6 @@ class RisDaConfig:
             )
         if self.max_index_samples <= 0:
             raise QueryError("max_index_samples must be positive")
-        if self.n_workers < 1:
-            raise QueryError(
-                f"n_workers must be at least 1, got {self.n_workers}"
-            )
         if self.selection not in ("eager", "lazy"):
             raise QueryError(
                 f"selection must be 'eager' or 'lazy', got {self.selection!r}"
@@ -264,13 +248,13 @@ class RisDaIndex:
         if logger.enabled:
             logger.event(
                 "build_start", phase="ris.build", n=n, k_max=k_max,
-                n_pivots=cfg.n_pivots, n_workers=cfg.n_workers,
+                n_pivots=cfg.n_pivots,
             )
         start = time.perf_counter()
         with tracer.span(
             "ris.build",
             {"n": n, "k_max": k_max, "n_pivots": cfg.n_pivots,
-             "n_workers": cfg.n_workers, "diffusion": cfg.diffusion},
+             "diffusion": cfg.diffusion},
         ) as build_span:
             self._build_phases(
                 cfg, net, n, k_max, delta_pivot, delta_online, rng,
@@ -302,23 +286,11 @@ class RisDaIndex:
         self.pivots = pivots
         self._pivot_tree = KDTree(pivots)
 
-        if cfg.n_workers > 1:
-            self.sampler: RRSampler | ParallelRRSampler | CoupledRRSampler = (
-                ParallelRRSampler(
-                    net, seed=rng, diffusion=cfg.diffusion,
-                    n_workers=cfg.n_workers,
-                )
-            )
-        elif cfg.diffusion == "ic":
-            # Counter-based sampler: every slot is a pure function of
-            # (seed, key, graph), which is what lets update() regenerate
-            # only the dirty slots instead of resampling a corpus-sized
-            # pass (see repro.ris.coupled).
-            self.sampler = CoupledRRSampler(
-                net, seed=cfg.seed, kernel_backend=self.kernel_backend
-            )
-        else:
-            self.sampler = RRSampler(net, seed=rng, diffusion=cfg.diffusion)
+        # Counter-based sampler: every slot is a pure function of
+        # (seed, key, graph), which is what lets update() regenerate only
+        # the dirty slots instead of resampling a corpus-sized pass (see
+        # repro.ris.coupled).
+        self.sampler = self._coupled_sampler(net)
         self.corpus = RRCorpus(self.sampler)
 
         # ---- Algorithm 4: pivot information ----
@@ -387,15 +359,18 @@ class RisDaIndex:
             self.index_samples_required = l_max
             l_final = self._capped(max(l_max, len(self.corpus)))
             self.corpus.ensure(l_final)
-        if isinstance(self.sampler, ParallelRRSampler):
-            # Sampling is done; free the workers.  The pool restarts
-            # lazily if the corpus ever grows again.
-            self.sampler.close()
         with tracer.span("ris.inverted_index"):
             # Pay the inverted-index build offline; queries then only
             # binary-search prefix cutoffs instead of re-sorting.
             self.corpus.inverted()
         self.voronoi_seconds = time.perf_counter() - vstart
+
+    def _coupled_sampler(self, network: GeoSocialNetwork) -> CoupledRRSampler:
+        return CoupledRRSampler(
+            network, seed=self.config.seed,
+            kernel_backend=self.kernel_backend,
+            diffusion=self.config.diffusion,
+        )
 
     def _capped(self, l: int) -> int:
         if l > self.config.max_index_samples:
@@ -442,32 +417,28 @@ class RisDaIndex:
     ) -> "UpdateStats":
         """Fold a graph delta into the index without a full rebuild.
 
-        Reservoir-style corpus refresh, coupled path (keyed corpora —
-        the default for serially built IC indexes): each sample slot's
-        randomness is a pure function of ``(seed, key)`` with per-edge
-        coins keyed by edge *endpoints* (:mod:`repro.ris.coupled`).
-        Only slots whose reverse-reach set contains the **head** of a
-        changed edge are located via the inverted index and re-run in
-        place against the new network — a reverse traversal flips coins
-        only on the in-edge rows of nodes it reached, and a delta only
-        rewrites the in-edge rows of changed-edge heads, so every other
-        slot replays bit-identically and needs no work.  Re-run slots
-        are exact fresh RR sets of the new graph, slots stay i.i.d., no
-        shuffle is needed, and the cost scales with the dirty fraction
-        instead of the corpus size.  Growth to the Algorithm 5
-        worst-case size (Lemmas 5–7) then appends slots under fresh
-        keys.
+        Coupled corpus refresh: each sample slot's randomness is a pure
+        function of ``(seed, key)``, with IC coins keyed by edge
+        *endpoints* and LT choices keyed by node
+        (:mod:`repro.ris.coupled`).  Only slots whose reverse-reach set
+        contains the **head** of a changed edge can replay differently —
+        a reverse traversal draws only on the in-edge rows of nodes it
+        reached, and a delta only rewrites the in-edge rows of
+        changed-edge heads.  Those slots are located via the inverted
+        index (under IC, narrowed further to the slots whose own coin
+        for the edge flips) and re-run in place against the new network;
+        every other slot replays bit-identically and needs no work.
+        Re-run slots are exact fresh RR sets of the new graph, slots stay
+        i.i.d., and the cost scales with the dirty fraction instead of
+        the corpus size.  Growth to the Algorithm 5 worst-case size
+        (Lemmas 5–7) then appends slots under fresh keys.  Moved
+        check-ins require no sample work: distance-decay weights are
+        evaluated at query time from ``self.network.coords``.
 
-        Keyless corpora (parallel-built, LT diffusion, or restored from
-        pre-key save files) fall back to retire-and-resample: samples
-        touching any dirty endpoint are retired, replacements are drawn
-        *conditioned on touching a dirty node* (the survivors are
-        exactly the dirty-avoiding draws, so unconditioned refills would
-        skew the pool; :meth:`RRCorpus.extend_touching` restores the
-        exact RR-set law), and a shuffle restores slot exchangeability
-        for prefix reads.  Moved check-ins require no sample work on
-        either path: distance-decay weights are evaluated at query time
-        from ``self.network.coords``.
+        A keyless corpus (restored from a file saved without slot keys)
+        is re-keyed wholesale on its first update: every slot ``i``
+        becomes slot key ``i`` traversed on the new graph — an exact
+        fresh pool — and all of them count as retired and added.
 
         Pivot estimates are *not* recomputed — they remain the build's
         Algorithm 4 snapshot, so after heavy drift the Lemma 8 transfer
@@ -489,12 +460,8 @@ class RisDaIndex:
                 removed=removed, checkins=checkins,
             )
         applied = apply_delta(self.network, delta)
-        cfg = self.config
         prior = len(self.corpus)
-        if self.corpus.keyed:
-            retired, added = self._refresh_coupled(applied, delta, prior)
-        else:
-            retired, added = self._refresh_rejection(applied, prior)
+        retired, added = self._refresh(applied, delta, prior)
         # Rebuild the inverted index eagerly, mirroring _build_phases:
         # the next update's dirty-sample query (and first query's prefix
         # cuts) should not pay for it inline.
@@ -523,41 +490,43 @@ class RisDaIndex:
             )
         return stats
 
-    def _refresh_coupled(self, applied, delta, prior: int) -> tuple[int, int]:
-        """Keyed-corpus refresh: regenerate dirty slots in place.
+    def _refresh(self, applied, delta, prior: int) -> tuple[int, int]:
+        """Regenerate dirty slots in place (or re-key a keyless corpus).
 
         Returns ``(slots regenerated, slots regenerated + slots grown)``
         for the stats accounting — regenerated slots are fresh draws, so
         they count on both sides.
         """
-        cfg = self.config
-        dirty = self._flipped_slots(delta)
+        keyed = self.corpus.keyed
+        dirty = self._flipped_slots(delta) if keyed else None
+        # Built before any state changes: an LT delta pushing a node's
+        # in-weights past 1 fails here and leaves the index as it was.
+        sampler = self._coupled_sampler(applied.network)
         self.network = applied.network
-        sampler = CoupledRRSampler(
-            applied.network, seed=cfg.seed,
-            kernel_backend=self.kernel_backend,
-        )
         self.sampler = sampler
-        self.corpus.replace_sampler(sampler)
-        retired = self.corpus.regenerate(dirty)
+        if keyed:
+            self.corpus.replace_sampler(sampler)
+            retired = self.corpus.regenerate(dirty)
+        else:
+            self.corpus = RRCorpus(sampler)
+            retired = prior
         target = self._capped(max(self.index_samples_required, prior))
-        grown = max(0, target - prior)
         self.corpus.ensure(target)
-        return retired, retired + grown
+        return retired, retired + max(0, target - prior)
 
     def _flipped_slots(self, delta) -> np.ndarray:
-        """Slot ids whose replay changes under ``delta`` (coupled path).
+        """Slot ids whose replay may change under ``delta``.
 
-        Two exact filters stack.  First, only slots whose stored set
-        contains a changed edge's *head* can change — a reverse
-        traversal flips coins only on the in-edge rows of nodes it
-        reached, and a delta rewrites exactly the heads' rows.  Second,
-        among those candidates only the slots whose hashed coin for that
+        Only slots whose stored set contains a changed edge's *head* can
+        change — a reverse traversal draws only on the in-edge rows of
+        nodes it reached, and a delta rewrites exactly the heads' rows.
+        Under LT every such slot is returned: regeneration is pure, so
+        re-running a superset is still exact.  Under IC a second exact
+        filter stacks: only the candidates whose hashed coin for that
         edge flips liveness (lands between the old and new probability)
-        replay differently: every other coin in the row is
-        endpoint-keyed and untouched, so the traversal reaches the same
-        set regardless of the row's new layout.  Must run against the
-        *old* network (it reads the old probabilities).
+        replay differently, since every other coin in the row is
+        endpoint-keyed and untouched.  Must run against the *old*
+        network (it reads the old probabilities).
         """
         corpus = self.corpus
         old = self.network
@@ -568,13 +537,16 @@ class RisDaIndex:
             final[(int(u), int(v))] = float(p)
         for u, v in delta.removed:
             final[(int(u), int(v))] = 0.0
-        flipped = []
+        heads, flipped = [], []
         for (u, v), p_new in final.items():
             lo = int(old.in_offsets[v])
             hi = int(old.in_offsets[v + 1])
             at = np.flatnonzero(old.in_sources[lo:hi] == u)
             p_old = float(old.in_probs[lo + int(at[0])]) if len(at) else 0.0
             if p_old == p_new:
+                continue
+            if self.config.diffusion == "lt":
+                heads.append(v)
                 continue
             cand = corpus.samples_touching(np.asarray([v]))
             if not len(cand):
@@ -585,57 +557,11 @@ class RisDaIndex:
             flips = cand[(bits >= t_lo) & (bits < t_hi)]
             if len(flips):
                 flipped.append(flips)
+        if heads:
+            flipped.append(corpus.samples_touching(heads))
         if not flipped:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(flipped))
-
-    def _refresh_rejection(self, applied, prior: int) -> tuple[int, int]:
-        """Keyless-corpus fallback: retire, resample conditioned, shuffle.
-
-        Returns ``(samples retired, samples drawn)`` — replacements plus
-        growth to the Lemma 5–7 target.
-        """
-        cfg = self.config
-        retired = 0
-        if len(applied.dirty_nodes):
-            retired = self.corpus.retire(
-                self.corpus.samples_touching(applied.dirty_nodes)
-            )
-        self.network = applied.network
-        # A fresh sampler over the new graph, deterministically seeded per
-        # (config seed, generation) so replayed update sequences reproduce.
-        rng = np.random.default_rng([cfg.seed, self.generation + 1])
-        if cfg.n_workers > 1:
-            sampler: RRSampler | ParallelRRSampler = ParallelRRSampler(
-                applied.network, seed=rng, diffusion=cfg.diffusion,
-                n_workers=cfg.n_workers,
-            )
-        else:
-            sampler = RRSampler(
-                applied.network, seed=rng, diffusion=cfg.diffusion
-            )
-        self.sampler = sampler
-        self.corpus.replace_sampler(sampler)
-        target = self._capped(max(self.index_samples_required, prior))
-        added = max(0, target - len(self.corpus))
-        if retired:
-            # Replacements must touch a dirty node: retirement keeps
-            # exactly the dirty-avoiding samples, so unconditioned
-            # refills would bias the pool toward them (see
-            # RRCorpus.extend_touching for the exact argument).
-            self.corpus.extend_touching(
-                min(retired, added), applied.dirty_nodes
-            )
-        # Any growth beyond the replaced slots restores the Lemma 5-7
-        # worst-case size with ordinary unconditioned draws.
-        self.corpus.ensure(target)
-        # Queries read corpus *prefixes*; survivors sit at the head and
-        # conditioned replacements at the tail, so restore slot
-        # exchangeability (see RRCorpus.shuffle).
-        self.corpus.shuffle(rng)
-        if isinstance(sampler, ParallelRRSampler):
-            sampler.close()
-        return retired, added
 
     def set_kernel_backend(self, name: str) -> str:
         """Re-resolve the native-kernel backend on a built index.
@@ -650,8 +576,7 @@ class RisDaIndex:
         resolved = resolve_backend(name)
         self.config = replace(self.config, kernel_backend=name)
         self.kernel_backend = resolved
-        if isinstance(self.sampler, CoupledRRSampler):
-            self.sampler.kernel_backend = resolved
+        self.sampler.kernel_backend = resolved
         return resolved
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ def simulate_lt(
     Raises :class:`GraphError` when any node's in-edge weights exceed 1
     (the model requires ``sum_u b(u, v) <= 1``).
     """
-    _validate_lt_weights(network)
+    validate_lt_weights(network)
     rng = as_generator(seed)
     active = np.zeros(network.n, dtype=bool)
     frontier = np.asarray(sorted(set(int(s) for s in seeds)), dtype=np.int64)
@@ -112,7 +112,7 @@ def exact_lt_activation_probabilities(
     remaining mass).  For tiny graphs we enumerate the full product space
     — the ground truth the LT simulator and LT RR sets are tested against.
     """
-    _validate_lt_weights(network)
+    validate_lt_weights(network)
     seed_arr = sorted(set(int(s) for s in seeds))
     if seed_arr and (min(seed_arr) < 0 or max(seed_arr) >= network.n):
         raise GraphError("seed ids out of range")
@@ -172,7 +172,8 @@ def exact_lt_spread(network: GeoSocialNetwork, seeds: Iterable[int]) -> float:
     return float(exact_lt_activation_probabilities(network, seeds).sum())
 
 
-def _validate_lt_weights(network: GeoSocialNetwork, tol: float = 1e-9) -> None:
+def validate_lt_weights(network: GeoSocialNetwork, tol: float = 1e-9) -> None:
+    """Raise :class:`GraphError` unless every node's in-weights sum to <= 1."""
     incoming = np.zeros(network.n, dtype=float)
     targets = np.repeat(np.arange(network.n), np.diff(network.in_offsets))
     np.add.at(incoming, targets, network.in_probs)

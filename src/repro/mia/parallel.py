@@ -116,12 +116,11 @@ def _concat_chunks(parts: List[FlatTrees]) -> FlatTrees:
 class ParallelMiaBuilder:
     """Builds all ``MIIA(v)`` trees in parallel, bit-identical to serial.
 
-    Mirrors :class:`~repro.ris.parallel.ParallelRRSampler`'s design: a
-    deterministic chunk plan, flat-array chunk transfer, lazy pool start,
-    and an in-process fallback — engaged when ``n_workers <= 1``, when
-    ``force_serial`` is set, when the graph is too small to amortise pool
-    dispatch, or when the pool cannot start (restricted environments) —
-    that executes the identical chunk plan.
+    The design: a deterministic chunk plan, flat-array chunk transfer,
+    lazy pool start, and an in-process fallback — engaged when
+    ``n_workers <= 1``, when ``force_serial`` is set, when the graph is
+    too small to amortise pool dispatch, or when the pool cannot start
+    (restricted environments) — that executes the identical chunk plan.
 
     Parameters
     ----------

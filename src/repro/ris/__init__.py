@@ -3,11 +3,9 @@
 * :mod:`repro.ris.rrset` — random reverse-reachable set sampling, with a
   binomial fast path for uniform per-node in-edge probabilities (weighted
   cascade);
-* :mod:`repro.ris.coupled` — counter-based RR sampling with per-slot,
-  edge-keyed coins, enabling exact in-place slot regeneration for
-  streaming graph updates;
-* :mod:`repro.ris.parallel` — the same sampling fanned out over a
-  multiprocessing worker pool with deterministic per-chunk RNG streams;
+* :mod:`repro.ris.coupled` — counter-based RR sampling (IC and LT) with
+  per-slot, identity-keyed randomness: the RIS-DA index's one sampler,
+  enabling exact in-place slot regeneration for streaming graph updates;
 * :mod:`repro.ris.corpus` — a growable RR-set corpus with flat storage and
   an inverted (node -> samples) index;
 * :mod:`repro.ris.coverage` — the weighted greedy max-coverage of
@@ -30,7 +28,6 @@ from repro.ris.coverage import (
     weighted_greedy_cover,
 )
 from repro.ris.lower_bound import lb_est, lb_est_lt, topk_sum
-from repro.ris.parallel import ParallelRRSampler
 from repro.ris.rrset import RRSampler
 from repro.ris.sample_size import (
     epsilon_one,
@@ -46,7 +43,6 @@ __all__ = [
     "certify_seed_set",
     "covered_sample_mask",
     "estimate_spread",
-    "ParallelRRSampler",
     "RRCorpus",
     "RRSampler",
     "adhoc_ris_query",

@@ -6,22 +6,19 @@ must support cheap appends and prefix views.  Samples are stored as one
 concatenated member array plus offsets (CSR-style); the inverted index
 (node -> containing samples) is rebuilt lazily when the corpus changes.
 
-Streaming updates add a retirement path: :meth:`RRCorpus.samples_touching`
-finds the samples whose reverse-reach sets intersect a dirty-node set
-(via the inverted index), :meth:`RRCorpus.retire` drops them, and
-:meth:`RRCorpus.replace_sampler` swaps in a sampler over the updated
-network so subsequent :meth:`RRCorpus.ensure` growth draws from the new
-graph.  Every mutation funnels through :meth:`RRCorpus._invalidate`,
-which drops every cache (flat, roots, entry samples, inverted) together —
-a stale inverted index would silently mis-route the next retirement, and
-a stale entry -> sample array would silently mis-weight the next query.
-
 A corpus over a :class:`~repro.ris.coupled.CoupledRRSampler` is *keyed*:
 every slot stores the integer key that, with the sampler seed, fully
-determines its randomness.  Keyed corpora support
-:meth:`RRCorpus.regenerate` — re-running chosen slots in place against
-an updated network — which is the cheap streaming-refresh path (see the
-:mod:`repro.ris.coupled` module docstring for the coupling argument).
+determines its randomness.  Streaming updates use that:
+:meth:`RRCorpus.samples_touching` finds the slots whose reverse-reach
+sets intersect a dirty-node set (via the inverted index),
+:meth:`RRCorpus.replace_sampler` swaps in a sampler over the updated
+network, and :meth:`RRCorpus.regenerate` re-runs the chosen slots in
+place against it (see the :mod:`repro.ris.coupled` module docstring for
+the coupling argument).  Every mutation funnels through
+:meth:`RRCorpus._invalidate`, which drops every cache (flat, roots,
+entry samples, inverted) together — a stale inverted index would
+silently mis-route the next regeneration, and a stale entry -> sample
+array would silently mis-weight the next query.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from repro.ris.rrset import RRSampler
 
 
 class RRCorpus:
-    """A growable collection of RR samples (append + streaming retire).
+    """A growable collection of RR samples (append + in-place regeneration).
 
     Attributes
     ----------
@@ -49,7 +46,7 @@ class RRCorpus:
         self._roots: List[int] = []
         self._members: List[np.ndarray] = []
         # Per-slot randomness keys for coupled samplers; None marks a
-        # keyless (sequentially sampled) corpus.
+        # keyless corpus (sequentially sampled, or restored without keys).
         self._keys: List[int] | None = (
             [] if getattr(sampler, "coupled", False) else None
         )
@@ -74,9 +71,10 @@ class RRCorpus:
 
         ``flat`` / ``offsets`` must follow the :meth:`flat` layout; the
         sampler is kept so the corpus can keep growing afterwards.
-        ``keys`` restores a keyed corpus (one key per slot) — required
-        for the coupled regeneration path; omitting it yields a keyless
-        corpus that can still grow but only refresh by rejection.
+        ``keys`` restores a keyed corpus: one distinct non-negative key
+        per slot (a repeated key would duplicate a slot, so the pool
+        would no longer be i.i.d.).  Omitting it yields a keyless
+        corpus, which answers queries but cannot regenerate.
 
         The members are *views* into ``flat`` (matching
         :meth:`append_flat`), and the flat/roots caches are seeded with
@@ -101,6 +99,12 @@ class RRCorpus:
                     f"corpus keys must have shape ({len(roots)},), got "
                     f"{keys.shape}"
                 )
+            if len(keys) and keys.min() < 0:
+                raise SamplingError(
+                    f"corpus keys must be non-negative, got {int(keys.min())}"
+                )
+            if len(np.unique(keys)) != len(keys):
+                raise SamplingError("corpus keys must be distinct")
             corpus._keys = [int(k) for k in keys]
         else:
             corpus._keys = None
@@ -125,36 +129,27 @@ class RRCorpus:
     def ensure(self, count: int) -> int:
         """Grow the corpus to at least ``count`` samples; returns new size.
 
-        Samplers exposing ``sample_many_flat`` (both :class:`RRSampler`
-        and :class:`~repro.ris.parallel.ParallelRRSampler`) grow via one
-        flat batch append, so a parallel batch is transferred and stored
-        without per-set copies.  Coupled samplers grow via
-        ``sample_batch``, which also yields the per-slot keys a keyed
-        corpus records (fresh keys never collide with stored ones — the
-        sampler's counter is advanced past them first).
+        Coupled samplers grow via ``sample_batch``, which also yields the
+        per-slot keys a keyed corpus records (fresh keys never collide
+        with stored ones — the sampler's counter is advanced past them
+        first).  Sequential samplers grow via one ``sample_many_flat``
+        batch append.
         """
         if count < 0:
             raise SamplingError(f"sample count must be non-negative, got {count}")
         missing = count - len(self._roots)
         if missing > 0:
-            batch_fn = getattr(self._sampler, "sample_batch", None)
-            flat_fn = getattr(self._sampler, "sample_many_flat", None)
-            if batch_fn is not None:
+            if getattr(self._sampler, "coupled", False):
                 self._sampler.draw_count = max(
                     self._sampler.draw_count, self.next_key()
                 )
-                keys, roots, flat, offsets = batch_fn(missing)
+                keys, roots, flat, offsets = self._sampler.sample_batch(missing)
                 self.append_flat(
                     roots, flat, offsets,
                     keys=keys if self._keys is not None else None,
                 )
-            elif flat_fn is not None:
-                self.append_flat(*flat_fn(missing))
             else:
-                roots, members = self._sampler.sample_many(missing)
-                self._roots.extend(int(r) for r in roots)
-                self._members.extend(members)
-                self._invalidate()
+                self.append_flat(*self._sampler.sample_many_flat(missing))
         return len(self._roots)
 
     def append_flat(
@@ -248,9 +243,9 @@ class RRCorpus:
         :meth:`replace_sampler` swapped in a coupled sampler over the
         updated network, each listed slot is re-drawn as a pure function
         of ``(seed, key, new graph)``.  Slots keep their position (and,
-        since the root is derived from the key, their root), so no
-        shuffle is needed afterwards — every slot remains an i.i.d. RR
-        set of the new graph.  Returns how many slots were re-run.
+        since the root is derived from the key, their root), and every
+        slot remains an i.i.d. RR set of the new graph, so every prefix
+        is still a uniform subsample of the pool.  Returns how many slots were re-run.
         """
         if self._keys is None:
             raise SamplingError(
@@ -277,9 +272,9 @@ class RRCorpus:
         """Ids of samples whose member sets intersect ``nodes`` (sorted).
 
         This is the dirty-sample query of the streaming update path: a
-        sample whose reverse-reach set avoids every endpoint of a changed
-        edge would have flipped exactly the same coins on the new graph,
-        so only the returned samples need retiring.
+        sample whose reverse-reach set avoids every head of a changed
+        edge would have drawn exactly the same randomness on the new
+        graph, so only the returned samples can need regenerating.
         """
         nodes = np.unique(np.asarray(nodes, dtype=np.int64).reshape(-1))
         if len(nodes) == 0 or not self._roots:
@@ -294,145 +289,6 @@ class RRCorpus:
             inv_samples[inv_offsets[u]: inv_offsets[u + 1]] for u in nodes
         ]
         return np.unique(np.concatenate(parts))
-
-    def extend_touching(self, count: int, nodes) -> int:
-        """Append ``count`` samples conditioned on touching ``nodes``.
-
-        Rejection-samples from the current sampler, keeping only draws
-        whose reverse-reach set intersects ``nodes``; returns the new
-        corpus size.  This is the distribution streaming *replacements*
-        must come from: retirement keeps exactly the samples that avoid
-        the dirty set, so topping the pool back up with unconditioned
-        draws would over-represent dirty-avoiding sets — the mixture
-        gives each avoiding set probability ``P(S)·(2 - P(avoid))``
-        instead of ``P(S)``.  Conditioning the replacements on touching
-        a dirty node restores the exact RR-set law, because the avoid
-        probability is identical on the old and new graphs:
-        ``P(S, avoid) + P(touch)·P(S | touch) = P(S)``.
-
-        Expected cost is ``count / P(touch)`` draws.  Since a retirement
-        removes ``|corpus|·P(touch)`` samples in expectation, refilling
-        costs about one corpus-sized pass in the worst case — still far
-        cheaper than a rebuild, which adds the whole pivot phase on top.
-        """
-        if count < 0:
-            raise SamplingError(
-                f"sample count must be non-negative, got {count}"
-            )
-        if self._keys is not None:
-            raise SamplingError(
-                "keyed corpora refresh via regenerate(); conditioned "
-                "growth is the keyless fallback"
-            )
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64).reshape(-1))
-        if count and len(nodes) == 0:
-            raise SamplingError(
-                "conditioned growth needs a non-empty touch set"
-            )
-        if len(nodes) and (nodes[0] < 0 or nodes[-1] >= self.n_nodes):
-            raise SamplingError(
-                f"node ids must be in [0, {self.n_nodes}), got range "
-                f"[{nodes[0]}, {nodes[-1]}]"
-            )
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[nodes] = True
-        remaining = count
-        drawn = 0
-        accepted = 0
-        while remaining > 0:
-            if drawn:
-                # Adapt to the measured acceptance rate (floored so a
-                # run of rejections cannot blow the batch size up).
-                rate = max(accepted / drawn, 1e-4)
-                batch = int(min(max(128, np.ceil(remaining / rate * 1.2)),
-                                1 << 18))
-            else:
-                # Start optimistic: the true acceptance rate is unknown
-                # (it is the fraction of RR sets *touching* the dirty
-                # set, usually far above the |nodes|/n floor), and
-                # over-drawing wastes a multiple of the refill cost.
-                # Worst case this costs one extra loop iteration.
-                batch = max(128, 2 * remaining)
-            flat_fn = getattr(self._sampler, "sample_many_flat", None)
-            if flat_fn is not None:
-                roots_b, flat_b, offs_b = flat_fn(batch)
-            else:
-                roots_list, members = self._sampler.sample_many(batch)
-                roots_b = np.asarray(roots_list, dtype=np.int64)
-                sizes_b = np.asarray([len(m) for m in members],
-                                     dtype=np.int64)
-                offs_b = np.zeros(len(sizes_b) + 1, dtype=np.int64)
-                np.cumsum(sizes_b, out=offs_b[1:])
-                flat_b = (np.concatenate(members) if members
-                          else np.empty(0, dtype=np.int64))
-            drawn += len(roots_b)
-            sizes = np.diff(offs_b)
-            # Per-sample OR over the member hits; the appended sentinel
-            # keeps the trailing reduceat index in range, and empty
-            # samples (whose reduceat window leaks into the next row)
-            # are forced to False afterwards.
-            hits = np.append(mask[flat_b], False)
-            touched = np.logical_or.reduceat(hits, offs_b[:-1])
-            touched[sizes == 0] = False
-            take = np.flatnonzero(touched)[:remaining]
-            accepted += len(take)
-            if len(take) == 0:
-                continue
-            row_take = np.zeros(len(roots_b), dtype=bool)
-            row_take[take] = True
-            sub_sizes = sizes[take]
-            sub_offsets = np.zeros(len(take) + 1, dtype=np.int64)
-            np.cumsum(sub_sizes, out=sub_offsets[1:])
-            self.append_flat(
-                roots_b[take],
-                flat_b[np.repeat(row_take, sizes)],
-                sub_offsets,
-            )
-            remaining -= len(take)
-        return len(self._roots)
-
-    def retire(self, sample_ids) -> int:
-        """Drop the given samples; survivors keep their relative order.
-
-        Returns how many were retired.  Sample ids shift down to stay
-        dense (the estimator treats the corpus as an exchangeable pool —
-        identity of individual samples carries no meaning), and every
-        cache is invalidated together.
-        """
-        ids = np.unique(np.asarray(sample_ids, dtype=np.int64).reshape(-1))
-        if len(ids) == 0:
-            return 0
-        if ids[0] < 0 or ids[-1] >= len(self._roots):
-            raise SamplingError(
-                f"sample ids must be in [0, {len(self._roots)}), got "
-                f"range [{ids[0]}, {ids[-1]}]"
-            )
-        keep = np.ones(len(self._roots), dtype=bool)
-        keep[ids] = False
-        self._roots = [r for r, k in zip(self._roots, keep) if k]
-        self._members = [m for m, k in zip(self._members, keep) if k]
-        if self._keys is not None:
-            self._keys = [c for c, k in zip(self._keys, keep) if k]
-        self._invalidate()
-        return int(len(ids))
-
-    def shuffle(self, rng: np.random.Generator) -> None:
-        """Randomly permute sample order (every cache drops).
-
-        The streaming refresh retires dirty-touching samples in place —
-        survivors keep the head of the pool — and appends replacements at
-        the tail.  Queries read a *prefix* of the corpus, so without a
-        permutation a prefix would over-represent dirty-avoiding
-        survivors even though the pool as a whole is distributed
-        correctly.  A uniform permutation makes the slots exchangeable
-        again: every prefix is a uniform subsample of the pool.
-        """
-        perm = rng.permutation(len(self._roots))
-        self._roots = [self._roots[i] for i in perm]
-        self._members = [self._members[i] for i in perm]
-        if self._keys is not None:
-            self._keys = [self._keys[i] for i in perm]
-        self._invalidate()
 
     def _invalidate(self) -> None:
         self._flat_cache = None

@@ -1,34 +1,34 @@
-"""Counter-based RR sampling for coupled streaming regeneration.
+"""Counter-based RR sampling: the one sampler of the RIS-DA index.
 
-The sequential :class:`~repro.ris.rrset.RRSampler` draws every sample
-from one RNG stream, so after a graph delta an update cannot re-derive
-a stored sample's randomness: it must retire the touching samples and
-resample *conditioned on touching* the dirty set
-(:meth:`repro.ris.corpus.RRCorpus.extend_touching`), one corpus-sized
-sweep no matter how small the delta.
-
+A sequential sampler draws every sample from one RNG stream, so after a
+graph delta an update cannot re-derive a stored sample's randomness.
 This sampler removes the sequential stream entirely.  Each sample slot
 carries an integer **key**, and the slot is a *pure function* of
 ``(seed, key, graph)``:
 
 * the root is a hash of ``(seed, key)``;
-* the coin of in-edge ``u -> x`` is a hash of ``(seed, key, u, x)`` —
-  keyed by the edge's *endpoints*, not its storage position, so the
-  coin survives CSR re-layout when unrelated edges are upserted.
+* under IC, the coin of in-edge ``u -> x`` is a hash of ``(seed, key,
+  u, x)`` — keyed by the edge's *endpoints*, not its storage position,
+  so the coin survives CSR re-layout when unrelated edges are upserted;
+* under LT (a triggering model whose live-edge law picks at most one
+  in-neighbour per node), node ``x``'s single choice is a hash of
+  ``(seed, key, x)`` compared against the running sum of ``x``'s
+  in-weights, so an LT RR set is a reverse walk with one draw per step.
 
 Two properties follow.  **Independence**: distinct keys share no
 randomness, so the corpus is an i.i.d. RR-set pool — replacements need
-no conditioning and the post-update shuffle disappears.  **Coupling**
-(common random numbers): re-running a slot on an updated graph reuses
-the identical coin for every unchanged edge.  A reverse traversal only
-examines the in-edge row of nodes it has already reached, and a delta
-only rewrites the in-edge rows of changed-edge *heads* — so a slot
+no conditioning and no shuffle.  **Coupling** (common random numbers):
+re-running a slot on an updated graph reuses the identical randomness
+for every node and edge.  A reverse traversal only examines the in-edge
+row of nodes it has already reached, and a delta only rewrites the
+in-edge rows of changed-edge *heads* (in-rows are sorted by source, so
+a row is unchanged exactly when none of its edges changed) — so a slot
 whose stored set contains no dirty head replays bit-for-bit, while a
 touching slot's re-run is exactly one fresh RR set of the new graph.
 The streaming update therefore regenerates only the touching slots:
 cost proportional to the dirty fraction, not to the corpus size.
 
-Purity also makes sampling fast: no coin depends on traversal order,
+Purity also makes sampling fast: no draw depends on traversal order,
 so build growth and streaming regeneration both traverse thousands of
 slots together, level by level, as array ops.  Hashing uses the
 SplitMix64 finalizer (wrapping ``uint64`` arithmetic), the standard
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.diffusion.lt import validate_lt_weights
 from repro.exceptions import GraphError
 from repro.network.graph import GeoSocialNetwork
 from repro.ris.coverage import _gather_slices
@@ -48,6 +49,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 #: Odd constants decorrelating the per-purpose hash domains.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _ROOT_SALT = np.uint64(0xD1B54A32D192ED03)
+_NODE_SALT = np.uint64(0xC2B2AE3D27D4EB4F)
 _U64_SHIFT_30 = np.uint64(30)
 _U64_SHIFT_27 = np.uint64(27)
 _U64_SHIFT_31 = np.uint64(31)
@@ -78,14 +80,10 @@ def quantize_probability(p: float) -> np.uint64:
 
 
 class CoupledRRSampler:
-    """RR sampling with per-slot, edge-keyed randomness (IC model only).
+    """RR sampling with per-slot, identity-keyed randomness (IC and LT).
 
-    Drop-in for the sequential sampler in the corpus-growth paths (via
-    :meth:`sample_batch`), plus :meth:`regenerate` for the streaming
-    update.  The LT model is out of scope: its reverse walk consumes a
-    single *cumulative* draw per node, which has no per-edge identity
-    to key a coin on — LT indexes keep the sequential sampler and the
-    rejection-based refresh.
+    Serves the corpus-growth paths (via :meth:`sample_batch`) and the
+    streaming update (via :meth:`regenerate` and :meth:`_traverse`).
 
     Parameters
     ----------
@@ -93,25 +91,29 @@ class CoupledRRSampler:
         The network to sample from.
     seed:
         Integer seed.  Together with a slot key it fixes the slot's
-        root and every coin, so corpora built from the same ``(seed,
+        root and every draw, so corpora built from the same ``(seed,
         keys, graph)`` are bit-identical regardless of draw order.
     kernel_backend:
         ``"numpy"`` (default) or ``"numba"`` — a *resolved* backend
-        name (see :mod:`repro.kernels`).  The compiled traversal hashes
-        the identical coin domain, so batches and regenerated slots are
-        bit-identical across backends; the backend is therefore free to
-        change between a build and a later update.
+        name (see :mod:`repro.kernels`).  The compiled IC traversal
+        hashes the identical coin domain, so batches and regenerated
+        slots are bit-identical across backends; the backend is
+        therefore free to change between a build and a later update.
+        The LT walk always runs on numpy.
+    diffusion:
+        ``"ic"`` (default) or ``"lt"``.  LT requires per-node in-weights
+        ``<= 1`` (:class:`~repro.exceptions.GraphError` otherwise).
     """
 
     #: Marks the per-slot contract for :class:`~repro.ris.corpus.RRCorpus`.
     coupled = True
-    diffusion = "ic"
 
     def __init__(
         self,
         network: GeoSocialNetwork,
         seed: int = 0,
         kernel_backend: str = "numpy",
+        diffusion: str = "ic",
     ):
         if not isinstance(seed, (int, np.integer)):
             raise GraphError(
@@ -122,34 +124,55 @@ class CoupledRRSampler:
                 f"kernel_backend must be a resolved backend ('numpy' or "
                 f"'numba'), got {kernel_backend!r}"
             )
+        if diffusion not in ("ic", "lt"):
+            raise GraphError(
+                f"diffusion must be 'ic' or 'lt', got {diffusion!r}"
+            )
+        if diffusion == "lt":
+            validate_lt_weights(network)
         self.kernel_backend = kernel_backend
+        self.diffusion = diffusion
         self.network = network
         self.seed = int(seed)
         #: Next unused slot key; advanced by the drawing methods.
         self.draw_count = 0
+        self._in_degree = np.diff(network.in_offsets)
         with np.errstate(over="ignore"):
             self._seed64 = _mix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF))
-            # Endpoint-keyed edge ids, premixed once: aligned with
-            # in_sources, so a traversal hashes each examined row with
-            # one xor + one finalizer.
-            targets = np.repeat(
-                np.arange(network.n, dtype=np.uint64),
-                np.diff(network.in_offsets),
-            )
-            edge_ids = (
-                network.in_sources.astype(np.uint64) * np.uint64(network.n)
-                + targets
-            )
-            self._edge_mix = _mix64(edge_ids)
             # Probabilities pre-quantised to 53-bit integer thresholds
             # (see quantize_probability): the traversal compares hash
             # bits against these directly, skipping a float conversion
-            # per examined row, and the Bernoulli law is p to within
-            # one part in 2^53.
+            # per examined row, and the law is p to within one part in
+            # 2^53.
             self._thresholds = (
                 np.minimum(network.in_probs, 1.0) * float(1 << 53)
             ).astype(np.uint64)
-        self._in_degree = np.diff(network.in_offsets)
+            if diffusion == "ic":
+                # Endpoint-keyed edge ids, premixed once: aligned with
+                # in_sources, so a traversal hashes each examined row
+                # with one xor + one finalizer.
+                targets = np.repeat(
+                    np.arange(network.n, dtype=np.uint64), self._in_degree
+                )
+                edge_ids = (
+                    network.in_sources.astype(np.uint64) * np.uint64(network.n)
+                    + targets
+                )
+                self._edge_mix = _mix64(edge_ids)
+            else:
+                # Node ids premixed under their own salt, whose top bit
+                # keeps them clear of every edge id u * n + v.
+                self._node_mix = _mix64(
+                    np.arange(network.n, dtype=np.uint64) ^ _NODE_SALT
+                )
+                # Per-row running sums of the thresholds.  The global
+                # cumsum wraps mod 2^64, but each row's true sum is at
+                # most ~2^53, so the row-relative differences are exact.
+                total = np.cumsum(self._thresholds)
+                before = np.concatenate(
+                    (np.zeros(1, dtype=np.uint64), total)
+                )[network.in_offsets[:-1]]
+                self._cumq = total - np.repeat(before, self._in_degree)
 
     # -- drawing -------------------------------------------------------
 
@@ -164,9 +187,8 @@ class CoupledRRSampler:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``count`` RR sets as ``(keys, roots, flat_members, offsets)``.
 
-        The keyed analogue of ``sample_many_flat``: consecutive keys
-        starting at :attr:`draw_count`, members concatenated in the
-        :meth:`RRCorpus.flat` layout.
+        Consecutive keys starting at :attr:`draw_count`, members
+        concatenated in the :meth:`RRCorpus.flat` layout.
         """
         if count < 0:
             raise GraphError(f"count must be non-negative, got {count}")
@@ -178,13 +200,13 @@ class CoupledRRSampler:
         return keys, roots, flat, offsets
 
     def edge_coin_bits(self, keys, u: int, v: int) -> np.ndarray:
-        """The 53-bit coin of in-edge ``u -> v`` per slot key, vectorised.
+        """The 53-bit IC coin of in-edge ``u -> v`` per slot key, vectorised.
 
         This is how the streaming update avoids re-running most
-        head-touching slots: a slot that examined a changed edge's row
-        replays to a *different* set only if that edge's own coin flips
-        liveness under the probability change — every other coin in the
-        row is endpoint-keyed and unchanged.  Evaluating the coin
+        head-touching IC slots: a slot that examined a changed edge's
+        row replays to a *different* set only if that edge's own coin
+        flips liveness under the probability change — every other coin
+        in the row is endpoint-keyed and unchanged.  Evaluating the coin
         directly (a few hashes per candidate slot) is orders of
         magnitude cheaper than a reverse traversal.  Returned in the
         integer domain so callers compare against
@@ -221,10 +243,13 @@ class CoupledRRSampler:
 
         Any int64 key array (unsorted, repeated, non-contiguous), in the
         :meth:`RRCorpus.flat` layout.  Each chunk of :data:`_CHUNK_SLOTS`
-        slots runs one level-synchronous reverse BFS over ``(slot,
+        slots runs one level-synchronous reverse traversal over ``(slot,
         node)`` pairs encoded ``slot_index * n + node``; the visited
         codes stay sorted, so dedupe is a ``searchsorted`` and the final
-        codes list every slot's members ascending.
+        codes list every slot's members ascending.  One level expands
+        the frontier with :meth:`_ic_step` (every live in-edge) or
+        :meth:`_lt_step` (at most one chosen in-neighbour per slot); an
+        LT walk thus stops on "none" or on a revisit.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys) and keys.min() < 0:
@@ -235,13 +260,14 @@ class CoupledRRSampler:
         n = net.n
         if len(keys) and n == 0:
             raise GraphError("cannot sample from an empty network")
-        if self.kernel_backend == "numba" and len(keys):
+        if self.kernel_backend == "numba" and self.diffusion == "ic" and len(keys):
             from repro.kernels import kernels
 
             return kernels("numba").coupled_batch(
                 self._seed64, keys, net.in_offsets, net.in_sources,
                 self._edge_mix, self._thresholds, n,
             )
+        step = self._ic_step if self.diffusion == "ic" else self._lt_step
         roots = np.empty(len(keys), dtype=np.int64)
         offsets = np.zeros(len(keys) + 1, dtype=np.int64)
         parts = [np.empty(0, dtype=np.int64)]
@@ -254,15 +280,7 @@ class CoupledRRSampler:
             visited = np.arange(len(chunk), dtype=np.int64) * n + roots[lo:hi]
             frontier = visited
             while len(frontier):
-                slot_idx, node = np.divmod(frontier, n)
-                pos = _gather_slices(net.in_offsets, node)
-                edge_slot = np.repeat(slot_idx, self._in_degree[node])
-                with np.errstate(over="ignore"):
-                    coins = _mix64(slot[edge_slot] ^ self._edge_mix[pos])
-                live = (coins >> _U64_SHIFT_11) < self._thresholds[pos]
-                reached = np.unique(
-                    edge_slot[live] * n + net.in_sources[pos[live]]
-                )
+                reached = step(slot, frontier)
                 at = np.searchsorted(visited, reached)
                 seen = at < len(visited)
                 seen[seen] = visited[at[seen]] == reached[seen]
@@ -273,3 +291,39 @@ class CoupledRRSampler:
             parts.append(members)
         np.cumsum(offsets, out=offsets)
         return roots, np.concatenate(parts), offsets
+
+    def _ic_step(self, slot: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        """Sorted unique codes of every live in-neighbour of ``frontier``."""
+        net = self.network
+        n = net.n
+        slot_idx, node = np.divmod(frontier, n)
+        pos = _gather_slices(net.in_offsets, node)
+        edge_slot = np.repeat(slot_idx, self._in_degree[node])
+        with np.errstate(over="ignore"):
+            coins = _mix64(slot[edge_slot] ^ self._edge_mix[pos])
+        live = (coins >> _U64_SHIFT_11) < self._thresholds[pos]
+        return np.unique(edge_slot[live] * n + net.in_sources[pos[live]])
+
+    def _lt_step(self, slot: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        """Codes of each frontier node's chosen in-neighbour, if any.
+
+        The frontier holds at most one node per slot, in slot order, so
+        the result is sorted and unique.  The coin picks the first row
+        entry ``j`` with ``coin < cumq[j]``: the count of entries with
+        ``cumq <= coin``, which equals the degree when the coin lands in
+        the remaining mass (no in-neighbour chosen).
+        """
+        net = self.network
+        n = net.n
+        slot_idx, node = np.divmod(frontier, n)
+        with np.errstate(over="ignore"):
+            coins = _mix64(slot[slot_idx] ^ self._node_mix[node]) >> _U64_SHIFT_11
+        deg = self._in_degree[node]
+        pos = _gather_slices(net.in_offsets, node)
+        row = np.repeat(np.arange(len(node)), deg)
+        below = np.bincount(
+            row[self._cumq[pos] <= coins[row]], minlength=len(node)
+        )
+        pick = below < deg
+        chosen = net.in_sources[net.in_offsets[node[pick]] + below[pick]]
+        return slot_idx[pick] * n + chosen

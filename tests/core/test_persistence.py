@@ -1,5 +1,7 @@
 """Tests for repro.core.persistence (RIS-DA and MIA-DA index save/load)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core.persistence import (
     save_ris_index,
 )
 from repro.core.ris_da import RisDaConfig, RisDaIndex
-from repro.exceptions import DataFormatError
+from repro.exceptions import DataFormatError, SamplingError
 from repro.geo.weights import DistanceDecay
 from repro.network.generators import GeoSocialConfig, generate_geo_social_network
 
@@ -163,16 +165,65 @@ class TestLtAndTruncatedRoundTrip:
             assert a.estimate == b.estimate
             assert diag_a == diag_b
 
-    def test_n_workers_round_trips(self, net, tmp_path):
-        cfg = RisDaConfig(
-            k_max=3, n_pivots=4, epsilon_pivot=0.45,
-            max_index_samples=2_000, seed=23, n_workers=2,
+
+def _rewrite_npz(src, dst, edit):
+    """Copy a saved index, letting ``edit(meta, arrays)`` tamper with it."""
+    with np.load(src) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
+    edit(meta, arrays)
+    np.savez_compressed(
+        dst,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        **arrays,
+    )
+
+
+class TestLegacyAndTamperedFiles:
+    @pytest.fixture
+    def saved(self, index, tmp_path):
+        path = tmp_path / "index.npz"
+        save_ris_index(index, path)
+        return path
+
+    def test_keyless_file_answers_as_saved(self, net, index, saved, tmp_path):
+        """A file without slot keys (saved before keys existed, or by a
+        worker-pool or LT build) loads with byte-equal answers."""
+        legacy = tmp_path / "legacy.npz"
+        _rewrite_npz(saved, legacy, lambda meta, arrays: arrays.pop("corpus_keys"))
+        loaded = load_ris_index(legacy, net)
+        assert not loaded.corpus.keyed
+        assert _corpus_bytes(loaded) == _corpus_bytes(index)
+        for q in [(10.0, 10.0), (50.0, 80.0), (90.0, 20.0)]:
+            a, diag_a = index.query(q, 5, return_diagnostics=True)
+            b, diag_b = loaded.query(q, 5, return_diagnostics=True)
+            assert a.seeds == b.seeds
+            assert a.estimate == b.estimate
+            assert diag_a == diag_b
+
+    def test_config_n_workers_ignored(self, net, index, saved, tmp_path):
+        """Files from builds that still had a worker pool carry
+        ``n_workers`` in their config; it no longer means anything."""
+        older = tmp_path / "workers.npz"
+        _rewrite_npz(
+            saved, older,
+            lambda meta, arrays: meta["config"].update(n_workers=2),
         )
-        index = RisDaIndex(net, DistanceDecay(alpha=0.03), cfg)
-        save_ris_index(index, tmp_path / "workers.npz")
-        loaded = load_ris_index(tmp_path / "workers.npz", net)
+        loaded = load_ris_index(older, net)
         assert loaded.config == index.config
-        assert loaded.config.n_workers == 2
+        assert _corpus_bytes(loaded) == _corpus_bytes(index)
+
+    @pytest.mark.parametrize("tamper", ["duplicate", "negative"])
+    def test_bad_slot_keys_rejected(self, net, saved, tmp_path, tamper):
+        def edit(meta, arrays):
+            keys = arrays["corpus_keys"].copy()
+            keys[1] = keys[0] if tamper == "duplicate" else -5
+            arrays["corpus_keys"] = keys
+
+        bad = tmp_path / "bad.npz"
+        _rewrite_npz(saved, bad, edit)
+        with pytest.raises(SamplingError, match="keys"):
+            load_ris_index(bad, net)
 
 
 @pytest.fixture(scope="module")

@@ -218,40 +218,6 @@ class TestQuery:
             index.query_budgeted((50.0, 50.0), budget, np.ones(net.n))
 
 
-class TestParallelBuild:
-    def test_n_workers_validated(self):
-        with pytest.raises(QueryError):
-            RisDaConfig(n_workers=0)
-
-    def test_parallel_build_reproducible(self, net):
-        """Same (seed, n_workers) -> identical index, corpus and answers."""
-        decay = DistanceDecay(alpha=0.02)
-        cfg = RisDaConfig(
-            k_max=3, n_pivots=4, epsilon_pivot=0.45,
-            max_index_samples=3_000, seed=3, n_workers=2,
-        )
-        a = RisDaIndex(net, decay, cfg)
-        b = RisDaIndex(net, decay, cfg)
-        assert len(a.corpus) == len(b.corpus)
-        assert a.corpus.roots.tolist() == b.corpus.roots.tolist()
-        flat_a, off_a = a.corpus.flat()
-        flat_b, off_b = b.corpus.flat()
-        assert np.array_equal(flat_a, flat_b)
-        assert np.array_equal(off_a, off_b)
-        assert np.allclose(a.pivot_estimates, b.pivot_estimates)
-        for q in [(25.0, 25.0), (80.0, 45.0)]:
-            assert a.query(q, 3).seeds == b.query(q, 3).seeds
-
-    def test_parallel_build_releases_pool(self, net):
-        cfg = RisDaConfig(
-            k_max=2, n_pivots=3, epsilon_pivot=0.45,
-            max_index_samples=2_000, seed=4, n_workers=2,
-        )
-        index = RisDaIndex(net, DistanceDecay(alpha=0.02), cfg)
-        assert not index.sampler.pool_active
-        assert index.query((40.0, 40.0), 2).seeds
-
-
 @pytest.fixture(scope="module", params=["euclidean", "manhattan"])
 def metric_index(request, net):
     decay = DistanceDecay(alpha=0.02, metric=request.param)

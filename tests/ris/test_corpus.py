@@ -44,6 +44,25 @@ class TestEnsure:
         for i in range(20):
             assert np.array_equal(a.members(i), b.members(i))
 
+    def test_serial_sampler_flat_path_matches_legacy(self, example_net):
+        """RRSampler corpora grow through the flat append path, drawing
+        the same stream as ``sample_many``."""
+        roots, members = RRSampler(example_net, seed=17).sample_many(50)
+        corpus = RRCorpus(RRSampler(example_net, seed=17))
+        corpus.ensure(50)
+        assert corpus.roots.tolist() == roots.tolist()
+        for i in range(50):
+            assert np.array_equal(corpus.members(i), members[i])
+
+    def test_append_flat_validation(self, example_net):
+        corpus = RRCorpus(RRSampler(example_net, seed=0))
+        with pytest.raises(SamplingError):
+            corpus.append_flat(
+                np.zeros(2, dtype=np.int64),
+                np.zeros(3, dtype=np.int64),
+                np.array([0, 1], dtype=np.int64),
+            )
+
 
 class TestFlat:
     def test_flat_matches_members(self, corpus):

@@ -76,23 +76,7 @@ class TestRebuiltAfterMutation:
         keyed.regenerate([0, 7, 150])
         _assert_rebuilt(keyed, stale)
 
-    def test_retire(self, corpus):
-        stale = corpus.entry_samples()
-        corpus.retire([0, 5, 17, 199])
-        _assert_rebuilt(corpus, stale)
-
-    def test_shuffle(self, corpus):
-        stale = corpus.entry_samples()
-        corpus.shuffle(np.random.default_rng(4))
-        _assert_rebuilt(corpus, stale)
-
-    def test_extend_touching(self, corpus):
-        stale = corpus.entry_samples()
-        corpus.extend_touching(30, [0, 1, 2])
-        _assert_rebuilt(corpus, stale)
-
     def test_from_arrays(self, corpus, small_net):
-        corpus.shuffle(np.random.default_rng(5))
         flat, offsets = corpus.flat()
         restored = RRCorpus.from_arrays(
             RRSampler(small_net, seed=4), corpus.roots, flat, offsets
@@ -105,8 +89,8 @@ class TestRebuiltAfterMutation:
 
 @pytest.mark.parametrize("diffusion", ["ic", "lt"])
 def test_update_serves_from_rebuilt_cache(small_net, diffusion):
-    """IC indexes refresh by regeneration, LT ones by retire, conditioned
-    regrowth and shuffle; both must answer from the updated corpus."""
+    """Both diffusion models refresh by regeneration and must answer
+    from the updated corpus."""
     decay = DistanceDecay(alpha=0.02)
     cfg = RisDaConfig(
         k_max=5, n_pivots=4, epsilon_pivot=0.4, max_index_samples=4000,

@@ -1,8 +1,7 @@
 """Streaming-maintenance behaviour of :class:`RRCorpus`.
 
-Covers the retirement path (``samples_touching`` / ``retire``), the
-conditioned replacement draws (``extend_touching``), slot re-randomization
-(``shuffle``), and — the regression this file exists for — that growth
+Covers the dirty-sample query (``samples_touching``), sampler
+replacement, and — the regression this file exists for — that growth
 after :meth:`RRCorpus.from_arrays` invalidates *all three* caches
 together.  A corpus restored from persistence seeds its flat/roots caches
 with the supplied arrays; if ``append_flat`` missed one of them, queries
@@ -96,98 +95,6 @@ class TestSamplesTouching:
     def test_out_of_range_rejected(self, corpus):
         with pytest.raises(SamplingError, match="node ids"):
             corpus.samples_touching([corpus.n_nodes])
-
-
-class TestRetire:
-    def test_survivors_keep_relative_order(self, corpus):
-        ids = corpus.samples_touching([5])
-        keep = np.ones(len(corpus), dtype=bool)
-        keep[ids] = False
-        expected_roots = corpus.roots[keep].tolist()
-        retired = corpus.retire(ids)
-        assert retired == len(ids)
-        assert corpus.roots.tolist() == expected_roots
-
-    def test_retired_samples_absent_from_inverted(self, corpus):
-        corpus.retire(corpus.samples_touching([5]))
-        assert corpus.samples_touching([5]).size == 0
-
-    def test_out_of_range_rejected(self, corpus):
-        with pytest.raises(SamplingError, match="sample ids"):
-            corpus.retire([len(corpus)])
-
-    def test_empty_retire_is_noop(self, corpus):
-        before = len(corpus)
-        assert corpus.retire([]) == 0
-        assert len(corpus) == before
-
-
-class TestExtendTouching:
-    def test_all_replacements_touch(self, corpus):
-        nodes = [8, 30]
-        before = len(corpus)
-        size = corpus.extend_touching(40, nodes)
-        assert size == before + 40
-        for i in range(before, size):
-            assert np.intersect1d(corpus.members(i), nodes).size > 0
-
-    def test_zero_count_is_noop(self, corpus):
-        before = len(corpus)
-        assert corpus.extend_touching(0, [1]) == before
-
-    def test_negative_count_rejected(self, corpus):
-        with pytest.raises(SamplingError, match="non-negative"):
-            corpus.extend_touching(-1, [1])
-
-    def test_empty_touch_set_rejected(self, corpus):
-        with pytest.raises(SamplingError, match="non-empty"):
-            corpus.extend_touching(5, [])
-
-    def test_out_of_range_nodes_rejected(self, corpus):
-        with pytest.raises(SamplingError, match="node ids"):
-            corpus.extend_touching(5, [corpus.n_nodes])
-
-    def test_deterministic_given_sampler_state(self, small_net):
-        runs = []
-        for _ in range(2):
-            c = RRCorpus(RRSampler(small_net, seed=21))
-            c.extend_touching(25, [2, 40])
-            flat, offsets = c.flat()
-            runs.append((c.roots.copy(), flat.copy(), offsets.copy()))
-        for a, b in zip(*runs):
-            assert np.array_equal(a, b)
-
-
-class TestShuffle:
-    def test_preserves_sample_multiset(self, corpus):
-        def signature(c):
-            return sorted(
-                (c.roots[i], tuple(sorted(c.members(i).tolist())))
-                for i in range(len(c))
-            )
-
-        before = signature(corpus)
-        corpus.shuffle(np.random.default_rng(3))
-        assert signature(corpus) == before
-
-    def test_deterministic_per_rng(self, corpus, small_net):
-        other = restored_copy(corpus, small_net)
-        corpus.shuffle(np.random.default_rng(7))
-        other.shuffle(np.random.default_rng(7))
-        assert corpus.roots.tolist() == other.roots.tolist()
-        for i in range(len(corpus)):
-            assert np.array_equal(corpus.members(i), other.members(i))
-
-    def test_caches_dropped(self, corpus):
-        flat_before, _ = corpus.flat()
-        corpus.inverted()
-        corpus.shuffle(np.random.default_rng(11))
-        flat_after, offsets_after = corpus.flat()
-        assert offsets_after[-1] == len(flat_after)
-        # Inverted index routes correctly post-shuffle.
-        ids = corpus.samples_touching([5])
-        for i in ids:
-            assert 5 in corpus.members(int(i))
 
 
 class TestReplaceSampler:

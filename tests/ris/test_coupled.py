@@ -8,7 +8,9 @@ The contracts that make coupled streaming regeneration sound:
   (the pool needs no conditioning and no shuffle);
 * re-running a slot on an updated graph changes its set **iff** a
   changed edge's own coin flips liveness — everything else replays
-  bit-for-bit (common random numbers, keyed by edge endpoints).
+  bit-for-bit (common random numbers, keyed by edge endpoints);
+* under LT the walk draws one node-keyed coin per step, batched the
+  same way, and matches a per-slot scalar walk for any key order.
 """
 
 from types import SimpleNamespace
@@ -143,12 +145,49 @@ class TestCoupling:
 
 
 def _oracle(sampler, keys):
-    """The per-slot algorithm: ``coupled_batch`` run interpreted."""
+    """The per-slot algorithm: ``coupled_batch`` run interpreted (IC),
+    or a scalar walk one slot and one step at a time (LT)."""
     net = sampler.network
+    keys = np.asarray(keys, dtype=np.int64)
+    if sampler.diffusion == "lt":
+        return _lt_walks(sampler, keys)
     return _Interpreted().coupled_batch(
-        sampler._seed64, np.asarray(keys, dtype=np.int64), net.in_offsets,
+        sampler._seed64, keys, net.in_offsets,
         net.in_sources, sampler._edge_mix, sampler._thresholds, net.n,
     )
+
+
+def _lt_walks(sampler, keys):
+    net = sampler.network
+    n = net.n
+    roots, parts = [], []
+    with np.errstate(over="ignore"):
+        for key in keys:
+            slot = coupled._mix64(
+                sampler._seed64 ^ (np.uint64(key) * coupled._GOLDEN)
+            )
+            x = int(coupled._mix64(slot ^ coupled._ROOT_SALT) % np.uint64(n))
+            roots.append(x)
+            visited = {x}
+            while True:
+                coin = coupled._mix64(slot ^ sampler._node_mix[x]) >> np.uint64(11)
+                lo, hi = int(net.in_offsets[x]), int(net.in_offsets[x + 1])
+                running = np.uint64(0)
+                chosen = None
+                for j in range(lo, hi):
+                    running += sampler._thresholds[j]
+                    if coin < running:
+                        chosen = int(net.in_sources[j])
+                        break
+                if chosen is None or chosen in visited:
+                    break
+                visited.add(chosen)
+                x = chosen
+            parts.append(sorted(visited))
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in parts], out=offsets[1:])
+    flat = np.asarray([u for p in parts for u in p], dtype=np.int64)
+    return np.asarray(roots, dtype=np.int64), flat, offsets
 
 
 def _assert_batches_equal(got, want):
@@ -157,11 +196,12 @@ def _assert_batches_equal(got, want):
         assert np.array_equal(a, b), name
 
 
-def _random_net(graph_seed: int) -> GeoSocialNetwork:
+def _random_net(graph_seed: int, diffusion: str = "ic") -> GeoSocialNetwork:
     """A small random graph mixing p=0, p=1 and fractional edges.
 
     Node 0 never receives an edge, so every graph has a zero in-degree
-    node; tiny or sparse draws add more.
+    node; tiny or sparse draws add more.  Under LT each node's in-weights
+    are scaled down to sum to at most 1.
     """
     rng = np.random.default_rng(graph_seed)
     n = int(rng.integers(1, 14))
@@ -173,6 +213,9 @@ def _random_net(graph_seed: int) -> GeoSocialNetwork:
     probs = rng.uniform(0.0, 1.0, size=len(edges))
     probs[rng.random(len(edges)) < 0.3] = 1.0
     probs[rng.random(len(edges)) < 0.1] = 0.0
+    if diffusion == "lt" and edges:
+        heads = np.asarray([v for _, v in edges])
+        probs /= np.maximum(np.bincount(heads, weights=probs), 1.0)[heads]
     return GeoSocialNetwork.from_edges(
         edges, rng.uniform(0.0, 10.0, size=(n, 2)), probs
     )
@@ -189,24 +232,36 @@ class TestBatchedTraversal:
             seed=st.integers(-(2**63), 2**64 - 1),
             keys=st.lists(st.integers(0, 2**62), max_size=40),
             chunk=st.sampled_from([1, 3, 7, coupled._CHUNK_SLOTS]),
+            diffusion=st.sampled_from(["ic", "lt"]),
         )
-        @example(graph_seed=0, seed=0, keys=[], chunk=3)
-        @example(graph_seed=1, seed=5, keys=[17], chunk=3)
-        @example(graph_seed=2, seed=5, keys=[900, 4, 4, 31, 4, 0], chunk=3)
-        def test_matches_per_slot_oracle(self, graph_seed, seed, keys, chunk):
-            sampler = CoupledRRSampler(_random_net(graph_seed), seed=seed)
+        @example(graph_seed=0, seed=0, keys=[], chunk=3, diffusion="ic")
+        @example(graph_seed=1, seed=5, keys=[17], chunk=3, diffusion="ic")
+        @example(graph_seed=2, seed=5, keys=[900, 4, 4, 31, 4, 0], chunk=3,
+                 diffusion="ic")
+        @example(graph_seed=2, seed=5, keys=[900, 4, 4, 31, 4, 0], chunk=3,
+                 diffusion="lt")
+        def test_matches_per_slot_oracle(
+            self, graph_seed, seed, keys, chunk, diffusion
+        ):
+            sampler = CoupledRRSampler(
+                _random_net(graph_seed, diffusion), seed=seed,
+                diffusion=diffusion,
+            )
             with mock.patch.object(coupled, "_CHUNK_SLOTS", chunk):
                 got = sampler._traverse(np.asarray(keys, dtype=np.int64))
             _assert_batches_equal(got, _oracle(sampler, keys))
 
     def test_range_spanning_several_chunks(self, small_net):
-        sampler = CoupledRRSampler(small_net, seed=21)
         keys = np.arange(50, 50 + 2 * coupled._CHUNK_SLOTS + 37)
-        _assert_batches_equal(sampler._traverse(keys), _oracle(sampler, keys))
         shuffled = np.random.default_rng(2).permutation(keys)
-        _assert_batches_equal(
-            sampler._traverse(shuffled), _oracle(sampler, shuffled)
-        )
+        for diffusion in ("ic", "lt"):
+            sampler = CoupledRRSampler(small_net, seed=21, diffusion=diffusion)
+            _assert_batches_equal(
+                sampler._traverse(keys), _oracle(sampler, keys)
+            )
+            _assert_batches_equal(
+                sampler._traverse(shuffled), _oracle(sampler, shuffled)
+            )
 
     def test_sample_batch_and_regenerate_use_it(self, small_net):
         sampler = CoupledRRSampler(small_net, seed=4)
@@ -237,6 +292,18 @@ class TestValidation:
     def test_non_integer_seed_rejected(self, small_net):
         with pytest.raises(GraphError, match="integer seed"):
             CoupledRRSampler(small_net, seed=np.random.default_rng(0))
+
+    def test_lt_overweight_graph_rejected(self):
+        net = GeoSocialNetwork.from_edges(
+            [(0, 2), (1, 2)], np.zeros((3, 2)), [0.8, 0.8]
+        )
+        with pytest.raises(GraphError, match="in-weights"):
+            CoupledRRSampler(net, seed=1, diffusion="lt")
+        CoupledRRSampler(net, seed=1)  # IC has no such limit
+
+    def test_bad_diffusion_rejected(self, small_net):
+        with pytest.raises(GraphError, match="diffusion"):
+            CoupledRRSampler(small_net, seed=1, diffusion="sir")
 
     def test_negative_key_rejected(self, sampler):
         with pytest.raises(GraphError, match="non-negative"):
@@ -294,16 +361,6 @@ class TestKeyedCorpus:
         assert corpus.keys is None
         assert corpus.next_key() == 0
 
-    def test_retire_and_shuffle_keep_keys_aligned(self, corpus, small_net):
-        corpus.retire([0, 5, 17])
-        corpus.shuffle(np.random.default_rng(4))
-        sampler = corpus.sampler
-        keys = corpus.keys
-        for i in (0, 41, 150):
-            root, members = sampler.regenerate(int(keys[i]))
-            assert corpus.roots[i] == root
-            assert np.array_equal(corpus.members(i), members)
-
     def test_regenerate_identity_on_unchanged_graph(self, corpus):
         flat0, off0 = (a.copy() for a in corpus.flat())
         corpus.regenerate(np.arange(len(corpus)))
@@ -343,10 +400,6 @@ class TestKeyedCorpus:
         with pytest.raises(SamplingError, match="coupled"):
             corpus.replace_sampler(RRSampler(small_net, seed=2))
 
-    def test_extend_touching_rejected_on_keyed(self, corpus):
-        with pytest.raises(SamplingError, match="regenerate"):
-            corpus.extend_touching(1, [0])
-
     def test_from_arrays_key_round_trip(self, corpus):
         flat, offsets = corpus.flat()
         restored = RRCorpus.from_arrays(
@@ -363,4 +416,22 @@ class TestKeyedCorpus:
             RRCorpus.from_arrays(
                 corpus.sampler, corpus.roots, flat, offsets,
                 keys=corpus.keys[:-1],
+            )
+
+    def test_from_arrays_rejects_duplicate_keys(self, corpus):
+        flat, offsets = corpus.flat()
+        keys = corpus.keys.copy()
+        keys[7] = keys[3]
+        with pytest.raises(SamplingError, match="distinct"):
+            RRCorpus.from_arrays(
+                corpus.sampler, corpus.roots, flat, offsets, keys=keys
+            )
+
+    def test_from_arrays_rejects_negative_keys(self, corpus):
+        flat, offsets = corpus.flat()
+        keys = corpus.keys.copy()
+        keys[0] = -5
+        with pytest.raises(SamplingError, match="non-negative"):
+            RRCorpus.from_arrays(
+                corpus.sampler, corpus.roots, flat, offsets, keys=keys
             )

@@ -20,6 +20,7 @@ from repro.geo.weights import DistanceDecay
 from repro.network.graph import GeoSocialNetwork
 from repro.network.probability import assign_weighted_cascade
 from repro.ris.corpus import RRCorpus
+from repro.ris.coupled import CoupledRRSampler
 from repro.ris.coverage import estimate_spread
 from repro.ris.lower_bound import lb_est_lt
 from repro.ris.rrset import RRSampler
@@ -80,17 +81,29 @@ class TestLtRRSets:
             RRSampler(net, diffusion="lt")
 
     def test_membership_rate_matches_exact_lt(self, lt_net):
-        """P(u in RR_lt(v)) must equal the exact LT activation I({u}, v)."""
-        sampler = RRSampler(lt_net, seed=3, diffusion="lt")
-        rounds = 30000
+        """P(u in RR_lt(v)) must equal the exact LT activation I({u}, v),
+        for the sequential sampler and for the coupled walk (many keys,
+        filtered by root: a coupled slot's root is a function of its
+        key)."""
         root = 4
-        counts = np.zeros(lt_net.n)
-        for _ in range(rounds):
-            counts[sampler.sample_from(root)] += 1
-        rates = counts / rounds
-        for u in range(lt_net.n):
-            exact = exact_lt_activation_probabilities(lt_net, [u])[root]
-            assert rates[u] == pytest.approx(exact, abs=0.012), u
+        sequential = RRSampler(lt_net, seed=3, diffusion="lt")
+        coupled = CoupledRRSampler(lt_net, seed=3, diffusion="lt")
+        roots, flat, offsets = coupled._traverse(np.arange(150_000))
+        draws = {
+            "sequential": [sequential.sample_from(root) for _ in range(30000)],
+            "coupled": [
+                flat[offsets[i]: offsets[i + 1]]
+                for i in np.flatnonzero(roots == root)
+            ],
+        }
+        for name, sets in draws.items():
+            counts = np.zeros(lt_net.n)
+            for members in sets:
+                counts[members] += 1
+            rates = counts / len(sets)
+            for u in range(lt_net.n):
+                exact = exact_lt_activation_probabilities(lt_net, [u])[root]
+                assert rates[u] == pytest.approx(exact, abs=0.012), (name, u)
 
     def test_rr_set_is_path_sized(self, lt_net):
         """LT RR sets are reverse paths: size <= number of nodes, and the

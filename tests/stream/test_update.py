@@ -167,48 +167,65 @@ class TestRisUpdateParity:
         assert np.array_equal(oa, ob)
         assert np.array_equal(original.corpus.keys, loaded.corpus.keys)
 
-    def test_keyless_fallback_refresh_parallel_built(self, small_net):
-        """Parallel-built corpora are keyless: update still works via
-        the retire/conditioned-resample/shuffle fallback."""
+    @pytest.mark.parametrize("diffusion", ["ic", "lt"])
+    def test_keyless_file_rekeyed_on_first_update(
+        self, small_net, tmp_path, diffusion
+    ):
+        """A keyless file's first update re-keys the whole corpus: slot
+        ``i`` becomes key ``i`` traversed on the new graph, and every
+        slot counts as retired and added."""
         from repro.geo.weights import DistanceDecay
+        from repro.ris.coupled import CoupledRRSampler
 
         decay = DistanceDecay(c=1.0, alpha=0.02)
         cfg = RisDaConfig(
             k_max=3, n_pivots=4, epsilon_pivot=0.5,
-            max_index_samples=1500, seed=8, n_workers=2,
+            max_index_samples=1500, seed=8, diffusion=diffusion,
         )
-        index = RisDaIndex(small_net, decay, cfg)
+        path = tmp_path / "ris.npz"
+        save_ris_index(RisDaIndex(small_net, decay, cfg), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "corpus_keys"}
+        np.savez_compressed(path, **arrays)
+        index = load_ris_index(path, small_net)
         assert not index.corpus.keyed
         prior = len(index.corpus)
-        stats = index.update(
-            delta=GraphDelta.make(edges=[(2, 40)], probabilities=[0.4])
-        )
-        assert stats.generation == 1
-        assert stats.samples_retired > 0
-        assert len(index.corpus) >= prior
-        box = small_net.bounding_box()
-        q = ((box.xmin + box.xmax) / 2, (box.ymin + box.ymax) / 2)
-        assert len(index.query(q, 3).seeds) == 3
+        # A removal keeps LT in-weights at most 1.
+        u, v, _ = next(iter(small_net.iter_edges()))
+        stats = index.update(delta=GraphDelta.make(removed=[(u, v)]))
+        corpus = index.corpus
+        assert corpus.keyed
+        assert corpus.keys.tolist() == list(range(len(corpus)))
+        assert stats.samples_retired == prior
+        assert stats.samples_added == len(corpus)
+        fresh = CoupledRRSampler(index.network, seed=8, diffusion=diffusion)
+        roots, flat, offsets = fresh._traverse(corpus.keys)
+        got_flat, got_offsets = corpus.flat()
+        assert np.array_equal(corpus.roots, roots)
+        assert np.array_equal(got_flat, flat)
+        assert np.array_equal(got_offsets, offsets)
 
-    def test_keyless_fallback_refresh_lt(self, example_net):
-        """LT diffusion has no per-edge coin identity to key, so its
-        corpora stay keyless and refresh by rejection."""
+    def test_lt_overweight_delta_rejected_before_mutation(self, small_net):
+        """An upsert pushing a node's LT in-weights past 1 is a typed
+        error, raised before the index changes."""
+        from repro.exceptions import GraphError
         from repro.geo.weights import DistanceDecay
 
-        decay = DistanceDecay(c=1.0, alpha=0.02)
         cfg = RisDaConfig(
-            k_max=2, n_pivots=3, epsilon_pivot=0.5,
-            max_index_samples=800, seed=8, diffusion="lt",
+            k_max=3, n_pivots=4, epsilon_pivot=0.5,
+            max_index_samples=1500, seed=8, diffusion="lt",
         )
-        index = RisDaIndex(example_net, decay, cfg)
-        assert not index.corpus.keyed
-        stats = index.update(
-            delta=GraphDelta.make(edges=[(4, 0)], probabilities=[0.05])
-        )
-        assert stats.generation == 1
-        box = example_net.bounding_box()
-        q = ((box.xmin + box.xmax) / 2, (box.ymin + box.ymax) / 2)
-        assert len(index.query(q, 2).seeds) == 2
+        index = RisDaIndex(small_net, DistanceDecay(c=1.0, alpha=0.02), cfg)
+        flat_before = index.corpus.flat()[0].copy()
+        u, v, _ = next(iter(small_net.iter_edges()))
+        source = next(w for w in range(small_net.n) if w not in (u, v))
+        with pytest.raises(GraphError, match="in-weights"):
+            index.update(
+                delta=GraphDelta.make(edges=[(source, v)], probabilities=[1.0])
+            )
+        assert index.network is small_net
+        assert index.generation == 0
+        assert np.array_equal(index.corpus.flat()[0], flat_before)
 
     def test_update_is_deterministic(self, small_net):
         from repro.geo.weights import DistanceDecay
@@ -233,9 +250,13 @@ class TestRisUpdateParity:
         assert np.array_equal(runs[0][2], runs[1][2])
 
 
-def mixed_delta(net, rng) -> GraphDelta:
+def mixed_delta(net, rng, lt: bool = False) -> GraphDelta:
     """Upserts (new edges and re-weighted existing ones), removals of
-    existing edges and moved check-ins, all against ``net``."""
+    existing edges and moved check-ins, all against ``net``.
+
+    With ``lt`` every upsert is capped at its head's free in-weight, so
+    per-node in-weights stay at most 1 (removals are applied first).
+    """
     edges, probs = net.edge_array()
     picked = rng.choice(len(edges), size=4, replace=False)
     removed = [tuple(int(z) for z in edges[i]) for i in picked[:2]]
@@ -248,6 +269,17 @@ def mixed_delta(net, rng) -> GraphDelta:
             upserts.append((u, v))
     p_new = rng.uniform(0.02, 0.6, size=len(upserts))
     p_new[rng.random(len(upserts)) < 0.2] = 1.0
+    if lt:
+        weight = {tuple(e): float(p) for e, p in zip(edges.tolist(), probs)}
+        for e in removed:
+            weight.pop(e)
+        free = np.ones(net.n)
+        for (_, v), p in weight.items():
+            free[v] -= p
+        for i, (u, v) in enumerate(upserts):
+            old = weight.pop((u, v), 0.0)
+            p_new[i] = max(0.0, min(p_new[i], free[v] + old))
+            free[v] += old - p_new[i]
     moved = rng.choice(net.n, size=3, replace=False)
     checkins = [
         (int(m), float(net.coords[m, 0] + rng.normal(0, 2.0)),
@@ -263,11 +295,14 @@ def mixed_delta(net, rng) -> GraphDelta:
 class TestKeyedCorpusOracle:
     """A streamed keyed corpus is exactly a fresh traversal of its keys.
 
-    ``update()`` regenerates only the slots whose replay flips and
+    ``update()`` regenerates only the slots whose replay may change and
     leaves every other slot as it was; coupling says that is the same
     corpus a fresh traversal of the stored keys over the final graph
     yields — bit for bit, not just within sampling tolerance.
+    :class:`TestKeyedCorpusOracleLt` reruns it under LT.
     """
+
+    diffusion = "ic"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_fresh_traversal(self, seed):
@@ -278,23 +313,30 @@ class TestKeyedCorpusOracle:
         net = load_dataset("brightkite", scale=0.1)
         cfg = RisDaConfig(
             k_max=5, n_pivots=4, epsilon_pivot=0.4,
-            max_index_samples=4000, seed=seed,
+            max_index_samples=4000, seed=seed, diffusion=self.diffusion,
         )
         index = RisDaIndex(net, DistanceDecay(c=1.0, alpha=0.02), cfg)
         assert index.corpus.keyed
         rng = np.random.default_rng(1000 + seed)
         regenerated = 0
         for _ in range(4):
-            stats = index.update(delta=mixed_delta(index.network, rng))
+            delta = mixed_delta(index.network, rng, lt=self.diffusion == "lt")
+            stats = index.update(delta=delta)
             regenerated += stats.samples_retired
             corpus = index.corpus
-            fresh = CoupledRRSampler(index.network, seed=seed)
+            fresh = CoupledRRSampler(
+                index.network, seed=seed, diffusion=self.diffusion
+            )
             roots, flat, offsets = fresh._traverse(corpus.keys)
             got_flat, got_offsets = corpus.flat()
             assert np.array_equal(corpus.roots, roots)
             assert np.array_equal(got_flat, flat)
             assert np.array_equal(got_offsets, offsets)
         assert regenerated > 0
+
+
+class TestKeyedCorpusOracleLt(TestKeyedCorpusOracle):
+    diffusion = "lt"
 
 
 class TestMiaUpdateParity:
