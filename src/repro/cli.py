@@ -70,8 +70,7 @@ from repro.core.persistence import (
     save_mia_index,
     save_ris_index,
 )
-from repro.core.query import DaimQuery
-from repro.core.querykind import query_from_json, query_to_row
+from repro.core.querykind import query_from_json
 from repro.core.ris_da import RisDaConfig, RisDaIndex
 from repro.exceptions import DataFormatError, QueryError, ReproError
 from repro.geo.weights import DistanceDecay
@@ -90,7 +89,7 @@ from repro.obs.slo import SloConfig, SloTracker, slo_report
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import NULL_TRACER, Tracer, use_tracer
 from repro.ris.adhoc import adhoc_ris_query
-from repro.serve.engine import QueryEngine, ServeConfig
+from repro.serve.engine import QueryEngine, ServeConfig, served_row
 from repro.serve.pool import ServePool
 from repro.stream.delta import GraphDelta
 
@@ -167,50 +166,58 @@ def _add_obs_args(
         )
 
 
-def _activate_obs(
-    args: argparse.Namespace, stack: contextlib.ExitStack
-) -> tuple:
-    """Install the ambient logger/tracer/profiler the flags ask for.
+class _ObsSession:
+    """One command's observability flags, from set-up to export.
 
-    Returns ``(tracer, profiler)`` — the tracer is :data:`NULL_TRACER`
-    when ``--trace-out`` is absent *and* profiling is off (the profiler
-    needs a real tracer for span attribution, so ``--profile-out`` alone
-    activates one whose export simply isn't written); the profiler is
-    ``None`` unless ``--profile-out`` was given.  The stack stops the
-    profiler on unwind, so its counts survive for export.
+    Entering installs the JSON logger (``--log-json``), a tracer
+    (``--trace-out``; ``--profile-out`` needs one too, for span
+    attribution) and the sampling profiler (``--profile-out``).  Leaving
+    writes the trace and the collapsed-stack profile, merging in the
+    worker profiles of ``pool`` (the :class:`ServePool` a serve command
+    entered on ``stack``), and then unwinds ``stack``, closing the pool.
     """
-    if getattr(args, "log_json", False):
-        stack.enter_context(use_logger(JsonLogger(sys.stderr)))
-    tracer = NULL_TRACER
-    if getattr(args, "trace_out", None) or getattr(args, "profile_out", None):
-        tracer = Tracer()
-        stack.enter_context(use_tracer(tracer))
-    profiler = None
-    if getattr(args, "profile_out", None):
-        profiler = SamplingProfiler(hz=args.profile_hz)
-        profiler.start()
-        stack.callback(profiler.stop)
-    return tracer, profiler
 
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.stack = contextlib.ExitStack()
+        self.tracer = NULL_TRACER
+        self.profiler: Optional[SamplingProfiler] = None
+        self.pool: Optional[ServePool] = None
 
-def _export_trace(args: argparse.Namespace, tracer: Tracer) -> None:
-    if getattr(args, "trace_out", None) and tracer.enabled:
-        tracer.export_json(args.trace_out)
-        print(f"trace ({len(tracer.finished_spans)} spans) -> "
-              f"{args.trace_out}")
+    def __enter__(self) -> "_ObsSession":
+        args = self.args
+        if getattr(args, "log_json", False):
+            self.stack.enter_context(use_logger(JsonLogger(sys.stderr)))
+        if getattr(args, "trace_out", None) or getattr(args, "profile_out", None):
+            self.tracer = self.stack.enter_context(use_tracer(Tracer()))
+        if getattr(args, "profile_out", None):
+            self.profiler = SamplingProfiler(hz=args.profile_hz).start()
+            self.stack.callback(self.profiler.stop)
+        return self
 
+    def __exit__(self, *exc_info) -> bool:
+        with self.stack:
+            self._export()
+        return False
 
-def _export_profile(args: argparse.Namespace, profiler) -> None:
-    """Write ``--profile-out`` (collapsed stacks) after the workload."""
-    if profiler is None:
-        return
-    profiler.stop()
-    with open(args.profile_out, "w", encoding="utf-8") as fh:
-        fh.write(profiler.collapsed())
-    dump = profiler.dump()
-    print(f"profile ({dump['sample_count']} samples at "
-          f"{args.profile_hz:g} Hz, {len(dump['counts'])} distinct "
-          f"stacks) -> {args.profile_out}")
+    def _export(self) -> None:
+        args, tracer, profiler = self.args, self.tracer, self.profiler
+        if getattr(args, "trace_out", None):
+            tracer.export_json(args.trace_out)
+            print(f"trace ({len(tracer.finished_spans)} spans) -> "
+                  f"{args.trace_out}")
+        if profiler is None:
+            return
+        merged = self.pool.collect_worker_profiles() if self.pool else None
+        profiler.stop()
+        if merged is not None:
+            profiler.merge(merged)
+        with open(args.profile_out, "w", encoding="utf-8") as fh:
+            fh.write(profiler.collapsed())
+        dump = profiler.dump()
+        print(f"profile ({dump['sample_count']} samples at "
+              f"{args.profile_hz:g} Hz, {len(dump['counts'])} distinct "
+              f"stacks) -> {args.profile_out}")
 
 
 def _serve_slo_config(args: argparse.Namespace) -> SloConfig:
@@ -218,6 +225,53 @@ def _serve_slo_config(args: argparse.Namespace) -> SloConfig:
     if getattr(args, "slo_config", None):
         return SloConfig.from_file(args.slo_config)
     return SloConfig()
+
+
+def _build_index(args: argparse.Namespace, cls, *build_args):
+    """``cls(*build_args)``, under tracemalloc when ``--alloc-out`` is set."""
+    if not args.alloc_out:
+        return cls(*build_args)
+    with allocation_snapshot() as alloc:
+        index = cls(*build_args)
+    with open(args.alloc_out, "w", encoding="utf-8") as fh:
+        fh.write(alloc.report() + "\n")
+    print(f"allocation snapshot -> {args.alloc_out}")
+    return index
+
+
+def _serve_engine(args: argparse.Namespace, network, obs: _ObsSession):
+    """The serve commands' engine, per ``--processes``.
+
+    With ``--processes N`` a :class:`ServePool` over shared index arrays,
+    entered on the session so it outlives the profile export.  Its SLO
+    windows are tracked per worker and merged at refresh, and with
+    ``--profile-out`` each worker profiles too; the slow-query sink is an
+    in-process feature (worker engines run without one).  Otherwise an
+    in-process :class:`QueryEngine`.
+    """
+    config = ServeConfig(
+        n_threads=args.threads,
+        timeout=args.timeout,
+        result_cache_size=args.cache_size,
+        cache_cells=args.cache_cells,
+    )
+    slo_cfg = _serve_slo_config(args)
+    if args.processes > 0:
+        obs.pool = obs.stack.enter_context(ServePool(
+            args.index, network, n_workers=args.processes,
+            kind=args.method, config=config, backing=args.backing,
+            kernel_backend=args.kernel_backend, slo_config=slo_cfg,
+            profile_hz=args.profile_hz if args.profile_out else None,
+        ))
+        return obs.pool
+    slow_log = None
+    if args.slow_query_ms is not None:
+        slow_log = SlowQueryLog(args.slow_query_out, args.slow_query_ms)
+    return QueryEngine.from_path(
+        args.index, network, kind=args.method, config=config,
+        slow_log=slow_log, kernel_backend=args.kernel_backend,
+        slo=SloTracker(slo_cfg),
+    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -248,18 +302,8 @@ def cmd_build_ris(args: argparse.Namespace) -> int:
         selection=args.selection,
         kernel_backend=args.kernel_backend,
     )
-    with contextlib.ExitStack() as stack:
-        tracer, profiler = _activate_obs(args, stack)
-        if args.alloc_out:
-            with allocation_snapshot() as alloc:
-                index = RisDaIndex(network, decay, cfg)
-            with open(args.alloc_out, "w", encoding="utf-8") as fh:
-                fh.write(alloc.report() + "\n")
-            print(f"allocation snapshot -> {args.alloc_out}")
-        else:
-            index = RisDaIndex(network, decay, cfg)
-        _export_trace(args, tracer)
-        _export_profile(args, profiler)
+    with _ObsSession(args):
+        index = _build_index(args, RisDaIndex, network, decay, cfg)
     save_ris_index(index, args.out)
     print(
         f"built RIS-DA index in {index.build_seconds:.1f}s: "
@@ -282,18 +326,8 @@ def cmd_build_mia(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_workers=args.workers,
     )
-    with contextlib.ExitStack() as stack:
-        tracer, profiler = _activate_obs(args, stack)
-        if args.alloc_out:
-            with allocation_snapshot() as alloc:
-                index = MiaDaIndex(network, decay, cfg)
-            with open(args.alloc_out, "w", encoding="utf-8") as fh:
-                fh.write(alloc.report() + "\n")
-            print(f"allocation snapshot -> {args.alloc_out}")
-        else:
-            index = MiaDaIndex(network, decay, cfg)
-        _export_trace(args, tracer)
-        _export_profile(args, profiler)
+    with _ObsSession(args):
+        index = _build_index(args, MiaDaIndex, network, decay, cfg)
     save_mia_index(index, args.out)
     print(
         f"built MIA-DA index in {index.build_seconds:.1f}s: "
@@ -335,11 +369,8 @@ def cmd_update(args: argparse.Namespace) -> int:
             f"--method {args.method} was required"
         )
     delta = GraphDelta.from_events(_read_delta_events(args.deltas))
-    with contextlib.ExitStack() as stack:
-        tracer, profiler = _activate_obs(args, stack)
+    with _ObsSession(args):
         stats = index.update(delta=delta)
-        _export_trace(args, tracer)
-        _export_profile(args, profiler)
     out = args.out if args.out else args.index
     if kind == "ris":
         save_ris_index(index, out)
@@ -419,93 +450,21 @@ def _read_query_batch(path: str, default_k: int) -> list:
     return queries
 
 
-def _served_row(q, sr) -> dict:
-    """One JSONL output row for a served query.
-
-    Fallback and heuristic-ladder answers are tagged ``"fallback": true``
-    and publish their spread as ``heuristic_score``, never ``estimate``
-    — a degree-discount score is not an Eq. 9 influence estimate and
-    must not be mistaken for one downstream.  Rows echo the query's
-    ``kind`` (plus kind-specific parameters); trajectory rows add the
-    per-waypoint seed sets.
-    """
-    row = query_to_row(q)
-    row.update(
-        elapsed_ms=round(sr.elapsed * 1000, 3),
-        cached=sr.cached,
-        fallback=sr.fallback,
-        fallback_reason=sr.fallback_reason,
-        error=sr.error,
-        trace_id=sr.trace_id,
-    )
-    if sr.result is not None:
-        row["seeds"] = [int(s) for s in sr.result.seeds]
-        row["method"] = sr.result.method
-        if sr.fallback:
-            row["heuristic_score"] = sr.result.estimate
-        else:
-            row["estimate"] = sr.result.estimate
-    waypoint_results = getattr(sr, "waypoint_results", None)
-    if waypoint_results:
-        row["waypoint_seeds"] = [
-            [int(s) for s in r.seeds] for r in waypoint_results
-        ]
-        row["waypoint_estimates"] = [r.estimate for r in waypoint_results]
-    return row
-
-
 def cmd_serve_batch(args: argparse.Namespace) -> int:
     network = _resolve_network(args)
     queries = _read_query_batch(args.queries, args.k)
-    config = ServeConfig(
-        n_threads=args.threads,
-        timeout=args.timeout,
-        result_cache_size=args.cache_size,
-        cache_cells=args.cache_cells,
-    )
-    slow_log = None
-    if args.slow_query_ms is not None:
-        slow_log = SlowQueryLog(args.slow_query_out, args.slow_query_ms)
-    slo_cfg = _serve_slo_config(args)
-    with contextlib.ExitStack() as stack:
-        tracer, profiler = _activate_obs(args, stack)
-        if args.processes > 0:
-            # Sharded multi-process serving over shared index arrays;
-            # the slow-query sink is an in-process feature (worker
-            # engines run without one).  SLO windows are tracked per
-            # worker and merged at refresh; with --profile-out each
-            # worker profiles continuously too.
-            engine = stack.enter_context(ServePool(
-                args.index, network, n_workers=args.processes,
-                kind=args.method, config=config, backing=args.backing,
-                kernel_backend=args.kernel_backend, slo_config=slo_cfg,
-                profile_hz=args.profile_hz if args.profile_out else None,
-            ))
-        else:
-            engine = QueryEngine.from_path(
-                args.index, network, kind=args.method, config=config,
-                slow_log=slow_log, kernel_backend=args.kernel_backend,
-                slo=SloTracker(slo_cfg),
-            )
+    with _ObsSession(args) as obs:
+        engine = _serve_engine(args, network, obs)
         start = time.perf_counter()
         served = engine.serve_batch(queries)
         wall = time.perf_counter() - start
         engine.refresh_slo()
-        if args.processes > 0:
+        if obs.pool is not None:
             # Fold worker-side counters/histograms into the report and
             # the Prometheus rendering below before workers stop.
-            engine.collect_worker_metrics()
-            if args.profile_out and profiler is not None:
-                # Merge worker profiles into the parent's, so the
-                # exported flamegraph covers the whole pool.
-                merged = engine.collect_worker_profiles()
-                if merged is not None:
-                    profiler.stop()
-                    profiler.merge(merged)
-        _export_trace(args, tracer)
-        _export_profile(args, profiler)
+            obs.pool.collect_worker_metrics()
 
-    lines = [json.dumps(_served_row(q, sr)) for q, sr in zip(queries, served)]
+    lines = [json.dumps(served_row(q, sr)) for q, sr in zip(queries, served)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -520,6 +479,7 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
         f"({len(served) / wall:.0f} q/s), {n_fb} fallbacks, {n_err} errors"
         + (f", results -> {args.out}" if args.out else "")
     )
+    slow_log = getattr(engine, "slow_log", None)
     if slow_log is not None:
         print(f"slow queries (>= {slow_log.threshold_ms:g} ms): "
               f"{slow_log.recorded} -> {slow_log.path}")
@@ -540,38 +500,15 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
     from repro.obs.httpd import ObsHttpServer
 
     network = _resolve_network(args)
-    config = ServeConfig(
-        n_threads=args.threads,
-        timeout=args.timeout,
-        result_cache_size=args.cache_size,
-        cache_cells=args.cache_cells,
-    )
-    slow_log = None
-    if args.slow_query_ms is not None:
-        slow_log = SlowQueryLog(args.slow_query_out, args.slow_query_ms)
-    slo_cfg = _serve_slo_config(args)
-    with contextlib.ExitStack() as stack:
-        tracer, profiler = _activate_obs(args, stack)
-        if args.processes > 0:
-            engine = stack.enter_context(ServePool(
-                args.index, network, n_workers=args.processes,
-                kind=args.method, config=config, backing=args.backing,
-                kernel_backend=args.kernel_backend, slo_config=slo_cfg,
-                profile_hz=args.profile_hz if args.profile_out else None,
-            ))
-        else:
-            engine = QueryEngine.from_path(
-                args.index, network, kind=args.method, config=config,
-                slow_log=slow_log, kernel_backend=args.kernel_backend,
-                slo=SloTracker(slo_cfg),
-            )
+    with _ObsSession(args) as obs:
+        engine = _serve_engine(args, network, obs)
         server = ObsHttpServer(
             engine=engine, host=args.host, port=args.port, default_k=args.k,
         )
         print(f"serving on http://{server.host}:{server.port} "
               f"(/query /metrics /healthz /slo /debug/profile, "
               f"POST /admin/update), Ctrl-C to stop", file=sys.stderr)
-        # SIGTERM (docker stop, systemd, kill) must unwind the ExitStack
+        # SIGTERM (docker stop, systemd, kill) must unwind the session
         # like Ctrl-C does — with --processes that is what stops the
         # workers and unlinks the shared index segments.
         def _on_sigterm(signum, frame):
@@ -584,14 +521,6 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
         finally:
             signal.signal(signal.SIGTERM, previous)
             server.stop()
-            if (args.processes > 0 and args.profile_out
-                    and profiler is not None):
-                merged = engine.collect_worker_profiles()
-                if merged is not None:
-                    profiler.stop()
-                    profiler.merge(merged)
-            _export_trace(args, tracer)
-            _export_profile(args, profiler)
     return 0
 
 

@@ -11,7 +11,9 @@ handler is all a scrape endpoint needs.  Endpoints:
     while the process can answer; a scrape target for liveness probes.
 ``GET /query?x=..&y=..&k=..``
     One DAIM query through the :class:`~repro.serve.QueryEngine` (result
-    cache, metrics, tracing all apply); JSON answer with the trace id.
+    cache, metrics, tracing all apply); the JSON answer is the same row
+    ``serve-batch`` writes (:func:`repro.serve.engine.served_row`), with
+    the trace id and ``guarantee_met``.
     ``kind=`` selects a query kind (default ``point``): ``targeted``
     adds ``targets=1,2,3``; ``budgeted`` adds ``budget=`` plus optional
     ``cost=`` / ``costs=node:cost,...``; ``trajectory`` replaces ``x``/
@@ -48,11 +50,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.querykind import kind_of, query_from_json, query_to_row
+from repro.core.querykind import query_from_json
 from repro.exceptions import ReproError, ServeError
 from repro.obs.log import get_logger
 from repro.obs.prom import render_prometheus
-from repro.serve.engine import QueryEngine
+from repro.serve.engine import QueryEngine, served_row
 from repro.serve.metrics import MetricsRegistry
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -344,30 +346,7 @@ class ObsHttpServer:
             served = self.engine.query(query)
         except ReproError as exc:
             return self._json(400, {"error": str(exc)})
-        payload: Dict[str, Any] = dict(query_to_row(query))
-        payload.update(
-            trace_id=served.trace_id,
-            elapsed_ms=round(served.elapsed * 1e3, 3),
-            cached=served.cached,
-            fallback=served.fallback,
-            error=served.error,
-        )
-        if served.result is not None:
-            payload["seeds"] = [int(s) for s in served.result.seeds]
-            payload["method"] = served.result.method
-            if served.fallback or kind_of(query) == "heuristic":
-                payload["heuristic_score"] = served.result.estimate
-            else:
-                payload["estimate"] = served.result.estimate
-        waypoint_results = getattr(served, "waypoint_results", None)
-        if waypoint_results:
-            payload["waypoint_seeds"] = [
-                [int(s) for s in r.seeds] for r in waypoint_results
-            ]
-            payload["waypoint_estimates"] = [
-                r.estimate for r in waypoint_results
-            ]
-        return self._json(200 if served.ok else 500, payload)
+        return self._json(200 if served.ok else 500, served_row(query, served))
 
     # -- lifecycle -----------------------------------------------------
 

@@ -149,7 +149,8 @@ class Span:
 
     Spans are created by :meth:`Tracer.span` (as context managers) or
     :meth:`Tracer.start_span` (ended explicitly); attributes may be added
-    while the span is open via :meth:`set_attribute`.
+    via :meth:`set_attribute`, also after the span ended: the finished
+    record shares the attribute dict.
     """
 
     __slots__ = (

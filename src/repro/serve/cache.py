@@ -40,11 +40,10 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, Optional, Tuple, Union
 
 from repro.core.mia_da import MiaDaIndex
 from repro.core.persistence import PathLike, load_index
-from repro.core.query import SeedResult
 from repro.core.ris_da import RisDaIndex
 from repro.exceptions import ServeError
 from repro.network.graph import GeoSocialNetwork
@@ -183,10 +182,11 @@ class IndexCache:
 
 
 class ResultCache:
-    """A thread-safe LRU of :class:`SeedResult` keyed by the caller.
+    """A thread-safe LRU of query answers keyed by the caller.
 
-    The engine keys entries by ``(index fingerprint, grid cell, k)``; the
-    cache itself only requires keys to be hashable.  ``metrics``
+    The engine keys entries by ``(index fingerprint, grid cell, k)`` and
+    stores ``(SeedResult, guarantee_met)`` pairs; the cache itself only
+    requires keys to be hashable.  ``metrics``
     (optional) records ``result_cache.hits`` / ``.misses``.
     """
 
@@ -200,12 +200,12 @@ class ResultCache:
         self.capacity = capacity
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, SeedResult]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable) -> Optional[SeedResult]:
+    def get(self, key: Hashable) -> Optional[Any]:
         with self._lock:
             result = self._entries.get(key)
             if result is None:
@@ -217,7 +217,7 @@ class ResultCache:
             self.metrics.inc("result_cache.hits")
         return result
 
-    def put(self, key: Hashable, result: SeedResult) -> None:
+    def put(self, key: Hashable, result: Any) -> None:
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)

@@ -9,12 +9,11 @@ and turns it into a serving component:
   fingerprint])`` (see :mod:`repro.serve.cache` and
   :func:`repro.core.querykind.cache_extra`), so hot query neighbourhoods
   are answered from memory and an in-memory ``index.update()`` — which
-  bumps the generation — invalidates every stale entry at once;
+  bumps the generation — invalidates every stale entry at once.  An
+  entry keeps the answer's guarantee flag beside it;
 * **query kinds** — point, trajectory, targeted, budgeted and heuristic
   queries (:mod:`repro.core.querykind`) all dispatch through
-  :meth:`QueryEngine.query` / :meth:`QueryEngine.serve_batch`, with
-  per-kind counters and latency histograms
-  (``serve_queries_total{kind=...}``, ``latency_ms{kind=...}``);
+  :meth:`QueryEngine.query` / :meth:`QueryEngine.serve_batch`;
 * **concurrent batches** — :meth:`QueryEngine.serve_batch` fans a batch
   over a thread pool.  Both indexes are read-only after construction
   (corpus, inverted index, arborescences, k-d trees), so concurrent
@@ -22,40 +21,41 @@ and turns it into a serving component:
 * **per-query timeout with graceful fallback** — a query that misses its
   deadline is answered by the distance-aware degree-discount heuristic
   instead (milliseconds, no index needed), and the result is marked
-  ``fallback_reason="timeout"`` so callers can tell;
-* **metrics** — every serve updates a
-  :class:`~repro.serve.metrics.MetricsRegistry` (query counters, cache
-  hit/miss, a latency histogram, samples-used / evaluations
-  distributions);
-* **observability** — every served query carries a fresh trace id
-  (``ServedResult.trace_id``) whether or not tracing is on.  With a real
-  :class:`~repro.obs.trace.Tracer` attached, each query becomes a span
-  tree (``serve.query`` -> ``index.query`` -> per-stage children from
-  :class:`SelectionTimings`); with a structured logger attached,
-  ``query_start`` / ``query_end`` / ``cache_hit`` / ``fallback`` events
-  are emitted; with a :class:`~repro.obs.slowlog.SlowQueryLog` attached,
-  queries over its threshold dump their span tree and diagnostics to a
-  JSONL sink.  All three default to no-ops costing roughly one branch
-  each on the hot path.  With a :class:`~repro.obs.slo.SloTracker`
-  attached, every non-abandoned query outcome also feeds the
-  rolling-window SLO burn rates (:meth:`QueryEngine.refresh_slo`
-  publishes them as gauges; :meth:`QueryEngine.should_shed` is the
-  admission-control hook).
+  ``fallback_reason="timeout"`` so callers can tell.
+
+One record per query, written once.  A query body (index, heuristic or
+timeout fallback) only returns its :class:`ServedResult` and the index
+diagnostics.  :meth:`QueryEngine._record` then writes that record to
+every sink: the counters and their ``{kind}`` copies, ``latency_ms``,
+the stage histograms, ``guarantee_miss_total{kind}``, the JSON log
+events, the root-span attributes, the slow-query log and the SLO
+tracker.  It runs once per logical query: in the calling thread on the
+serial path, in the batch collector otherwise.  :func:`count_served` is
+the part a :class:`ServedResult` alone determines; a
+:class:`~repro.serve.pool.ServePool` parent applies it to every reply.
+Every served query carries a fresh trace id (``ServedResult.trace_id``)
+whether or not tracing is on.
+
+``latency_ms`` observes every query except a timed-out one, whose own
+latency is unknown (its computation may still be running); the slow log
+and the SLO tracker charge a timed-out query the deadline it blew.
 
 Timeout semantics: every query's deadline is anchored at *submission*
 (``deadline_i = submit_time + timeout``); the collector walks futures in
 input order but only ever grants each one the time left until its own
 deadline, so a slow early query cannot stretch a later query's budget.
-The worker thread itself is not interrupted (Python threads cannot be
-killed): an abandoned computation may still complete in the background,
-where a per-query cancellation token stops it from touching the latency
-histograms or the result cache — the run is counted under
-``abandoned_queries_total`` instead, and its result is discarded.  The
-fallback is computed synchronously by the collecting thread.
+Each query carries a one-shot claim, a lock taken without blocking: the
+worker takes it once its answer is ready, the collector when the
+deadline passes.  The winner's answer is the one recorded.  A worker
+that loses only counts ``abandoned_queries_total`` and never touches the
+result cache; its thread is not interrupted (Python threads cannot be
+killed), so it may still finish in the background.  The fallback is
+computed synchronously by the collecting thread.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -65,7 +65,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.heuristics import degree_discount, heuristic_ladder
 from repro.core.mia_da import MiaDaIndex
-from repro.core.query import DaimQuery, SeedResult
+from repro.core.query import SeedResult
 from repro.core.querykind import (
     AnyQuery,
     BudgetedQuery,
@@ -78,13 +78,14 @@ from repro.core.querykind import (
     fallback_location,
     kind_of,
     normalize_query,
+    query_to_row,
     route_location,
     target_mask,
 )
 from repro.core.ris_da import RisDaIndex
 from repro.exceptions import QueryError, ReproError, ServeError
 from repro.geo.grid import UniformGrid
-from repro.geo.point import PointLike, as_point
+from repro.geo.point import PointLike
 from repro.network.graph import GeoSocialNetwork
 from repro.obs.log import get_logger
 from repro.obs.slo import SloTracker
@@ -153,22 +154,27 @@ class ServeConfig:
 
 @dataclass(frozen=True)
 class ServedResult:
-    """One served query: the answer plus serving-layer context.
+    """One served query: the answer plus everything the sinks record.
 
     ``result`` is ``None`` only when ``error`` is set (the query raised,
-    or it timed out with fallback disabled).  ``elapsed`` is the
-    end-to-end serving latency in seconds — cache lookup included, queue
-    wait excluded — as opposed to ``result.elapsed`` which is the
+    or it timed out with fallback disabled or failing).  ``elapsed`` is
+    the end-to-end serving latency in seconds — cache lookup included,
+    queue wait excluded — as opposed to ``result.elapsed`` which is the
     method's own selection time.  ``cached`` marks a result-cache hit;
-    ``fallback_reason`` (e.g. ``"timeout"``) marks answers produced by
-    the fallback heuristic rather than the index — a fallback's
-    ``result.estimate`` is a heuristic score, *not* an Eq. 9 spread
-    estimate.  ``abandoned`` marks a computation whose caller already
-    timed out and was answered by the fallback; such results never reach
-    callers (the batch slot holds the fallback) and are excluded from
-    latency metrics and the result cache.  ``trace_id`` identifies the
-    query in traces, logs, and the slow-query sink (always set, even
-    with tracing disabled).
+    ``fallback_reason`` marks answers the fallback heuristic produced
+    (or, with ``error`` set, failed to produce) instead of the index:
+    ``"timeout"``, or ``"requested"`` for a heuristic query.  A
+    fallback's ``result.estimate`` is a heuristic score, *not* an Eq. 9
+    spread estimate.  ``timed_out`` marks a query that missed its
+    deadline.  ``trace_id`` identifies the query in traces, logs, and
+    the slow-query sink (always set, even with tracing disabled).
+
+    ``kind`` is the query's kind tag.  ``guarantee_met`` says whether
+    the RIS-DA answer carries the paper's ``1 - 1/e - ε`` guarantee
+    (its sample prefix reached the Lemma 7 size): a cache hit reports
+    the flag of the answer it returns, a trajectory the conjunction over
+    its waypoints.  It is ``None`` for MIA-DA, heuristic, fallback and
+    error answers.
 
     For trajectory queries ``waypoint_results`` holds one
     :class:`SeedResult` per waypoint in order and ``result`` aliases the
@@ -183,8 +189,10 @@ class ServedResult:
     fallback_reason: Optional[str] = None
     error: Optional[str] = None
     trace_id: Optional[str] = None
-    abandoned: bool = False
     waypoint_results: Optional[Tuple[SeedResult, ...]] = None
+    kind: str = "point"
+    guarantee_met: Optional[bool] = None
+    timed_out: bool = False
 
     @property
     def ok(self) -> bool:
@@ -193,6 +201,120 @@ class ServedResult:
     @property
     def fallback(self) -> bool:
         return self.fallback_reason is not None
+
+
+def served_row(query: AnyQuery, served: ServedResult) -> dict:
+    """The JSON form of one served query (``serve-batch`` rows, ``/query``).
+
+    Fallback and heuristic-ladder answers are tagged ``"fallback": true``
+    and publish their spread as ``heuristic_score``, never ``estimate``
+    — a degree-discount score is not an Eq. 9 influence estimate and
+    must not be mistaken for one downstream.  Rows echo the query's
+    ``kind`` (plus kind-specific parameters); trajectory rows add the
+    per-waypoint seed sets.
+    """
+    row = query_to_row(query)
+    row.update(
+        elapsed_ms=round(served.elapsed * 1e3, 3),
+        cached=served.cached,
+        fallback=served.fallback,
+        fallback_reason=served.fallback_reason,
+        error=served.error,
+        guarantee_met=served.guarantee_met,
+        trace_id=served.trace_id,
+    )
+    if served.result is not None:
+        row["seeds"] = [int(s) for s in served.result.seeds]
+        row["method"] = served.result.method
+        score = "heuristic_score" if served.fallback else "estimate"
+        row[score] = served.result.estimate
+    if served.waypoint_results:
+        row["waypoint_seeds"] = [
+            [int(s) for s in r.seeds] for r in served.waypoint_results
+        ]
+        row["waypoint_estimates"] = [
+            r.estimate for r in served.waypoint_results
+        ]
+    return row
+
+
+def unpack_query(q: QueryLike, k: Optional[int] = None) -> AnyQuery:
+    """Serving input as a query object; a :class:`ServeError` if it is none.
+
+    Bare locations normalise through ``as_point``, so a ``DaimQuery`` and
+    the equivalent bare location quantize identically and share one
+    result-cache entry regardless of the caller's coordinate types.
+    """
+    try:
+        return normalize_query(q, k)
+    except QueryError as exc:
+        raise ServeError(str(exc)) from exc
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_names(kind: str) -> Tuple[str, str, str]:
+    """The ``{kind}``-labelled instrument names of one kind, built once."""
+    return (
+        labelled("serve_queries_total", kind=kind),
+        labelled("latency_ms", kind=kind),
+        labelled("guarantee_miss_total", kind=kind),
+    )
+
+
+def count_served(metrics: MetricsRegistry, served: ServedResult) -> None:
+    """Record the metrics that one :class:`ServedResult` alone determines.
+
+    The metrics-only part of :meth:`QueryEngine._record`, and all that a
+    :class:`~repro.serve.pool.ServePool` parent records per reply.
+    """
+    queries, latency, guarantee_miss = _kind_names(served.kind)
+    metrics.inc("queries_total")
+    metrics.inc(queries)
+    if served.error is not None:
+        metrics.inc("errors")
+    if served.guarantee_met is False:
+        metrics.inc(guarantee_miss)
+    if served.waypoint_results is not None:
+        metrics.inc("trajectory_waypoints_total",
+                    len(served.waypoint_results))
+    if not served.timed_out:
+        ms = served.elapsed * 1e3
+        metrics.observe("latency_ms", ms)
+        metrics.observe(latency, ms)
+        return
+    metrics.inc("timeouts")
+    if served.fallback_reason is not None:
+        metrics.inc("fallbacks")
+        metrics.inc("serve_fallback_total")
+        if served.ok:
+            metrics.observe("fallback_latency_ms", served.elapsed * 1e3)
+
+
+def _guarantee(diag: object) -> Optional[bool]:
+    flag = getattr(diag, "guarantee_met", None)
+    return None if flag is None else bool(flag)
+
+
+def _parts(served: ServedResult, diag: object) -> list:
+    """``(result, diagnostics)`` per part of an index answer.
+
+    One part per trajectory waypoint, else one; the diagnostics are
+    None for a part answered from the result cache.
+    """
+    if served.waypoint_results is not None:
+        return list(zip(served.waypoint_results, diag))
+    return [(served.result, diag)]
+
+
+def _span_stages(result: SeedResult, diag: object) -> dict:
+    """The per-stage seconds an ``index.query`` span lays out as children."""
+    timings = getattr(diag, "timings", None)
+    if timings is not None:  # RIS-DA
+        return timings.as_dict()
+    setup = getattr(diag, "setup_seconds", None)
+    if setup is not None:  # MIA-DA: bound setup, then selection
+        return {"bound_setup": setup, "selection": result.elapsed}
+    return {}
 
 
 class QueryEngine:
@@ -237,7 +359,7 @@ class QueryEngine:
         self.logger = logger if logger is not None else get_logger()
         self.slow_log = slow_log
         #: Optional rolling-window SLO tracker.  The engine feeds it every
-        #: non-abandoned query outcome; ``refresh_slo`` publishes burn
+        #: logical query once; ``refresh_slo`` publishes burn
         #: rates as gauges and feeds it index staleness at scrape time.
         self.slo = slo
         if slow_log is not None and not self.tracer.enabled:
@@ -383,7 +505,7 @@ class QueryEngine:
         :class:`BudgetedQuery`, :class:`HeuristicQuery`) or a bare
         location with ``k``.
         """
-        return self._serve(self._unpack(q, k))
+        return self._serve(unpack_query(q, k))
 
     def serve_batch(
         self, queries: Sequence[QueryLike], k: int | None = None
@@ -395,7 +517,7 @@ class QueryEngine:
         input; per-query failures become error results instead of
         aborting the batch.
         """
-        items = [self._unpack(q, k) for q in queries]
+        items = [unpack_query(q, k) for q in queries]
         cfg = self.config
         if not items:
             return []
@@ -406,88 +528,92 @@ class QueryEngine:
                 timeout_s=cfg.timeout,
             )
         if cfg.n_threads == 1 and cfg.timeout is None:
-            out_serial = [self._serve(query) for query in items]
-            self._log_batch_end(out_serial)
-            return out_serial
+            out = [self._serve(query) for query in items]
+        else:
+            out = self._serve_concurrent(items)
+        if log.enabled:
+            log.event(
+                "serve_end",
+                queries=len(out),
+                cached=sum(1 for s in out if s.cached),
+                fallbacks=sum(1 for s in out if s.fallback),
+                errors=sum(1 for s in out if not s.ok),
+            )
+        return out
 
-        out: List[Optional[ServedResult]] = [None] * len(items)
+    def _serve_concurrent(self, items: List[AnyQuery]) -> List[ServedResult]:
+        """The thread-pool batch; this collecting thread records every query."""
+        timeout = self.config.timeout
+        out: List[ServedResult] = []
         pool = ThreadPoolExecutor(
-            max_workers=cfg.n_threads, thread_name_prefix="repro-serve"
+            max_workers=self.config.n_threads,
+            thread_name_prefix="repro-serve",
         )
         try:
-            tokens = [threading.Event() for _ in items]
+            claims = [threading.Lock() for _ in items]
             futures = []
             deadlines: List[float] = []
-            for query, token in zip(items, tokens):
-                futures.append(pool.submit(self._serve, query, token))
+            for query, claim in zip(items, claims):
+                futures.append(pool.submit(self._run, query, claim))
                 # The deadline is anchored at submission: collecting
                 # earlier results must not stretch later queries' budgets.
-                deadlines.append(time.monotonic() + (cfg.timeout or 0.0))
-            for i, future in enumerate(futures):
+                deadlines.append(time.monotonic() + (timeout or 0.0))
+            for query, claim, future, deadline in zip(
+                items, claims, futures, deadlines
+            ):
                 try:
-                    if cfg.timeout is None:
-                        out[i] = future.result()
-                    else:
-                        remaining = deadlines[i] - time.monotonic()
-                        out[i] = future.result(timeout=max(0.0, remaining))
+                    ran = future.result(
+                        timeout=None if timeout is None
+                        else max(0.0, deadline - time.monotonic())
+                    )
                 except FutureTimeoutError:
-                    # Tell the (possibly still running) worker its caller
-                    # is gone, so it stays out of the metrics and cache.
-                    tokens[i].set()
-                    future.cancel()
-                    out[i] = self._fallback(items[i], "timeout")
+                    if claim.acquire(blocking=False):
+                        future.cancel()
+                        ran = self._run(query, timed_out=True)
+                    else:
+                        # The worker claimed the query just in time and
+                        # is only storing its answer.
+                        ran = future.result()
+                self._record(query, *ran)
+                out.append(ran[0])
         finally:
             # Do not wait for abandoned (timed-out) computations; their
             # threads drain in the background.
             pool.shutdown(wait=False, cancel_futures=True)
-        self._log_batch_end(out)  # type: ignore[arg-type]
-        return out  # type: ignore[return-value]
-
-    def _log_batch_end(self, served: Sequence[ServedResult]) -> None:
-        if not self.logger.enabled:
-            return
-        self.logger.event(
-            "serve_end",
-            queries=len(served),
-            cached=sum(1 for s in served if s.cached),
-            fallbacks=sum(1 for s in served if s.fallback),
-            errors=sum(1 for s in served if not s.ok),
-        )
+        return out
 
     # ------------------------------------------------------------------
 
-    def _unpack(self, q: QueryLike, k: int | None) -> AnyQuery:
-        # Bare locations normalise through as_point, so a DaimQuery and
-        # the equivalent bare location quantize identically and share one
-        # result-cache entry regardless of the caller's coordinate types.
-        try:
-            return normalize_query(q, k)
-        except QueryError as exc:
-            raise ServeError(str(exc))
+    def _serve(self, query: AnyQuery) -> ServedResult:
+        ran = self._run(query)
+        self._record(query, *ran)
+        return ran[0]
 
-    def _serve(
+    def _run(
         self,
         query: AnyQuery,
-        cancel: Optional[threading.Event] = None,
-    ) -> ServedResult:
+        claim: Optional[threading.Lock] = None,
+        timed_out: bool = False,
+    ):
+        """Answer one query inside its root span: ``(served, diag, span)``.
+
+        ``claim`` is the query's one-shot claim in a concurrent batch.
+        The run takes it once the answer is ready, before it stores
+        anything, and returns None when the collector took it first.
+        ``timed_out`` answers with the configured fallback instead of
+        the index.
+        """
+        if claim is not None and claim.locked():
+            # The collector gave up on this query before the pool even
+            # started it; don't burn a core computing a discarded answer.
+            return self._abandon()
         start = time.perf_counter()
         trace_id = new_trace_id()
-        log = self.logger
         kind = kind_of(query)
         location = route_location(query)
         k = getattr(query, "k", None)
-        self.metrics.inc("queries_total")
-        self.metrics.inc(labelled("serve_queries_total", kind=kind))
-        if cancel is not None and cancel.is_set():
-            # The collector gave up on this query before the pool even
-            # started it; don't burn a core computing a discarded answer.
-            self.metrics.inc("abandoned_queries_total")
-            return ServedResult(
-                result=None, elapsed=0.0, error="abandoned after timeout",
-                trace_id=trace_id, abandoned=True,
-            )
-        if log.enabled:
-            log.event(
+        if self.logger.enabled:
+            self.logger.event(
                 "query_start", trace_id=trace_id, kind=kind,
                 x=location[0], y=location[1], k=k,
             )
@@ -495,331 +621,156 @@ class QueryEngine:
                  "kernel_backend": self.kernel_backend}
         if k is not None:
             attrs["k"] = k
-        with self.tracer.span(
-            "serve.query", attrs, trace_id=trace_id,
-        ) as span:
-            if isinstance(query, HeuristicQuery):
-                served, diag = self._serve_heuristic(
-                    query, start, trace_id, span
-                )
-            elif isinstance(query, TrajectoryQuery):
-                served, diag = self._serve_trajectory(
-                    query, start, trace_id, span, cancel
-                )
-            else:
-                served, diag = self._serve_in_span(
-                    query, start, trace_id, span, cancel
-                )
-        if log.enabled:
-            log.event(
-                "query_end", trace_id=trace_id,
-                elapsed_ms=round(served.elapsed * 1e3, 3),
-                cached=served.cached, fallback=served.fallback,
-                error=served.error, abandoned=served.abandoned,
-            )
-        if not served.abandoned:
-            # The collector records the timed-out query against its
-            # deadline; a second slow-log row here would double-count it.
-            self._maybe_record_slow(
-                location, self._slow_k(query), served, diag
-            )
-            if self.slo is not None:
-                # "requested" marks an explicit heuristic answer — the
-                # contract, not a degradation — so it does not burn the
-                # availability budget the way a timeout fallback does.
-                self.slo.record_query(
-                    served.elapsed * 1e3,
-                    fallback=(served.fallback_reason is not None
-                              and served.fallback_reason != "requested"),
-                    error=not served.ok,
-                )
-        return served
+        if timed_out:
+            name, body = "serve.fallback", self._fallback
+        elif isinstance(query, HeuristicQuery):
+            name, body = "serve.query", self._serve_heuristic
+        else:
+            name, body = "serve.query", self._serve_index
+        with self.tracer.span(name, attrs, trace_id=trace_id) as span:
+            served, diag = body(query, start, trace_id)
+        if claim is not None and not claim.acquire(blocking=False):
+            return self._abandon()
+        self._store(query, served, diag)
+        return served, diag, span
 
-    @staticmethod
-    def _slow_k(query: AnyQuery) -> int:
-        k = getattr(query, "k", None)
-        return int(k) if k is not None else 0
+    def _abandon(self) -> None:
+        """The losing side of a claim: the collector recorded the query."""
+        self.metrics.inc("abandoned_queries_total")
+        return None
 
-    def _observe_latency(self, kind: str, elapsed: float) -> None:
-        self.metrics.observe("latency_ms", elapsed * 1e3)
-        self.metrics.observe(labelled("latency_ms", kind=kind), elapsed * 1e3)
+    def _served(
+        self, query: AnyQuery, start: float, trace_id: str,
+        result: Optional[SeedResult] = None, **fields,
+    ) -> ServedResult:
+        return ServedResult(
+            result=result, elapsed=time.perf_counter() - start,
+            trace_id=trace_id, kind=kind_of(query), **fields,
+        )
 
-    def _cache_key(self, query: AnyQuery) -> Optional[tuple]:
-        """The result-cache key of a query, or None when uncacheable.
+    def _keys(self, query: AnyQuery) -> list:
+        """The result-cache key of each part of a query (None: uncacheable).
 
-        ``cache_extra`` carries the kind (and a mask/cost fingerprint
-        for targeted/budgeted queries): two kinds quantizing to the same
-        ``(fingerprint, generation, cell)`` can no longer collide.
+        A trajectory has one part per waypoint, keyed as a ``point``
+        query on purpose: a waypoint's answer *is* the point answer for
+        that location, so trajectories warm the point cache and vice
+        versa.  Every other kind is one part, whose ``cache_extra``
+        carries the kind (and a mask/cost fingerprint for
+        targeted/budgeted queries): two kinds quantizing to the same
+        ``(fingerprint, generation, cell)`` can never collide.
         """
+        trajectory = isinstance(query, TrajectoryQuery)
         if self._results is None:
-            return None
-        extra = cache_extra(query)
-        if extra is None:
-            return None
+            return [None] * (len(query.waypoints) if trajectory else 1)
         # The index generation is part of the key: an in-memory
         # update() bumps it, so entries computed against the previous
         # graph die immediately (an mtime-based fingerprint alone
         # cannot see in-memory mutations).
-        return (
-            self.fingerprint,
-            getattr(self.index, "generation", 0),
-            self._grid.cell_of(query.location),
-        ) + extra
+        head = (self.fingerprint, getattr(self.index, "generation", 0))
+        if trajectory:
+            return [
+                head + (self._grid.cell_of(wp), "point", query.k)
+                for wp in query.waypoints
+            ]
+        extra = cache_extra(query)
+        if extra is None:
+            return [None]
+        return [head + (self._grid.cell_of(query.location),) + extra]
 
-    def _waypoint_key(self, location: Tuple[float, float], k: int) -> Optional[tuple]:
-        """A trajectory waypoint's cache key — a ``point`` entry on purpose.
-
-        A waypoint's answer *is* the point answer for that location, so
-        trajectories warm the point cache and vice versa.
-        """
-        if self._results is None:
-            return None
-        return (
-            self.fingerprint,
-            getattr(self.index, "generation", 0),
-            self._grid.cell_of(location),
-            "point", k,
-        )
-
-    def _index_answer(self, query: AnyQuery) -> Tuple[SeedResult, object]:
-        """Dispatch one point/targeted/budgeted query to the index."""
-        if isinstance(query, TargetedQuery):
-            mask = target_mask(query, self.network.n)
-            return self.index.query_masked(
-                query.location, query.k, mask, return_diagnostics=True
-            )
-        if isinstance(query, BudgetedQuery):
-            costs = cost_array(query, self.network.n)
-            return self.index.query_budgeted(
-                query.location, query.budget, costs, return_diagnostics=True
-            )
-        return self.index.query(
-            query.location, query.k, return_diagnostics=True
-        )
-
-    def _serve_in_span(
-        self,
-        query: AnyQuery,
-        start: float,
-        trace_id: str,
-        span,
-        cancel: Optional[threading.Event] = None,
+    def _serve_index(
+        self, query: AnyQuery, start: float, trace_id: str
     ) -> Tuple[ServedResult, object]:
-        """The serve body for single-location kinds; runs inside the root span."""
-        m = self.metrics
-        tracer = self.tracer
-        kind = kind_of(query)
-        key = self._cache_key(query)
-        if key is not None:
-            hit = self._results.get(key)
-            if hit is not None:
-                elapsed = time.perf_counter() - start
-                self._observe_latency(kind, elapsed)
-                span.set_attribute("cached", True)
-                if self.logger.enabled:
-                    self.logger.event(
-                        "cache_hit", trace_id=trace_id, cache="result"
-                    )
-                return ServedResult(
-                    result=hit, elapsed=elapsed, cached=True,
-                    trace_id=trace_id,
-                ), None
-        try:
-            # Both index families accept return_diagnostics; the engine
-            # always asks so per-stage timings reach the metrics.
-            with tracer.span("index.query") as qspan:
-                result, diag = self._index_answer(query)
-        except ReproError as exc:
-            if cancel is not None and cancel.is_set():
-                # The caller already got the fallback; an abandoned run's
-                # failure is not a serving error.
-                m.inc("abandoned_queries_total")
-                span.set_attribute("abandoned", True)
-                return ServedResult(
-                    result=None,
-                    elapsed=time.perf_counter() - start,
-                    error=str(exc),
-                    trace_id=trace_id,
-                    abandoned=True,
-                ), None
-            m.inc("errors")
-            span.set_attribute("error", str(exc))
-            if self.logger.enabled:
-                self.logger.event(
-                    "error", trace_id=trace_id, message=str(exc)
-                )
-            return ServedResult(
-                result=None,
-                elapsed=time.perf_counter() - start,
-                error=str(exc),
-                trace_id=trace_id,
-            ), None
-        if cancel is not None and cancel.is_set():
-            # Timed out while computing: the collector has already
-            # recorded the fallback for this logical query, so recording
-            # latency/stages here (or caching a result the caller never
-            # saw) would count it twice.  The check sits before every
-            # metrics/cache write; a token set later races harmlessly.
-            m.inc("abandoned_queries_total")
-            span.set_attribute("abandoned", True)
-            return ServedResult(
-                result=result,
-                elapsed=time.perf_counter() - start,
-                trace_id=trace_id,
-                abandoned=True,
-            ), diag
-        if result.samples_used is not None:
-            m.observe("samples_used", result.samples_used)
-        if result.evaluations is not None:
-            m.observe("evaluations", result.evaluations)
-        timings = getattr(diag, "timings", None)
-        if timings is not None:
-            # RIS-DA: weight-eval / score-build / selection / bound stages.
-            m.observe_stage_seconds(timings.as_dict(),
-                                    labels=self._stage_labels)
-            if tracer.enabled:
-                tracer.record_stages(qspan, timings.as_dict())
-        setup = getattr(diag, "setup_seconds", None)
-        if setup is not None:
-            # MIA-DA reports its per-query bound setup separately.
-            m.observe_stage_seconds({"bound_setup": setup})
-            if tracer.enabled:
-                tracer.record_stages(
-                    qspan,
-                    {"bound_setup": setup, "selection": result.elapsed},
-                )
-        if key is not None:
-            self._results.put(key, result)
-        elapsed = time.perf_counter() - start
-        self._observe_latency(kind, elapsed)
-        return ServedResult(
-            result=result, elapsed=elapsed, cached=False, trace_id=trace_id
-        ), diag
+        """Every kind but heuristic: the result cache, then the index.
 
-    def _serve_trajectory(
-        self,
-        query: TrajectoryQuery,
-        start: float,
-        trace_id: str,
-        span,
-        cancel: Optional[threading.Event] = None,
-    ) -> Tuple[ServedResult, object]:
-        """Serve a trajectory: per-waypoint cache, one shared index call.
-
-        Each waypoint hits the result cache under its *point* key; the
-        misses go to the index together in one ``query_trajectory`` call
-        and are cached individually, so a trajectory warms the point
-        cache cell by cell.
+        The parts the cache misses go to the index together, in one
+        call.  The diagnostics are the index's own, None on a cache
+        hit, and one entry per waypoint for a trajectory.
         """
-        m = self.metrics
-        tracer = self.tracer
-        wps = query.waypoints
-        k = query.k
-        keys = [self._waypoint_key(wp, k) for wp in wps]
-        results: List[Optional[SeedResult]] = [None] * len(wps)
-        hits = 0
-        for i, key in enumerate(keys):
-            if key is not None:
-                hit = self._results.get(key)
-                if hit is not None:
-                    results[i] = hit
-                    hits += 1
-        missing = [i for i in range(len(wps)) if results[i] is None]
-        last_diag: object = None
+        keys = self._keys(query)
+        entries = [
+            None if key is None else self._results.get(key) for key in keys
+        ]
+        missing = [i for i, entry in enumerate(entries) if entry is None]
+        diags: List[object] = [None] * len(keys)
         if missing:
             try:
-                with tracer.span(
-                    "index.query", {"waypoints": len(missing)}
-                ) as qspan:
-                    answered = self.index.query_trajectory(
-                        [wps[i] for i in missing], k,
-                        return_diagnostics=True,
-                    )
+                answered = self._index_call(query, missing)
             except ReproError as exc:
-                if cancel is not None and cancel.is_set():
-                    m.inc("abandoned_queries_total")
-                    span.set_attribute("abandoned", True)
-                    return ServedResult(
-                        result=None,
-                        elapsed=time.perf_counter() - start,
-                        error=str(exc),
-                        trace_id=trace_id,
-                        abandoned=True,
-                    ), None
-                m.inc("errors")
-                span.set_attribute("error", str(exc))
-                if self.logger.enabled:
-                    self.logger.event(
-                        "error", trace_id=trace_id, message=str(exc)
-                    )
-                return ServedResult(
-                    result=None,
-                    elapsed=time.perf_counter() - start,
-                    error=str(exc),
-                    trace_id=trace_id,
-                ), None
-            if cancel is not None and cancel.is_set():
-                # As in the point path: the caller already holds the
-                # fallback, so stay out of the metrics and the cache.
-                m.inc("abandoned_queries_total")
-                span.set_attribute("abandoned", True)
-                return ServedResult(
-                    result=None,
-                    elapsed=time.perf_counter() - start,
-                    trace_id=trace_id,
-                    abandoned=True,
+                return self._served(
+                    query, start, trace_id, error=str(exc)
                 ), None
             for i, (result, diag) in zip(missing, answered):
-                results[i] = result
-                last_diag = diag
-                if result.samples_used is not None:
-                    m.observe("samples_used", result.samples_used)
-                if result.evaluations is not None:
-                    m.observe("evaluations", result.evaluations)
-                timings = getattr(diag, "timings", None)
-                if timings is not None:
-                    m.observe_stage_seconds(timings.as_dict(),
-                                            labels=self._stage_labels)
-                    if tracer.enabled:
-                        tracer.record_stages(qspan, timings.as_dict())
-                setup = getattr(diag, "setup_seconds", None)
-                if setup is not None:
-                    m.observe_stage_seconds({"bound_setup": setup})
-                if keys[i] is not None:
-                    self._results.put(keys[i], result)
-        m.inc("trajectory_waypoints_total", len(wps))
-        span.set_attribute("waypoints", len(wps))
-        span.set_attribute("waypoint_cache_hits", hits)
-        elapsed = time.perf_counter() - start
-        self._observe_latency("trajectory", elapsed)
-        if self.logger.enabled and hits:
-            self.logger.event(
-                "cache_hit", trace_id=trace_id, cache="result",
-                waypoints=hits,
-            )
-        return ServedResult(
-            result=results[-1],
-            elapsed=elapsed,
-            cached=hits == len(wps),
-            trace_id=trace_id,
-            waypoint_results=tuple(results),  # type: ignore[arg-type]
-        ), last_diag
+                entries[i] = (result, _guarantee(diag))
+                diags[i] = diag
+        results = tuple(result for result, _ in entries)
+        flags = [flag for _, flag in entries]
+        trajectory = isinstance(query, TrajectoryQuery)
+        served = self._served(
+            query, start, trace_id, result=results[-1], cached=not missing,
+            waypoint_results=results if trajectory else None,
+            guarantee_met=None if None in flags else all(flags),
+        )
+        return served, (tuple(diags) if trajectory else diags[0])
+
+    def _index_call(self, query: AnyQuery, missing: List[int]) -> list:
+        """``[(result, diag)]`` for the missing parts of one query.
+
+        The call runs in an ``index.query`` span that gets one child
+        span per selection stage.
+        """
+        n = self.network.n
+        with self.tracer.span("index.query") as qspan:
+            if isinstance(query, TrajectoryQuery):
+                qspan.set_attribute("waypoints", len(missing))
+                answered = self.index.query_trajectory(
+                    [query.waypoints[i] for i in missing], query.k,
+                    return_diagnostics=True,
+                )
+            elif isinstance(query, TargetedQuery):
+                answered = [self.index.query_masked(
+                    query.location, query.k, target_mask(query, n),
+                    return_diagnostics=True,
+                )]
+            elif isinstance(query, BudgetedQuery):
+                answered = [self.index.query_budgeted(
+                    query.location, query.budget, cost_array(query, n),
+                    return_diagnostics=True,
+                )]
+            else:
+                answered = [self.index.query(
+                    query.location, query.k, return_diagnostics=True
+                )]
+        if self.tracer.enabled:
+            for result, diag in answered:
+                self.tracer.record_stages(qspan, _span_stages(result, diag))
+        return answered
+
+    def _store(self, query: AnyQuery, served: ServedResult, diag) -> None:
+        """Cache the index answers a run computed, with their guarantee flags.
+
+        Cache hits, heuristic, fallback and error answers are never
+        stored: a later query in the same cell deserves the real index
+        answer, not a frozen heuristic.
+        """
+        if (self._results is None or served.result is None
+                or served.fallback_reason is not None):
+            return
+        for key, (result, part_diag) in zip(
+            self._keys(query), _parts(served, diag)
+        ):
+            if key is not None and part_diag is not None:
+                self._results.put(key, (result, _guarantee(part_diag)))
 
     def _serve_heuristic(
-        self,
-        query: HeuristicQuery,
-        start: float,
-        trace_id: str,
-        span,
+        self, query: HeuristicQuery, start: float, trace_id: str
     ) -> Tuple[ServedResult, object]:
-        """Serve an explicit heuristic-ladder request (never the index).
+        """An explicit heuristic-ladder request (never the index).
 
         The answer is tagged ``fallback_reason="requested"`` and never
         cached: like an overload fallback, its score is the heuristic's
-        own objective, not an Eq. 9 estimate, and must not shadow a real
-        index answer in the cache.
+        own objective, not an Eq. 9 estimate.  The diagnostics name the
+        ladder rung.
         """
-        m = self.metrics
         budget_s = (
             query.budget_ms / 1e3 if query.budget_ms is not None else None
         )
@@ -829,147 +780,132 @@ class QueryEngine:
                 budget_s=budget_s, level=query.level,
             )
         except ReproError as exc:
-            m.inc("errors")
-            span.set_attribute("error", str(exc))
-            return ServedResult(
-                result=None,
-                elapsed=time.perf_counter() - start,
-                error=str(exc),
-                trace_id=trace_id,
-            ), None
-        m.inc(labelled("heuristic_rung_total", rung=rung))
-        span.set_attribute("rung", rung)
-        elapsed = time.perf_counter() - start
-        self._observe_latency("heuristic", elapsed)
-        if self.logger.enabled:
-            self.logger.event(
-                "heuristic", trace_id=trace_id, rung=rung,
-                method=result.method, elapsed_ms=round(elapsed * 1e3, 3),
-            )
-        return ServedResult(
-            result=result, elapsed=elapsed, fallback_reason="requested",
-            trace_id=trace_id,
-        ), None
+            return self._served(query, start, trace_id, error=str(exc)), None
+        return self._served(
+            query, start, trace_id, result=result,
+            fallback_reason="requested",
+        ), {"rung": rung}
 
-    def _maybe_record_slow(
-        self,
-        location: Tuple[float, float],
-        k: int,
-        served: ServedResult,
-        diag: object,
-        elapsed_override: Optional[float] = None,
-    ) -> None:
-        sl = self.slow_log
-        if sl is None:
-            return
-        elapsed = (
-            elapsed_override if elapsed_override is not None
-            else served.elapsed
-        )
-        if not sl.should_record(elapsed):
-            return
-        self.metrics.inc("slow_queries_total")
-        spans = self.tracer.spans_for_trace(served.trace_id or "")
-        sl.record(
-            trace_id=served.trace_id or "",
-            location=location,
-            k=k,
-            elapsed_s=elapsed,
-            cached=served.cached,
-            fallback_reason=served.fallback_reason,
-            error=served.error,
-            diagnostics=diag,
-            spans=spans or None,
-        )
-        if self.logger.enabled:
-            self.logger.event(
-                "slow_query", trace_id=served.trace_id,
-                elapsed_ms=round(elapsed * 1e3, 3),
-                threshold_ms=sl.threshold_ms, sink=sl.path,
-            )
-
-    def _fallback(self, query: AnyQuery, reason: str) -> ServedResult:
-        start = time.perf_counter()
-        m = self.metrics
-        trace_id = new_trace_id()
-        kind = kind_of(query)
-        m.inc("timeouts" if reason == "timeout" else "fallback_triggers")
-        if self.config.fallback == "none":
-            if self.slo is not None:
-                self.slo.record_query(
-                    (self.config.timeout or 0.0) * 1e3, error=True,
-                )
-            return ServedResult(
-                result=None,
-                elapsed=time.perf_counter() - start,
-                error=f"query timed out after {self.config.timeout}s "
+    def _fallback(
+        self, query: AnyQuery, start: float, trace_id: str
+    ) -> Tuple[ServedResult, object]:
+        """The answer to a timed-out query, from the configured fallback."""
+        cfg = self.config
+        if cfg.fallback == "none":
+            return self._served(
+                query, start, trace_id, timed_out=True,
+                error=f"query timed out after {cfg.timeout}s "
                       f"(fallback disabled)",
-                trace_id=trace_id,
-            )
-        m.inc("fallbacks")
-        m.inc("serve_fallback_total")
+            ), None
         # A trajectory falls back at its *last* waypoint — the one whose
         # answer ServedResult.result carries; a budgeted query converts
         # its budget into the seed count it could at most afford.
         location = fallback_location(query)
         k = fallback_k(query, self.network.n)
-        with self.tracer.span(
-            "serve.fallback",
-            {"x": location[0], "y": location[1], "k": k, "kind": kind,
-             "reason": reason},
-            trace_id=trace_id,
-        ) as fspan:
-            try:
-                if self.config.fallback == "ladder":
-                    result, rung = heuristic_ladder(
-                        self.network, location, k, self.decay,
-                        budget_s=self.config.fallback_budget,
-                    )
-                    m.inc(labelled("heuristic_rung_total", rung=rung))
-                    fspan.set_attribute("rung", rung)
-                else:
-                    result = degree_discount(
-                        self.network, location, k, self.decay
-                    )
-            except ReproError as exc:
-                m.inc("errors")
-                if self.slo is not None:
-                    self.slo.record_query(
-                        (self.config.timeout or 0.0) * 1e3,
-                        fallback=True, error=True,
-                    )
-                return ServedResult(
-                    result=None,
-                    elapsed=time.perf_counter() - start,
-                    error=f"timeout, then fallback failed: {exc}",
-                    trace_id=trace_id,
+        rung = None
+        try:
+            if cfg.fallback == "ladder":
+                result, rung = heuristic_ladder(
+                    self.network, location, k, self.decay,
+                    budget_s=cfg.fallback_budget,
                 )
-        elapsed = time.perf_counter() - start
-        m.observe("fallback_latency_ms", elapsed * 1e3)
-        if self.logger.enabled:
-            self.logger.event(
-                "fallback", trace_id=trace_id, reason=reason,
-                method=result.method, elapsed_ms=round(elapsed * 1e3, 3),
+            else:
+                result = degree_discount(self.network, location, k, self.decay)
+        except ReproError as exc:
+            return self._served(
+                query, start, trace_id, timed_out=True,
+                fallback_reason="timeout",
+                error=f"timeout, then fallback failed: {exc}",
+            ), None
+        return self._served(
+            query, start, trace_id, result=result, timed_out=True,
+            fallback_reason="timeout",
+        ), (None if rung is None else {"rung": rung})
+
+    def _record(
+        self, query: AnyQuery, served: ServedResult, diag: object, span
+    ) -> None:
+        """Write one logical query to every sink, exactly once."""
+        m = self.metrics
+        count_served(m, served)
+        rung = None
+        if served.fallback_reason is not None:
+            rung = diag["rung"] if diag else None
+            if rung is not None:
+                m.inc(labelled("heuristic_rung_total", rung=rung))
+        elif served.result is not None:
+            for result, part_diag in _parts(served, diag):
+                if part_diag is None:
+                    continue
+                if result.samples_used is not None:
+                    m.observe("samples_used", result.samples_used)
+                if result.evaluations is not None:
+                    m.observe("evaluations", result.evaluations)
+                timings = getattr(part_diag, "timings", None)
+                if timings is not None:
+                    m.observe_stage_seconds(timings.as_dict(),
+                                            labels=self._stage_labels)
+                setup = getattr(part_diag, "setup_seconds", None)
+                if setup is not None:
+                    # MIA-DA reports its per-query bound setup separately.
+                    m.observe_stage_seconds({"bound_setup": setup})
+        # The root span has ended; its attribute dict is what the
+        # tracer exports, so the outcome still reaches the trace.
+        if served.cached:
+            span.set_attribute("cached", True)
+        if served.error is not None:
+            span.set_attribute("error", served.error)
+        if served.guarantee_met is not None:
+            span.set_attribute("guarantee_met", served.guarantee_met)
+        if rung is not None:
+            span.set_attribute("rung", rung)
+        # A timed-out query took at least the deadline it blew (its own
+        # computation may still be running).
+        elapsed = self.config.timeout if served.timed_out else served.elapsed
+        log = self.logger
+        if log.enabled:
+            tid = served.trace_id
+            if served.cached:
+                log.event("cache_hit", trace_id=tid, cache="result")
+            if served.error is not None:
+                log.event("error", trace_id=tid, message=served.error)
+            elif served.fallback:
+                log.event(
+                    "fallback", trace_id=tid, reason=served.fallback_reason,
+                    method=served.result.method, rung=rung,
+                )
+            log.event(
+                "query_end", trace_id=tid, kind=served.kind,
+                elapsed_ms=round(served.elapsed * 1e3, 3),
+                cached=served.cached, fallback=served.fallback,
+                error=served.error, guarantee_met=served.guarantee_met,
             )
-        # Fallback answers are never cached: a later, slower query in the
-        # same cell deserves the real index answer, not a frozen heuristic.
-        served = ServedResult(
-            result=result, elapsed=elapsed, fallback_reason=reason,
-            trace_id=trace_id,
-        )
-        # A timed-out query *is* a slow query: record it against the
-        # deadline it blew (its true latency is unknown — the abandoned
-        # thread is still running), not the fallback's own latency.
-        if reason == "timeout" and self.config.timeout is not None:
-            self._maybe_record_slow(
-                location, k, served, None,
-                elapsed_override=self.config.timeout,
+        sl = self.slow_log
+        if sl is not None and sl.should_record(elapsed):
+            m.inc("slow_queries_total")
+            sl.record(
+                trace_id=served.trace_id,
+                location=route_location(query),
+                k=getattr(query, "k", 0),
+                elapsed_s=elapsed,
+                cached=served.cached,
+                fallback_reason=served.fallback_reason,
+                error=served.error,
+                diagnostics=diag,
+                spans=self.tracer.spans_for_trace(served.trace_id) or None,
             )
+            if log.enabled:
+                log.event(
+                    "slow_query", trace_id=served.trace_id,
+                    elapsed_ms=round(elapsed * 1e3, 3),
+                    threshold_ms=sl.threshold_ms, sink=sl.path,
+                )
         if self.slo is not None:
-            # Same convention as the slow log: the query's latency is at
-            # least the deadline it blew, so burn against that.
+            # "requested" marks an explicit heuristic answer — the
+            # contract, not a degradation — so it does not burn the
+            # availability budget the way a timeout fallback does.
             self.slo.record_query(
-                (self.config.timeout or elapsed) * 1e3, fallback=True,
-                error=not served.ok,
+                elapsed * 1e3,
+                fallback=served.fallback_reason not in (None, "requested"),
+                error=served.error is not None,
             )
-        return served

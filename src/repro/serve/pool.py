@@ -30,15 +30,19 @@ republishes only the shared segments the update touched, and rotates
 workers one at a time onto the new generation; old workers drain their
 queued tasks before stopping, so no request fails during a rotation.
 
-Observability — the parent records routing metrics
-(``shard<i>_queries_total``, per-kind ``serve_queries_total{kind=...}``
-at routing time, ``worker_restarts_total``) and the end-to-end
-``latency_ms`` of every served query; each worker's own
-registry (cache hits, fallbacks, stage timings...) is merged into the
-parent's under the ``worker.`` prefix on :meth:`ServePool.close`.  With
-a tracer attached, each worker returns a ``pool.worker`` span dict per
-sub-batch that the parent re-parents under its ``pool.serve_batch``
-span via :meth:`~repro.obs.trace.Tracer.adopt`.
+Observability — each query is recorded once, by the worker engine
+that served it (:meth:`QueryEngine._record`).  The parent counts routing
+(``shard<i>_queries_total``, ``worker_restarts_total``) and applies
+:func:`~repro.serve.engine.count_served` to every returned
+:class:`ServedResult`, error results of a failed sub-batch included, so
+its ``queries_total``, ``serve_queries_total{kind=...}``, ``errors``,
+``latency_ms`` and ``guarantee_miss_total{kind=...}`` follow the same
+rules as an in-process engine.  Each worker's own registry (cache hits,
+stage timings...) is merged into the parent's under the ``worker.``
+prefix on :meth:`ServePool.close`.  With a tracer attached, each worker
+returns a ``pool.worker`` span dict per sub-batch that the parent
+re-parents under its ``pool.serve_batch`` span via
+:meth:`~repro.obs.trace.Tracer.adopt`.
 """
 
 from __future__ import annotations
@@ -52,13 +56,8 @@ import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import assemble_index, index_arrays
-from repro.core.querykind import (
-    AnyQuery,
-    kind_of,
-    normalize_query,
-    route_location,
-)
-from repro.exceptions import QueryError, ServeError
+from repro.core.querykind import AnyQuery, kind_of, route_location
+from repro.exceptions import ServeError
 from repro.geo.grid import UniformGrid
 from repro.geo.point import BoundingBox, PointLike
 from repro.network.graph import GeoSocialNetwork
@@ -72,8 +71,8 @@ from repro.obs.trace import (
     wall_now,
     worker_span,
 )
-from repro.serve.engine import QueryEngine, ServeConfig, ServedResult
-from repro.serve.metrics import MetricsRegistry, labelled, record_staleness
+from repro.serve.engine import QueryEngine, ServeConfig, ServedResult, count_served, unpack_query
+from repro.serve.metrics import MetricsRegistry, record_staleness
 from repro.serve.shared import SharedIndexArrays, SharedIndexManifest, attach_index
 
 #: How long the collector waits on the result queue before checking
@@ -232,6 +231,11 @@ def _worker_main(
     finally:
         if profiler is not None:
             profiler.stop()
+        # Timed-out queries may still run on the engine's batch threads,
+        # reading the shared arrays: unmap them only once those finish.
+        for thread in threading.enumerate():
+            if thread.name.startswith("repro-serve"):
+                thread.join(timeout=_JOIN_SECONDS)
         handle.close()
 
 
@@ -390,7 +394,7 @@ class ServePool:
         if self._closed:
             raise ServeError("pool is closed")
         self._metrics_merged = False
-        items = [self._unpack(q, k) for q in queries]
+        items = [unpack_query(q, k) for q in queries]
         if not items:
             return []
         log = self.logger
@@ -399,14 +403,12 @@ class ServePool:
                 "pool_serve_start", queries=len(items),
                 workers=self.n_workers,
             )
+        start = time.perf_counter()
         by_worker: Dict[int, List[Tuple[int, AnyQuery]]] = {}
         for i, query in enumerate(items):
             # Trajectories route by their first waypoint's cell.
             shard = self.router.shard_of(route_location(query))
             self.metrics.inc(f"shard{shard}_queries_total")
-            self.metrics.inc(
-                labelled("serve_queries_total", kind=kind_of(query))
-            )
             by_worker.setdefault(shard, []).append((i, query))
 
         out: List[Optional[ServedResult]] = [None] * len(items)
@@ -434,16 +436,17 @@ class ServePool:
                     self.tracer.adopt(spans)
                 if status == "err":
                     self.metrics.inc("worker_errors_total")
-                    for idx, _q in sub:
-                        out[idx] = ServedResult(
-                            result=None, elapsed=0.0,
+                    elapsed = time.perf_counter() - start
+                    payload = [
+                        (idx, ServedResult(
+                            result=None, elapsed=elapsed, kind=kind_of(q),
                             error=f"worker {wid} failed: {payload}",
-                        )
-                    continue
+                        ))
+                        for idx, q in sub
+                    ]
                 for idx, served in payload:
                     out[idx] = served
-                    self.metrics.inc("queries_total")
-                    self.metrics.observe("latency_ms", served.elapsed * 1e3)
+                    count_served(self.metrics, served)
         if log.enabled:
             log.event(
                 "pool_serve_end", queries=len(items),
@@ -487,12 +490,6 @@ class ServePool:
             for task_id, wid, sub in stranded:
                 del pending[task_id]
                 self._submit(wid, sub, ctx, pending)
-
-    def _unpack(self, q, k) -> AnyQuery:
-        try:
-            return normalize_query(q, k)
-        except QueryError as exc:
-            raise ServeError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # Streaming maintenance

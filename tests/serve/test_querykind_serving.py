@@ -334,7 +334,7 @@ class TestPoolKinds:
         assert all(s.ok for s in pooled), [s.error for s in pooled]
         for s1, sp in zip(single, pooled):
             assert list(s1.result.seeds) == list(sp.result.seeds)
-        # The parent counts kinds at routing time.
+        # The parent counts kinds from the replies.
         for kind in ("point", "trajectory", "targeted", "budgeted",
                      "heuristic"):
             name = labelled("serve_queries_total", kind=kind)
