@@ -27,11 +27,6 @@ from repro.obs.env import runtime_info
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Repo root; machine-readable bench files are mirrored here so CI
-#: artifact globs and release tooling pick them up without digging into
-#: benchmarks/results/.
-REPO_ROOT = Path(__file__).parent.parent
-
 #: The paper's four datasets, smallest to largest.
 DATASETS = ("brightkite", "gowalla", "twitter", "foursquare")
 
@@ -73,8 +68,7 @@ def emit_json(
     ``test_query_throughput``) each contribute a section to one
     machine-readable file, so partial runs update their own section
     without clobbering the others.  An unreadable existing file is
-    replaced rather than crashing the benchmark.  The merged file is
-    mirrored to the repo root (same name) for artifact collection.
+    replaced rather than crashing the benchmark.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
@@ -90,9 +84,9 @@ def emit_json(
     # Stamp the machine context so results files are comparable across
     # hosts (python/numpy/BLAS/CPU are the variables that move numbers).
     data["environment"] = runtime_info()
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8")
-    (REPO_ROOT / f"{name}.json").write_text(text, encoding="utf-8")
+    path.write_text(
+        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     print(f"\n=== {name}.json [{section}] updated ===\n")
 
 

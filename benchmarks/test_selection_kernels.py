@@ -1,14 +1,13 @@
 """Selection-kernel microbenchmark: vectorized cover vs the pre-PR kernel.
 
 Times the uncached online selection path — the part of a query that
-remains after index lookup and caching — across four variants over the
+remains after index lookup and caching — across five variants over the
 same corpus and queries:
 
 * ``reference``: the pre-PR kernel (``repro.ris.reference``): add.at
   score build, per-sample Python decrement, per-iteration bound;
 * ``eager``: the new default serving path (bincount build, batched
   decrement, ``compute_bound=False``);
-* ``lazy``: the CELF variant of the same kernels;
 * ``eager+bound``: the new kernels with the full per-iteration bound
   (what certification pays);
 * ``eager+obs(off)``: the default path wrapped in the *disabled* tracer
@@ -21,9 +20,8 @@ same corpus and queries:
   query (the CLI serves with SLO tracking on by default).
 
 On hosts where the optional numba extra resolves (see
-:mod:`repro.kernels`), two more variants run — ``eager@numba`` and
-``lazy@numba`` — with the same seed-parity gate against the reference
-kernel, plus a compiled-vs-numpy bar: the combined
+:mod:`repro.kernels`), one more variant runs — ``eager@numba`` — with
+the same seed-parity gate against the reference kernel, plus a compiled-vs-numpy bar: the combined
 ``score_build + selection`` stage median must be >= 3x faster compiled
 (standard workload only; first-call JIT compilation happens in the
 warm-up pass, outside the timed region).
@@ -91,9 +89,7 @@ def _eager_obs_off(corpus, w, k):
     tracer = NULL_TRACER
     with tracer.span("serve.query", {"k": k}) as span:
         with tracer.span("index.query") as qspan:
-            result = weighted_greedy_cover(
-                corpus, w, k, compute_bound=False, method="eager"
-            )
+            result = weighted_greedy_cover(corpus, w, k, compute_bound=False)
             tracer.record_stages(qspan, result.timings.as_dict())
         span.set_attribute("cached", False)
         span.set_attribute("fallback", False)
@@ -140,13 +136,10 @@ def test_selection_kernel_speedup():
     variants = {
         "reference": lambda w: reference_greedy_cover(corpus, w, K),
         "eager": lambda w: weighted_greedy_cover(
-            corpus, w, K, compute_bound=False, method="eager"
-        ),
-        "lazy": lambda w: weighted_greedy_cover(
-            corpus, w, K, compute_bound=False, method="lazy"
+            corpus, w, K, compute_bound=False
         ),
         "eager+bound": lambda w: weighted_greedy_cover(
-            corpus, w, K, compute_bound=True, method="eager"
+            corpus, w, K, compute_bound=True
         ),
         "eager+obs(off)": lambda w: _eager_obs_off(corpus, w, K),
         "eager+prof(off)": lambda w: _eager_prof_off(corpus, w, K, slo),
@@ -154,10 +147,7 @@ def test_selection_kernel_speedup():
     numba_on = resolve_backend("auto") == "numba"
     if numba_on:
         variants["eager@numba"] = lambda w: weighted_greedy_cover(
-            corpus, w, K, compute_bound=False, method="eager", backend="numba"
-        )
-        variants["lazy@numba"] = lambda w: weighted_greedy_cover(
-            corpus, w, K, compute_bound=False, method="lazy", backend="numba"
+            corpus, w, K, compute_bound=False, backend="numba"
         )
 
     # Warm shared lazy state (flat layout, inverted index) so no variant

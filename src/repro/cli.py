@@ -299,7 +299,6 @@ def cmd_build_ris(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         max_index_samples=args.max_samples,
         seed=args.seed,
-        selection=args.selection,
         kernel_backend=args.kernel_backend,
     )
     with _ObsSession(args):
@@ -674,11 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--max-samples", type=int, default=300_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--selection", choices=("eager", "lazy"), default="eager",
-        help="greedy-cover kernel: eager argmax scan (default) or "
-             "CELF-style lazy heap; both select identical seed sets",
-    )
     _add_kernel_backend_arg(p, default="auto")
     _add_obs_args(p, alloc=True)
     p.set_defaults(func=cmd_build_ris)

@@ -66,7 +66,7 @@ def multi_location_query(
     One plan of the shared RIS-DA body: sample sizing uses
     ``max_i L_{q_i}^k`` (a valid lower bound of ``OPT_Q^k``), the weights
     are :func:`multi_location_weights`, and the greedy runs once under
-    the index's selection kernel and backend.
+    the index's kernel backend.
     """
     # Deferred: repro.core.ris_da imports this module.
     from repro.core.ris_da import _Plan

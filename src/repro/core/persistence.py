@@ -29,15 +29,17 @@ deserialising the ``.npz`` once per process.
 from __future__ import annotations
 
 import json
+import operator
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
 from repro.core.bounds import AnchorBounds, RegionBounds
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.core.ris_da import RisDaConfig, RisDaIndex
-from repro.exceptions import DataFormatError
+from repro.exceptions import DataFormatError, GeometryError, QueryError
 from repro.geo.grid import UniformGrid
 from repro.geo.kdtree import KDTree
 from repro.geo.weights import DistanceDecay
@@ -64,6 +66,39 @@ def _with_npz_suffix(path: PathLike) -> Path:
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
     return path
+
+
+@contextmanager
+def _malformed(source: str) -> Iterator[None]:
+    """Turn a missing or mistyped meta field or array into a typed error.
+
+    Wraps the parse phase of the ``assemble_*`` loaders: a hand-edited,
+    truncated or foreign file must fail with :class:`DataFormatError`
+    naming the problem, never a bare ``KeyError``/``TypeError`` — nor
+    load and fail later, at query time.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise DataFormatError(f"{source} is missing field {exc}") from exc
+    except (TypeError, ValueError, QueryError, GeometryError) as exc:
+        raise DataFormatError(f"{source} is malformed: {exc}") from exc
+
+
+def _check_graph(meta: dict, network: GeoSocialNetwork) -> None:
+    if meta["n_nodes"] != network.n or meta["n_edges"] != network.m:
+        raise DataFormatError(
+            f"index was built over a graph with {meta['n_nodes']} nodes "
+            f"/ {meta['n_edges']} edges; got {network.n} / {network.m}"
+        )
+
+
+def _decay(meta: dict) -> DistanceDecay:
+    return DistanceDecay(
+        c=float(meta["decay"]["c"]),
+        alpha=float(meta["decay"]["alpha"]),
+        metric=meta["decay"]["metric"],
+    )
 
 
 def peek_index_kind(path: PathLike) -> str:
@@ -187,7 +222,6 @@ def ris_index_arrays(
             "lb_k_grid": index.config.lb_k_grid,
             "diffusion": index.config.diffusion,
             "seed": index.config.seed,
-            "selection": index.config.selection,
             "kernel_backend": index.config.kernel_backend,
         },
     }
@@ -266,42 +300,44 @@ def assemble_ris_index(
         raise DataFormatError(
             f"unsupported index format {meta.get('format_version')!r}"
         )
-    if meta["n_nodes"] != network.n or meta["n_edges"] != network.m:
-        raise DataFormatError(
-            f"index was built over a graph with {meta['n_nodes']} nodes "
-            f"/ {meta['n_edges']} edges; got {network.n} / {network.m}"
+    with _malformed(source):
+        _check_graph(meta, network)
+        pivots = arrays["pivots"]
+        pivot_estimates = arrays["pivot_estimates"]
+        pivot_lower_bounds = arrays["pivot_lower_bounds"]
+        roots = arrays["corpus_roots"]
+        flat = arrays["corpus_flat"]
+        offsets = arrays["corpus_offsets"]
+        decay = _decay(meta)
+        cfg_raw = meta["config"]
+        config = RisDaConfig(
+            k_max=cfg_raw["k_max"],
+            n_pivots=cfg_raw["n_pivots"],
+            epsilon_pivot=cfg_raw["epsilon_pivot"],
+            delta_pivot=cfg_raw["delta_pivot"],
+            epsilon=cfg_raw["epsilon"],
+            delta=cfg_raw["delta"],
+            pivot_strategy=cfg_raw["pivot_strategy"],
+            max_index_samples=cfg_raw["max_index_samples"],
+            lb_k_grid=cfg_raw["lb_k_grid"],
+            diffusion=cfg_raw.get("diffusion", "ic"),
+            seed=cfg_raw["seed"],
+            # The *request* is persisted; each loading host resolves it
+            # locally (answers are backend-invariant, speed is not).
+            kernel_backend=cfg_raw.get("kernel_backend", "auto"),
         )
-    pivots = arrays["pivots"]
-    pivot_estimates = arrays["pivot_estimates"]
-    pivot_lower_bounds = arrays["pivot_lower_bounds"]
-    roots = arrays["corpus_roots"]
-    flat = arrays["corpus_flat"]
-    offsets = arrays["corpus_offsets"]
-
-    decay = DistanceDecay(
-        c=float(meta["decay"]["c"]),
-        alpha=float(meta["decay"]["alpha"]),
-        metric=meta["decay"]["metric"],
-    )
-    cfg_raw = meta["config"]
-    config = RisDaConfig(
-        k_max=cfg_raw["k_max"],
-        n_pivots=cfg_raw["n_pivots"],
-        epsilon_pivot=cfg_raw["epsilon_pivot"],
-        delta_pivot=cfg_raw["delta_pivot"],
-        epsilon=cfg_raw["epsilon"],
-        delta=cfg_raw["delta"],
-        pivot_strategy=cfg_raw["pivot_strategy"],
-        max_index_samples=cfg_raw["max_index_samples"],
-        lb_k_grid=cfg_raw["lb_k_grid"],
-        diffusion=cfg_raw.get("diffusion", "ic"),
-        seed=cfg_raw["seed"],
-        # Pre-kernel-PR files carry no selection field: they were eager.
-        selection=cfg_raw.get("selection", "eager"),
-        # The *request* is persisted; each loading host resolves it
-        # locally (answers are backend-invariant, speed is not).
-        kernel_backend=cfg_raw.get("kernel_backend", "auto"),
-    )
+        # operator.index: a JSON string or float here is a bad file.
+        k_max = operator.index(meta["k_max"])
+        truncated = bool(meta["truncated"])
+        index_samples_required = int(meta["index_samples_required"])
+        generation = int(meta.get("generation", 0))
+        for name, table in (("pivot_estimates", pivot_estimates),
+                            ("pivot_lower_bounds", pivot_lower_bounds)):
+            if table.shape != (len(pivots), k_max):
+                raise ValueError(
+                    f"{name} has shape {table.shape}, expected "
+                    f"({len(pivots)}, {k_max}) for k_max={k_max}"
+                )
 
     # Assemble the object without re-running the build.
     index = RisDaIndex.__new__(RisDaIndex)
@@ -320,11 +356,11 @@ def assemble_ris_index(
     index.corpus.inverted()  # pay the inverted-index cost at load time
     index.pivot_estimates = pivot_estimates
     index.pivot_lower_bounds = pivot_lower_bounds
-    index.k_max = int(meta["k_max"])
-    index.truncated = bool(meta["truncated"])
-    index.index_samples_required = int(meta["index_samples_required"])
+    index.k_max = k_max
+    index.truncated = truncated
+    index.index_samples_required = index_samples_required
     index.voronoi = None  # only needed during construction
-    index.generation = int(meta.get("generation", 0))
+    index.generation = generation
     index.pivot_seconds = 0.0
     index.voronoi_seconds = 0.0
     index.build_seconds = 0.0
@@ -439,41 +475,34 @@ def assemble_mia_index(
         raise DataFormatError(
             f"unsupported MIA index format {meta.get('format_version')!r}"
         )
-    if meta["n_nodes"] != network.n or meta["n_edges"] != network.m:
-        raise DataFormatError(
-            f"index was built over a graph with {meta['n_nodes']} nodes "
-            f"/ {meta['n_edges']} edges; got {network.n} / {network.m}"
+    with _malformed(source):
+        _check_graph(meta, network)
+        flat = (
+            arrays["tree_members"],
+            arrays["tree_parents"],
+            arrays["tree_edge_probs"],
+            arrays["tree_path_probs"],
+            arrays["tree_offsets"],
         )
-    flat = (
-        arrays["tree_members"],
-        arrays["tree_parents"],
-        arrays["tree_edge_probs"],
-        arrays["tree_path_probs"],
-        arrays["tree_offsets"],
-    )
-    anchors = arrays["anchors"]
-    anchor_influence = arrays["anchor_influence"]
-    anchor_mass = arrays["anchor_mass"]
-    region_nodes = arrays["region_nodes"]
-    region_cells = arrays["region_cells"]
-    region_masses = arrays["region_masses"]
-    region_offsets = arrays["region_offsets"]
-
-    decay = DistanceDecay(
-        c=float(meta["decay"]["c"]),
-        alpha=float(meta["decay"]["alpha"]),
-        metric=meta["decay"]["metric"],
-    )
-    cfg_raw = meta["config"]
-    config = MiaDaConfig(
-        theta=cfg_raw["theta"],
-        n_anchors=cfg_raw["n_anchors"],
-        tau=cfg_raw["tau"],
-        n_heavy=cfg_raw["n_heavy"],
-        anchor_strategy=cfg_raw["anchor_strategy"],
-        seed=cfg_raw["seed"],
-        n_workers=cfg_raw.get("n_workers", 1),
-    )
+        anchors = arrays["anchors"]
+        anchor_influence = arrays["anchor_influence"]
+        anchor_mass = arrays["anchor_mass"]
+        region_nodes = arrays["region_nodes"]
+        region_cells = arrays["region_cells"]
+        region_masses = arrays["region_masses"]
+        region_offsets = arrays["region_offsets"]
+        decay = _decay(meta)
+        cfg_raw = meta["config"]
+        config = MiaDaConfig(
+            theta=cfg_raw["theta"],
+            n_anchors=cfg_raw["n_anchors"],
+            tau=cfg_raw["tau"],
+            n_heavy=cfg_raw["n_heavy"],
+            anchor_strategy=cfg_raw["anchor_strategy"],
+            seed=cfg_raw["seed"],
+            n_workers=cfg_raw.get("n_workers", 1),
+        )
+        generation = int(meta.get("generation", 0))
     model = MiaModel.from_flat_trees(network, config.theta, flat)
 
     # Assemble the bound structures without recomputing any influences.
@@ -509,6 +538,6 @@ def assemble_mia_index(
     index.model = model
     index.anchor_bounds = anchor_bounds
     index.region_bounds = region_bounds
-    index.generation = int(meta.get("generation", 0))
+    index.generation = generation
     index.build_seconds = 0.0
     return index

@@ -78,12 +78,6 @@ class RisDaConfig:
     ``max_index_samples`` caps the pool size (memory valve; see module
     docs).
 
-    ``selection`` picks the greedy-cover kernel for both the pivot phase
-    and online queries: ``"eager"`` (default; argmax scan, reproducible
-    reference) or ``"lazy"`` (CELF-style stale-gain heap).  Both select
-    identical seed sets up to exact float ties — see
-    :func:`repro.ris.coverage.weighted_greedy_cover`.
-
     ``kernel_backend`` requests the native-kernel backend for the hot
     loops (selection and the coupled sampler traversal): ``"auto"``
     (default; numba when importable and warm, else numpy), ``"numpy"``
@@ -104,7 +98,6 @@ class RisDaConfig:
     lb_k_grid: int = 8
     diffusion: str = "ic"
     seed: int = 0
-    selection: str = "eager"
     kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -123,10 +116,6 @@ class RisDaConfig:
             )
         if self.max_index_samples <= 0:
             raise QueryError("max_index_samples must be positive")
-        if self.selection not in ("eager", "lazy"):
-            raise QueryError(
-                f"selection must be 'eager' or 'lazy', got {self.selection!r}"
-            )
         if self.kernel_backend not in ("auto", "numpy", "numba"):
             raise QueryError(
                 "kernel_backend must be 'auto', 'numpy' or 'numba', "
@@ -318,7 +307,7 @@ class RisDaIndex:
                 # certification bound — skip the per-iteration partitions.
                 cover = weighted_greedy_cover(
                     self.corpus, weights[self.corpus.roots[:l_p]], k_max,
-                    prefix=l_p, compute_bound=False, method=cfg.selection,
+                    prefix=l_p, compute_bound=False,
                     backend=self.kernel_backend,
                 )
                 # Greedy is nested: prefix estimates give the whole k curve.
@@ -651,14 +640,12 @@ class RisDaIndex:
                 # draws its own fresh samples and requests it there).
                 cover = weighted_greedy_cover(
                     self.corpus, weights, plan.k, prefix=l_used,
-                    compute_bound=False, method=cfg.selection,
-                    backend=self.kernel_backend,
+                    compute_bound=False, backend=self.kernel_backend,
                 )
             else:
                 cover = weighted_budgeted_cover(
                     self.corpus, weights, plan.costs, plan.budget,
-                    prefix=l_used, method=cfg.selection,
-                    backend=self.kernel_backend,
+                    prefix=l_used, backend=self.kernel_backend,
                 )
             elapsed = sizing + (time.perf_counter() - start)
             result = SeedResult(

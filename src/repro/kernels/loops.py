@@ -21,10 +21,6 @@ Parity contracts (pinned by ``tests/kernels``):
   order, like the decrement ``bincount``) and subtracted from the score
   once.  Argmax ties break toward the lowest node id (first maximum),
   exactly like ``np.argmax``.
-* The heap loops only need to be *correct* binary heaps, not replicas of
-  ``heapq``'s sift order: heap entries are distinct ``(gain, node)``
-  pairs (each node appears at most once), so the pop sequence — and
-  therefore the CELF selection — is identical for any valid heap.
 * :func:`coupled_batch` replays the SplitMix64 coin domain of
   :class:`repro.ris.coupled.CoupledRRSampler` bit-for-bit: every coin is
   a pure integer hash of ``(seed, key, edge endpoints)``, independent of
@@ -55,14 +51,10 @@ _S11 = np.uint64(11)
 #: jit_module-style rebinding leaves no plain-Python callee behind).
 KERNEL_NAMES = (
     "mix64",
-    "heap_less",
-    "sift_down",
     "cover_decrement",
     "score_build",
     "greedy_select",
-    "lazy_select",
     "budgeted_eager_select",
-    "budgeted_lazy_select",
     "coupled_batch",
 )
 
@@ -72,36 +64,6 @@ def mix64(z):
     z = (z ^ (z >> _S30)) * _M1
     z = (z ^ (z >> _S27)) * _M2
     return z ^ (z >> _S31)
-
-
-def heap_less(g1, n1, g2, n2):
-    """Lexicographic ``(neg_gain, node)`` order — ``heapq`` tuple order."""
-    if g1 < g2:
-        return True
-    if g1 > g2:
-        return False
-    return n1 < n2
-
-
-def sift_down(hg, hn, pos, size):
-    """Restore the min-heap property below ``pos`` (textbook sift)."""
-    g = hg[pos]
-    u = hn[pos]
-    while True:
-        child = 2 * pos + 1
-        if child >= size:
-            break
-        right = child + 1
-        if right < size and heap_less(hg[right], hn[right], hg[child], hn[child]):
-            child = right
-        if heap_less(hg[child], hn[child], g, u):
-            hg[pos] = hg[child]
-            hn[pos] = hn[child]
-            pos = child
-        else:
-            break
-    hg[pos] = g
-    hn[pos] = u
 
 
 def score_build(flat, offsets, weights, l, n):
@@ -193,75 +155,6 @@ def greedy_select(
     return seeds, gains, n_sel, covered_weight
 
 
-def lazy_select(
-    flat, offsets, inv_samples, inv_offsets, weights, score, l, k, drift_rtol
-):
-    """CELF lazy greedy: max-heap of stale gains, re-evaluated on pop.
-
-    Same return contract as :func:`greedy_select`; selects the identical
-    seed set (scores only decrease, ties break toward the lowest node).
-    """
-    n = score.shape[0]
-    hg = np.empty(n, dtype=np.float64)
-    hn = np.empty(n, dtype=np.int64)
-    hsize = 0
-    for v in range(n):
-        if score[v] > 0.0:
-            hg[hsize] = -score[v]
-            hn[hsize] = v
-            hsize += 1
-    for i in range(hsize // 2 - 1, -1, -1):
-        sift_down(hg, hn, i, hsize)
-
-    covered = np.zeros(l, dtype=np.bool_)
-    seen = np.zeros(n, dtype=np.bool_)
-    dec = np.zeros(n, dtype=np.float64)
-    touched = np.empty(n, dtype=np.int64)
-    seeds = np.empty(k, dtype=np.int64)
-    gains = np.zeros(k, dtype=np.float64)
-    covered_weight = 0.0
-    n_sel = 0
-    for it in range(k):
-        # Refresh the top: pop entries whose stored gain went stale and
-        # re-push them at their current value; a fresh top is the true
-        # maximum (scores only decrease).
-        while hsize > 0:
-            u = hn[0]
-            current = score[u]
-            if -hg[0] <= current:
-                break
-            if current <= 0.0:
-                hsize -= 1
-                if hsize > 0:
-                    hg[0] = hg[hsize]
-                    hn[0] = hn[hsize]
-                    sift_down(hg, hn, 0, hsize)
-            else:
-                hg[0] = -current
-                sift_down(hg, hn, 0, hsize)
-        if hsize == 0:
-            break
-        u = hn[0]
-        gain = -hg[0]
-        hsize -= 1
-        if hsize > 0:
-            hg[0] = hg[hsize]
-            hn[0] = hn[hsize]
-            sift_down(hg, hn, 0, hsize)
-        if gain <= drift_rtol * covered_weight:
-            break
-        seeds[n_sel] = u
-        gains[n_sel] = gain
-        n_sel += 1
-        covered_weight += gain
-        cover_decrement(
-            flat, offsets, inv_samples, inv_offsets, weights, score,
-            covered, seen, dec, touched, u, l,
-        )
-        score[u] = -np.inf
-    return seeds, gains, n_sel, covered_weight
-
-
 def budgeted_eager_select(
     flat, offsets, inv_samples, inv_offsets, weights, score, costs,
     budget, l, drift_rtol,
@@ -301,90 +194,6 @@ def budgeted_eager_select(
         gain = score[u]
         if not np.isfinite(best):
             break
-        if gain <= drift_rtol * covered_weight:
-            break
-        seeds[n_sel] = u
-        gains[n_sel] = gain
-        n_sel += 1
-        covered_weight += gain
-        cost_spent += costs[u]
-        remaining -= costs[u]
-        cover_decrement(
-            flat, offsets, inv_samples, inv_offsets, weights, score,
-            covered, seen, dec, touched, u, l,
-        )
-        score[u] = -np.inf
-    return seeds, gains, n_sel, covered_weight, cost_spent
-
-
-def budgeted_lazy_select(
-    flat, offsets, inv_samples, inv_offsets, weights, score, costs,
-    budget, l, drift_rtol,
-):
-    """Cost-aware ratio greedy, CELF heap (mirrors the numpy kernel).
-
-    Stored ratios only go stale downward (scores decrease, costs fixed);
-    unaffordable nodes are dropped permanently — the remaining budget
-    never grows back.  Same return contract as
-    :func:`budgeted_eager_select`.
-    """
-    n = score.shape[0]
-    hg = np.empty(n, dtype=np.float64)
-    hn = np.empty(n, dtype=np.int64)
-    hsize = 0
-    for v in range(n):
-        if score[v] > 0.0:
-            hg[hsize] = -score[v] / costs[v]
-            hn[hsize] = v
-            hsize += 1
-    for i in range(hsize // 2 - 1, -1, -1):
-        sift_down(hg, hn, i, hsize)
-
-    covered = np.zeros(l, dtype=np.bool_)
-    seen = np.zeros(n, dtype=np.bool_)
-    dec = np.zeros(n, dtype=np.float64)
-    touched = np.empty(n, dtype=np.int64)
-    seeds = np.empty(n, dtype=np.int64)
-    gains = np.zeros(n, dtype=np.float64)
-    covered_weight = 0.0
-    remaining = budget
-    cost_spent = 0.0
-    n_sel = 0
-    while True:
-        u = -1
-        while hsize > 0:
-            u0 = hn[0]
-            if costs[u0] > remaining:
-                hsize -= 1
-                if hsize > 0:
-                    hg[0] = hg[hsize]
-                    hn[0] = hn[hsize]
-                    sift_down(hg, hn, 0, hsize)
-                u = -1
-                continue
-            current = score[u0] / costs[u0]
-            if -hg[0] <= current:
-                u = u0
-                break
-            if current <= 0.0:
-                hsize -= 1
-                if hsize > 0:
-                    hg[0] = hg[hsize]
-                    hn[0] = hn[hsize]
-                    sift_down(hg, hn, 0, hsize)
-                u = -1
-            else:
-                hg[0] = -current
-                sift_down(hg, hn, 0, hsize)
-                u = u0
-        if hsize == 0 or u < 0:
-            break
-        hsize -= 1
-        if hsize > 0:
-            hg[0] = hg[hsize]
-            hn[0] = hn[hsize]
-            sift_down(hg, hn, 0, hsize)
-        gain = score[u]
         if gain <= drift_rtol * covered_weight:
             break
         seeds[n_sel] = u

@@ -42,9 +42,7 @@ class KernelSet:
     name: str
     score_build: Callable
     greedy_select: Callable
-    lazy_select: Callable
     budgeted_eager_select: Callable
-    budgeted_lazy_select: Callable
     coupled_batch: Callable
 
 
@@ -103,30 +101,23 @@ def _warmup(ks: KernelSet, interpreted) -> None:
 
     score_ref = interpreted.score_build(flat, offsets, weights, l, n)
     check("score_build", ks.score_build(flat, offsets, weights, l, n), score_ref)
-    for label, comp_fn, ref_fn in (
-        ("greedy_select", ks.greedy_select, interpreted.greedy_select),
-        ("lazy_select", ks.lazy_select, interpreted.lazy_select),
-    ):
-        check(
-            label,
-            comp_fn(flat, offsets, inv_samples, inv_offsets, weights,
-                    score_ref.copy(), l, 3, 1e-12),
-            ref_fn(flat, offsets, inv_samples, inv_offsets, weights,
-                   score_ref.copy(), l, 3, 1e-12),
-        )
-    for label, comp_fn, ref_fn in (
-        ("budgeted_eager_select", ks.budgeted_eager_select,
-         interpreted.budgeted_eager_select),
-        ("budgeted_lazy_select", ks.budgeted_lazy_select,
-         interpreted.budgeted_lazy_select),
-    ):
-        check(
-            label,
-            comp_fn(flat, offsets, inv_samples, inv_offsets, weights,
-                    score_ref.copy(), costs, 3.5, l, 1e-12),
-            ref_fn(flat, offsets, inv_samples, inv_offsets, weights,
-                   score_ref.copy(), costs, 3.5, l, 1e-12),
-        )
+    check(
+        "greedy_select",
+        ks.greedy_select(flat, offsets, inv_samples, inv_offsets, weights,
+                         score_ref.copy(), l, 3, 1e-12),
+        interpreted.greedy_select(flat, offsets, inv_samples, inv_offsets,
+                                  weights, score_ref.copy(), l, 3, 1e-12),
+    )
+    check(
+        "budgeted_eager_select",
+        ks.budgeted_eager_select(flat, offsets, inv_samples, inv_offsets,
+                                 weights, score_ref.copy(), costs, 3.5, l,
+                                 1e-12),
+        interpreted.budgeted_eager_select(flat, offsets, inv_samples,
+                                          inv_offsets, weights,
+                                          score_ref.copy(), costs, 3.5, l,
+                                          1e-12),
+    )
     # Tiny 5-node ring for the coupled traversal (every edge p=0.6).
     in_offsets = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
     in_sources = np.array([4, 0, 1, 2, 3], dtype=np.int64)
@@ -195,9 +186,7 @@ def _load_numba() -> KernelSet:
             name="numba",
             score_build=compiled["score_build"],
             greedy_select=compiled["greedy_select"],
-            lazy_select=compiled["lazy_select"],
             budgeted_eager_select=compiled["budgeted_eager_select"],
-            budgeted_lazy_select=compiled["budgeted_lazy_select"],
             coupled_batch=compiled["coupled_batch"],
         )
         _warmup(ks, _Interpreted())

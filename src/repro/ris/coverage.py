@@ -7,8 +7,10 @@ the unbiased DAIM spread estimate (Eq. 9)::
 
     I_hat_q(S) = n * (sum of omega_i over samples covered by S) / l
 
-The selection path is built from flat numpy kernels (this is the hot
-online path — see DESIGN.md, "Selection kernels"):
+Two objectives share one residual-score state (:class:`_Residual`): the
+top-``k`` cover picks the argmax score, the budgeted cover the affordable
+argmax ``score / cost``.  The state is built from flat numpy kernels
+(this is the hot online path — see DESIGN.md, "Selection kernels"):
 
 * the initial score array is one weighted ``np.bincount`` over the flat
   member prefix (not ``np.add.at``, which takes a slow generalized
@@ -21,9 +23,7 @@ online path — see DESIGN.md, "Selection kernels"):
   positions are subtracted with one weighted ``bincount``;
 * the per-iteration submodular certification bound (a ``np.partition``
   over all ``n`` scores) is **opt-in** via ``compute_bound`` — the
-  default serving path runs without it, certification requests it;
-* a CELF-style lazy greedy (``method="lazy"``) trades the per-iteration
-  ``argmax`` scan for a max-heap of stale gains.
+  default serving path runs without it, certification requests it.
 
 Float caveat: the batched decrement subtracts each node's pre-summed
 total where the old per-sample loop subtracted one weight at a time, so
@@ -44,18 +44,14 @@ once when the sample first becomes covered (batched decrement).
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List
 
 import numpy as np
 
 from repro.exceptions import QueryError, SamplingError
 from repro.ris.corpus import RRCorpus
-
-#: Accepted values of ``weighted_greedy_cover``'s ``compute_bound``.
-BoundMode = Union[bool, str]
 
 #: Stop selecting once the best residual gain is below this fraction of
 #: the covered weight: batched float decrements can leave exhausted
@@ -130,6 +126,24 @@ class CoverageResult:
         return n_nodes * covered / self.samples_used
 
 
+@dataclass(frozen=True)
+class BudgetedCoverageResult:
+    """Output of the cost-aware (budgeted) greedy cover.
+
+    ``seeds`` in selection order; ``gains[i]`` the covered-weight
+    increment of ``seeds[i]``; ``cost_spent`` the total cost of the
+    selected seeds (always ``<= budget``); ``estimate`` the Eq. 9 spread
+    estimate of the selected set; ``samples_used`` the prefix length.
+    """
+
+    seeds: List[int]
+    gains: np.ndarray
+    estimate: float
+    samples_used: int
+    cost_spent: float
+    timings: SelectionTimings | None = None
+
+
 def _topk_residual(score: np.ndarray, n: int, k: int) -> float:
     """Sum of the k largest positive residual scores."""
     if k < n:
@@ -156,14 +170,107 @@ def _gather_slices(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + shift
 
 
+def _checked_prefix(
+    corpus: RRCorpus,
+    sample_weights: np.ndarray,
+    prefix: int | None,
+    backend: str,
+) -> tuple[int, np.ndarray]:
+    """Validate the arguments both covers share; ``(l, weights)``."""
+    l = len(corpus) if prefix is None else int(prefix)
+    if l <= 0:
+        raise SamplingError("cannot run coverage over zero samples")
+    if l > len(corpus):
+        raise SamplingError(f"prefix {l} exceeds corpus size {len(corpus)}")
+    if backend not in ("numpy", "numba"):
+        raise QueryError(
+            f"backend must be a resolved kernel backend ('numpy' or "
+            f"'numba'), got {backend!r}"
+        )
+    weights = np.asarray(sample_weights, dtype=float)
+    if len(weights) < l:
+        raise SamplingError(f"need at least {l} sample weights, got {len(weights)}")
+    return l, weights
+
+
+class _Residual:
+    """Residual per-node scores over a weighted sample prefix.
+
+    ``score[u]`` is the uncovered weight node ``u`` would still cover;
+    :meth:`take` selects ``u`` and batch-decrements every sample it
+    newly covers.  Both numpy covers run on this one state and differ
+    only in their pick rule.
+    """
+
+    def __init__(self, corpus: RRCorpus, weights: np.ndarray, l: int) -> None:
+        self.l = l
+        self.flat, self.offsets = corpus.flat()
+        end = int(self.offsets[l])
+        # Per-entry weight: each member entry of sample i carries omega_i.
+        # The batched decrement reuses it, indexed by flat position.
+        self.entry_weight = weights[corpus.entry_samples()[:end]]
+        self.score = np.bincount(
+            self.flat[:end], weights=self.entry_weight, minlength=corpus.n_nodes
+        )
+        # Inverted index (node -> ascending sample ids) is cached
+        # corpus-wide; per-node prefix restriction is one binary search.
+        self.inv_samples, self.inv_offsets = corpus.inverted()
+        self.covered = np.zeros(l, dtype=bool)
+
+    def take(self, u: int) -> None:
+        """Cover every prefix sample of ``u`` and retire ``u``.
+
+        The flat positions of the newly covered samples' member slices
+        are gathered through the CSR offsets, and one weighted
+        ``bincount`` of the members and entry weights there is
+        subtracted — no per-sample Python loop.
+        """
+        u_samples = self.inv_samples[self.inv_offsets[u] : self.inv_offsets[u + 1]]
+        candidates = u_samples[: int(np.searchsorted(u_samples, self.l))]
+        newly = candidates[~self.covered[candidates]]
+        if len(newly):
+            self.covered[newly] = True
+            pos = _gather_slices(self.offsets, newly)
+            self.score -= np.bincount(
+                self.flat[pos], weights=self.entry_weight[pos],
+                minlength=len(self.score),
+            )
+        # Guard against float drift leaving the seed positive.
+        self.score[u] = -np.inf
+
+
+def _timings(
+    t_start: float, t_built: float, bound_seconds: float = 0.0
+) -> SelectionTimings:
+    """The stage split of a cover that started at ``t_start`` and ends now."""
+    t_end = time.perf_counter()
+    return SelectionTimings(
+        score_build=t_built - t_start,
+        selection=(t_end - t_built) - bound_seconds,
+        bound=bound_seconds,
+        total=t_end - t_start,
+    )
+
+
+def _compiled_scores(corpus: RRCorpus, weights: np.ndarray, l: int):
+    """The numba kernel set plus the flat inputs and built score array."""
+    from repro.kernels import kernels
+
+    ks = kernels("numba")
+    flat, offsets = corpus.flat()
+    inv_samples, inv_offsets = corpus.inverted()
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    score = ks.score_build(flat, offsets, weights, l, corpus.n_nodes)
+    return ks, (flat, offsets, inv_samples, inv_offsets, weights, score)
+
+
 def weighted_greedy_cover(
     corpus: RRCorpus,
     sample_weights: np.ndarray,
     k: int,
     prefix: int | None = None,
     *,
-    compute_bound: BoundMode = True,
-    method: str = "eager",
+    compute_bound: bool = True,
     backend: str = "numpy",
 ) -> CoverageResult:
     """Algorithm 2: greedy seed selection over a weighted sample prefix.
@@ -182,19 +289,11 @@ def weighted_greedy_cover(
         RIS-DA answers online queries with fewer samples than indexed.
     compute_bound:
         ``True`` (default): track the submodular upper bound on the best
-        k-set's coverage at every iteration (tightest; k partitions).
-        ``"final"``: compute it once from the final residual state (one
-        partition; looser but still valid).  ``False``: skip it entirely
-        — ``optimal_coverage_upper`` stays ``inf``.  Selection is
-        identical in all three modes; only the bound (and its cost)
-        changes.  The RIS-DA serving path passes ``False``;
+        k-set's coverage at every iteration (k partitions).  ``False``:
+        skip it — ``optimal_coverage_upper`` stays ``inf``.  Selection
+        is identical either way; only the bound (and its cost) changes.
+        The RIS-DA serving path passes ``False``;
         :mod:`repro.ris.certify` keeps the default.
-    method:
-        ``"eager"`` (default): argmax over the maintained score array
-        each iteration.  ``"lazy"``: CELF-style max-heap of stale gains,
-        re-evaluated on pop.  Both maintain scores with the same batched
-        kernels and break exact ties toward the lowest node id, so they
-        select identical seed sets.
     backend:
         ``"numpy"`` (default) runs the vectorized kernels in this
         module; ``"numba"`` runs the JIT-compiled loops from
@@ -206,94 +305,53 @@ def weighted_greedy_cover(
         bound-requesting (certification) calls always run numpy.
     """
     t_start = time.perf_counter()
-    l = len(corpus) if prefix is None else int(prefix)
-    if l <= 0:
-        raise SamplingError("cannot run coverage over zero samples")
-    if l > len(corpus):
-        raise SamplingError(
-            f"prefix {l} exceeds corpus size {len(corpus)}"
-        )
+    l, weights = _checked_prefix(corpus, sample_weights, prefix, backend)
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
     n = corpus.n_nodes
     if k > n:
         raise QueryError(f"k={k} exceeds node count {n}")
-    if compute_bound not in (True, False, "final"):
+    if compute_bound not in (True, False):
         raise QueryError(
-            f"compute_bound must be True, False or 'final', got {compute_bound!r}"
-        )
-    if method not in ("eager", "lazy"):
-        raise QueryError(f"method must be 'eager' or 'lazy', got {method!r}")
-    if backend not in ("numpy", "numba"):
-        raise QueryError(
-            f"backend must be a resolved kernel backend ('numpy' or "
-            f"'numba'), got {backend!r}"
-        )
-    weights = np.asarray(sample_weights, dtype=float)
-    if len(weights) < l:
-        raise SamplingError(
-            f"need at least {l} sample weights, got {len(weights)}"
+            f"compute_bound must be True or False, got {compute_bound!r}"
         )
 
-    if backend == "numba" and compute_bound is False:
-        return _greedy_cover_compiled(
-            corpus, weights, k, l, n, method, t_start
+    if backend == "numba" and not compute_bound:
+        ks, args = _compiled_scores(corpus, weights, l)
+        t_built = time.perf_counter()
+        seed_arr, gains, n_sel, covered_weight = ks.greedy_select(
+            *args, l, k, _DRIFT_RTOL
+        )
+        return CoverageResult(
+            seeds=[int(s) for s in seed_arr[:n_sel]],
+            gains=gains,
+            estimate=n * covered_weight / l,
+            samples_used=l,
+            timings=_timings(t_start, t_built),
         )
 
-    flat, offsets = corpus.flat()
-    end = int(offsets[l])
-    # Per-entry weight: each member entry of sample i carries omega_i.
-    # The batched decrement below reuses it, indexed by flat position.
-    entry_weight = weights[corpus.entry_samples()[:end]]
-    score = np.bincount(flat[:end], weights=entry_weight, minlength=n)
-
-    # Inverted index (node -> ascending sample ids) is cached corpus-wide;
-    # per-node prefix restriction is one binary search for the cutoff.
-    inv_samples, inv_offsets = corpus.inverted()
+    res = _Residual(corpus, weights, l)
+    score = res.score
     t_built = time.perf_counter()
-
-    heap: List[tuple[float, int]] | None = None
-    if method == "lazy":
-        positive = np.flatnonzero(score > 0)
-        heap = [(-float(score[u]), int(u)) for u in positive]
-        heapq.heapify(heap)
-
-    covered = np.zeros(l, dtype=bool)
     seeds: List[int] = []
     gains = np.zeros(k, dtype=float)
     covered_weight = 0.0
     opt_upper = float("inf")
     bound_seconds = 0.0
-    for it in range(k):
-        if compute_bound is True:
+    for it in range(k + 1):
+        if compute_bound:
             # Submodular upper bound at this state: any k-set covers at
             # most the current coverage plus the k largest residuals.
+            # The pass after the last pick bounds the final state.
             tb = time.perf_counter()
             opt_upper = min(
                 opt_upper, covered_weight + _topk_residual(score, n, k)
             )
             bound_seconds += time.perf_counter() - tb
-        if heap is None:
-            u = int(np.argmax(score))
-            gain = float(score[u])
-        else:
-            # CELF: pop entries whose stored gain went stale (scores only
-            # decrease) and re-push them at their current value; a fresh
-            # top is the true maximum.  Ties on (gain, node id) order
-            # exactly as argmax does.
-            while heap:
-                neg_stale, u = heap[0]
-                current = float(score[u])
-                if -neg_stale <= current:
-                    break
-                if current <= 0.0:
-                    heapq.heappop(heap)
-                else:
-                    heapq.heapreplace(heap, (-current, u))
-            if not heap:
-                break
-            neg_gain, u = heapq.heappop(heap)
-            gain = -neg_gain
+        if it == k:
+            break
+        u = int(np.argmax(score))
+        gain = float(score[u])
         if gain <= _DRIFT_RTOL * covered_weight:
             # Prefix exhausted: every positive-weight sample is covered.
             # Residual scores are 0 only up to float drift (batched
@@ -304,113 +362,15 @@ def weighted_greedy_cover(
         seeds.append(u)
         gains[it] = gain
         covered_weight += gain
-        # Batch-decrement every sample newly covered by u: gather the
-        # flat positions of their member slices through the CSR offsets
-        # and subtract one weighted bincount of the members and entry
-        # weights there — no per-sample Python loop.
-        u_samples = inv_samples[inv_offsets[u] : inv_offsets[u + 1]]
-        cut = int(np.searchsorted(u_samples, l))
-        candidates = u_samples[:cut]
-        newly = candidates[~covered[candidates]]
-        if len(newly):
-            covered[newly] = True
-            pos = _gather_slices(offsets, newly)
-            score -= np.bincount(
-                flat[pos], weights=entry_weight[pos], minlength=n
-            )
-        # Guard against float drift leaving the seed positive.
-        score[u] = -np.inf
-    if compute_bound is not False:
-        # The final state also bounds the optimum (and coverage can only
-        # have grown, so only the residual term matters there).
-        tb = time.perf_counter()
-        opt_upper = min(
-            opt_upper, covered_weight + _topk_residual(score, n, k)
-        )
-        bound_seconds += time.perf_counter() - tb
-    estimate = n * covered_weight / l
-    t_end = time.perf_counter()
-    timings = SelectionTimings(
-        score_build=t_built - t_start,
-        selection=(t_end - t_built) - bound_seconds,
-        bound=bound_seconds,
-        total=t_end - t_start,
-    )
+        res.take(u)
     return CoverageResult(
         seeds=seeds,
         gains=gains,
-        estimate=estimate,
+        estimate=n * covered_weight / l,
         samples_used=l,
         optimal_coverage_upper=opt_upper,
-        timings=timings,
+        timings=_timings(t_start, t_built, bound_seconds),
     )
-
-
-def _greedy_cover_compiled(
-    corpus: RRCorpus,
-    weights: np.ndarray,
-    k: int,
-    l: int,
-    n: int,
-    method: str,
-    t_start: float,
-) -> CoverageResult:
-    """The ``backend="numba"`` path of :func:`weighted_greedy_cover`.
-
-    Same flat inputs, same timing split: ``score_build`` covers the
-    compiled score build plus the (cached) inverted-index build,
-    ``selection`` the compiled pick/decrement loop.  The compiled
-    kernels reproduce the numpy float semantics exactly (see
-    :mod:`repro.kernels.loops`), so seeds, gains and the estimate are
-    bit-identical to the numpy backend.
-    """
-    from repro.kernels import kernels
-
-    ks = kernels("numba")
-    flat, offsets = corpus.flat()
-    inv_samples, inv_offsets = corpus.inverted()
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    score = ks.score_build(flat, offsets, weights, l, n)
-    t_built = time.perf_counter()
-    select = ks.greedy_select if method == "eager" else ks.lazy_select
-    seed_arr, gains, n_sel, covered_weight = select(
-        flat, offsets, inv_samples, inv_offsets, weights, score, l, k,
-        _DRIFT_RTOL,
-    )
-    estimate = n * covered_weight / l
-    t_end = time.perf_counter()
-    timings = SelectionTimings(
-        score_build=t_built - t_start,
-        selection=t_end - t_built,
-        bound=0.0,
-        total=t_end - t_start,
-    )
-    return CoverageResult(
-        seeds=[int(s) for s in seed_arr[:n_sel]],
-        gains=gains,
-        estimate=estimate,
-        samples_used=l,
-        optimal_coverage_upper=float("inf"),
-        timings=timings,
-    )
-
-
-@dataclass(frozen=True)
-class BudgetedCoverageResult:
-    """Output of the cost-aware (budgeted) greedy cover.
-
-    ``seeds`` in selection order; ``gains[i]`` the covered-weight
-    increment of ``seeds[i]``; ``cost_spent`` the total cost of the
-    selected seeds (always ``<= budget``); ``estimate`` the Eq. 9 spread
-    estimate of the selected set; ``samples_used`` the prefix length.
-    """
-
-    seeds: List[int]
-    gains: np.ndarray
-    estimate: float
-    samples_used: int
-    cost_spent: float
-    timings: SelectionTimings | None = None
 
 
 def weighted_budgeted_cover(
@@ -420,116 +380,73 @@ def weighted_budgeted_cover(
     budget: float,
     prefix: int | None = None,
     *,
-    method: str = "lazy",
     backend: str = "numpy",
 ) -> BudgetedCoverageResult:
     """Cost-aware greedy max coverage: pick by gain/cost ratio, stop at budget.
 
     The classic budgeted-maximum-coverage ratio greedy: each iteration
-    selects the *affordable* node with the largest ``gain / cost`` ratio,
-    spends its cost, and stops when no affordable node remains (or the
-    best affordable node's gain has fallen to drift noise, mirroring the
-    top-``k`` kernel's ``_DRIFT_RTOL`` stop).  Scores are maintained with
-    the same flat batched kernels as :func:`weighted_greedy_cover`.
+    selects the *affordable* node with the largest ``gain / cost`` ratio
+    (exact ratio ties toward the lowest node id), spends its cost, and
+    stops when no affordable node remains (or the best affordable node's
+    gain has fallen to drift noise, mirroring the top-``k`` kernel's
+    ``_DRIFT_RTOL`` stop).  Scores are maintained with the same flat
+    batched kernels as :func:`weighted_greedy_cover`.
 
     With uniform costs ``c`` and budget ``k * c`` the ratio ordering is
     the gain ordering (division by a common positive constant — exact
     when ``c`` is a power of two), so the selection is identical to the
     top-``k`` greedy: this is the degenerate parity the test suite pins.
 
-    ``method="eager"`` rescans the masked ratio array each iteration;
-    ``method="lazy"`` runs a CELF-style ratio heap.  Both break exact
-    ratio ties toward the lowest node id and select identical seeds.
-    Nodes whose cost exceeds the *remaining* budget are dropped
-    permanently when encountered — the remaining budget only shrinks.
-
-    ``backend="numba"`` runs the JIT-compiled ratio loops (same
+    ``backend="numba"`` runs the JIT-compiled ratio loop (same
     contract as :func:`weighted_greedy_cover`'s ``backend``): seeds,
     gains and cost accounting are bit-identical to numpy.
     """
     t_start = time.perf_counter()
-    l = len(corpus) if prefix is None else int(prefix)
-    if l <= 0:
-        raise SamplingError("cannot run coverage over zero samples")
-    if l > len(corpus):
-        raise SamplingError(f"prefix {l} exceeds corpus size {len(corpus)}")
+    l, weights = _checked_prefix(corpus, sample_weights, prefix, backend)
     if not budget > 0:
         raise QueryError(f"budget must be positive, got {budget}")
-    if method not in ("eager", "lazy"):
-        raise QueryError(f"method must be 'eager' or 'lazy', got {method!r}")
-    if backend not in ("numpy", "numba"):
-        raise QueryError(
-            f"backend must be a resolved kernel backend ('numpy' or "
-            f"'numba'), got {backend!r}"
-        )
     n = corpus.n_nodes
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (n,):
         raise QueryError(f"costs must have shape ({n},), got {costs.shape}")
     if not np.all(costs > 0):
         raise QueryError("all node costs must be positive")
-    weights = np.asarray(sample_weights, dtype=float)
-    if len(weights) < l:
-        raise SamplingError(f"need at least {l} sample weights, got {len(weights)}")
 
     if backend == "numba":
-        return _budgeted_cover_compiled(
-            corpus, weights, costs, float(budget), l, n, method, t_start
+        ks, args = _compiled_scores(corpus, weights, l)
+        t_built = time.perf_counter()
+        seed_arr, gain_arr, n_sel, covered_weight, cost_spent = (
+            ks.budgeted_eager_select(
+                *args, np.ascontiguousarray(costs, dtype=np.float64),
+                float(budget), l, _DRIFT_RTOL,
+            )
+        )
+        return BudgetedCoverageResult(
+            seeds=[int(s) for s in seed_arr[:n_sel]],
+            gains=np.asarray(gain_arr[:n_sel], dtype=float),
+            estimate=n * covered_weight / l,
+            samples_used=l,
+            cost_spent=float(cost_spent),
+            timings=_timings(t_start, t_built),
         )
 
-    flat, offsets = corpus.flat()
-    end = int(offsets[l])
-    entry_weight = weights[corpus.entry_samples()[:end]]
-    score = np.bincount(flat[:end], weights=entry_weight, minlength=n)
-    inv_samples, inv_offsets = corpus.inverted()
+    res = _Residual(corpus, weights, l)
+    score = res.score
     t_built = time.perf_counter()
-
-    heap: List[tuple[float, int]] | None = None
-    if method == "lazy":
-        positive = np.flatnonzero(score > 0)
-        heap = [(-float(score[u]) / float(costs[u]), int(u)) for u in positive]
-        heapq.heapify(heap)
-
-    covered = np.zeros(l, dtype=bool)
     seeds: List[int] = []
     gains: List[float] = []
     covered_weight = 0.0
     remaining = float(budget)
     cost_spent = 0.0
     while True:
-        if heap is None:
-            affordable = costs <= remaining
-            if not affordable.any():
-                break
-            ratio = np.where(affordable, score / costs, -np.inf)
-            u = int(np.argmax(ratio))
-            gain = float(score[u])
-            if not np.isfinite(ratio[u]):
-                break
-        else:
-            # CELF on ratios: scores only decrease and costs are fixed,
-            # so stored ratios only go stale downward — pop-and-repush
-            # restores the true maximum.  Unaffordable nodes are dropped
-            # for good (remaining budget never grows back).
-            u = -1
-            while heap:
-                neg_stale, u = heap[0]
-                if float(costs[u]) > remaining:
-                    heapq.heappop(heap)
-                    u = -1
-                    continue
-                current = float(score[u]) / float(costs[u])
-                if -neg_stale <= current:
-                    break
-                if current <= 0.0:
-                    heapq.heappop(heap)
-                    u = -1
-                else:
-                    heapq.heapreplace(heap, (-current, u))
-            if not heap or u < 0:
-                break
-            heapq.heappop(heap)
-            gain = float(score[u])
+        affordable = costs <= remaining
+        if not affordable.any():
+            break
+        ratio = np.where(affordable, score / costs, -np.inf)
+        u = int(np.argmax(ratio))
+        gain = float(score[u])
+        if not np.isfinite(ratio[u]):
+            break
         if gain <= _DRIFT_RTOL * covered_weight:
             # The best-ratio affordable node covers only drift noise;
             # with uniform costs this is exactly the top-k kernel's stop.
@@ -539,78 +456,14 @@ def weighted_budgeted_cover(
         covered_weight += gain
         cost_spent += float(costs[u])
         remaining -= float(costs[u])
-        u_samples = inv_samples[inv_offsets[u] : inv_offsets[u + 1]]
-        cut = int(np.searchsorted(u_samples, l))
-        candidates = u_samples[:cut]
-        newly = candidates[~covered[candidates]]
-        if len(newly):
-            covered[newly] = True
-            pos = _gather_slices(offsets, newly)
-            score -= np.bincount(
-                flat[pos], weights=entry_weight[pos], minlength=n
-            )
-        score[u] = -np.inf
-    estimate = n * covered_weight / l
-    t_end = time.perf_counter()
-    timings = SelectionTimings(
-        score_build=t_built - t_start,
-        selection=t_end - t_built,
-        bound=0.0,
-        total=t_end - t_start,
-    )
+        res.take(u)
     return BudgetedCoverageResult(
         seeds=seeds,
         gains=np.asarray(gains, dtype=float),
-        estimate=estimate,
+        estimate=n * covered_weight / l,
         samples_used=l,
         cost_spent=cost_spent,
-        timings=timings,
-    )
-
-
-def _budgeted_cover_compiled(
-    corpus: RRCorpus,
-    weights: np.ndarray,
-    costs: np.ndarray,
-    budget: float,
-    l: int,
-    n: int,
-    method: str,
-    t_start: float,
-) -> BudgetedCoverageResult:
-    """The ``backend="numba"`` path of :func:`weighted_budgeted_cover`."""
-    from repro.kernels import kernels
-
-    ks = kernels("numba")
-    flat, offsets = corpus.flat()
-    inv_samples, inv_offsets = corpus.inverted()
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    costs = np.ascontiguousarray(costs, dtype=np.float64)
-    score = ks.score_build(flat, offsets, weights, l, n)
-    t_built = time.perf_counter()
-    select = (
-        ks.budgeted_eager_select if method == "eager"
-        else ks.budgeted_lazy_select
-    )
-    seed_arr, gain_arr, n_sel, covered_weight, cost_spent = select(
-        flat, offsets, inv_samples, inv_offsets, weights, score, costs,
-        budget, l, _DRIFT_RTOL,
-    )
-    estimate = n * covered_weight / l
-    t_end = time.perf_counter()
-    timings = SelectionTimings(
-        score_build=t_built - t_start,
-        selection=t_end - t_built,
-        bound=0.0,
-        total=t_end - t_start,
-    )
-    return BudgetedCoverageResult(
-        seeds=[int(s) for s in seed_arr[:n_sel]],
-        gains=np.asarray(gain_arr[:n_sel], dtype=float),
-        estimate=estimate,
-        samples_used=l,
-        cost_spent=float(cost_spent),
-        timings=timings,
+        timings=_timings(t_start, t_built),
     )
 
 

@@ -82,24 +82,21 @@ class TestQuery:
             multi_location_query(index, [(0.0, 0.0)], 99)
 
     def test_single_location_consistent_with_plain_query(self, net):
-        """One location is the point query bit-for-bit, under either of
-        the index's selection kernels."""
+        """One location is the point query bit-for-bit."""
         q = (40.0, 60.0)
-        for selection in ("eager", "lazy"):
-            cfg = RisDaConfig(
-                k_max=8, n_pivots=10, epsilon_pivot=0.35,
-                max_index_samples=20_000, seed=2, selection=selection,
-            )
-            index = RisDaIndex(net, DistanceDecay(alpha=0.02), cfg)
-            multi = multi_location_query(index, [q], 5)
-            plain = index.query(q, 5)
-            assert multi.seeds == plain.seeds, selection
-            assert multi.estimate == plain.estimate, selection
-            assert multi.samples_used == plain.samples_used, selection
+        cfg = RisDaConfig(
+            k_max=8, n_pivots=10, epsilon_pivot=0.35,
+            max_index_samples=20_000, seed=2,
+        )
+        index = RisDaIndex(net, DistanceDecay(alpha=0.02), cfg)
+        multi = multi_location_query(index, [q], 5)
+        plain = index.query(q, 5)
+        assert multi.seeds == plain.seeds
+        assert multi.estimate == plain.estimate
+        assert multi.samples_used == plain.samples_used
 
     def test_uses_index_kernel_settings(self, index, monkeypatch):
-        """The cover runs with the index's selection kernel and backend,
-        and skips the certification bound like every serving query."""
+        """The cover runs with the index's kernel backend, and skips the certification bound like every serving query."""
         import repro.core.ris_da as ris_da
 
         seen = {}
@@ -111,6 +108,5 @@ class TestQuery:
 
         monkeypatch.setattr(ris_da, "weighted_greedy_cover", spy)
         multi_location_query(index, [(20.0, 20.0), (80.0, 80.0)], 5)
-        assert seen["method"] == index.config.selection
         assert seen["backend"] == index.kernel_backend
         assert seen["compute_bound"] is False

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.core.persistence import (
+    load_index,
     load_mia_index,
     load_ris_index,
     save_mia_index,
@@ -213,6 +214,32 @@ class TestLegacyAndTamperedFiles:
         assert loaded.config == index.config
         assert _corpus_bytes(loaded) == _corpus_bytes(index)
 
+    @pytest.mark.parametrize("selection", ["eager", "lazy"])
+    def test_config_selection_ignored(
+        self, net, index, saved, tmp_path, selection
+    ):
+        """Files from builds that still had a selector knob carry
+        ``selection`` in their config; every selector picked the same
+        seeds, so either value loads and answers bit-identically."""
+        older = tmp_path / "selection.npz"
+        _rewrite_npz(
+            saved, older,
+            lambda meta, arrays: meta["config"].update(selection=selection),
+        )
+        loaded = load_ris_index(older, net)
+        assert loaded.config == index.config
+        for q in [(10.0, 10.0), (50.0, 80.0), (90.0, 20.0)]:
+            a, diag_a = index.query(q, 5, return_diagnostics=True)
+            b, diag_b = loaded.query(q, 5, return_diagnostics=True)
+            assert a.seeds == b.seeds
+            assert a.estimate == b.estimate
+            assert diag_a == diag_b
+
+    def test_saved_config_has_no_selection(self, saved):
+        with np.load(saved) as data:
+            meta = json.loads(data["meta"].tobytes().decode("utf-8"))
+        assert "selection" not in meta["config"]
+
     @pytest.mark.parametrize("tamper", ["duplicate", "negative"])
     def test_bad_slot_keys_rejected(self, net, saved, tmp_path, tamper):
         def edit(meta, arrays):
@@ -328,3 +355,52 @@ class TestKindCrossCheck:
         save_ris_index(index, path)
         with pytest.raises(DataFormatError, match="not a MIA-DA"):
             load_mia_index(path, net)
+
+
+def _set(key, value, section=None):
+    def edit(meta, arrays):
+        (meta if section is None else meta[section])[key] = value
+    return edit
+
+
+def _narrow(name):
+    def edit(meta, arrays):
+        arrays[name] = arrays[name][:, :2]
+    return edit
+
+
+#: (index kind, tampering) pairs a loader must refuse with a typed error.
+MALFORMED = {
+    "ris-no-config": ("ris", lambda meta, arrays: meta.pop("config")),
+    "ris-no-decay": ("ris", lambda meta, arrays: meta.pop("decay")),
+    "ris-no-config-field": (
+        "ris", lambda meta, arrays: meta["config"].pop("n_pivots")),
+    "ris-no-array": ("ris", lambda meta, arrays: arrays.pop("corpus_flat")),
+    "ris-string-k-max": ("ris", _set("k_max", "7")),
+    "ris-string-config-k-max": ("ris", _set("k_max", "7", "config")),
+    "ris-narrow-estimates": ("ris", _narrow("pivot_estimates")),
+    "ris-narrow-lower-bounds": ("ris", _narrow("pivot_lower_bounds")),
+    "mia-no-config": ("mia", lambda meta, arrays: meta.pop("config")),
+    "mia-no-decay": ("mia", lambda meta, arrays: meta.pop("decay")),
+    "mia-no-config-field": (
+        "mia", lambda meta, arrays: meta["config"].pop("tau")),
+    "mia-no-array": ("mia", lambda meta, arrays: arrays.pop("anchors")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_index_rejected(net, index, mia_index, tmp_path, case):
+    """A hand-edited or truncated index file fails to load with
+    DataFormatError — never a bare KeyError/TypeError, and never a
+    silent load that breaks at query time (a pivot table narrower than
+    ``k_max`` used to load and raise IndexError on ``query(q, 4)``)."""
+    kind, tamper = MALFORMED[case]
+    good = tmp_path / "good.npz"
+    if kind == "ris":
+        save_ris_index(index, good)
+    else:
+        save_mia_index(mia_index, good)
+    bad = tmp_path / "bad.npz"
+    _rewrite_npz(good, bad, tamper)
+    with pytest.raises(DataFormatError):
+        load_index(bad, net)

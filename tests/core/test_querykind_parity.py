@@ -12,8 +12,7 @@ written so those cases stay bit-identical, not merely close:
   gain by the same power of two preserves the argmax ordering exactly,
   and ``k`` exact subtractions of ``c`` drain the budget to exactly 0.0.
 
-Checked on both index families, and for RIS-DA under both selection
-kernels (eager argmax and lazy CELF), at the index level and through the
+Checked on both index families, at the index level and through the
 serving engine (where the 1-waypoint trajectory must also *hit* the
 point query's cache entry — they share the point keyspace).
 """
@@ -40,16 +39,7 @@ UNIFORM_COSTS = (1.0, 0.5, 2.0)
 def ris_eager(small_net):
     cfg = RisDaConfig(
         k_max=8, n_pivots=6, epsilon_pivot=0.4, max_index_samples=8000,
-        seed=5, selection="eager",
-    )
-    return RisDaIndex(small_net, None, cfg)
-
-
-@pytest.fixture(scope="module")
-def ris_lazy(small_net):
-    cfg = RisDaConfig(
-        k_max=8, n_pivots=6, epsilon_pivot=0.4, max_index_samples=8000,
-        seed=5, selection="lazy",
+        seed=5,
     )
     return RisDaIndex(small_net, None, cfg)
 
@@ -60,7 +50,7 @@ def mia(small_net):
     return MiaDaIndex(small_net, None, cfg)
 
 
-@pytest.fixture(params=["ris_eager", "ris_lazy", "mia"])
+@pytest.fixture(params=["ris_eager", "mia"])
 def index(request):
     return request.getfixturevalue(request.param)
 

@@ -241,11 +241,9 @@ def _per_sample_reference(index, locations, k, l, mask=None, costs=None,
     if costs is None:
         return weighted_greedy_cover(
             index.corpus, weights, k, prefix=l, compute_bound=False,
-            method=index.config.selection,
         )
     return weighted_budgeted_cover(
         index.corpus, weights, costs, budget, prefix=l,
-        method=index.config.selection,
     )
 
 

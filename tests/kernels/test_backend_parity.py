@@ -59,16 +59,14 @@ def _weight_sets(corpus, small_net):
 
 class TestGreedyCoverParity:
     @pytest.mark.parametrize("k", [1, 4, 10])
-    @pytest.mark.parametrize("method", ["eager", "lazy"])
-    def test_seeds_and_gains(self, corpus, small_net, k, method):
+    def test_seeds_and_gains(self, corpus, small_net, k):
         for w in _weight_sets(corpus, small_net):
             ref = reference_greedy_cover(corpus, w, k)
             numpy_res = weighted_greedy_cover(
-                corpus, w, k, compute_bound=False, method=method
+                corpus, w, k, compute_bound=False
             )
             numba_res = weighted_greedy_cover(
-                corpus, w, k, compute_bound=False, method=method,
-                backend="numba",
+                corpus, w, k, compute_bound=False, backend="numba"
             )
             assert numba_res.seeds == numpy_res.seeds == ref.seeds
             # numpy is the oracle: the compiled loops replicate its float
@@ -111,14 +109,13 @@ class TestGreedyCoverParity:
 
 
 class TestBudgetedParity:
-    @pytest.mark.parametrize("method", ["eager", "lazy"])
-    def test_seeds_gains_costs(self, corpus, small_net, method):
+    def test_seeds_gains_costs(self, corpus, small_net):
         rng = np.random.default_rng(5)
         costs = rng.uniform(0.5, 3.0, size=corpus.n_nodes)
         for w in _weight_sets(corpus, small_net):
-            a = weighted_budgeted_cover(corpus, w, costs, 8.0, method=method)
+            a = weighted_budgeted_cover(corpus, w, costs, 8.0)
             b = weighted_budgeted_cover(
-                corpus, w, costs, 8.0, method=method, backend="numba"
+                corpus, w, costs, 8.0, backend="numba"
             )
             assert b.seeds == a.seeds
             assert np.array_equal(b.gains, a.gains)

@@ -87,14 +87,11 @@ class TestScoreBuild:
 
 class TestSelectParity:
     @pytest.mark.parametrize("k", [1, 4, 10])
-    @pytest.mark.parametrize("loop", ["greedy_select", "lazy_select"])
+    @pytest.mark.parametrize("loop", ["greedy_select"])
     def test_matches_numpy_kernel(self, interp, corpus, small_net, k, loop):
-        method = "eager" if loop == "greedy_select" else "lazy"
         for w in _weight_sets(corpus, small_net):
             flat, offsets, inv_s, inv_o, w64, l, n = _interp_inputs(corpus, w)
-            ref = weighted_greedy_cover(
-                corpus, w, k, compute_bound=False, method=method
-            )
+            ref = weighted_greedy_cover(corpus, w, k, compute_bound=False)
             score = interp.score_build(flat, offsets, w64, l, n)
             seeds, gains, n_sel, covered = getattr(interp, loop)(
                 flat, offsets, inv_s, inv_o, w64, score, l, k, _DRIFT_RTOL
@@ -119,18 +116,13 @@ class TestSelectParity:
 
 
 class TestBudgetedParity:
-    @pytest.mark.parametrize(
-        "loop", ["budgeted_eager_select", "budgeted_lazy_select"]
-    )
+    @pytest.mark.parametrize("loop", ["budgeted_eager_select"])
     def test_matches_numpy_kernel(self, interp, corpus, small_net, loop):
-        method = "eager" if "eager" in loop else "lazy"
         rng = np.random.default_rng(5)
         costs = rng.uniform(0.5, 3.0, size=corpus.n_nodes)
         for w in _weight_sets(corpus, small_net):
             flat, offsets, inv_s, inv_o, w64, l, n = _interp_inputs(corpus, w)
-            ref = weighted_budgeted_cover(
-                corpus, w, costs, 8.0, method=method
-            )
+            ref = weighted_budgeted_cover(corpus, w, costs, 8.0)
             score = interp.score_build(flat, offsets, w64, l, n)
             seeds, gains, n_sel, covered, spent = getattr(interp, loop)(
                 flat, offsets, inv_s, inv_o, w64, score,

@@ -15,7 +15,7 @@ The cost-aware budgeted cover gets the analogous treatment:
 
 * the spent cost never exceeds the budget, gains are positive, seeds
   distinct;
-* eager and lazy kernels agree, and both agree with the naive reference;
+* the kernel agrees with the naive reference;
 * coverage is monotone in the budget (a larger budget never covers less
   — provable for ratio greedy by a first-divergence argument);
 * on tiny instances coverage never beats the exhaustive optimum, and
@@ -132,9 +132,7 @@ def _check_budgeted_properties(seed: int) -> None:
     costs = rng.uniform(0.2, 3.0, size=n_nodes)
     budget = float(rng.uniform(costs.min(), costs.sum() * 1.2))
 
-    cover = weighted_budgeted_cover(
-        corpus, weights, costs, budget, method="eager"
-    )
+    cover = weighted_budgeted_cover(corpus, weights, costs, budget)
 
     # The budget is a hard cap, and it is what the kernel reports spent.
     spent = float(costs[cover.seeds].sum()) if cover.seeds else 0.0
@@ -148,20 +146,14 @@ def _check_budgeted_properties(seed: int) -> None:
         estimate_spread(corpus, cover.seeds, weights), abs=1e-9
     )
 
-    # The lazy CELF-style kernel and the naive reference both agree.
-    lazy = weighted_budgeted_cover(
-        corpus, weights, costs, budget, method="lazy"
-    )
-    assert list(lazy.seeds) == list(cover.seeds), f"lazy != eager ({seed})"
-    np.testing.assert_allclose(lazy.gains, cover.gains, rtol=1e-9)
+    # The naive reference agrees.
     ref = reference_budgeted_cover(corpus, weights, costs, budget)
-    assert list(ref.seeds) == list(cover.seeds), f"reference != eager ({seed})"
+    assert list(ref.seeds) == list(cover.seeds), f"reference != kernel ({seed})"
 
     # Monotone in budget: shrinking the budget never covers more.
     l = len(corpus)
     smaller = weighted_budgeted_cover(
         corpus, weights, costs, budget * float(rng.uniform(0.2, 0.9)),
-        method="eager",
     )
     assert (
         _coverage_of(corpus, weights, smaller.seeds, l)
@@ -181,7 +173,7 @@ def _check_budgeted_properties(seed: int) -> None:
         got = _coverage_of(corpus, weights, cover.seeds, l)
         assert got <= opt + 1e-9, f"greedy beat the optimum?! (seed {seed})"
     unconstrained = weighted_budgeted_cover(
-        corpus, weights, costs, float(costs.sum()) + 1.0, method="eager"
+        corpus, weights, costs, float(costs.sum()) + 1.0
     )
     assert _coverage_of(corpus, weights, unconstrained.seeds, l) == (
         pytest.approx(float(weights[:l].sum()), abs=1e-9)

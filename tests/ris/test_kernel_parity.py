@@ -1,7 +1,7 @@
 """Parity between the vectorized selection kernels and the pre-PR oracle.
 
 The flat-array rewrite of :mod:`repro.ris.coverage` (bincount score
-build, batched coverage decrement, lazy bound, CELF option) must select
+build, batched coverage decrement, opt-in bound) must select
 exactly the seeds the historical kernel selected.  The historical kernel
 lives on in :mod:`repro.ris.reference`; these tests pin
 
@@ -12,11 +12,9 @@ lives on in :mod:`repro.ris.reference`; these tests pin
 * **estimate / bound parity** between old and new, for both the RIS-DA
   query shape (real RR corpus, distance-decay weights) and the
   pivot-phase shape (uniform-ish weights, nested-k curve);
-* **eager vs CELF-lazy equivalence** — same kernels underneath, same
-  tie-breaks, so seeds *and* gains are bit-identical;
 * the **bound contract**: ``compute_bound=False`` leaves the trivial
-  ``inf`` bound, ``"final"`` yields a valid but looser bound than the
-  per-iteration default, and certification still receives a finite one;
+  ``inf`` bound without changing the selection, and certification still
+  receives a finite one;
 * the **batched-decrement property**: on random corpora, every recorded
   gain equals the marginal covered weight recomputed independently via
   :func:`estimate_spread` — a covered sample can never keep contributing
@@ -83,21 +81,6 @@ class TestQueryPathParity:
         np.testing.assert_allclose(new.gains, ref.gains, rtol=1e-9)
         assert new.samples_used == ref.samples_used == prefix
 
-    def test_lazy_matches_eager_exactly(self, corpus, small_net):
-        decay = DistanceDecay(alpha=0.05)
-        for q in QUERIES:
-            w = decay.weights(small_net.coords[corpus.roots], q)
-            eager = weighted_greedy_cover(
-                corpus, w, 8, compute_bound=False, method="eager"
-            )
-            lazy = weighted_greedy_cover(
-                corpus, w, 8, compute_bound=False, method="lazy"
-            )
-            assert lazy.seeds == eager.seeds
-            # Same batched kernels underneath: gains are bit-identical.
-            assert np.array_equal(lazy.gains, eager.gains)
-            assert lazy.estimate == eager.estimate
-
     def test_estimate_spread_parity(self, corpus, small_net):
         decay = DistanceDecay(alpha=0.05)
         w = decay.weights(small_net.coords[corpus.roots], (1.0, 1.0))
@@ -116,28 +99,26 @@ class TestBoundContract:
         decay = DistanceDecay(alpha=0.05)
         w = decay.weights(small_net.coords[corpus.roots], (2.0, 0.0))
         full = weighted_greedy_cover(corpus, w, 6, compute_bound=True)
-        final = weighted_greedy_cover(corpus, w, 6, compute_bound="final")
         off = weighted_greedy_cover(corpus, w, 6, compute_bound=False)
-        covered = float(full.gains.sum())
-        # Off: trivial bound only; selection identical across modes.
+        # Off: trivial bound only; selection and gains identical.
         assert off.optimal_coverage_upper == float("inf")
-        assert off.seeds == full.seeds == final.seeds
-        # Any mode's bound dominates the greedy's own coverage.
-        assert full.optimal_coverage_upper >= covered - 1e-9
-        assert final.optimal_coverage_upper >= covered - 1e-9
-        # Final-state-only is valid but never tighter than the tracked min.
-        assert final.optimal_coverage_upper >= full.optimal_coverage_upper - 1e-9
+        assert off.seeds == full.seeds
+        assert np.array_equal(off.gains, full.gains)
+        # The tracked bound dominates the greedy's own coverage.
+        assert full.optimal_coverage_upper >= float(full.gains.sum()) - 1e-9
 
     def test_bad_bound_and_method_rejected(self, corpus):
         from repro.exceptions import QueryError
 
-        with pytest.raises(QueryError):
+        for mode in ("sometimes", "final"):
+            with pytest.raises(QueryError):
+                weighted_greedy_cover(
+                    corpus, np.ones(len(corpus)), 2, compute_bound=mode
+                )
+        # One selector: there is no method knob left to pick a kernel.
+        with pytest.raises(TypeError):
             weighted_greedy_cover(
-                corpus, np.ones(len(corpus)), 2, compute_bound="sometimes"
-            )
-        with pytest.raises(QueryError):
-            weighted_greedy_cover(
-                corpus, np.ones(len(corpus)), 2, method="bogus"
+                corpus, np.ones(len(corpus)), 2, method="lazy"
             )
 
     def test_certification_still_gets_finite_bound(self, small_net):
@@ -153,53 +134,35 @@ class TestPivotPhaseParity:
     """Whole-index parity: the pivot phase uses the same kernels."""
 
     @pytest.fixture(scope="class")
-    def eager_index(self, small_net):
+    def ris_index(self, small_net):
         cfg = RisDaConfig(
             k_max=6, n_pivots=4, epsilon_pivot=0.45,
-            max_index_samples=4000, seed=7, selection="eager",
+            max_index_samples=4000, seed=7,
         )
         return RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg)
 
-    @pytest.fixture(scope="class")
-    def lazy_index(self, small_net):
-        cfg = RisDaConfig(
-            k_max=6, n_pivots=4, epsilon_pivot=0.45,
-            max_index_samples=4000, seed=7, selection="lazy",
-        )
-        return RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg)
-
-    def test_lazy_build_matches_eager(self, eager_index, lazy_index):
-        np.testing.assert_array_equal(
-            eager_index.pivot_estimates, lazy_index.pivot_estimates
-        )
-        for q in [(20.0, 30.0), (80.0, 60.0)]:
-            a = eager_index.query(q, 4)
-            b = lazy_index.query(q, 4)
-            assert a.seeds == b.seeds
-            assert a.estimate == b.estimate
-
-    def test_query_matches_reference_kernel(self, eager_index):
+    def test_query_matches_reference_kernel(self, ris_index):
         """index.query == the pre-PR kernel over the same prefix."""
         for q in [(25.0, 25.0), (70.0, 40.0)]:
-            result, diag = eager_index.query(q, 4, return_diagnostics=True)
-            w = eager_index.decay.weights(
-                eager_index.network.coords[
-                    eager_index.corpus.roots[: diag.samples_used]
+            result, diag = ris_index.query(q, 4, return_diagnostics=True)
+            w = ris_index.decay.weights(
+                ris_index.network.coords[
+                    ris_index.corpus.roots[: diag.samples_used]
                 ],
                 q,
             )
             ref = reference_greedy_cover(
-                eager_index.corpus, w, 4, prefix=diag.samples_used
+                ris_index.corpus, w, 4, prefix=diag.samples_used
             )
             assert result.seeds == ref.seeds
             assert result.estimate == pytest.approx(ref.estimate, rel=1e-9)
 
-    def test_pivot_curve_matches_reference_cover(self, eager_index):
+    def test_pivot_curve_matches_reference_cover(self, ris_index):
         """Pivot estimates equal the reference kernel's nested-k curve."""
-        net = eager_index.network
+        net = ris_index.network
         pi = 0
-        p = eager_index.pivots[pi]
-        weights = eager_index.decay.weights(
+        p = ris_index.pivots[pi]
+        weights = ris_index.decay.weights(
             net.coords, (float(p[0]), float(p[1]))
         )
         # The pivot phase ran over the pool as it existed then; replaying
@@ -209,15 +172,15 @@ class TestPivotPhaseParity:
         # recorded estimate implies is unavailable here — instead check
         # the invariant that transfers: the curve is non-decreasing in k
         # and consistent with a reference run over the final pool.
-        curve = eager_index.pivot_estimates[pi]
+        curve = ris_index.pivot_estimates[pi]
         assert np.all(np.diff(curve) >= -1e-9)
         ref = reference_greedy_cover(
-            eager_index.corpus, weights[eager_index.corpus.roots],
-            eager_index.k_max,
+            ris_index.corpus, weights[ris_index.corpus.roots],
+            ris_index.k_max,
         )
         new = weighted_greedy_cover(
-            eager_index.corpus, weights[eager_index.corpus.roots],
-            eager_index.k_max, compute_bound=False,
+            ris_index.corpus, weights[ris_index.corpus.roots],
+            ris_index.k_max, compute_bound=False,
         )
         assert new.seeds == ref.seeds
         np.testing.assert_allclose(new.gains, ref.gains, rtol=1e-9)
@@ -257,17 +220,14 @@ class TestBatchedDecrementProperty:
         k = int(rng.integers(1, n_nodes + 1))
         corpus = _random_corpus(rng, n_nodes, n_samples)
         weights = rng.uniform(0.0, 5.0, size=n_samples)
-        method = "lazy" if seed % 2 else "eager"
-        cover = weighted_greedy_cover(
-            corpus, weights, k, compute_bound=False, method=method
-        )
+        cover = weighted_greedy_cover(corpus, weights, k, compute_bound=False)
         prev = 0.0
         for i in range(len(cover.seeds)):
             mask = covered_sample_mask(corpus, cover.seeds[: i + 1])
             covered_w = float(weights[mask].sum())
             assert cover.gains[i] == pytest.approx(
                 covered_w - prev, abs=1e-9
-            ), f"gain {i} inconsistent (rng seed {seed}, {method})"
+            ), f"gain {i} inconsistent (rng seed {seed})"
             prev = covered_w
         # And the reference kernel agrees end to end, within the two
         # documented float-summation caveats (see coverage.py):
