@@ -9,7 +9,8 @@ Both indexes consume per-node/per-sample weight vectors, so the extension
 needs only (1) the weight kernel below, and (2) a sound lower bound on
 ``OPT_Q^k`` for RIS-DA's sample sizing: since ``w(v, Q) >= w(v, q_i)`` for
 every ``i`` pointwise, ``OPT_Q^k >= max_i OPT_{q_i}^k``, and Lemma 8's
-per-location bounds transfer — :func:`multi_location_query` takes the max.
+per-location bounds transfer — :func:`multi_location_query` takes the max,
+and the max of that with Algorithm 3 (LB-EST) at ``w(., Q)`` itself.
 
 MIA-DA's anchor bounds also transfer (``I_Q^m({u}) <= sum over the best
 anchor per location`` is loose); for simplicity and exactness we answer
@@ -63,8 +64,9 @@ def multi_location_query(
 ) -> SeedResult:
     """Answer a multi-store DAIM query from an existing RIS-DA index.
 
-    One plan of the shared RIS-DA body: sample sizing uses
-    ``max_i L_{q_i}^k`` (a valid lower bound of ``OPT_Q^k``), the weights
+    One plan of the shared RIS-DA body: sample sizing uses the larger of
+    ``max_i L_{q_i}^k`` and LB-EST at ``w(., Q)`` (both valid lower bounds
+    of ``OPT_Q^k``), the weights
     are :func:`multi_location_weights`, and the greedy runs once under
     the index's kernel backend.
     """

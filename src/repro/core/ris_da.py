@@ -15,18 +15,26 @@ Offline (:meth:`RisDaIndex.build`, run by the constructor):
    online query.
 
 Online (:meth:`RisDaIndex.query` and every other kind, all through the one
-body :meth:`RisDaIndex._answer`): find the nearest pivot, derive the
-query-specific lower bound via Lemma 8, compute the (much smaller) sample
-prefix it implies, and run Algorithm 2 over that prefix only — the paper's
-key observation that building the coverage structures dominates online
-cost, so using fewer samples than indexed is the main lever.
+body :meth:`RisDaIndex._answer`): evaluate the query's node weights,
+bound ``OPT_q^k`` from below by the better of the nearest pivot's Lemma 8
+transfer and Algorithm 3 (LB-EST) at the query's own weights, compute the
+(much smaller) sample prefix Lemma 7 implies, and run Algorithm 2 over
+that prefix only — the paper's key observation that building the
+coverage structures dominates online cost, so using fewer samples than
+indexed is the main lever.  A targeted (masked) query is sized by LB-EST
+at the masked weights alone, and so is every query once :meth:`update`
+has changed the graph under the build's pivot estimates.
 
 Guarantee: ``1 - 1/e - epsilon`` with probability ``>= 1 - delta`` for any
-query location and any ``k <= k_max`` (Lemma 9) — provided the pool was not
-truncated by ``max_index_samples`` (a practical memory valve the paper's
-C++ implementation does not need at its scale; when it engages, the flag
-:attr:`RisDaIndex.truncated` is set and queries needing more samples than
-indexed report ``guarantee_met=False`` in their diagnostics).
+query location and any ``k <= k_max`` (Lemma 9) — LB-EST never fails, so
+the union bound is still ``delta_pivot + (delta - delta_pivot)`` — provided
+the pool was not truncated by ``max_index_samples`` (a practical memory
+valve the paper's C++ implementation does not need at its scale; when it
+engages, the flag :attr:`RisDaIndex.truncated` is set and queries needing
+more samples than indexed report ``guarantee_met=False`` in their
+diagnostics).  Targeted queries carry the certificate whenever their
+prefix fits; budgeted queries only in the uniform-cost case that is the
+top-``k`` greedy.
 """
 
 from __future__ import annotations
@@ -138,12 +146,13 @@ class RisDaConfig:
 class QueryTimings:
     """Per-stage wall-clock seconds of one online query.
 
-    ``sizing`` is the nearest-pivot lookup plus the Lemma 8 / Lemma 7
-    prefix sizing; ``weight_eval`` is the distance-decay evaluation over
-    the ``n`` nodes (times a genuine mask) plus its gather to the prefix
-    roots; ``score_build`` / ``selection`` / ``bound`` come from the
-    greedy cover (see :class:`repro.ris.coverage.SelectionTimings`);
-    ``total`` is the whole query, sizing included.
+    ``sizing`` is the nearest-pivot lookup, the Lemma 8 transfer, the
+    LB-EST call and the Lemma 7 prefix sizing; ``weight_eval`` is the
+    distance-decay evaluation over the ``n`` nodes (times a genuine mask)
+    plus its gather to the prefix roots; ``score_build`` / ``selection``
+    / ``bound`` come from the greedy cover (see
+    :class:`repro.ris.coverage.SelectionTimings`); ``total`` is the whole
+    query, sizing included.
     """
 
     sizing: float
@@ -168,6 +177,13 @@ class QueryTimings:
 class QueryDiagnostics:
     """Side-channel information about one RIS-DA query.
 
+    ``lower_bound`` is the ``L`` the query was sized by (see
+    :meth:`RisDaIndex._lower_bound`), ``samples_required`` its Lemma 7
+    prefix — ``None`` when ``L <= 0``, which no prefix certifies — and
+    ``guarantee_met`` whether the ``1 - 1/e - epsilon`` certificate
+    holds: the corpus reached ``samples_required`` and the selector is
+    the top-``k`` greedy.
+
     ``timings`` is excluded from equality: two runs of the same query are
     diagnostically identical even though their wall clocks never are.
     """
@@ -175,7 +191,7 @@ class QueryDiagnostics:
     pivot_index: int
     pivot_distance: float
     lower_bound: float
-    samples_required: int
+    samples_required: Optional[int]
     samples_used: int
     guarantee_met: bool
     timings: Optional[QueryTimings] = field(default=None, compare=False)
@@ -381,8 +397,7 @@ class RisDaIndex:
             ks = sorted(set([1, k_max] + list(range(1, k_max + 1, grid))))
         curve = np.zeros(k_max, dtype=float)
         last = 0.0
-        bound_fn = lb_est if self.config.diffusion == "ic" else lb_est_lt
-        values = {k: bound_fn(self.network, weights, k, self.decay.w_max) for k in ks}
+        values = {k: self._lb_est(weights, k) for k in ks}
         for k in range(1, k_max + 1):
             if k in values:
                 # Guard monotonicity against tie-breaking jitter in the
@@ -390,6 +405,11 @@ class RisDaIndex:
                 last = max(last, values[k])
             curve[k - 1] = last
         return curve
+
+    def _lb_est(self, weights: np.ndarray, k: int) -> float:
+        """Algorithm 3 on the current graph, for the index's diffusion."""
+        bound_fn = lb_est if self.config.diffusion == "ic" else lb_est_lt
+        return bound_fn(self.network, weights, k, self.decay.w_max)
 
     # ------------------------------------------------------------------
     # Streaming maintenance
@@ -430,9 +450,12 @@ class RisDaIndex:
         fresh pool — and all of them count as retired and added.
 
         Pivot estimates are *not* recomputed — they remain the build's
-        Algorithm 4 snapshot, so after heavy drift the Lemma 8 transfer
-        degrades gracefully (the bound loosens, sample prefixes grow)
-        rather than breaking; rebuild when staleness accumulates.
+        Algorithm 4 snapshot, and a delta that lowers or removes edges
+        or moves check-ins can push ``OPT`` below them, where the Lemma 8
+        transfer no longer bounds it.  Once :attr:`generation` is
+        positive, queries are therefore sized by LB-EST on the current
+        graph alone (a certain bound); the corpus keeps the build's
+        Algorithm 5 size.
 
         Accepts either loose arguments (``edges``/``probabilities``/
         ``removed``/``checkins`` as in
@@ -577,64 +600,52 @@ class RisDaIndex:
     ) -> list:
         """The one online body every RIS-DA query kind runs.
 
-        Per plan: size it — nearest pivot, Lemma 8 per location (the max
-        over a multi-location plan's locations), Lemma 7 — then evaluate
-        the Eq. 9 weights and run its selector.  A sample's weight
-        depends only on its root, so the weights (and a genuine mask) are
-        evaluated once per *node* and then gathered per sample,
-        ``w_node[roots[:l]]``: the same floats as evaluating
+        Per plan: evaluate the Eq. 9 node weights (the max over a
+        multi-location plan's locations, times a genuine mask), size the
+        plan by :meth:`_lower_bound` and Lemma 7, and run its selector
+        over that prefix.  A sample's weight depends only on its root,
+        so the weights are evaluated once per *node* and then gathered
+        per sample, ``w_node[roots[:l]]``: the same floats as evaluating
         ``w(v_i, q)`` per sample, at O(n) instead of O(l) distance and
-        ``exp`` work.  A plan's ``total`` covers its own sizing, weights
+        ``exp`` work.  A plan's ``total`` covers its own weights, sizing
         and selection.
         """
         cfg = self.config
         n = self.network.n
-        alpha = self.decay.alpha
         delta_pivot, delta_online = cfg.resolved_deltas(n)
         coords = self.network.coords
         roots = self.corpus.roots
         out = []
         for plan in plans:
-            t_sizing = time.perf_counter()
+            t_start = time.perf_counter()
             k = plan.k
             if not 0 < k <= self.k_max:
                 raise QueryError(f"k must be in [1, {self.k_max}], got {k}")
-            best = None
-            for loc in plan.locations:
-                pi, dist = self._pivot_tree.nearest(loc)
-                lb = lemma8_lower_bound(
-                    float(self.pivot_estimates[pi, k - 1]), dist,
-                    alpha, cfg.epsilon_pivot, delta_pivot, n, k,
-                )
-                if lb <= 0:
-                    lb = float(self.pivot_lower_bounds[pi, k - 1]) * float(
-                        np.exp(-alpha * dist)
-                    )
-                # OPT_Q^k >= OPT_q^k for every q in Q: keep the best bound.
-                if best is None or lb > best[0]:
-                    best = (lb, pi, dist)
-            lb, pi, dist = best
-            if lb <= 0:
-                raise SamplingError(
-                    f"lower bound collapsed to {lb} at "
-                    f"{list(plan.locations)}; the pivot phase produced no "
-                    "usable estimate (graph too sparse or decay too "
-                    "aggressive)"
-                )
-            l_required = required_sample_size(
-                n, k, self.decay.w_max, cfg.epsilon,
-                delta_online - delta_pivot, lb,
-            )
-            l_used = min(l_required, len(self.corpus))
-            start = time.perf_counter()
-            sizing = start - t_sizing
             w_node = multi_location_weights(
                 self.decay, coords, plan.locations
             )
+            w_cap = self.decay.w_max
             if plan.mask is not None:
                 w_node *= plan.mask
+                w_cap *= float(plan.mask.max())
+            t_sizing = time.perf_counter()
+            lb, pi, dist = self._lower_bound(plan, w_node, delta_pivot)
+            # No positive bound (e.g. an all-zero mask): no prefix
+            # certifies, so answer from the whole corpus, uncertified.
+            l_required = (
+                required_sample_size(
+                    n, k, w_cap, cfg.epsilon, delta_online - delta_pivot, lb
+                )
+                if lb > 0 else None
+            )
+            l_used = (
+                len(self.corpus) if l_required is None
+                else min(l_required, len(self.corpus))
+            )
+            start = time.perf_counter()
+            sizing = start - t_sizing
             weights = w_node[roots[:l_used]]
-            weight_eval = time.perf_counter() - start
+            weight_eval = (t_sizing - t_start) + (time.perf_counter() - start)
             if plan.costs is None:
                 # Serving default: no certification bound (certify.py
                 # draws its own fresh samples and requests it there).
@@ -647,7 +658,7 @@ class RisDaIndex:
                     self.corpus, weights, plan.costs, plan.budget,
                     prefix=l_used, backend=self.kernel_backend,
                 )
-            elapsed = sizing + (time.perf_counter() - start)
+            elapsed = time.perf_counter() - t_start
             result = SeedResult(
                 seeds=cover.seeds,
                 estimate=cover.estimate,
@@ -665,11 +676,10 @@ class RisDaIndex:
                 lower_bound=lb,
                 samples_required=l_required,
                 samples_used=l_used,
-                # A genuine mask shrinks OPT below the unmasked Lemma 8
-                # bound, so the (1 - 1/e - eps) certificate no longer
-                # transfers; the estimate stays unbiased for the masked
-                # spread at any prefix length.
-                guarantee_met=l_used >= l_required and plan.mask is None,
+                guarantee_met=(
+                    l_required is not None and l_used >= l_required
+                    and self._top_k_objective(plan)
+                ),
                 timings=QueryTimings(
                     sizing=sizing,
                     weight_eval=weight_eval,
@@ -680,6 +690,52 @@ class RisDaIndex:
                 ),
             )))
         return out
+
+    def _lower_bound(
+        self, plan: _Plan, w_node: np.ndarray, delta_pivot: float
+    ) -> Tuple[float, int, float]:
+        """``(L, pivot index, pivot distance)``: the plan's Lemma 7 bound.
+
+        ``L`` is the best of two lower bounds on the plan's ``OPT^k``
+        (Lemma 7 accepts any): Algorithm 3 (LB-EST) at the plan's own
+        weights ``w_node``, which holds with certainty, and the Lemma 8
+        transfer of the nearest pivot's estimate (the max over a
+        multi-location plan's locations, since ``OPT_Q^k >= OPT_q^k``
+        for every ``q`` in ``Q``), which holds w.p. ``>= 1 - delta_pivot``.
+        Lemma 8 is skipped where it does not bound the plan's optimum:
+        under a genuine mask (it bounds the unmasked one) and once
+        :meth:`update` has changed the graph (the pivot estimates are the
+        build's snapshot).  The pivot fields name the nearest pivot of
+        the location with the best transfer.
+        """
+        cfg = self.config
+        n = self.network.n
+        k = plan.k
+        transfer = plan.mask is None and self.generation == 0
+        best = None
+        for loc in plan.locations:
+            pi, dist = self._pivot_tree.nearest(loc)
+            lb = lemma8_lower_bound(
+                float(self.pivot_estimates[pi, k - 1]), dist,
+                self.decay.alpha, cfg.epsilon_pivot, delta_pivot, n, k,
+            ) if transfer else 0.0
+            if best is None or lb > best[0]:
+                best = (lb, pi, dist)
+        return max(best[0], self._lb_est(w_node, k)), best[1], best[2]
+
+    def _top_k_objective(self, plan: _Plan) -> bool:
+        """Whether the plan's selector is the top-``k`` greedy the
+        ``1 - 1/e - epsilon`` certificate speaks about.
+
+        The gain/cost ratio greedy has no such factor for non-uniform
+        costs, and ``L^{k_eff}`` bounds the cardinality optimum, not the
+        budgeted one.  With equal costs ``c`` and ``floor(budget / c) <=
+        k_max`` the budgeted cover *is* the top-``k_eff`` greedy.
+        """
+        if plan.costs is None:
+            return True
+        c = float(plan.costs[0])
+        return bool(np.all(plan.costs == c)) and plan.budget // c <= self.k_max
 
     def query(
         self,
@@ -712,10 +768,11 @@ class RisDaIndex:
         subset): sample ``i``'s weight becomes ``w(v_i, q) * mask[v_i]``,
         so only influence landing on masked-in nodes counts.  With an
         all-ones mask this is bit-identical to :meth:`query` (multiplying
-        by 1.0 is exact, so the mask is simply dropped); with a genuine
-        mask the estimate remains unbiased for the masked spread but
-        ``guarantee_met`` reports ``False`` — the Lemma 8 sizing bounds
-        the unmasked optimum.
+        by 1.0 is exact, so the mask is simply dropped).  A genuine mask
+        is sized by LB-EST at the masked weights alone — Lemma 8 bounds
+        the unmasked optimum — so ``guarantee_met`` holds whenever that
+        prefix fits in the corpus; an all-zero mask has no positive bound
+        and answers from the whole corpus, uncertified.
         """
         mask = validate_mask(mask, self.network.n)
         plan = _Plan(
@@ -739,7 +796,10 @@ class RisDaIndex:
         sized sample prefix a top-``k_eff`` query would use, where
         ``k_eff = min(k_max, floor(budget / min cost))`` bounds how many
         seeds the budget can possibly buy.  With uniform costs ``c`` and
-        budget ``k * c`` the answer is bit-identical to ``query(q, k)``.
+        budget ``k * c`` the answer is bit-identical to ``query(q, k)``,
+        and only then (``floor(budget / c) <= k_max``) does
+        ``guarantee_met`` carry the certificate: the ratio greedy has no
+        ``1 - 1/e`` factor for non-uniform costs.
         """
         n = self.network.n
         location = as_point(q)

@@ -39,7 +39,9 @@ corpus would still yield an equally valid greedy solution.
 
 The loop stays linear in the total member entries of the prefix: each
 sample's members are visited once at initialisation (score build) and
-once when the sample first becomes covered (batched decrement).
+once when the sample first becomes covered (batched decrement).  A
+zero-weight sample starts covered — its decrement would subtract nothing
+— so a targeted query, whose mask zeroes most roots, skips that work.
 """
 
 from __future__ import annotations
@@ -215,7 +217,10 @@ class _Residual:
         # Inverted index (node -> ascending sample ids) is cached
         # corpus-wide; per-node prefix restriction is one binary search.
         self.inv_samples, self.inv_offsets = corpus.inverted()
-        self.covered = np.zeros(l, dtype=bool)
+        # A zero-weight sample changes no score, so it starts covered: a
+        # targeted mask zeroes most roots, and their decrements would
+        # subtract nothing (exactly: ``s - 0.0 == s``).
+        self.covered = weights[:l] == 0.0
 
     def take(self, u: int) -> None:
         """Cover every prefix sample of ``u`` and retire ``u``.

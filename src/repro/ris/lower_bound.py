@@ -17,16 +17,23 @@ probability that some retained path is live — a genuine lower bound on the
 activation probability, making ``L_p^k <= I_p(S) <= OPT_p^k`` hold with
 certainty, as the paper requires ("the algorithm returns a lower bound of
 ``OPT_p^k`` with 100% probability").
+
+Both bounds are array ops over the forward CSR (``out_offsets`` /
+``out_targets`` / ``out_probs``) — a ragged row gather per hop and one
+``bincount`` per sum — cheap enough to run per online query.  The
+per-node dict loops they replaced stay in :mod:`repro.ris.reference` as
+the parity oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import QueryError
 from repro.network.graph import GeoSocialNetwork
+from repro.ris.coverage import _gather_slices
 
 
 def topk_sum(weights: np.ndarray, k: int) -> float:
@@ -38,6 +45,52 @@ def topk_sum(weights: np.ndarray, k: int) -> float:
         return float(weights.sum())
     part = np.partition(weights, len(weights) - k)
     return float(part[len(weights) - k :].sum())
+
+
+def _two_hop_seeds(
+    network: GeoSocialNetwork,
+    weights: np.ndarray,
+    k: int,
+    w_max: float | None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated ``(weights, seeds, is_seed)``: Algorithm 3 lines 1-2.
+
+    The seeds are the top ``k`` nodes by weight x out-degree (``w_max``
+    only scales that ranking); ``is_seed`` is their ``(n,)`` mask.
+    """
+    weights = np.asarray(weights, dtype=float)
+    n = network.n
+    if weights.shape != (n,):
+        raise QueryError(f"weights must have shape ({n},), got {weights.shape}")
+    if not 0 < k <= n:
+        raise QueryError(f"k must be in [1, {n}], got {k}")
+    if w_max is None:
+        w_max = float(weights.max()) if len(weights) else 1.0
+    if w_max <= 0:
+        raise QueryError(f"w_max must be positive, got {w_max}")
+    score = weights * np.diff(network.out_offsets) / w_max
+    seeds = np.argpartition(score, n - k)[n - k :]
+    is_seed = np.zeros(n, dtype=bool)
+    is_seed[seeds] = True
+    return weights, seeds, is_seed
+
+
+def _out_edges(
+    network: GeoSocialNetwork, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sources, targets, probabilities)`` of every out-edge of ``rows``.
+
+    One ragged gather over the forward CSR, no per-node Python loop.
+    """
+    offsets = network.out_offsets
+    pos = _gather_slices(offsets, rows)
+    sources = np.repeat(rows, offsets[rows + 1] - offsets[rows])
+    return sources, network.out_targets[pos], network.out_probs[pos]
+
+
+def _node_sums(targets: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``(n,)`` float per-target sums (``bincount`` of no edges is int)."""
+    return np.bincount(targets, values, minlength=n).astype(float, copy=False)
 
 
 def lb_est(
@@ -60,65 +113,42 @@ def lb_est(
         Maximum possible weight (the paper's ``c``); only used to scale the
         seed-ranking score, so it may be omitted.
 
-    Returns the lower bound ``L_q^k``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    n = network.n
-    if weights.shape != (n,):
-        raise QueryError(f"weights must have shape ({n},), got {weights.shape}")
-    if not 0 < k <= n:
-        raise QueryError(f"k must be in [1, {n}], got {k}")
-    if w_max is None:
-        w_max = float(weights.max()) if len(weights) else 1.0
-    if w_max <= 0:
-        raise QueryError(f"w_max must be positive, got {w_max}")
+    Returns the lower bound ``L_q^k``; 0.0 for all-zero weights (pass
+    ``w_max`` then, since their own maximum cannot scale the ranking).
 
-    # Line 1-2: rank by weight x out-degree and take the top k as seeds.
-    out_deg = np.asarray(network.out_degree(), dtype=float)
-    score = weights * out_deg / w_max
-    seeds = np.argpartition(score, n - k)[n - k :]
-    seed_set = set(int(s) for s in seeds)
+    Array ops over the forward CSR: a retained path's survival factor
+    ``1 - Pr(P)`` enters as ``log1p(-Pr(P))``, one ``bincount`` per hop
+    sums them per target, and ``1 - prod`` is ``-expm1`` of the sum
+    (``p = 1`` edges give ``-inf`` and a certain activation).
+    """
+    weights, seeds, is_seed = _two_hop_seeds(network, weights, k, w_max)
+    n = network.n
 
     # Line 4: the seeds themselves are activated with probability 1.
     lower = float(weights[seeds].sum())
 
     # Lines 5-6: influence to the two-hop neighbourhood through edge-
-    # disjoint paths of length <= 2.
-    #
-    # survive[v] = prod over retained paths P of (1 - Pr(P));
-    # the activation lower bound for v is 1 - survive[v].
-    survive: Dict[int, float] = {}
+    # disjoint paths of length <= 2.  A direct path s -> v is always
+    # edge-disjoint from the other retained paths to v (distinct source
+    # edge).
+    _, hop1, p1 = _out_edges(network, seeds)
+    keep = ~is_seed[hop1] & (p1 > 0.0)
+    hop1, p1 = hop1[keep], p1[keep]
     # best_via[x] = the strongest one-hop entry Pr(s, x) into intermediate x
-    best_via: Dict[int, float] = {}
-    for s in seed_set:
-        targets = network.out_neighbors(s)
-        probs = network.out_probabilities(s)
-        for v, p in zip(targets, probs):
-            v = int(v)
-            p = float(p)
-            if v in seed_set or p <= 0.0:
-                continue
-            # Direct path s -> v: always edge-disjoint from other retained
-            # paths to v (distinct source edge).
-            survive[v] = survive.get(v, 1.0) * (1.0 - p)
-            if p > best_via.get(v, 0.0):
-                best_via[v] = p
+    best_via = np.zeros(n, dtype=float)
+    np.maximum.at(best_via, hop1, p1)
+    # Best length-2 path through each x; one per intermediate keeps the
+    # retained set edge-disjoint (x -> x cannot occur: no self-loops).
+    via, hop2, p2 = _out_edges(network, np.flatnonzero(best_via))
+    keep = ~is_seed[hop2] & (p2 > 0.0)
+    hop2, p_path = hop2[keep], best_via[via[keep]] * p2[keep]
 
-    for x, p_in in best_via.items():
-        targets = network.out_neighbors(x)
-        probs = network.out_probabilities(x)
-        for v, p2 in zip(targets, probs):
-            v = int(v)
-            p2 = float(p2)
-            if v in seed_set or v == x or p2 <= 0.0:
-                continue
-            # Best length-2 path through x; one per intermediate keeps the
-            # retained set edge-disjoint.
-            survive[v] = survive.get(v, 1.0) * (1.0 - p_in * p2)
-
-    for v, s in survive.items():
-        lower += weights[v] * (1.0 - s)
-    return float(lower)
+    # log_survive[v] = sum over retained paths P to v of log(1 - Pr(P));
+    # the activation lower bound for v is 1 - exp(log_survive[v]).
+    with np.errstate(divide="ignore"):
+        log_survive = _node_sums(hop1, np.log1p(-p1), n)
+        log_survive += _node_sums(hop2, np.log1p(-p_path), n)
+    return lower + float(np.dot(weights, -np.expm1(log_survive)))
 
 
 def lb_est_lt(
@@ -140,47 +170,25 @@ def lb_est_lt(
 
     (the outer sum is over mutually exclusive selection events, each
     intersected with an independent event of probability ``a_u``), giving
-    a certain lower bound analogous to Algorithm 3's IC version.
+    a certain lower bound analogous to Algorithm 3's IC version.  Both
+    sums are one ``bincount`` each over the forward CSR.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights, seeds, is_seed = _two_hop_seeds(network, weights, k, w_max)
     n = network.n
-    if weights.shape != (n,):
-        raise QueryError(f"weights must have shape ({n},), got {weights.shape}")
-    if not 0 < k <= n:
-        raise QueryError(f"k must be in [1, {n}], got {k}")
-    if w_max is None:
-        w_max = float(weights.max()) if len(weights) else 1.0
-    if w_max <= 0:
-        raise QueryError(f"w_max must be positive, got {w_max}")
-
-    out_deg = np.asarray(network.out_degree(), dtype=float)
-    score = weights * out_deg / w_max
-    seeds = np.argpartition(score, n - k)[n - k :]
-    seed_set = set(int(s) for s in seeds)
 
     # a_u: one-hop activation lower bounds (seeds pinned at 1).
-    a = np.zeros(n, dtype=float)
-    for s in seed_set:
-        targets = network.out_neighbors(s)
-        probs = network.out_probabilities(s)
-        np.add.at(a, targets, probs)
+    _, hop1, p1 = _out_edges(network, seeds)
+    a = _node_sums(hop1, p1, n)
     np.clip(a, 0.0, 1.0, out=a)
-    for s in seed_set:
-        a[s] = 1.0
+    a[seeds] = 1.0
 
-    lower = float(weights[seeds].sum())
-    # Two-hop push: v gains sum_u Pr(u, v) * a_u; accumulate over sources
-    # with positive a (seeds and their out-neighbours).
-    gain = np.zeros(n, dtype=float)
-    for u in np.flatnonzero(a > 0.0):
-        u = int(u)
-        targets = network.out_neighbors(u)
-        probs = network.out_probabilities(u)
-        np.add.at(gain, targets, probs * a[u])
+    # Two-hop push: v gains sum_u Pr(u, v) * a_u over the sources with
+    # positive a (seeds and their out-neighbours).
+    via, hop2, p2 = _out_edges(network, np.flatnonzero(a > 0.0))
+    gain = _node_sums(hop2, p2 * a[via], n)
     np.clip(gain, 0.0, 1.0, out=gain)
-    gain[list(seed_set)] = 0.0  # seeds already counted at weight 1
-    lower += float(np.dot(gain, weights))
-    return lower
+    gain[is_seed] = 0.0  # seeds already counted at weight 1
+    return float(weights[seeds].sum()) + float(np.dot(gain, weights))
 
 
 def tightness_ratio(

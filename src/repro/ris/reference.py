@@ -1,16 +1,22 @@
-"""Pre-vectorization selection kernels, kept as the parity/benchmark oracle.
+"""Pre-vectorization kernels, kept as the parity/benchmark oracle.
 
 These are the Algorithm 2 kernels exactly as they shipped before the
 flat-array rewrite of :mod:`repro.ris.coverage`: ``np.add.at`` for the
 score build, a per-sample Python loop for the coverage decrement, a
 ``np.partition`` submodular bound recomputed every iteration, and a
-per-sample Python loop in the spread estimator.  They are deliberately
-*not* exported through ``repro.ris`` — production code must use
-:func:`repro.ris.coverage.weighted_greedy_cover` — but they stay in the
-tree for two jobs:
+per-sample Python loop in the spread estimator — plus the Algorithm 3
+lower bounds (LB-EST, IC and LT) as the per-node dict loops they were
+before the CSR rewrite of :mod:`repro.ris.lower_bound`.  They are
+deliberately *not* exported through ``repro.ris`` — production code must
+use :func:`repro.ris.coverage.weighted_greedy_cover` and
+:func:`repro.ris.lower_bound.lb_est` — but they stay in the tree for two
+jobs:
 
 * **parity tests** (``tests/ris/test_kernel_parity.py``) prove the
-  vectorized kernels select the same seeds with the same gains;
+  vectorized kernels select the same seeds with the same gains, and
+  (``tests/ris/test_lower_bound_parity.py``) that the CSR-vectorized
+  LB-EST bounds of :mod:`repro.ris.lower_bound` match the per-node dict
+  loops below to rounding;
 * **benchmarks** (``benchmarks/test_selection_kernels.py``) measure the
   speedup of the new default query path against this baseline and record
   it in ``BENCH_query_kernels.json``.
@@ -24,11 +30,12 @@ with a tight tolerance instead of bit equality.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
 from repro.exceptions import QueryError, SamplingError
+from repro.network.graph import GeoSocialNetwork
 from repro.ris.corpus import RRCorpus
 from repro.ris.coverage import CoverageResult
 
@@ -219,3 +226,118 @@ def reference_estimate_spread(
         if bool(seed_mask[members].any()):
             covered_weight += float(weights[i])
     return corpus.n_nodes * covered_weight / l
+
+
+def reference_lb_est(
+    network: GeoSocialNetwork,
+    weights: np.ndarray,
+    k: int,
+    w_max: float | None = None,
+) -> float:
+    """The pre-vectorization :func:`repro.ris.lower_bound.lb_est`: dict loops."""
+    weights = np.asarray(weights, dtype=float)
+    n = network.n
+    if weights.shape != (n,):
+        raise QueryError(f"weights must have shape ({n},), got {weights.shape}")
+    if not 0 < k <= n:
+        raise QueryError(f"k must be in [1, {n}], got {k}")
+    if w_max is None:
+        w_max = float(weights.max()) if len(weights) else 1.0
+    if w_max <= 0:
+        raise QueryError(f"w_max must be positive, got {w_max}")
+
+    # Line 1-2: rank by weight x out-degree and take the top k as seeds.
+    out_deg = np.asarray(network.out_degree(), dtype=float)
+    score = weights * out_deg / w_max
+    seeds = np.argpartition(score, n - k)[n - k :]
+    seed_set = set(int(s) for s in seeds)
+
+    # Line 4: the seeds themselves are activated with probability 1.
+    lower = float(weights[seeds].sum())
+
+    # Lines 5-6: influence to the two-hop neighbourhood through edge-
+    # disjoint paths of length <= 2.
+    #
+    # survive[v] = prod over retained paths P of (1 - Pr(P));
+    # the activation lower bound for v is 1 - survive[v].
+    survive: Dict[int, float] = {}
+    # best_via[x] = the strongest one-hop entry Pr(s, x) into intermediate x
+    best_via: Dict[int, float] = {}
+    for s in seed_set:
+        targets = network.out_neighbors(s)
+        probs = network.out_probabilities(s)
+        for v, p in zip(targets, probs):
+            v = int(v)
+            p = float(p)
+            if v in seed_set or p <= 0.0:
+                continue
+            # Direct path s -> v: always edge-disjoint from other retained
+            # paths to v (distinct source edge).
+            survive[v] = survive.get(v, 1.0) * (1.0 - p)
+            if p > best_via.get(v, 0.0):
+                best_via[v] = p
+
+    for x, p_in in best_via.items():
+        targets = network.out_neighbors(x)
+        probs = network.out_probabilities(x)
+        for v, p2 in zip(targets, probs):
+            v = int(v)
+            p2 = float(p2)
+            if v in seed_set or v == x or p2 <= 0.0:
+                continue
+            # Best length-2 path through x; one per intermediate keeps the
+            # retained set edge-disjoint.
+            survive[v] = survive.get(v, 1.0) * (1.0 - p_in * p2)
+
+    for v, s in survive.items():
+        lower += weights[v] * (1.0 - s)
+    return float(lower)
+
+
+def reference_lb_est_lt(
+    network: GeoSocialNetwork,
+    weights: np.ndarray,
+    k: int,
+    w_max: float | None = None,
+) -> float:
+    """The pre-vectorization :func:`repro.ris.lower_bound.lb_est_lt`: a
+    per-source ``np.add.at`` loop."""
+    weights = np.asarray(weights, dtype=float)
+    n = network.n
+    if weights.shape != (n,):
+        raise QueryError(f"weights must have shape ({n},), got {weights.shape}")
+    if not 0 < k <= n:
+        raise QueryError(f"k must be in [1, {n}], got {k}")
+    if w_max is None:
+        w_max = float(weights.max()) if len(weights) else 1.0
+    if w_max <= 0:
+        raise QueryError(f"w_max must be positive, got {w_max}")
+
+    out_deg = np.asarray(network.out_degree(), dtype=float)
+    score = weights * out_deg / w_max
+    seeds = np.argpartition(score, n - k)[n - k :]
+    seed_set = set(int(s) for s in seeds)
+
+    # a_u: one-hop activation lower bounds (seeds pinned at 1).
+    a = np.zeros(n, dtype=float)
+    for s in seed_set:
+        targets = network.out_neighbors(s)
+        probs = network.out_probabilities(s)
+        np.add.at(a, targets, probs)
+    np.clip(a, 0.0, 1.0, out=a)
+    for s in seed_set:
+        a[s] = 1.0
+
+    lower = float(weights[seeds].sum())
+    # Two-hop push: v gains sum_u Pr(u, v) * a_u; accumulate over sources
+    # with positive a (seeds and their out-neighbours).
+    gain = np.zeros(n, dtype=float)
+    for u in np.flatnonzero(a > 0.0):
+        u = int(u)
+        targets = network.out_neighbors(u)
+        probs = network.out_probabilities(u)
+        np.add.at(gain, targets, probs * a[u])
+    np.clip(gain, 0.0, 1.0, out=gain)
+    gain[list(seed_set)] = 0.0  # seeds already counted at weight 1
+    lower += float(np.dot(gain, weights))
+    return lower

@@ -10,7 +10,8 @@ from repro.diffusion.spread import monte_carlo_weighted_spread
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.weights import DistanceDecay
 from repro.ris.coverage import weighted_budgeted_cover, weighted_greedy_cover
-from repro.ris.sample_size import required_sample_size
+from repro.ris.lower_bound import lb_est
+from repro.ris.sample_size import lemma8_lower_bound, required_sample_size
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +279,10 @@ class TestNodeSpaceWeights:
             metric_index, [self.Q], 5, diag.samples_used, mask=mask
         )
         _assert_matches_reference(res, ref)
-        assert not diag.guarantee_met
+        # Sized by LB-EST at the masked weights: certified iff it fits.
+        assert diag.guarantee_met == (
+            diag.samples_used >= diag.samples_required
+        )
 
     def test_budgeted(self, metric_index, net):
         costs = np.random.default_rng(4).uniform(0.5, 2.0, net.n)
@@ -311,3 +315,108 @@ class TestNodeSpaceWeights:
         public = multi_location_query(metric_index, locs, 5)
         assert public.seeds == res.seeds
         assert public.estimate == res.estimate
+
+
+def _lemma8_bound(index, loc, k):
+    """The nearest pivot's Lemma 8 transfer, as the online body takes it."""
+    cfg, n = index.config, index.network.n
+    dp, _ = cfg.resolved_deltas(n)
+    pi, dist = index._pivot_tree.nearest(loc)
+    return lemma8_lower_bound(
+        float(index.pivot_estimates[pi, k - 1]), dist, index.decay.alpha,
+        cfg.epsilon_pivot, dp, n, k,
+    )
+
+
+class TestSizingRule:
+    """Every plan is sized by ``L = max(Lemma 8, LB-EST(w_node, k))``;
+    masked plans and updated indexes by LB-EST alone."""
+
+    Q = (42.0, 58.0)
+
+    def test_point_takes_the_better_bound(self, index, net):
+        # LB-EST is the larger bound at (50, 50), Lemma 8 at the others.
+        for q in (self.Q, tuple(index.pivots[0]), (2.0, 97.0), (50.0, 50.0)):
+            _, diag = index.query(q, 5, return_diagnostics=True)
+            w = index.decay.weights(net.coords, q)
+            expected = max(
+                _lemma8_bound(index, q, 5),
+                lb_est(net, w, 5, index.decay.w_max),
+            )
+            assert diag.lower_bound == expected
+            assert diag.guarantee_met == (
+                diag.samples_used >= diag.samples_required
+            )
+
+    def test_multi_location_takes_the_best_transfer(self, index, net):
+        locs = ((20.0, 30.0), (70.0, 60.0))
+        [(_, diag)] = index._answer([_Plan(locs, 4)], return_diagnostics=True)
+        w = multi_location_weights(index.decay, net.coords, locs)
+        expected = max(
+            max(_lemma8_bound(index, q, 4) for q in locs),
+            lb_est(net, w, 4, index.decay.w_max),
+        )
+        assert diag.lower_bound == expected
+
+    def test_mask_is_sized_by_masked_lb_est_alone(self, index, net):
+        mask = np.zeros(net.n)
+        mask[::3] = 1.0
+        _, diag = index.query_masked(self.Q, 5, mask, return_diagnostics=True)
+        w = index.decay.weights(net.coords, self.Q) * mask
+        assert diag.lower_bound == lb_est(net, w, 5, index.decay.w_max)
+
+    def test_all_zero_mask_answers_uncertified_from_whole_corpus(
+        self, index, net
+    ):
+        res, diag = index.query_masked(
+            self.Q, 3, np.zeros(net.n), return_diagnostics=True
+        )
+        assert diag.lower_bound == 0.0
+        assert diag.samples_required is None
+        assert diag.samples_used == len(index.corpus) == res.samples_used
+        assert not diag.guarantee_met
+        assert res.estimate == 0.0
+
+    def test_non_uniform_budget_never_certifies(self, index, net):
+        costs = np.random.default_rng(4).uniform(0.5, 2.0, net.n)
+        for q in (self.Q, (10.0, 10.0), (80.0, 35.0)):
+            _, diag = index.query_budgeted(
+                q, 6.0, costs, return_diagnostics=True
+            )
+            assert not diag.guarantee_met
+
+    def test_uniform_budget_certifies_as_top_k(self, index, net):
+        """Equal costs with floor(budget / c) <= k_max is the top-k
+        greedy, and carries the point query's certificate."""
+        costs = np.full(net.n, 0.5)
+        res, diag = index.query_budgeted(
+            self.Q, 2.5, costs, return_diagnostics=True
+        )
+        ref, ref_diag = index.query(self.Q, 5, return_diagnostics=True)
+        assert res.seeds == ref.seeds
+        assert diag == ref_diag
+        # A budget buying more than k_max seeds is capped at k_max and
+        # is no longer the top-floor(budget / c) greedy.
+        _, capped = index.query_budgeted(
+            self.Q, 0.5 * (index.k_max + 1), costs, return_diagnostics=True
+        )
+        assert not capped.guarantee_met
+
+
+class TestStalePivotBounds:
+    def test_updated_index_sizes_by_lb_est_on_current_graph(self, net):
+        decay = DistanceDecay(alpha=0.02)
+        idx = RisDaIndex(net, decay, RisDaConfig(
+            k_max=6, n_pivots=8, epsilon_pivot=0.4,
+            max_index_samples=6_000, seed=9,
+        ))
+        q, k = (42.0, 58.0), 4
+        edges, probs = net.edge_array()
+        idx.update(edges=edges, probabilities=probs / 2.0)
+        assert idx.generation == 1
+        _, diag = idx.query(q, k, return_diagnostics=True)
+        w = decay.weights(idx.network.coords, q)
+        assert diag.lower_bound == lb_est(idx.network, w, k, decay.w_max)
+        assert diag.guarantee_met == (
+            diag.samples_used >= diag.samples_required
+        )

@@ -19,7 +19,12 @@ import repro.serve.engine as engine_mod
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.core.persistence import save_ris_index
 from repro.core.query import DaimQuery
-from repro.core.querykind import HeuristicQuery, TargetedQuery, TrajectoryQuery
+from repro.core.querykind import (
+    HeuristicQuery,
+    TargetedQuery,
+    TrajectoryQuery,
+    target_mask,
+)
 from repro.core.ris_da import RisDaConfig, RisDaIndex
 from repro.exceptions import QueryError
 from repro.geo.weights import DistanceDecay
@@ -265,15 +270,20 @@ class TestGuaranteeMetric:
         row = served_row(DaimQuery((50.0, 50.0), 3), hit)
         assert row["guarantee_met"] is flag
 
-    def test_targeted_always_misses(self, ris_index):
+    def test_targeted_flag_matches_sized_prefix(self, ris_index):
         metrics = MetricsRegistry()
         engine = QueryEngine(ris_index, metrics=metrics)
         query = TargetedQuery(location=(50.0, 50.0), k=3, targets=(0, 1, 2))
+        _, diag = ris_index.query_masked(
+            query.location, query.k, target_mask(query, ris_index.network.n),
+            return_diagnostics=True,
+        )
+        flag = diag.samples_used >= diag.samples_required
         first = engine.query(query)
         hit = engine.query(query)
         assert hit.cached
-        assert first.guarantee_met is False and hit.guarantee_met is False
-        assert _miss(metrics, "targeted") == 2
+        assert first.guarantee_met is hit.guarantee_met is flag
+        assert _miss(metrics, "targeted") == (0 if flag else 2)
 
     def test_mia_and_heuristic_answers_carry_no_flag(self, net, decay):
         metrics = MetricsRegistry()
