@@ -3,24 +3,21 @@
 The paper's query workload: "query locations are randomly selected from
 the entire space" (Section 5.1), plus Figure 7's partitioning of queries
 into quintiles by the average user-to-query distance.  In addition,
-:func:`mia_build_throughput` measures the offline side — serial vs
-parallel MIIA construction — and :func:`serve_throughput` measures the
-online side: cold-cache vs warm-cache queries/sec through the serving
-engine.
+:func:`serve_throughput` measures cold-cache vs warm-cache queries/sec
+through the serving engine.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.exceptions import QueryError
 from repro.geo.point import Point
 from repro.geo.sampling import sample_uniform_points
-from repro.mia.parallel import ParallelMiaBuilder
 from repro.network.graph import GeoSocialNetwork
 from repro.rng import RandomLike, as_generator
 
@@ -68,28 +65,6 @@ def distance_partitioned_queries(
         idx = rng.choice(len(segment), size=per_bucket, replace=False)
         buckets.append([segment[int(i)] for i in idx])
     return buckets
-
-
-@dataclass(frozen=True)
-class MiaBuildThroughput:
-    """One row of the MIIA construction-throughput workload."""
-
-    workers: int
-    trees: int
-    entries: int
-    seconds: float
-    trees_per_second: float
-    speedup: float
-
-    def as_row(self) -> dict[str, object]:
-        return {
-            "workers": self.workers,
-            "trees": self.trees,
-            "entries": self.entries,
-            "sec": round(self.seconds, 3),
-            "trees/s": int(self.trees_per_second),
-            "speedup": round(self.speedup, 2),
-        }
 
 
 @dataclass(frozen=True)
@@ -158,42 +133,3 @@ def serve_throughput(engine, queries, k: int, rounds: int = 2):
         )
     return rows
 
-
-def mia_build_throughput(
-    network: GeoSocialNetwork,
-    workers: Sequence[int] = (1, 2, 4),
-    theta: float = 0.05,
-) -> List[MiaBuildThroughput]:
-    """Serial-vs-parallel MIIA construction throughput.
-
-    Builds all ``n`` arborescences once per worker count in ``workers``
-    and reports wall-clock, throughput, and the speedup over the first
-    entry (conventionally ``workers[0] == 1``, the serial baseline).
-    Unlike RR sampling, the output is bit-identical across worker counts,
-    so rows differ only in wall-clock.
-    """
-    if not workers:
-        raise QueryError("workers must name at least one worker count")
-    rows: List[MiaBuildThroughput] = []
-    baseline: float | None = None
-    for w in workers:
-        builder = ParallelMiaBuilder(network, theta, n_workers=w)
-        try:
-            start = time.perf_counter()
-            members, _, _, _, _ = builder.build_flat()
-            elapsed = time.perf_counter() - start
-        finally:
-            builder.close()
-        if baseline is None:
-            baseline = elapsed
-        rows.append(
-            MiaBuildThroughput(
-                workers=int(w),
-                trees=int(network.n),
-                entries=int(len(members)),
-                seconds=elapsed,
-                trees_per_second=network.n / elapsed if elapsed > 0 else 0.0,
-                speedup=baseline / elapsed if elapsed > 0 else 0.0,
-            )
-        )
-    return rows

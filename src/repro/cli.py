@@ -323,7 +323,6 @@ def cmd_build_mia(args: argparse.Namespace) -> int:
         n_heavy=args.n_heavy,
         anchor_strategy=args.anchor_strategy,
         seed=args.seed,
-        n_workers=args.workers,
     )
     with _ObsSession(args):
         index = _build_index(args, MiaDaIndex, network, decay, cfg)
@@ -693,11 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor-strategy", choices=("uniform", "density"),
                    default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the arborescence build (1 = serial; "
-             "the index is bit-identical for any worker count)",
-    )
     _add_obs_args(p, alloc=True)
     p.set_defaults(func=cmd_build_mia)
 

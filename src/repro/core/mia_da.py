@@ -35,7 +35,6 @@ from repro.geo.point import PointLike
 from repro.geo.sampling import sample_density_pivots, sample_uniform_points
 from repro.geo.weights import DistanceDecay
 from repro.mia.influence import activation_probabilities, linear_coefficients
-from repro.mia.parallel import ParallelMiaBuilder
 from repro.mia.pmia import MiaModel
 from repro.network.graph import GeoSocialNetwork
 from repro.obs.log import get_logger
@@ -66,9 +65,7 @@ class MiaDaConfig:
     ``n_anchors`` is the paper's ``|L|`` (default 300), ``tau`` the region
     count for heavy-node bounds (default 200), ``theta`` the MIP pruning
     threshold (default 0.05).  ``n_heavy`` bounds how many nodes get a
-    region index; ``None`` picks ``max(32, n // 20)``.  ``n_workers`` fans
-    the arborescence build over that many worker processes (``1`` builds
-    serially in-process; the index is bit-identical either way).
+    region index; ``None`` picks ``max(32, n // 20)``.
     """
 
     theta: float = 0.05
@@ -77,7 +74,6 @@ class MiaDaConfig:
     n_heavy: Optional[int] = None
     anchor_strategy: str = "uniform"
     seed: int = 0
-    n_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_anchors <= 0:
@@ -89,8 +85,6 @@ class MiaDaConfig:
                 f"n_heavy must be positive (or None for automatic sizing), "
                 f"got {self.n_heavy}"
             )
-        if self.n_workers < 1:
-            raise QueryError(f"n_workers must be at least 1, got {self.n_workers}")
         if self.anchor_strategy not in ("uniform", "density"):
             raise QueryError(
                 f"anchor_strategy must be 'uniform' or 'density', "
@@ -194,25 +188,15 @@ class MiaDaIndex:
             logger.event(
                 "build_start", phase="mia.build", n=network.n,
                 theta=self.config.theta, n_anchors=self.config.n_anchors,
-                n_workers=self.config.n_workers,
             )
         build_start = time.perf_counter()
         with tracer.span(
             "mia.build",
             {"n": network.n, "theta": self.config.theta,
-             "n_anchors": self.config.n_anchors, "tau": self.config.tau,
-             "n_workers": self.config.n_workers},
+             "n_anchors": self.config.n_anchors, "tau": self.config.tau},
         ):
             if model is not None:
                 self.model = model
-            elif self.config.n_workers > 1:
-                # ParallelMiaBuilder emits its own "mia.build_trees" span
-                # (with re-parented per-chunk worker spans) inside ours.
-                with ParallelMiaBuilder(
-                    network, self.config.theta,
-                    n_workers=self.config.n_workers,
-                ) as builder:
-                    self.model = builder.build_model()
             else:
                 with tracer.span("mia.build_trees", {"n": network.n}):
                     self.model = MiaModel(network, self.config.theta)

@@ -364,6 +364,8 @@ def assemble_ris_index(
     index.pivot_seconds = 0.0
     index.voronoi_seconds = 0.0
     index.build_seconds = 0.0
+    with _malformed(source):
+        index.lemma8_ok = index._lemma8_pivots()
     return index
 
 
@@ -396,7 +398,6 @@ def mia_index_arrays(
             "n_heavy": index.config.n_heavy,
             "anchor_strategy": index.config.anchor_strategy,
             "seed": index.config.seed,
-            "n_workers": index.config.n_workers,
         },
     }
     empty_i = np.empty(0, dtype=np.int64)
@@ -500,7 +501,6 @@ def assemble_mia_index(
             n_heavy=cfg_raw["n_heavy"],
             anchor_strategy=cfg_raw["anchor_strategy"],
             seed=cfg_raw["seed"],
-            n_workers=cfg_raw.get("n_workers", 1),
         )
         generation = int(meta.get("generation", 0))
     model = MiaModel.from_flat_trees(network, config.theta, flat)

@@ -10,14 +10,16 @@ Offline (:meth:`RisDaIndex.build`, run by the constructor):
    nested, so one run yields the whole curve).
 2. **Worst-case sizing** (Algorithm 5) — partition space into the pivots'
    Voronoi cells; for each cell take the location furthest from its pivot,
-   transfer the pivot's estimate there with Lemma 8, and size the pool for
-   the worst (cell, k) combination.  The pool then suffices for *any*
-   online query.
+   transfer the pivot's estimate there with Lemma 8 (or, from a pivot
+   whose prefix ``max_index_samples`` cut short, shrink its certain
+   LB-EST bound by ``exp(-alpha d)``), and size the pool for the worst
+   (cell, k) combination.  The pool then suffices for *any* online query.
 
 Online (:meth:`RisDaIndex.query` and every other kind, all through the one
 body :meth:`RisDaIndex._answer`): evaluate the query's node weights,
 bound ``OPT_q^k`` from below by the better of the nearest pivot's Lemma 8
-transfer and Algorithm 3 (LB-EST) at the query's own weights, compute the
+transfer (where that pivot's premise holds) and Algorithm 3 (LB-EST) at
+the query's own weights, compute the
 (much smaller) sample prefix Lemma 7 implies, and run Algorithm 2 over
 that prefix only — the paper's key observation that building the
 coverage structures dominates online cost, so using fewer samples than
@@ -311,13 +313,7 @@ class RisDaIndex:
                 weights = self.decay.weights(net.coords, loc)
                 lbs = self._lb_curve(weights, k_max)
                 self.pivot_lower_bounds[pi] = lbs
-                # One sample size covering every k at this pivot.
-                l_p = max(
-                    required_sample_size(n, k, w_max, cfg.epsilon_pivot,
-                                         delta_pivot, float(lbs[k - 1]))
-                    for k in range(1, k_max + 1)
-                )
-                l_p = self._capped(l_p)
+                l_p = self._capped(self._pivot_sample_size(lbs))
                 self.corpus.ensure(l_p)
                 # The pivot phase only needs the estimate curve, never the
                 # certification bound — skip the per-iteration partitions.
@@ -333,6 +329,7 @@ class RisDaIndex:
                 ]
                 hb.advance()
             hb.finish()
+        self.lemma8_ok = self._lemma8_pivots()
         self.pivot_seconds = time.perf_counter() - start
 
         # ---- Algorithm 5: Voronoi worst-case sizing ----
@@ -349,7 +346,10 @@ class RisDaIndex:
                         float(self.pivot_estimates[pi, k - 1]), d_worst,
                         self.decay.alpha, cfg.epsilon_pivot, delta_pivot,
                         n, k,
-                    )
+                    ) if self.lemma8_ok[pi] else 0.0
+                    # The certain fallback: w(v, q) >= w(v, p) *
+                    # exp(-alpha d(p, q)), so LB-EST at the pivot shrinks
+                    # to a bound anywhere in its cell.
                     if lb <= 0:
                         lb = float(
                             self.pivot_lower_bounds[pi, k - 1]
@@ -382,6 +382,35 @@ class RisDaIndex:
             self.truncated = True
             return self.config.max_index_samples
         return l
+
+    def _pivot_sample_size(self, lower_bounds: np.ndarray) -> int:
+        """Algorithm 4's uncapped Lemma 7 size at one pivot: one prefix
+        long enough for every ``k`` of its ``L_p^k`` curve."""
+        cfg = self.config
+        n = self.network.n
+        delta_pivot, _ = cfg.resolved_deltas(n)
+        return max(
+            required_sample_size(n, k, self.decay.w_max, cfg.epsilon_pivot,
+                                 delta_pivot, float(lb))
+            for k, lb in enumerate(lower_bounds, start=1)
+        )
+
+    def _lemma8_pivots(self) -> np.ndarray:
+        """Per pivot, whether Lemma 8 may transfer its estimates.
+
+        Lemma 8 holds only if the pivot's greedy ran on at least
+        ``l(eps_pivot, delta_pivot, p, k, OPT_p^k)`` samples.  The pivot
+        phase cuts every prefix at ``max_index_samples``, so only pivots
+        whose uncapped size fits the cap qualify.  A pure function of
+        ``pivot_lower_bounds`` and the config: the build and the loader
+        both derive it, and no file stores it.
+        """
+        cap = self.config.max_index_samples
+        return np.array(
+            [self._pivot_sample_size(lbs) <= cap
+             for lbs in self.pivot_lower_bounds],
+            dtype=bool,
+        )
 
     def _lb_curve(self, weights: np.ndarray, k_max: int) -> np.ndarray:
         """``L_p^k`` for k = 1..k_max via Algorithm 3 on a k-grid.
@@ -703,10 +732,11 @@ class RisDaIndex:
         multi-location plan's locations, since ``OPT_Q^k >= OPT_q^k``
         for every ``q`` in ``Q``), which holds w.p. ``>= 1 - delta_pivot``.
         Lemma 8 is skipped where it does not bound the plan's optimum:
-        under a genuine mask (it bounds the unmasked one) and once
-        :meth:`update` has changed the graph (the pivot estimates are the
-        build's snapshot).  The pivot fields name the nearest pivot of
-        the location with the best transfer.
+        from a pivot whose Algorithm 4 prefix the cap cut short (see
+        :meth:`_lemma8_pivots`), under a genuine mask (it bounds the
+        unmasked one) and once :meth:`update` has changed the graph (the
+        pivot estimates are the build's snapshot).  The pivot fields
+        name the nearest pivot of the location with the best transfer.
         """
         cfg = self.config
         n = self.network.n
@@ -718,7 +748,7 @@ class RisDaIndex:
             lb = lemma8_lower_bound(
                 float(self.pivot_estimates[pi, k - 1]), dist,
                 self.decay.alpha, cfg.epsilon_pivot, delta_pivot, n, k,
-            ) if transfer else 0.0
+            ) if transfer and self.lemma8_ok[pi] else 0.0
             if best is None or lb > best[0]:
                 best = (lb, pi, dist)
         return max(best[0], self._lb_est(w_node, k)), best[1], best[2]

@@ -10,14 +10,11 @@ falls below a threshold ``theta``.
 * :mod:`repro.mia.influence` — activation probabilities on a tree (Eq. 5)
   and the linear (alpha) coefficients for incremental marginal gains;
 * :mod:`repro.mia.pmia` — the PMIA-DA baseline: greedy seed selection over
-  pre-built arborescences with distance-aware node weights;
-* :mod:`repro.mia.parallel` — worker-pool ``MIIA`` construction with a
-  deterministic chunk plan (bit-identical to the serial build).
+  pre-built arborescences with distance-aware node weights.
 """
 
 from repro.mia.arborescence import Arborescence, build_miia, build_mioa
 from repro.mia.influence import activation_probabilities, linear_coefficients
-from repro.mia.parallel import ParallelMiaBuilder
 from repro.mia.paths import max_influence_paths_from, max_influence_paths_to
 from repro.mia.pmia import FlatTrees, MiaModel, PmiaDa
 
@@ -25,7 +22,6 @@ __all__ = [
     "Arborescence",
     "FlatTrees",
     "MiaModel",
-    "ParallelMiaBuilder",
     "PmiaDa",
     "activation_probabilities",
     "build_miia",

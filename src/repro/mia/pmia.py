@@ -30,9 +30,8 @@ from repro.network.graph import GeoSocialNetwork
 #: Flat CSR layout of all arborescences, in root order: ``(members,
 #: parents, edge_probs, path_probs, offsets)`` where tree ``v``'s arrays
 #: live at ``[offsets[v]:offsets[v+1]]`` and ``parents`` holds *local*
-#: indices within each tree (-1 at the root).  This is the transfer format
-#: of :class:`~repro.mia.parallel.ParallelMiaBuilder` and the on-disk
-#: format of :func:`~repro.core.persistence.save_mia_index`.
+#: indices within each tree (-1 at the root).  This is the on-disk format
+#: of :func:`~repro.core.persistence.save_mia_index`.
 FlatTrees = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -48,8 +47,8 @@ class MiaModel:
         has probability below ``theta`` do not influence each other.
     trees:
         Pre-built ``MIIA(v)`` arborescences, one per node in node order.
-        ``None`` (the default) builds them serially here; a parallel build
-        passes the trees it assembled from worker chunks.
+        ``None`` (the default) builds them here; :meth:`from_flat_trees`
+        passes the trees it rebuilt from a saved index.
     """
 
     def __init__(
@@ -102,10 +101,10 @@ class MiaModel:
     ) -> "MiaModel":
         """Rebuild a model from the :data:`FlatTrees` CSR layout.
 
-        The inverse of :meth:`flat_trees`; used by the parallel builder and
-        the persistence layer.  Rebuilding is exact: the arborescences come
-        back with identical arrays, so the resulting model is
-        indistinguishable from a serial in-process build.
+        The inverse of :meth:`flat_trees`; used by the persistence layer.
+        Rebuilding is exact: the arborescences come back with identical
+        arrays, so the resulting model is indistinguishable from a fresh
+        build.
         """
         members, parents, edge_probs, path_probs, offsets = flat
         if len(offsets) != network.n + 1:

@@ -41,6 +41,24 @@ from repro.exceptions import DataFormatError, GraphError
 from repro.network.graph import GeoSocialNetwork
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _node_id(value) -> int:
+    """A wire-format node id: a JSON integer in int64 range.
+
+    Booleans and floats are refused rather than coerced — ``int(2.9)``
+    would silently name node 2 and ``int(True)`` node 1.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not _INT64.min <= value <= _INT64.max
+    ):
+        raise ValueError(f"node id must be an int64 integer, got {value!r}")
+    return int(value)
+
+
 def _as_edge_array(edges, what: str) -> np.ndarray:
     arr = np.asarray(edges if edges is not None else [], dtype=np.int64)
     if arr.size == 0:
@@ -115,27 +133,36 @@ class GraphDelta:
             {"op": "edge", "u": 3, "v": 7, "p": 0.2}
             {"op": "drop_edge", "u": 3, "v": 7}
             {"op": "checkin", "node": 5, "x": 12.5, "y": -3.0}
+
+        Any other row, or a node id that is not an int64 integer, raises
+        :class:`~repro.exceptions.DataFormatError`.
         """
         edges, probs, removed, checkins = [], [], [], []
         for i, ev in enumerate(events):
+            if not isinstance(ev, Mapping):
+                raise DataFormatError(
+                    f"event {i}: expected a JSON object, got {ev!r}"
+                )
             op = ev.get("op")
             try:
                 if op == "edge":
-                    edges.append((int(ev["u"]), int(ev["v"])))
+                    edges.append((_node_id(ev["u"]), _node_id(ev["v"])))
                     probs.append(float(ev["p"]))
                 elif op == "drop_edge":
-                    removed.append((int(ev["u"]), int(ev["v"])))
+                    removed.append((_node_id(ev["u"]), _node_id(ev["v"])))
                 elif op == "checkin":
-                    checkins.append(
-                        (int(ev["node"]), float(ev["x"]), float(ev["y"]))
-                    )
+                    checkins.append((
+                        _node_id(ev["node"]), float(ev["x"]), float(ev["y"])
+                    ))
                 else:
                     raise DataFormatError(
                         f"event {i}: unknown op {op!r} "
                         "(expected edge | drop_edge | checkin)"
                     )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"event {i}: malformed {ev!r}") from exc
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DataFormatError(
+                    f"event {i}: malformed {ev!r} ({exc})"
+                ) from exc
         return cls.make(
             edges=edges, probabilities=probs, removed=removed,
             checkins=checkins,

@@ -2,16 +2,20 @@
 
 On graphs of at most 14 edges every quantity the certificate speaks
 about is computable exactly: ``I_q(S)`` by possible-world enumeration
-(:mod:`repro.diffusion.possible_world`) and ``OPT_q^k`` by brute force
-over all k-subsets (``k <= 3``).  The audit runs point, masked,
-multi-location and uniform-cost budgeted queries at pivots and far from
-them, before and after an :meth:`~repro.core.ris_da.RisDaIndex.update`,
-and checks
+(:mod:`repro.diffusion.possible_world` under IC, live-edge enumeration
+in :mod:`repro.diffusion.lt` under LT) and ``OPT_q^k`` by brute force
+over all k-subsets (``k <= 3``).  For each diffusion model the audit
+runs point, masked, multi-location and uniform-cost budgeted queries at
+pivots and far from them, before and after an
+:meth:`~repro.core.ris_da.RisDaIndex.update`, plus point and
+multi-location queries on indexes whose ``max_index_samples`` cuts
+every pivot's Algorithm 4 prefix short, and checks
 
 * **LB-EST soundness**: Algorithm 3 at the query's own weights never
   exceeds the exact optimum (it is a certain bound), and neither does
   the sizing bound of a masked or post-update query, which is LB-EST
-  alone;
+  alone, nor that of any query on a capped index, where Lemma 8's
+  premise fails;
 * **the certificate**: among answers flagged ``guarantee_met``, the
   share with ``I_q(S) < (1 - 1/e - epsilon) * OPT`` is consistent with a
   failure rate ``<= delta`` (one-sided binomial test).
@@ -27,32 +31,45 @@ import pytest
 
 from repro.core.multi_location import multi_location_weights
 from repro.core.ris_da import RisDaConfig, RisDaIndex, _Plan
+from repro.diffusion.lt import exact_lt_activation_probabilities
 from repro.diffusion.possible_world import (
     exact_activation_probabilities,
     exact_weighted_spread,
 )
 from repro.geo.weights import DistanceDecay
 from repro.network.graph import GeoSocialNetwork
-from repro.ris.lower_bound import lb_est
+from repro.ris.lower_bound import lb_est, lb_est_lt
 
 K_MAX = 3
 N_NODES = 8
 N_EDGES = 10
 GRAPH_SEEDS = (1, 2, 3)
+#: ``max_index_samples`` of the capped indexes, below every pivot's
+#: Lemma 7 size (2k-3.4k samples here): one cut deep enough that the
+#: pivots' greedy estimates are noise, one shallow enough to certify.
+CAPS = (32, 1500)
 #: Reject the certificate when P(Binomial(certified, delta) >= failures)
 #: falls below this.
 ALPHA = 1e-3
 
 
-def _graph(seed: int) -> GeoSocialNetwork:
+def _graph(seed: int, diffusion: str = "ic") -> GeoSocialNetwork:
+    """A random 8-node graph; under LT each node's in-weights are
+    rescaled to sum to at most 1."""
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(N_NODES) for v in range(N_NODES) if u != v]
     chosen = rng.choice(len(pairs), size=N_EDGES, replace=False)
-    return GeoSocialNetwork.from_edges(
+    net = GeoSocialNetwork.from_edges(
         [pairs[i] for i in chosen],
         rng.uniform(0.0, 10.0, (N_NODES, 2)),
         rng.uniform(0.2, 0.9, N_EDGES),
     )
+    if diffusion == "lt":
+        edges, probs = net.edge_array()
+        heads = edges[:, 1]
+        load = np.bincount(heads, weights=probs, minlength=net.n)
+        net = net.with_probabilities(probs / np.maximum(load[heads], 1.0))
+    return net
 
 
 class _Exact:
@@ -62,9 +79,13 @@ class _Exact:
     serves every query on the graph.
     """
 
-    def __init__(self, net: GeoSocialNetwork) -> None:
+    def __init__(self, net: GeoSocialNetwork, diffusion: str = "ic") -> None:
+        activation = (
+            exact_activation_probabilities if diffusion == "ic"
+            else exact_lt_activation_probabilities
+        )
         self.act = {
-            s: exact_activation_probabilities(net, s)
+            s: activation(net, s)
             for r in range(1, K_MAX + 1)
             for s in combinations(range(net.n), r)
         }
@@ -88,17 +109,20 @@ def _locations(index: RisDaIndex, rng: np.random.Generator):
     return locs
 
 
-def _audit_index(index: RisDaIndex, rng: np.random.Generator, kinds):
-    """``(kind, certified, I_q(S), OPT, LB-EST, sizing L)`` per query."""
+def _audit_index(
+    index: RisDaIndex, exact: _Exact, rng: np.random.Generator, kinds
+):
+    """``(kind, certified, I_q(S), OPT, LB-EST, sizing L)`` per query;
+    ``exact`` must enumerate ``index.network`` as it is now."""
     net, decay = index.network, index.decay
-    exact = _Exact(net)
+    bound = lb_est if index.config.diffusion == "ic" else lb_est_lt
     locs = _locations(index, rng)
     rows = []
 
     def record(kind, res, diag, w, k):
         rows.append((
             kind, bool(diag.guarantee_met), exact.spread(res.seeds, w),
-            exact.opt(w, k), lb_est(net, w, k, decay.w_max),
+            exact.opt(w, k), bound(net, w, k, decay.w_max),
             diag.lower_bound,
         ))
 
@@ -137,19 +161,31 @@ def _binomial_tail(failures: int, trials: int, p: float) -> float:
     ))
 
 
-def run_audit():
+def _index(net, diffusion, seed, cap=30_000) -> RisDaIndex:
+    return RisDaIndex(net, DistanceDecay(alpha=0.3), RisDaConfig(
+        k_max=K_MAX, n_pivots=4, epsilon_pivot=0.3,
+        max_index_samples=cap, diffusion=diffusion, seed=seed,
+    ))
+
+
+def run_audit(diffusion: str = "ic"):
     """``(rows, delta, epsilon)`` over every audit graph and query."""
     rows = []
     for seed in GRAPH_SEEDS:
-        net = _graph(seed)
-        index = RisDaIndex(net, DistanceDecay(alpha=0.3), RisDaConfig(
-            k_max=K_MAX, n_pivots=4, epsilon_pivot=0.3,
-            max_index_samples=30_000, seed=seed,
-        ))
+        net = _graph(seed, diffusion)
+        exact = _Exact(net, diffusion)
+        index = _index(net, diffusion, seed)
         rng = np.random.default_rng(seed)
         rows += _audit_index(
-            index, rng, ("masked", "budgeted", "multi")
+            index, exact, rng, ("masked", "budgeted", "multi")
         )
+        for cap in CAPS:
+            capped = _index(net, diffusion, seed, cap)
+            assert capped.truncated and not capped.lemma8_ok.any()
+            rows += [
+                ("capped-" + r[0],) + r[1:]
+                for r in _audit_index(capped, exact, rng, ("multi",))
+            ]
         # A delta that weakens and drops edges and moves a check-in:
         # OPT can fall below the build's pivot estimates.
         edges, probs = index.network.edge_array()
@@ -157,13 +193,16 @@ def run_audit():
             edges=edges[1:4], probabilities=probs[1:4] / 2.0,
             removed=edges[:1], checkins=[(0, 5.0, 5.0)],
         )
-        rows += [("updated",) + r[1:] for r in _audit_index(index, rng, ())]
+        exact = _Exact(index.network, diffusion)
+        rows += [
+            ("updated",) + r[1:] for r in _audit_index(index, exact, rng, ())
+        ]
     return rows, 1.0 / N_NODES, index.config.epsilon
 
 
 @pytest.fixture(scope="module")
 def audit():
-    return run_audit()
+    return run_audit("ic")
 
 
 def test_enumeration_matches_exact_weighted_spread():
@@ -179,30 +218,71 @@ def test_lb_est_never_exceeds_opt(audit):
     assert all(lb <= opt + 1e-9 for *_, opt, lb, _ in rows)
 
 
-@pytest.mark.parametrize("kind", ["masked", "updated"])
+@pytest.mark.parametrize(
+    "kind", ["masked", "updated", "capped-point", "capped-multi"]
+)
 def test_lb_est_sized_kinds_never_overshoot(audit, kind):
-    """Masked and post-update plans are sized by LB-EST alone, so their
-    ``L`` is a certain bound on the optimum they are judged against
-    (the unmasked or build-time Lemma 8 transfer need not be)."""
+    """Masked, post-update and capped-index plans are sized without
+    Lemma 8, so their ``L`` is a certain bound on the optimum they are
+    judged against.  The unmasked or build-time transfer need not be,
+    and neither is a transfer from a pivot whose greedy ran on fewer
+    samples than Lemma 8 presumes: at the deep cap its estimates
+    overshoot the exact optimum."""
     rows, _, _ = audit
-    assert all(L <= opt + 1e-9 for r in rows if r[0] == kind
-               for opt, L in [(r[3], r[5])])
+    sized = [(r[3], r[5]) for r in rows if r[0] == kind]
+    assert sized
+    assert all(L <= opt + 1e-9 for opt, L in sized)
 
 
 @pytest.mark.parametrize(
-    "kind", ["point", "masked", "multi", "budgeted", "updated"]
+    "kind",
+    ["point", "masked", "multi", "budgeted", "updated", "capped-point",
+     "capped-multi"],
 )
 def test_every_kind_is_certified_somewhere(audit, kind):
     rows, _, _ = audit
     assert any(r[1] for r in rows if r[0] == kind)
 
 
-def test_certified_answers_meet_the_ratio(audit):
-    rows, delta, epsilon = audit
+def _assert_ratio_met(rows, delta, epsilon):
     ratio = 1.0 - 1.0 / math.e - epsilon
     certified = [(s, opt) for _, met, s, opt, *_ in rows if met]
     failures = sum(s < ratio * opt - 1e-12 for s, opt in certified)
     assert len(certified) >= 100
     assert _binomial_tail(failures, len(certified), delta) >= ALPHA, (
         failures, len(certified),
+    )
+
+
+def test_certified_answers_meet_the_ratio(audit):
+    _assert_ratio_met(*audit)
+
+
+def test_capped_certified_answers_meet_the_ratio(audit):
+    rows, delta, epsilon = audit
+    _assert_ratio_met(
+        [r for r in rows if r[0].startswith("capped-")], delta, epsilon
+    )
+
+
+class TestLinearThreshold:
+    """Every audit check above, on LT indexes over the same graphs with
+    each node's in-weights rescaled to sum to at most 1."""
+
+    @pytest.fixture(scope="class")
+    def audit(self):
+        return run_audit("lt")
+
+    test_lb_est_never_exceeds_opt = staticmethod(test_lb_est_never_exceeds_opt)
+    test_lb_est_sized_kinds_never_overshoot = staticmethod(
+        test_lb_est_sized_kinds_never_overshoot
+    )
+    test_every_kind_is_certified_somewhere = staticmethod(
+        test_every_kind_is_certified_somewhere
+    )
+    test_certified_answers_meet_the_ratio = staticmethod(
+        test_certified_answers_meet_the_ratio
+    )
+    test_capped_certified_answers_meet_the_ratio = staticmethod(
+        test_capped_certified_answers_meet_the_ratio
     )

@@ -66,9 +66,10 @@ class TestConfig:
     def test_none_n_heavy_allowed(self):
         assert MiaDaConfig(n_heavy=None).n_heavy is None
 
-    def test_bad_n_workers(self):
-        with pytest.raises(QueryError, match="n_workers"):
-            MiaDaConfig(n_workers=0)
+    def test_no_n_workers_field(self):
+        """The MIIA build has one serial path; no worker knob remains."""
+        with pytest.raises(TypeError, match="n_workers"):
+            MiaDaConfig(n_workers=2)
 
 
 class TestQueryBasics:
@@ -180,24 +181,34 @@ class TestBoundsIntegration:
         assert np.isfinite(res.estimate)
 
 
-class TestParallelBuild:
-    def test_parallel_index_matches_serial(self, net):
-        """MiaDaConfig(n_workers=4) must produce a bit-identical flat
-        index and identical query answers to the serial build."""
+class TestBuildTracing:
+    CFG = MiaDaConfig(theta=0.03, n_anchors=16, tau=64, seed=2)
+
+    def test_build_spans_nest_under_build(self, net):
+        from repro.obs.trace import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            MiaDaIndex(net, DistanceDecay(alpha=0.03), self.CFG)
+        spans = {s["name"]: s for s in tracer.finished_spans}
+        build = spans["mia.build"]
+        for phase in ("mia.build_trees", "mia.anchor_bounds",
+                      "mia.region_bounds"):
+            assert spans[phase]["parent_id"] == build["span_id"]
+        assert spans["mia.build_trees"]["attributes"]["n"] == net.n
+
+    def test_tracing_does_not_change_the_index(self, net):
+        from repro.obs.trace import Tracer, use_tracer
+
         decay = DistanceDecay(alpha=0.03)
-        cfg = dict(theta=0.03, n_anchors=16, tau=64, seed=2)
-        serial = MiaDaIndex(net, decay, MiaDaConfig(**cfg, n_workers=1))
-        parallel = MiaDaIndex(net, decay, MiaDaConfig(**cfg, n_workers=4))
-        for a, b in zip(serial.model.flat_trees(), parallel.model.flat_trees()):
+        plain = MiaDaIndex(net, decay, self.CFG)
+        with use_tracer(Tracer()):
+            traced = MiaDaIndex(net, decay, self.CFG)
+        for a, b in zip(plain.model.flat_trees(), traced.model.flat_trees()):
             assert a.tobytes() == b.tobytes()
         assert np.array_equal(
-            serial.anchor_bounds.influence, parallel.anchor_bounds.influence
+            plain.anchor_bounds.influence, traced.anchor_bounds.influence
         )
-        for q in [(20.0, 20.0), (80.0, 60.0)]:
-            ra = serial.query(q, 5)
-            rb = parallel.query(q, 5)
-            assert ra.seeds == rb.seeds
-            assert ra.estimate == rb.estimate
 
 
 class TestElapsedExcludesSetup:

@@ -78,6 +78,19 @@ class TestRoundTrip:
         with pytest.raises(DataFormatError, match="built over a graph"):
             load_ris_index(path, other)
 
+    def test_lemma8_premise_rederived(self, net, tmp_path):
+        """Which pivots may transfer by Lemma 8 is no file field: the
+        loader derives it from the pivot bounds and the config, as the
+        build did.  This cap cuts some pivots' prefixes but not all."""
+        built = RisDaIndex(net, DistanceDecay(alpha=0.03), RisDaConfig(
+            k_max=4, n_pivots=6, epsilon_pivot=0.4,
+            max_index_samples=16_000, seed=3,
+        ))
+        assert 0 < built.lemma8_ok.sum() < len(built.pivots)
+        save_ris_index(built, tmp_path / "index.npz")
+        loaded = load_ris_index(tmp_path / "index.npz", net)
+        assert np.array_equal(loaded.lemma8_ok, built.lemma8_ok)
+
     def test_diagnostics_still_work(self, net, index, tmp_path):
         path = tmp_path / "index.npz"
         save_ris_index(index, path)
@@ -256,7 +269,7 @@ class TestLegacyAndTamperedFiles:
 @pytest.fixture(scope="module")
 def mia_index(net):
     cfg = MiaDaConfig(
-        theta=0.03, n_anchors=16, tau=64, n_heavy=20, seed=5, n_workers=2,
+        theta=0.03, n_anchors=16, tau=64, n_heavy=20, seed=5,
     )
     return MiaDaIndex(net, DistanceDecay(alpha=0.03), cfg)
 
@@ -331,6 +344,28 @@ class TestMiaRoundTrip:
             (40.0, 60.0), 4
         ).seeds
 
+    def test_config_n_workers_ignored(self, net, mia_index, tmp_path):
+        """Files from builds that still had a worker pool carry
+        ``n_workers`` in their config; it no longer means anything."""
+        saved = tmp_path / "mia.npz"
+        save_mia_index(mia_index, saved)
+        older = tmp_path / "workers.npz"
+        _rewrite_npz(
+            saved, older,
+            lambda meta, arrays: meta["config"].update(n_workers=2),
+        )
+        loaded = load_mia_index(older, net)
+        assert loaded.config == mia_index.config
+        for a, b in zip(mia_index.model.flat_trees(), loaded.model.flat_trees()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_saved_config_has_no_n_workers(self, mia_index, tmp_path):
+        path = tmp_path / "mia.npz"
+        save_mia_index(mia_index, path)
+        with np.load(path) as data:
+            meta = json.loads(data["meta"].tobytes().decode("utf-8"))
+        assert "n_workers" not in meta["config"]
+
     def test_wrong_network_rejected(self, mia_index, tmp_path):
         path = tmp_path / "mia.npz"
         save_mia_index(mia_index, path)
@@ -369,6 +404,12 @@ def _narrow(name):
     return edit
 
 
+def _nan(name):
+    def edit(meta, arrays):
+        arrays[name] = np.full_like(arrays[name], np.nan)
+    return edit
+
+
 #: (index kind, tampering) pairs a loader must refuse with a typed error.
 MALFORMED = {
     "ris-no-config": ("ris", lambda meta, arrays: meta.pop("config")),
@@ -380,6 +421,7 @@ MALFORMED = {
     "ris-string-config-k-max": ("ris", _set("k_max", "7", "config")),
     "ris-narrow-estimates": ("ris", _narrow("pivot_estimates")),
     "ris-narrow-lower-bounds": ("ris", _narrow("pivot_lower_bounds")),
+    "ris-nan-lower-bounds": ("ris", _nan("pivot_lower_bounds")),
     "mia-no-config": ("mia", lambda meta, arrays: meta.pop("config")),
     "mia-no-decay": ("mia", lambda meta, arrays: meta.pop("decay")),
     "mia-no-config-field": (

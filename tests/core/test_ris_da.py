@@ -328,35 +328,70 @@ def _lemma8_bound(index, loc, k):
     )
 
 
+@pytest.fixture(scope="module")
+def uncapped_index(net):
+    """Every pivot's Algorithm 4 prefix fits the cap, so Lemma 8 applies."""
+    return RisDaIndex(net, DistanceDecay(alpha=0.02), RisDaConfig(
+        k_max=6, n_pivots=8, epsilon_pivot=0.3,
+        max_index_samples=400_000, seed=9,
+    ))
+
+
 class TestSizingRule:
-    """Every plan is sized by ``L = max(Lemma 8, LB-EST(w_node, k))``;
-    masked plans and updated indexes by LB-EST alone."""
+    """Every plan is sized by ``L = max(Lemma 8, LB-EST(w_node, k))``,
+    where Lemma 8 transfers only from pivots whose Algorithm 4 prefix
+    reached its Lemma 7 size; masked plans, updated indexes and pivots
+    the cap cut short are sized by LB-EST alone."""
 
     Q = (42.0, 58.0)
 
-    def test_point_takes_the_better_bound(self, index, net):
-        # LB-EST is the larger bound at (50, 50), Lemma 8 at the others.
+    def test_capped_pivots_do_not_transfer(self, index, net):
+        """The fixture's cap cuts every pivot's prefix, so a point query
+        is sized by LB-EST even where the transfer would be larger."""
+        assert index.truncated and not index.lemma8_ok.any()
+        larger = 0
         for q in (self.Q, tuple(index.pivots[0]), (2.0, 97.0), (50.0, 50.0)):
             _, diag = index.query(q, 5, return_diagnostics=True)
             w = index.decay.weights(net.coords, q)
-            expected = max(
-                _lemma8_bound(index, q, 5),
-                lb_est(net, w, 5, index.decay.w_max),
-            )
-            assert diag.lower_bound == expected
+            assert diag.lower_bound == lb_est(net, w, 5, index.decay.w_max)
+            larger += _lemma8_bound(index, q, 5) > diag.lower_bound
             assert diag.guarantee_met == (
                 diag.samples_used >= diag.samples_required
             )
+        assert larger
 
-    def test_multi_location_takes_the_best_transfer(self, index, net):
+    def test_point_takes_the_better_bound(self, uncapped_index, net):
+        index = uncapped_index
+        assert not index.truncated and index.lemma8_ok.all()
+        transfers = 0
+        qs = [tuple(p) for p in index.pivots[:4]] + [self.Q, (50.0, 50.0)]
+        for q in qs:
+            _, diag = index.query(q, 2, return_diagnostics=True)
+            w = index.decay.weights(net.coords, q)
+            lemma8 = _lemma8_bound(index, q, 2)
+            expected = max(lemma8, lb_est(net, w, 2, index.decay.w_max))
+            assert diag.lower_bound == expected
+            assert diag.guarantee_met
+            transfers += expected == lemma8
+        # Both bounds decide some query, so both paths stay exercised.
+        assert 0 < transfers < len(qs)
+
+    def test_multi_location_takes_the_best_transfer(self, uncapped_index, net):
+        index = uncapped_index
+        locs = (tuple(index.pivots[0]), (70.0, 60.0))
+        [(_, diag)] = index._answer([_Plan(locs, 2)], return_diagnostics=True)
+        w = multi_location_weights(index.decay, net.coords, locs)
+        expected = max(
+            max(_lemma8_bound(index, q, 2) for q in locs),
+            lb_est(net, w, 2, index.decay.w_max),
+        )
+        assert diag.lower_bound == expected
+
+    def test_capped_multi_location_is_sized_by_lb_est(self, index, net):
         locs = ((20.0, 30.0), (70.0, 60.0))
         [(_, diag)] = index._answer([_Plan(locs, 4)], return_diagnostics=True)
         w = multi_location_weights(index.decay, net.coords, locs)
-        expected = max(
-            max(_lemma8_bound(index, q, 4) for q in locs),
-            lb_est(net, w, 4, index.decay.w_max),
-        )
-        assert diag.lower_bound == expected
+        assert diag.lower_bound == lb_est(net, w, 4, index.decay.w_max)
 
     def test_mask_is_sized_by_masked_lb_est_alone(self, index, net):
         mask = np.zeros(net.n)

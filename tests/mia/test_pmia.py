@@ -18,6 +18,12 @@ class TestMiaModel:
         with pytest.raises(GraphError):
             MiaModel(example_net, theta=0.0)
 
+    def test_theta_out_of_range_rejected(self, example_net):
+        with pytest.raises(GraphError):
+            MiaModel(example_net, theta=0.0)
+        with pytest.raises(GraphError):
+            MiaModel(example_net, theta=1.5)
+
     def test_every_node_reaches_itself(self, model):
         for u in range(model.n):
             roots, probs = model.reach_of(u)
@@ -53,6 +59,27 @@ class TestMiaModel:
         sizes = model.tree_sizes()
         assert sizes.shape == (model.n,)
         assert np.all(sizes >= 1)
+
+
+class TestFlatRoundTrip:
+    @staticmethod
+    def _flat_equal(a, b):
+        return all(np.array_equal(xa, xb) for xa, xb in zip(a, b))
+
+    def test_from_flat_trees_round_trips(self, small_net):
+        model = MiaModel(small_net, 0.03)
+        rebuilt = MiaModel.from_flat_trees(small_net, 0.03, model.flat_trees())
+        assert self._flat_equal(model.flat_trees(), rebuilt.flat_trees())
+        for u in range(0, small_net.n, 17):
+            ra, pa = model.reach_of(u)
+            rb, pb = rebuilt.reach_of(u)
+            assert np.array_equal(ra, rb)
+            assert np.array_equal(pa, pb)
+
+    def test_wrong_root_count_rejected(self, small_net, example_net):
+        flat = MiaModel(example_net, 0.03).flat_trees()
+        with pytest.raises(GraphError):
+            MiaModel.from_flat_trees(small_net, 0.03, flat)
 
 
 class TestMiaGreedyState:

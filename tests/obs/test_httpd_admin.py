@@ -87,6 +87,19 @@ class TestAdminUpdate:
         status, body = post(server, "/admin/update", bad)
         assert status == 400
 
+    @pytest.mark.parametrize("row", [
+        '{"op": "edge", "u": Infinity, "v": 1, "p": 0.2}',
+        '{"op": "edge", "u": 1e300, "v": 1, "p": 0.2}',
+        '{"op": "edge", "u": true, "v": 2, "p": 0.2}',
+        '{"op": "checkin", "node": 2.9, "x": 1.0, "y": 1.0}',
+        '[1, 2]',
+    ])
+    def test_hostile_row_is_400_and_changes_nothing(self, server, engine, row):
+        status, body = post(server, "/admin/update", row.encode())
+        assert status == 400
+        assert "bad delta body" in json.loads(body)["error"]
+        assert engine.index.generation == 0
+
     def test_unknown_post_route_is_404(self, server):
         status, body = post(server, "/nope", b"")
         payload = json.loads(body)

@@ -1,10 +1,38 @@
 """Tests for repro.stream.delta (change batches and their application)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.exceptions import DataFormatError, GraphError
+from repro.exceptions import DataFormatError, GraphError, ReproError
 from repro.stream.delta import GraphDelta, apply_delta
+
+try:
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised only without hypothesis
+    HAVE_HYPOTHESIS = False
+
+if HAVE_HYPOTHESIS:
+    #: Any JSON value, and delta rows built from them: a known or junk
+    #: ``op`` with each field absent, a small plausible id, or junk.
+    _JSON = st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+    _FIELD = st.integers(-2, 12) | _JSON
+    _ROW = _JSON | st.fixed_dictionaries(
+        {"op": st.sampled_from(["edge", "drop_edge", "checkin"]) | _JSON},
+        optional={
+            name: _FIELD for name in ("u", "v", "p", "node", "x", "y")
+        },
+    )
 
 
 class TestGraphDeltaMake:
@@ -69,6 +97,42 @@ class TestFromEvents:
             GraphDelta.from_events(
                 [{"op": "edge", "u": 0, "v": 1, "p": float("nan")}]
             )
+
+
+    @pytest.mark.parametrize("row", [
+        {"op": "edge", "u": float("inf"), "v": 1, "p": 0.3},
+        {"op": "edge", "u": 1e300, "v": 1, "p": 0.3},
+        {"op": "drop_edge", "u": 0, "v": 2**63},
+        {"op": "edge", "u": True, "v": 2, "p": 0.3},
+        {"op": "checkin", "node": 2.9, "x": 1.0, "y": 1.0},
+        {"op": "edge", "u": 0, "v": 1, "p": 10**400},
+        [1, 2],
+        "edge",
+        None,
+    ])
+    def test_hostile_rows_rejected(self, row):
+        """Regression: these rows raised OverflowError or AttributeError,
+        or silently named another node (``2.9`` -> 2, ``true`` -> 1)."""
+        with pytest.raises(DataFormatError):
+            GraphDelta.from_events([row])
+
+    if HAVE_HYPOTHESIS:
+
+        # apply_delta never mutates its input, so sharing the fixture
+        # across examples is safe.
+        @settings(
+            max_examples=300, deadline=None,
+            suppress_health_check=[HealthCheck.function_scoped_fixture],
+        )
+        @given(rows=st.lists(_ROW, max_size=4))
+        def test_arbitrary_json_rows_fail_typed(self, example_net, rows):
+            """Whatever JSON arrives as rows, decoding it and applying the
+            result raise nothing but a ReproError."""
+            rows = json.loads(json.dumps(rows))  # exactly what the wire holds
+            try:
+                apply_delta(example_net, GraphDelta.from_events(rows))
+            except ReproError:
+                pass
 
 
 class TestApplyDelta:

@@ -113,7 +113,7 @@ class TestBuildAndLoadMia:
         rc = main([
             "build-mia", "--dataset", "brightkite", "--scale", "0.1",
             "--out", str(index_path), "--theta", "0.05",
-            "--anchors", "12", "--tau", "32", "--workers", "2",
+            "--anchors", "12", "--tau", "32",
         ])
         assert rc == 0
         assert index_path.exists()
