@@ -119,17 +119,24 @@ class RegionBounds:
         coords = model.network.coords
         self.nodes = np.asarray(sorted(set(int(h) for h in heavy_nodes)), dtype=np.int64)
         self._node_pos = {int(u): i for i, u in enumerate(self.nodes)}
-        # Sparse per-node (cells, masses): influence mass bucketed by cell.
-        self._cells: list[np.ndarray] = []
-        self._masses: list[np.ndarray] = []
+        # Sparse per-node (cells, masses): influence mass bucketed by cell,
+        # node i's share at [offsets[i]:offsets[i + 1]] of the flat arrays.
+        cells: list[np.ndarray] = []
+        masses: list[np.ndarray] = []
         for u in self.nodes:
             roots, probs = model.reach_of(int(u))
             cell_ids = self.grid.cells_of(coords[roots])
             uniq, inv = np.unique(cell_ids, return_inverse=True)
             mass = np.zeros(len(uniq), dtype=float)
             np.add.at(mass, inv, probs)
-            self._cells.append(uniq)
-            self._masses.append(mass)
+            cells.append(uniq)
+            masses.append(mass)
+        self._offsets = np.zeros(len(self.nodes) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in cells], out=self._offsets[1:])
+        self._cells = (
+            np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
+        )
+        self._masses = np.concatenate(masses) if masses else np.empty(0)
 
     def covers(self, u: int) -> bool:
         return int(u) in self._node_pos
@@ -139,16 +146,35 @@ class RegionBounds:
     ) -> Tuple[float, float]:
         """``(lower, upper)`` for one heavy node given per-cell distances.
 
-        ``d_min``/``d_max`` come from :meth:`cell_distances` — computed
-        once per query and shared across heavy nodes.
+        ``d_min``/``d_max`` come from :meth:`cell_distances`.
         """
         i = self._node_pos.get(int(u))
         if i is None:
             raise QueryError(f"node {u} has no region index")
-        cells = self._cells[i]
-        mass = self._masses[i]
-        upper = float(np.dot(mass, self.decay.weight_of_distance(d_min[cells])))
-        lower = float(np.dot(mass, self.decay.weight_of_distance(d_max[cells])))
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        cells, mass = self._cells[lo:hi], self._masses[lo:hi]
+        return (
+            float(np.dot(mass, self.decay.weight_of_distance(d_max[cells]))),
+            float(np.dot(mass, self.decay.weight_of_distance(d_min[cells]))),
+        )
+
+    def bounds(self, q: PointLike) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` for every heavy node, aligned with :attr:`nodes`.
+
+        The cell weights are evaluated once per query, at every cell's
+        nearest and farthest distance, and gathered into the flat per-node
+        layout; each node's bound is then one ``np.dot`` over its slice.
+        """
+        d_min, d_max = self.cell_distances(q)
+        near = self.decay.weight_of_distance(d_min)[self._cells]
+        far = self.decay.weight_of_distance(d_max)[self._cells]
+        mass = self._masses
+        offsets = self._offsets.tolist()
+        lower = np.empty(len(self.nodes), dtype=float)
+        upper = np.empty(len(self.nodes), dtype=float)
+        for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            lower[i] = mass[lo:hi].dot(far[lo:hi])
+            upper[i] = mass[lo:hi].dot(near[lo:hi])
         return lower, upper
 
     def cell_distances(self, q: PointLike) -> Tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.exceptions import QueryError
 from repro.geo.point import PointLike
 from repro.geo.sampling import sample_density_pivots, sample_uniform_points
 from repro.geo.weights import DistanceDecay
-from repro.mia.influence import activation_probabilities, linear_coefficients
+from repro.mia.forest import MiaForestState
 from repro.mia.pmia import MiaModel
 from repro.network.graph import GeoSocialNetwork
 from repro.obs.log import get_logger
@@ -92,78 +92,72 @@ class MiaDaConfig:
             )
 
 
-class _LazyMiaState:
-    """Per-query MIA greedy state with *lazy* per-root refresh.
+class _BoundQueue:
+    """Min-first heap of ``(key, node, version, *extra)`` candidate tuples.
 
-    Unlike :class:`~repro.mia.pmia.MiaGreedyState`, no global gain vector
-    is maintained — marginals are computed only for the nodes the priority
-    search actually asks about.
+    Pops in exactly the order one heap would if every node were pushed up
+    front at ``(keys[node], node, -1, *extras[node])``, without building
+    those ``n`` tuples.  The initial entries are released in sorted runs
+    (smallest keys first, ties by node id as tuple order breaks them) and
+    fed to the heap one at a time: it always holds the smallest initial
+    entry not yet popped, which is all a min-heap needs.  A search that
+    stops after a few hundred pops sorts only a few hundred keys.
     """
 
-    def __init__(self, model: MiaModel, weights: np.ndarray):
-        self.model = model
-        self.weights = weights
-        self.seeds: list[int] = []
-        self._seed_set: Set[int] = set()
-        self._ap: Dict[int, np.ndarray] = {}
-        self._alpha: Dict[int, np.ndarray] = {}
-        self._dirty: Set[int] = set()
-        self._touched_roots: Set[int] = set()
+    def __init__(self, keys: np.ndarray, *extras: np.ndarray):
+        self._keys = keys
+        self._extras = extras
+        self._released = 0  # initial entries already sorted into runs
+        self._cut = 0.0     # largest key released so far
+        self._run: list[int] = []
+        self._next = 0      # position in the current run
+        self._heap: list[tuple] = []
+        self._feed()
 
-    def marginal(self, u: int) -> float:
-        """Exact ``I_q^m(u | S)`` at the current seed set."""
-        u = int(u)
-        roots, probs = self.model.reach_of(u)
-        if not self.seeds:
-            # No seeds yet: marginal == singleton influence, a dot product.
-            return float(np.dot(probs, self.weights[roots]))
-        total = 0.0
-        for v in roots:
-            v = int(v)
-            wv = float(self.weights[v])
-            if wv == 0.0:
-                continue
-            ap, alpha = self._tree_state(v)
-            tree = self.model.trees[v]
-            i = tree.local_index(u)
-            total += float(alpha[i]) * (1.0 - float(ap[i])) * wv
-        return total
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
-    def add_seed(self, u: int) -> None:
-        u = int(u)
-        if u in self._seed_set:
-            raise QueryError(f"node {u} is already a seed")
-        self._seed_set.add(u)
-        self.seeds.append(u)
-        roots, _ = self.model.reach_of(u)
-        for v in roots:
-            v = int(v)
-            self._dirty.add(v)
-            self._touched_roots.add(v)
+    def _feed(self) -> None:
+        """Push the next initial entry, if any."""
+        if self._next == len(self._run):
+            self._release()
+            if self._next == len(self._run):
+                return
+        u = self._run[self._next]
+        self._next += 1
+        heapq.heappush(self._heap, (
+            float(self._keys[u]), u, -1, *(float(e[u]) for e in self._extras)
+        ))
 
-    def spread(self) -> float:
-        """``I_q^m(S)`` over all roots any seed can reach."""
-        total = 0.0
-        for v in self._touched_roots:
-            ap, _ = self._tree_state(v)
-            total += float(ap[0]) * float(self.weights[v])
-        return total
+    def _release(self) -> None:
+        """Sort the next run: every unreleased key up to the next cut."""
+        keys = self._keys
+        n = len(keys)
+        if self._released == n:
+            return
+        upto = min(n, max(64, 2 * self._released)) - 1
+        cut = np.partition(keys, upto)[upto]
+        pending = keys <= cut
+        if self._released:
+            pending &= keys > self._cut
+        run = np.flatnonzero(pending)  # ascending node ids
+        self._run = run[np.argsort(keys[run], kind="stable")].tolist()
+        self._next = 0
+        self._released += len(run)
+        self._cut = cut
 
-    def _tree_state(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
-        if v in self._ap and v not in self._dirty:
-            return self._ap[v], self._alpha[v]
-        tree = self.model.trees[v]
-        # Roots untouched by any seed keep the closed-form empty state.
-        if v not in self._touched_roots:
-            ap = np.zeros(len(tree), dtype=float)
-            alpha = tree.path_prob
-        else:
-            ap = activation_probabilities(tree, self._seed_set)
-            alpha = linear_coefficients(tree, self._seed_set, ap)
-        self._ap[v] = ap
-        self._alpha[v] = alpha
-        self._dirty.discard(v)
-        return ap, alpha
+    def peek(self) -> tuple:
+        """The smallest entry (the queue must be non-empty)."""
+        return self._heap[0]
+
+    def pop(self) -> tuple:
+        item = heapq.heappop(self._heap)
+        if item[2] == -1:
+            self._feed()
+        return item
+
+    def push(self, item: tuple) -> None:
+        heapq.heappush(self._heap, item)
 
 
 class MiaDaIndex:
@@ -348,12 +342,10 @@ class MiaDaIndex:
         for tests (bound validity) and ablations.
         """
         lower, upper = self.anchor_bounds.bounds(q)
-        d_min, d_max = self.region_bounds.cell_distances(q)
-        for u in self.region_bounds.nodes:
-            lo, hi = self.region_bounds.bounds_for(int(u), d_min, d_max)
-            u = int(u)
-            upper[u] = min(upper[u], hi)
-            lower[u] = max(lower[u], lo)
+        heavy = self.region_bounds.nodes
+        lo, hi = self.region_bounds.bounds(q)
+        upper[heavy] = np.minimum(upper[heavy], hi)
+        lower[heavy] = np.maximum(lower[heavy], lo)
         return lower, upper
 
     def query(
@@ -389,7 +381,7 @@ class MiaDaIndex:
 
         MIA influence is linear in the node weights (``sigma_q(u) =
         sum_v ap_u(v) * w(v, q)``), so masking multiplies the weights
-        into the lazy marginals and scales the anchor/region bounds:
+        into the marginals and scales the anchor/region bounds:
         ``lower * min(mask)`` and ``upper * max(mask)`` remain valid
         singleton bounds.  With an all-ones mask both scalings are by
         exactly 1.0, so the search is bit-identical to :meth:`query`.
@@ -419,15 +411,12 @@ class MiaDaIndex:
         setup_seconds = time.perf_counter() - setup_start
 
         start = time.perf_counter()
-        state = _LazyMiaState(self.model, weights)
+        state = MiaForestState(self.model.forest, weights)
 
-        # Priority heap: (-bound, node, version); version == number of
+        # Priority queue of (-bound, node, version); version == number of
         # seeds at which the bound became an *exact* marginal, -1 for the
         # initial index bound.
-        heap: list[tuple[float, int, int]] = [
-            (-float(upper[u]), u, -1) for u in range(self.network.n)
-        ]
-        heapq.heapify(heap)
+        heap = _BoundQueue(-upper)
         seeds: list[int] = []
         evaluations = 0
         heap_pops = 0
@@ -435,7 +424,7 @@ class MiaDaIndex:
         estimate = 0.0
 
         while len(seeds) < k and heap:
-            neg_bound, u, version = heapq.heappop(heap)
+            neg_bound, u, version = heap.pop()
             heap_pops += 1
             if u in selected:
                 continue
@@ -455,7 +444,7 @@ class MiaDaIndex:
                 # provably the best node — select without competing it
                 # through the heap (its exact gain is still computed once,
                 # for the objective value).
-                next_bound = -heap[0][0]
+                next_bound = -heap.peek()[0]
                 if float(lower[u]) >= next_bound:
                     gain = state.marginal(u)
                     evaluations += 1
@@ -466,7 +455,7 @@ class MiaDaIndex:
                     continue
             gain = state.marginal(u)
             evaluations += 1
-            heapq.heappush(heap, (-gain, u, len(seeds)))
+            heap.push((-gain, u, len(seeds)))
 
         if len(seeds) < k:
             raise QueryError(
@@ -530,16 +519,12 @@ class MiaDaIndex:
         setup_seconds = time.perf_counter() - setup_start
 
         start = time.perf_counter()
-        state = _LazyMiaState(self.model, weights)
+        state = MiaForestState(self.model.forest, weights)
         # (-bound/cost, node, version, bound): version as in query();
         # the raw bound rides along so a selection can accumulate the
         # exact marginal rather than un-dividing the ratio (float
         # division does not invert exactly).
-        heap: list[tuple[float, int, int, float]] = [
-            (-float(upper[u]) / float(costs[u]), u, -1, float(upper[u]))
-            for u in range(n)
-        ]
-        heapq.heapify(heap)
+        heap = _BoundQueue(-upper / costs, upper)
         seeds: list[int] = []
         evaluations = 0
         heap_pops = 0
@@ -547,7 +532,7 @@ class MiaDaIndex:
         estimate = 0.0
         remaining = budget
         while heap:
-            neg_ratio, u, version, bound = heapq.heappop(heap)
+            neg_ratio, u, version, bound = heap.pop()
             heap_pops += 1
             if u in selected:
                 continue
@@ -562,9 +547,7 @@ class MiaDaIndex:
                 continue
             gain = state.marginal(u)
             evaluations += 1
-            heapq.heappush(
-                heap, (-gain / float(costs[u]), u, len(seeds), gain)
-            )
+            heap.push((-gain / float(costs[u]), u, len(seeds), gain))
         elapsed = time.perf_counter() - start
         result = SeedResult(
             seeds=seeds,
@@ -589,7 +572,7 @@ class MiaDaIndex:
     ) -> list[SeedResult] | list[Tuple[SeedResult, MiaQueryDiagnostics]]:
         """One seed set per waypoint.
 
-        MIA-DA's per-query state (weights, bounds, lazy tree states) all
+        MIA-DA's per-query state (weights, bounds, forest state) all
         depend on the location, so unlike the RIS backend there is no
         cross-waypoint work to share — this is the plain loop, present
         so both index families expose the same trajectory surface.

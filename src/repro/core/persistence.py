@@ -375,9 +375,6 @@ def mia_index_arrays(
     """The ``(meta, arrays)`` of a MIA-DA index (shared save/publish path)."""
     members, parents, edge_probs, path_probs, offsets = index.model.flat_trees()
     region = index.region_bounds
-    region_sizes = np.asarray([len(c) for c in region._cells], dtype=np.int64)
-    region_offsets = np.zeros(len(region.nodes) + 1, dtype=np.int64)
-    np.cumsum(region_sizes, out=region_offsets[1:])
     meta = {
         "format_version": _MIA_FORMAT_VERSION,
         "kind": "mia",
@@ -400,8 +397,6 @@ def mia_index_arrays(
             "seed": index.config.seed,
         },
     }
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=float)
     arrays = {
         "tree_members": members,
         "tree_parents": parents,
@@ -412,13 +407,9 @@ def mia_index_arrays(
         "anchor_influence": index.anchor_bounds.influence,
         "anchor_mass": index.anchor_bounds.mass,
         "region_nodes": region.nodes,
-        "region_cells": (
-            np.concatenate(region._cells) if region._cells else empty_i
-        ),
-        "region_masses": (
-            np.concatenate(region._masses) if region._masses else empty_f
-        ),
-        "region_offsets": region_offsets,
+        "region_cells": region._cells,
+        "region_masses": region._masses,
+        "region_offsets": region._offsets,
     }
     return meta, arrays
 
@@ -522,14 +513,9 @@ def assemble_mia_index(
     )
     region_bounds.nodes = region_nodes
     region_bounds._node_pos = {int(u): i for i, u in enumerate(region_nodes)}
-    region_bounds._cells = [
-        region_cells[region_offsets[i] : region_offsets[i + 1]]
-        for i in range(len(region_nodes))
-    ]
-    region_bounds._masses = [
-        region_masses[region_offsets[i] : region_offsets[i + 1]]
-        for i in range(len(region_nodes))
-    ]
+    region_bounds._cells = region_cells
+    region_bounds._masses = region_masses
+    region_bounds._offsets = region_offsets
 
     index = MiaDaIndex.__new__(MiaDaIndex)
     index.network = network

@@ -26,7 +26,7 @@ class UniformGrid:
     Cells are indexed by a flat integer ``cell = row * cols + col``.
     """
 
-    __slots__ = ("box", "rows", "cols", "_cw", "_ch")
+    __slots__ = ("box", "rows", "cols", "_cw", "_ch", "_x_edges", "_y_edges")
 
     def __init__(self, box: BoundingBox, rows: int, cols: int):
         if rows <= 0 or cols <= 0:
@@ -40,6 +40,11 @@ class UniformGrid:
         self.cols = cols
         self._cw = box.width / cols
         self._ch = box.height / rows
+        # (lo, hi) cell edges per column and per row, for distance_bounds.
+        x_lo = box.xmin + np.arange(cols) * self._cw
+        y_lo = box.ymin + np.arange(rows) * self._ch
+        self._x_edges = (x_lo, x_lo + self._cw)
+        self._y_edges = (y_lo, y_lo + self._ch)
 
     @classmethod
     def with_cell_budget(cls, box: BoundingBox, n_cells: int) -> "UniformGrid":
@@ -105,22 +110,17 @@ class UniformGrid:
         so it must be cheap.
         """
         qx, qy = as_point(q)
-        cols = np.arange(self.cols)
-        rows = np.arange(self.rows)
-        x_lo = self.box.xmin + cols * self._cw
-        x_hi = x_lo + self._cw
-        y_lo = self.box.ymin + rows * self._ch
-        y_hi = y_lo + self._ch
+        x_lo, x_hi = self._x_edges
+        y_lo, y_hi = self._y_edges
 
         dx_min = np.maximum(np.maximum(x_lo - qx, qx - x_hi), 0.0)
         dy_min = np.maximum(np.maximum(y_lo - qy, qy - y_hi), 0.0)
         dx_max = np.maximum(np.abs(qx - x_lo), np.abs(qx - x_hi))
         dy_max = np.maximum(np.abs(qy - y_lo), np.abs(qy - y_hi))
 
-        gx_min, gy_min = np.meshgrid(dx_min, dy_min)
-        gx_max, gy_max = np.meshgrid(dx_max, dy_max)
-        d_min = np.hypot(gx_min, gy_min).ravel()
-        d_max = np.hypot(gx_max, gy_max).ravel()
+        # Cell (row, col) is flat id row * cols + col: columns vary fastest.
+        d_min = np.hypot(dx_min[None, :], dy_min[:, None]).ravel()
+        d_max = np.hypot(dx_max[None, :], dy_max[:, None]).ravel()
         return d_min, d_max
 
     def iter_cells(self) -> Iterator[Tuple[int, BoundingBox]]:

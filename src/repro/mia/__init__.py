@@ -8,19 +8,25 @@ falls below a threshold ``theta``.
 * :mod:`repro.mia.paths` — MIP computation (Dijkstra on ``-log p``);
 * :mod:`repro.mia.arborescence` — the ``MIIA(v)`` / ``MIOA(v)`` trees;
 * :mod:`repro.mia.influence` — activation probabilities on a tree (Eq. 5)
-  and the linear (alpha) coefficients for incremental marginal gains;
+  and the linear (alpha) coefficients, as per-tree reference recursions;
+* :mod:`repro.mia.forest` — every tree as one flat forest and the
+  per-query state all MIA methods share (array-op ``ap``/``alpha``
+  updates, bit-identical to the recursions);
 * :mod:`repro.mia.pmia` — the PMIA-DA baseline: greedy seed selection over
   pre-built arborescences with distance-aware node weights.
 """
 
 from repro.mia.arborescence import Arborescence, build_miia, build_mioa
+from repro.mia.forest import FlatForest, MiaForestState
 from repro.mia.influence import activation_probabilities, linear_coefficients
 from repro.mia.paths import max_influence_paths_from, max_influence_paths_to
 from repro.mia.pmia import FlatTrees, MiaModel, PmiaDa
 
 __all__ = [
     "Arborescence",
+    "FlatForest",
     "FlatTrees",
+    "MiaForestState",
     "MiaModel",
     "PmiaDa",
     "activation_probabilities",

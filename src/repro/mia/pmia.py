@@ -1,7 +1,7 @@
 """The MIA influence model and the PMIA-DA baseline.
 
 :class:`MiaModel` holds the static, query-independent structures — one
-``MIIA(v)`` per node plus a flat membership index — built offline exactly as
+``MIIA(v)`` per node plus their flat-forest view — built offline exactly as
 the paper prescribes for PMIA ("we pre-compute the MIIA(v) and MIOA(v)
 offline for each node, because there may be many queries raised").
 
@@ -18,13 +18,13 @@ marginal gain of ``u`` is ``sum_v alpha(v, u) * (1 - ap_v(u)) * w[v]``
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError, QueryError
 from repro.mia.arborescence import Arborescence, build_miia
-from repro.mia.influence import activation_probabilities, linear_coefficients
+from repro.mia.forest import FlatForest, MiaForestState
 from repro.network.graph import GeoSocialNetwork
 
 #: Flat CSR layout of all arborescences, in root order: ``(members,
@@ -70,27 +70,19 @@ class MiaModel:
                 "trees must hold exactly one MIIA per node, in node order"
             )
         self.trees: List[Arborescence] = trees
-        # Flat membership index: entry j says node flat_member[j] belongs to
-        # MIIA(flat_root[j]) with path probability flat_prob[j].  Grouped by
-        # member via a CSR-like offsets array for fast "which roots does u
-        # reach" lookups.
-        members: list[int] = []
-        roots: list[int] = []
-        prob: list[float] = []
-        for tree in self.trees:
-            members.extend(int(g) for g in tree.nodes)
-            roots.extend([tree.root] * len(tree))
-            prob.extend(float(p) for p in tree.path_prob)
-        member_arr = np.asarray(members, dtype=np.int64)
-        root_arr = np.asarray(roots, dtype=np.int64)
-        prob_arr = np.asarray(prob, dtype=float)
-        order = np.argsort(member_arr, kind="stable")
-        self._flat_member = member_arr[order]
-        self._flat_root = root_arr[order]
-        self._flat_prob = prob_arr[order]
-        self._member_offsets = np.zeros(network.n + 1, dtype=np.int64)
-        np.add.at(self._member_offsets, self._flat_member + 1, 1)
-        np.cumsum(self._member_offsets, out=self._member_offsets)
+        sizes = np.fromiter((len(t) for t in trees), dtype=np.int64,
+                            count=len(trees))
+        offsets = np.zeros(network.n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        self._flat: FlatTrees = (
+            np.concatenate([t.nodes for t in trees]),
+            np.concatenate([t.parent for t in trees]),
+            np.concatenate([t.edge_prob for t in trees]),
+            np.concatenate([t.path_prob for t in trees]),
+            offsets,
+        )
+        #: The flat-forest view every per-query state reads.
+        self.forest = FlatForest.from_flat(self._flat)
 
     @classmethod
     def from_flat_trees(
@@ -132,18 +124,10 @@ class MiaModel:
 
         Tree ``v`` occupies ``[offsets[v]:offsets[v+1]]`` of each array;
         concatenation order is node order, so two models over the same
-        network agree byte-for-byte iff their trees do.
+        network agree byte-for-byte iff their trees do.  The arrays are
+        shared with the model: treat them as read-only.
         """
-        sizes = np.asarray([len(t) for t in self.trees], dtype=np.int64)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return (
-            np.concatenate([t.nodes for t in self.trees]),
-            np.concatenate([t.parent for t in self.trees]),
-            np.concatenate([t.edge_prob for t in self.trees]),
-            np.concatenate([t.path_prob for t in self.trees]),
-            offsets,
-        )
+        return self._flat
 
     @property
     def n(self) -> int:
@@ -154,36 +138,36 @@ class MiaModel:
 
         Equivalent to iterating ``MIOA(u)`` (membership symmetry of MIPs).
         """
-        lo, hi = self._member_offsets[u], self._member_offsets[u + 1]
-        return self._flat_root[lo:hi], self._flat_prob[lo:hi]
+        return self.forest.reach(u)
 
     def singleton_influences(self, weights: np.ndarray) -> np.ndarray:
         """``I_q^m({u})`` for every node at once (vectorized).
 
         For a singleton seed the MIA activation probability equals the MIP
         path probability, so the influence is a weighted segment sum over
-        the flat membership index.
+        the flat forest.  ``bincount`` adds each node's terms in entry
+        (tree) order.
         """
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.n,):
             raise QueryError(
                 f"weights must have shape ({self.n},), got {weights.shape}"
             )
-        out = np.zeros(self.n, dtype=float)
-        np.add.at(out, self._flat_member, self._flat_prob * weights[self._flat_root])
-        return out
+        f = self.forest
+        return np.bincount(
+            f.member, weights=f.path_prob * weights[f.tree], minlength=self.n
+        )
 
     def unweighted_singleton_mass(self) -> np.ndarray:
         """``sum_v Pr(MIP(u, v))`` per node — the weight-free influence mass.
 
         MIA-DA uses this to cap upper bounds (no node's weight exceeds c).
         """
-        out = np.zeros(self.n, dtype=float)
-        np.add.at(out, self._flat_member, self._flat_prob)
-        return out
+        f = self.forest
+        return np.bincount(f.member, weights=f.path_prob, minlength=self.n)
 
     def tree_sizes(self) -> np.ndarray:
-        return np.asarray([len(t) for t in self.trees], dtype=np.int64)
+        return np.diff(self.forest.tree_offsets)
 
 
 class MiaGreedyState:
@@ -191,7 +175,8 @@ class MiaGreedyState:
 
     Maintains, for the current seed set ``S``:
 
-    * ``ap_v`` and ``alpha_v`` per arborescence (lazily refreshed);
+    * ``ap`` and ``alpha`` over the flat forest (a
+      :class:`~repro.mia.forest.MiaForestState`);
     * the exact marginal gain ``gain[u] = I_q^m(u | S)`` for every node;
     * the current objective ``I_q^m(S)``.
     """
@@ -204,14 +189,15 @@ class MiaGreedyState:
             )
         self.model = model
         self.weights = weights
-        self.seeds: list[int] = []
-        self._seed_set: set[int] = set()
+        self._state = MiaForestState(model.forest, weights)
         # With S empty: ap == 0 everywhere, alpha == path_prob, so the
         # initial gains are the singleton influences.
         self.gain = model.singleton_influences(weights)
         self._root_ap = np.zeros(model.n, dtype=float)  # ap_v(root) per v
-        self._ap: Dict[int, np.ndarray] = {}
-        self._alpha: Dict[int, np.ndarray] = {}
+
+    @property
+    def seeds(self) -> list[int]:
+        return self._state.seeds
 
     @property
     def spread(self) -> float:
@@ -226,52 +212,38 @@ class MiaGreedyState:
         """The node with the largest exact marginal gain."""
         return int(np.argmax(self.gain))
 
-    def _tree_state(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached (ap, alpha) for MIIA(v) under the current seed set."""
-        if v not in self._ap:
-            tree = self.model.trees[v]
-            # Fresh state for the empty-seed baseline of this tree.
-            ap = np.zeros(len(tree), dtype=float)
-            alpha = tree.path_prob.copy()
-            self._ap[v] = ap
-            self._alpha[v] = alpha
-        return self._ap[v], self._alpha[v]
-
     def add_seed(self, u: int) -> float:
         """Add ``u`` to the seed set; returns its (pre-add) marginal gain.
 
-        Updates the marginal gains of every node sharing an arborescence
-        with ``u`` via subtract-old / recompute / add-new passes.
+        Every member of a tree containing ``u`` loses that tree's old
+        contribution and gains its new one.  All of it is one scatter
+        whose order, per node, is the per-tree order: trees ascending,
+        each tree's subtraction before its addition.
         """
         u = int(u)
-        if u in self._seed_set:
-            raise QueryError(f"node {u} is already a seed")
         gained = float(self.gain[u])
-        self._seed_set.add(u)
-        self.seeds.append(u)
-
-        roots, _ = self.model.reach_of(u)
-        w = self.weights
-        for v in roots:
-            v = int(v)
-            tree = self.model.trees[v]
-            ap_old, alpha_old = self._tree_state(v)
-            nodes = tree.nodes
-            wv = float(w[v])
-            if wv != 0.0:
-                # Subtract this tree's old contribution from every member.
-                self.gain[nodes] -= alpha_old * (1.0 - ap_old) * wv
-            ap_new = activation_probabilities(tree, self._seed_set)
-            alpha_new = linear_coefficients(tree, self._seed_set, ap_new)
-            self._ap[v] = ap_new
-            self._alpha[v] = alpha_new
-            self._root_ap[v] = ap_new[0]
-            if wv != 0.0:
-                self.gain[nodes] += alpha_new * (1.0 - ap_new) * wv
+        f = self.model.forest
+        roots, _ = f.reach(u)
+        entries = f.tree_entries(roots)
+        before = self._state.contributions(entries)
+        self._state.add_seed(u)
+        self._state.refresh()
+        after = self._state.contributions(entries)
+        trees = f.tree[entries]
+        start = f.tree_offsets[trees]
+        # Entry i of tree block [b, b + s) goes to 2b + (i - b) in the
+        # scatter (its subtraction) and to 2b + s + (i - b) (its addition).
+        sub = 2 * np.arange(len(entries)) - (entries - start)
+        add = sub + (f.tree_offsets[trees + 1] - start)
+        index = np.empty(2 * len(entries), dtype=np.int64)
+        terms = np.empty(2 * len(entries), dtype=float)
+        index[sub] = index[add] = f.member[entries]
+        terms[sub] = -before
+        terms[add] = after
+        np.add.at(self.gain, index, terms)
+        self._root_ap[roots] = self._state.ap[f.tree_offsets[roots]]
         # Seeds never get re-selected.
-        self.gain[u] = -np.inf
-        for s in self.seeds:
-            self.gain[s] = -np.inf
+        self.gain[self.seeds] = -np.inf
         return gained
 
 

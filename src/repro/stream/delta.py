@@ -59,6 +59,18 @@ def _node_id(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """A wire-format real: a JSON number, integer or float.
+
+    Booleans, strings and nulls are refused rather than coerced —
+    ``float(True)`` would read as probability 1.0 and ``float("12")`` as
+    the coordinate 12.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def _as_edge_array(edges, what: str) -> np.ndarray:
     arr = np.asarray(edges if edges is not None else [], dtype=np.int64)
     if arr.size == 0:
@@ -134,8 +146,9 @@ class GraphDelta:
             {"op": "drop_edge", "u": 3, "v": 7}
             {"op": "checkin", "node": 5, "x": 12.5, "y": -3.0}
 
-        Any other row, or a node id that is not an int64 integer, raises
-        :class:`~repro.exceptions.DataFormatError`.
+        Any other row, a node id that is not an int64 integer, or a
+        ``p``/``x``/``y`` that is not a JSON number (``true``, ``"12"``,
+        ``null``) raises :class:`~repro.exceptions.DataFormatError`.
         """
         edges, probs, removed, checkins = [], [], [], []
         for i, ev in enumerate(events):
@@ -147,12 +160,12 @@ class GraphDelta:
             try:
                 if op == "edge":
                     edges.append((_node_id(ev["u"]), _node_id(ev["v"])))
-                    probs.append(float(ev["p"]))
+                    probs.append(_number(ev["p"]))
                 elif op == "drop_edge":
                     removed.append((_node_id(ev["u"]), _node_id(ev["v"])))
                 elif op == "checkin":
                     checkins.append((
-                        _node_id(ev["node"]), float(ev["x"]), float(ev["y"])
+                        _node_id(ev["node"]), _number(ev["x"]), _number(ev["y"])
                     ))
                 else:
                     raise DataFormatError(

@@ -161,6 +161,28 @@ class TestRegionBounds:
                 lo, hi = rb.bounds_for(u, d_min, d_max)
                 assert lo - 1e-9 <= truth[u] <= hi + 1e-9, (q, u)
 
+    def test_query_bounds_equal_per_node_evaluation(self, setup):
+        """One weight evaluation per query gives the same bits as
+        evaluating each node's own cells separately."""
+        net, model, decay, _ = setup
+        heavy = list(range(0, net.n, 5))
+        rb = RegionBounds(model, decay, heavy, tau=100)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            q = tuple(rng.uniform(-20, 120, 2))
+            lower, upper = rb.bounds(q)
+            d_min, d_max = rb.cell_distances(q)
+            for i, u in enumerate(rb.nodes):
+                lo, hi = rb._offsets[i], rb._offsets[i + 1]
+                cells, mass = rb._cells[lo:hi], rb._masses[lo:hi]
+                assert upper[i] == float(
+                    np.dot(mass, decay.weight_of_distance(d_min[cells]))
+                )
+                assert lower[i] == float(
+                    np.dot(mass, decay.weight_of_distance(d_max[cells]))
+                )
+                assert (lower[i], upper[i]) == rb.bounds_for(u, d_min, d_max)
+
     def test_finer_grid_tighter(self, setup):
         net, model, decay, _ = setup
         heavy = [int(np.argmax(model.unweighted_singleton_mass()))]

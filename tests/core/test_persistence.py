@@ -293,6 +293,34 @@ class TestMiaRoundTrip:
         for a, b in zip(mia_index.model.flat_trees(), loaded.model.flat_trees()):
             assert a.tobytes() == b.tobytes()
 
+    def test_loaded_forest_answers_every_kind_identically(
+        self, net, mia_index, tmp_path
+    ):
+        from repro.mia.forest import FlatForest
+
+        path = tmp_path / "mia.npz"
+        save_mia_index(mia_index, path)
+        loaded = load_mia_index(path, net)
+        for name in FlatForest.__dataclass_fields__:
+            assert np.array_equal(
+                getattr(mia_index.model.forest, name),
+                getattr(loaded.model.forest, name),
+            ), name
+        rng = np.random.default_rng(4)
+        mask = rng.random(net.n)
+        costs = rng.uniform(0.5, 2.0, net.n)
+        for q in [(10.0, 10.0), (50.0, 80.0), (90.0, 20.0)]:
+            for run in (
+                lambda ix: ix.query(q, 6, return_diagnostics=True),
+                lambda ix: ix.query_masked(q, 4, mask, return_diagnostics=True),
+                lambda ix: ix.query_budgeted(q, 4.0, costs,
+                                             return_diagnostics=True),
+            ):
+                (a, da), (b, db) = run(mia_index), run(loaded)
+                assert (a.seeds, a.estimate, a.evaluations, da.heap_pops) == (
+                    b.seeds, b.estimate, b.evaluations, db.heap_pops
+                )
+
     def test_bound_structures_preserved(self, net, mia_index, tmp_path):
         path = tmp_path / "mia.npz"
         save_mia_index(mia_index, path)

@@ -92,6 +92,10 @@ class TestAdminUpdate:
         '{"op": "edge", "u": 1e300, "v": 1, "p": 0.2}',
         '{"op": "edge", "u": true, "v": 2, "p": 0.2}',
         '{"op": "checkin", "node": 2.9, "x": 1.0, "y": 1.0}',
+        '{"op": "edge", "u": 0, "v": 1, "p": true}',
+        '{"op": "edge", "u": 0, "v": 1, "p": null}',
+        '{"op": "checkin", "node": 5, "x": "12", "y": 1.0}',
+        '{"op": "checkin", "node": 5, "x": 1.0, "y": false}',
         '[1, 2]',
     ])
     def test_hostile_row_is_400_and_changes_nothing(self, server, engine, row):

@@ -106,13 +106,20 @@ class TestFromEvents:
         {"op": "edge", "u": True, "v": 2, "p": 0.3},
         {"op": "checkin", "node": 2.9, "x": 1.0, "y": 1.0},
         {"op": "edge", "u": 0, "v": 1, "p": 10**400},
+        {"op": "edge", "u": 0, "v": 1, "p": True},
+        {"op": "edge", "u": 0, "v": 1, "p": "0.5"},
+        {"op": "edge", "u": 0, "v": 1, "p": None},
+        {"op": "checkin", "node": 1, "x": "12", "y": 1.0},
+        {"op": "checkin", "node": 1, "x": 1.0, "y": None},
+        {"op": "checkin", "node": 1, "x": False, "y": 1.0},
         [1, 2],
         "edge",
         None,
     ])
     def test_hostile_rows_rejected(self, row):
         """Regression: these rows raised OverflowError or AttributeError,
-        or silently named another node (``2.9`` -> 2, ``true`` -> 1)."""
+        silently named another node (``2.9`` -> 2, ``true`` -> 1), or
+        coerced a non-number (``true`` -> p 1.0, ``"12"`` -> x 12.0)."""
         with pytest.raises(DataFormatError):
             GraphDelta.from_events([row])
 
@@ -133,6 +140,22 @@ class TestFromEvents:
                 apply_delta(example_net, GraphDelta.from_events(rows))
             except ReproError:
                 pass
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            field=st.sampled_from(["p", "x", "y"]),
+            value=st.booleans() | st.text() | st.none(),
+        )
+        def test_non_numbers_refused_in_number_fields(self, field, value):
+            """``p``, ``x`` and ``y`` take JSON numbers only: a bool, a
+            string or a null is a DataFormatError, never coerced."""
+            if field == "p":
+                row = {"op": "edge", "u": 0, "v": 1, "p": 0.5}
+            else:
+                row = {"op": "checkin", "node": 1, "x": 1.0, "y": 2.0}
+            row[field] = value
+            with pytest.raises(DataFormatError, match="JSON number"):
+                GraphDelta.from_events(json.loads(json.dumps([row])))
 
 
 class TestApplyDelta:

@@ -365,6 +365,35 @@ class TestMiaUpdateParity:
             assert list(a.seeds) == list(b.seeds)
             assert a.estimate == b.estimate
 
+    def test_forest_and_every_kind_match_rebuild(self, setup, small_net):
+        """The updated model's flat forest equals the rebuild's, and so do
+        point, masked and budgeted answers with their search counters."""
+        from repro.mia.forest import FlatForest
+
+        index, rebuilt, final, _ = setup
+        for name in FlatForest.__dataclass_fields__:
+            assert np.array_equal(
+                getattr(index.model.forest, name),
+                getattr(rebuilt.model.forest, name),
+            ), name
+        box = final.bounding_box()
+        rng = np.random.default_rng(9)
+        for _ in range(4):
+            q = (rng.uniform(box.xmin, box.xmax),
+                 rng.uniform(box.ymin, box.ymax))
+            mask = rng.random(final.n)
+            costs = rng.uniform(0.5, 2.0, final.n)
+            for run in (
+                lambda ix: ix.query(q, 5, return_diagnostics=True),
+                lambda ix: ix.query_masked(q, 4, mask, return_diagnostics=True),
+                lambda ix: ix.query_budgeted(q, 4.0, costs,
+                                             return_diagnostics=True),
+            ):
+                (a, da), (b, db) = run(index), run(rebuilt)
+                assert (a.seeds, a.estimate, a.evaluations, da.heap_pops) == (
+                    b.seeds, b.estimate, b.evaluations, db.heap_pops
+                )
+
     def test_bit_identical_node_bounds(self, setup, small_net):
         index, rebuilt, _, _ = setup
         box = small_net.bounding_box()
