@@ -55,7 +55,7 @@ from repro.ris.corpus import RRCorpus
 from repro.ris.coverage import weighted_greedy_cover
 from repro.kernels import resolve_backend
 from repro.ris.reference import reference_greedy_cover
-from repro.ris.rrset import RRSampler
+from repro.ris.coupled import CoupledRRSampler
 
 from .conftest import DEFAULT_ALPHA, emit, emit_json
 
@@ -124,7 +124,7 @@ def _time_variant(fn, weights_per_query, reps):
 def test_selection_kernel_speedup():
     network = load_dataset("brightkite", scale=SCALE)
     decay = DistanceDecay(c=1.0, alpha=DEFAULT_ALPHA)
-    corpus = RRCorpus(RRSampler(network, seed=9))
+    corpus = RRCorpus(CoupledRRSampler(network, seed=9))
     corpus.ensure(N_SAMPLES)
     root_coords = network.coords[corpus.roots]
     queries = random_queries(network, N_QUERIES, seed=23)

@@ -65,17 +65,20 @@ def keyword_cover_query(
     n = model.n
     if not 0 < k <= n:
         raise QueryError(f"k must be in [1, {n}], got {k}")
-    required = set(required_keywords)
-
-    def keywords_of(u: int) -> AbstractSet[str]:
-        if isinstance(node_keywords, Mapping):
-            return node_keywords.get(u, frozenset())
-        return node_keywords[u]
-
-    available = set()
-    for u in range(n):
-        available |= set(keywords_of(u)) & required
-    missing = required - available
+    required = list(set(required_keywords))
+    column = {word: j for j, word in enumerate(required)}
+    # has[u, j]: node u carries required keyword j (other keywords never
+    # matter), built from per-node frozensets normalised once.
+    if isinstance(node_keywords, Mapping):
+        sets = [frozenset(node_keywords.get(u, ())) for u in range(n)]
+    else:
+        sets = [frozenset(node_keywords[u]) for u in range(n)]
+    wanted = frozenset(required)
+    pairs = [(u, column[w]) for u, words in enumerate(sets) for w in words & wanted]
+    has = np.zeros((n, len(required)), dtype=bool)
+    if pairs:
+        has[tuple(np.asarray(pairs).T)] = True
+    missing = [required[j] for j in np.flatnonzero(~has.any(axis=0))]
     if missing:
         raise QueryError(
             f"keywords {sorted(missing)} appear on no node; no cover exists"
@@ -85,39 +88,36 @@ def keyword_cover_query(
     weights = decay.weights(model.network.coords, query_location)
     state = MiaGreedyState(model, weights)
     seeds: list[int] = []
-    uncovered = set(required)
+    chosen = np.zeros(n, dtype=bool)
+    uncovered = np.ones(len(required), dtype=bool)
     total = 0.0
 
     while len(seeds) < k:
-        if uncovered:
-            # Cover phase: cost-effective rule over eligible candidates.
-            best_u, best_key = -1, (-1, -np.inf)
-            for u in range(n):
-                if u in seeds:
-                    continue
-                newly = len(set(keywords_of(u)) & uncovered)
-                if newly == 0:
-                    continue
-                key = (newly, float(state.gain[u]))
-                if key > best_key:
-                    best_key = key
-                    best_u = u
-            if best_u < 0:
+        if uncovered.any():
+            # Cover phase: the cost-effective rule — the largest
+            # (newly covered, marginal gain), lowest node id on ties.
+            newly = np.count_nonzero(has[:, uncovered], axis=1)
+            newly[chosen] = 0
+            most = newly.max()
+            if most == 0:
                 raise QueryError(
-                    f"cannot cover {sorted(uncovered)} with the remaining "
-                    f"budget of {k - len(seeds)}"
+                    f"cannot cover {_names(required, uncovered)} with the "
+                    f"remaining budget of {k - len(seeds)}"
                 )
-            u = best_u
+            tied = np.flatnonzero(newly == most)
+            u = int(tied[np.argmax(state.gain[tied])])
         else:
             # Influence phase: plain greedy.
             u = state.best_candidate()
-        uncovered -= set(keywords_of(u))
+        uncovered &= ~has[u]
         total += state.add_seed(u)
         seeds.append(u)
+        chosen[u] = True
 
-    if uncovered:
+    if uncovered.any():
         raise QueryError(
-            f"budget k={k} exhausted with {sorted(uncovered)} uncovered"
+            f"budget k={k} exhausted with {_names(required, uncovered)} "
+            f"uncovered"
         )
     return SeedResult(
         seeds=seeds,
@@ -125,3 +125,7 @@ def keyword_cover_query(
         method="MIA-DA-keyword",
         elapsed=time.perf_counter() - start,
     )
+
+
+def _names(required: list, uncovered: np.ndarray) -> list:
+    return sorted(required[j] for j in np.flatnonzero(uncovered))

@@ -39,7 +39,13 @@ import numpy as np
 from repro.core.bounds import AnchorBounds, RegionBounds
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.core.ris_da import RisDaConfig, RisDaIndex
-from repro.exceptions import DataFormatError, GeometryError, QueryError
+from repro.exceptions import (
+    CorpusFormatError,
+    DataFormatError,
+    GeometryError,
+    QueryError,
+    SamplingError,
+)
 from repro.geo.grid import UniformGrid
 from repro.geo.kdtree import KDTree
 from repro.geo.weights import DistanceDecay
@@ -81,6 +87,8 @@ def _malformed(source: str) -> Iterator[None]:
         yield
     except KeyError as exc:
         raise DataFormatError(f"{source} is missing field {exc}") from exc
+    except SamplingError as exc:
+        raise CorpusFormatError(f"{source} has a corrupt corpus: {exc}") from exc
     except (TypeError, ValueError, QueryError, GeometryError) as exc:
         raise DataFormatError(f"{source} is malformed: {exc}") from exc
 
@@ -268,8 +276,12 @@ def load_ris_index(path: PathLike, network: GeoSocialNetwork) -> RisDaIndex:
     the config seed reconstruct every slot's randomness.  Keyless files
     (saved before slot keys existed, or by a build with a sequential or
     worker-pool sampler) load and answer as saved, and are re-keyed
-    wholesale on their first :meth:`~RisDaIndex.update`.  Negative or
-    repeated slot keys raise :class:`~repro.exceptions.SamplingError`.
+    wholesale on their first :meth:`~RisDaIndex.update`.  Corpus arrays
+    out of shape or range — non-integer, decreasing offsets, node ids
+    outside ``[0, n)``, negative or repeated slot keys — raise
+    :class:`~repro.exceptions.CorpusFormatError`, a
+    :class:`~repro.exceptions.DataFormatError` that is also a
+    :class:`~repro.exceptions.SamplingError`.
     """
     path = _with_npz_suffix(path)
     _, meta, arrays = read_index_arrays(path)
@@ -350,9 +362,10 @@ def assemble_ris_index(
     index.pivots = pivots
     index._pivot_tree = KDTree(pivots)
     index.sampler = index._coupled_sampler(network)
-    index.corpus = RRCorpus.from_arrays(
-        index.sampler, roots, flat, offsets, keys=arrays.get("corpus_keys")
-    )
+    with _malformed(source):
+        index.corpus = RRCorpus.from_arrays(
+            index.sampler, roots, flat, offsets, keys=arrays.get("corpus_keys")
+        )
     index.corpus.inverted()  # pay the inverted-index cost at load time
     index.pivot_estimates = pivot_estimates
     index.pivot_lower_bounds = pivot_lower_bounds

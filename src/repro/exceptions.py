@@ -47,6 +47,14 @@ class DataFormatError(ReproError):
     """Raised when an input file cannot be parsed."""
 
 
+class CorpusFormatError(DataFormatError, SamplingError):
+    """Raised when a stored RR corpus is out of shape or range.
+
+    A loader reports a corrupt file as a :class:`DataFormatError`; it
+    stays a :class:`SamplingError`, the type the corpus itself raises.
+    """
+
+
 class ServeError(ReproError):
     """Raised by the online serving layer (bad engine config, kind
     mismatches between an engine and the index file it is pointed at)."""

@@ -63,8 +63,7 @@ def assign_constant(network: GeoSocialNetwork, p: float) -> GeoSocialNetwork:
 def is_weighted_cascade(network: GeoSocialNetwork, tol: float = 1e-12) -> bool:
     """True when every edge satisfies ``Pr(u, v) == 1 / indeg(v)``.
 
-    The RR-set sampler and the IC simulator use this to enable the binomial
-    fast path (all in-edges of a node share one probability).
+    Confirms a network carries the paper's edge model (Section 5.1).
     """
     if network.m == 0:
         return True
@@ -74,23 +73,3 @@ def is_weighted_cascade(network: GeoSocialNetwork, tol: float = 1e-12) -> bool:
     targets = np.repeat(np.arange(network.n), np.diff(network.in_offsets))
     expected = 1.0 / indeg[targets]
     return bool(np.allclose(network.in_probs, expected, atol=tol, rtol=0.0))
-
-
-def uniform_in_probability(network: GeoSocialNetwork) -> np.ndarray | None:
-    """Per-node shared in-edge probability, or ``None`` when not uniform.
-
-    Returns an ``(n,)`` array ``p`` with ``p[v]`` the common probability of
-    all in-edges of ``v`` (0 for nodes with no in-edges) when every node's
-    in-edges share one probability; this is the condition for the binomial
-    sampling fast path (weighted cascade always satisfies it).
-    """
-    p = np.zeros(network.n, dtype=float)
-    for v in range(network.n):
-        probs = network.in_probabilities(v)
-        if len(probs) == 0:
-            continue
-        first = probs[0]
-        if not np.allclose(probs, first, atol=1e-12, rtol=0.0):
-            return None
-        p[v] = float(first)
-    return p

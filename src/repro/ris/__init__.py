@@ -1,13 +1,11 @@
 """Reverse influence sampling (RIS) substrate.
 
-* :mod:`repro.ris.rrset` — random reverse-reachable set sampling, with a
-  binomial fast path for uniform per-node in-edge probabilities (weighted
-  cascade);
-* :mod:`repro.ris.coupled` — counter-based RR sampling (IC and LT) with
-  per-slot, identity-keyed randomness: the RIS-DA index's one sampler,
-  enabling exact in-place slot regeneration for streaming graph updates;
-* :mod:`repro.ris.corpus` — a growable RR-set corpus with flat storage and
-  an inverted (node -> samples) index;
+* :mod:`repro.ris.coupled` — counter-based reverse-reachable set sampling
+  (IC and LT) with per-slot, identity-keyed randomness: the one sampler
+  of the index, ad-hoc queries and certification, enabling exact in-place
+  slot regeneration for streaming graph updates;
+* :mod:`repro.ris.corpus` — a growable RR-set corpus stored as CSR arrays,
+  with an inverted (node -> samples) index;
 * :mod:`repro.ris.coverage` — the weighted greedy max-coverage of
   Algorithm 2 and the unbiased spread estimator of Eq. 9;
 * :mod:`repro.ris.sample_size` — the Chernoff-based sample-size formulas of
@@ -28,7 +26,6 @@ from repro.ris.coverage import (
     weighted_greedy_cover,
 )
 from repro.ris.lower_bound import lb_est, lb_est_lt, topk_sum
-from repro.ris.rrset import RRSampler
 from repro.ris.sample_size import (
     epsilon_one,
     log_binomial,
@@ -44,7 +41,6 @@ __all__ = [
     "covered_sample_mask",
     "estimate_spread",
     "RRCorpus",
-    "RRSampler",
     "adhoc_ris_query",
     "epsilon_one",
     "quantize_probability",

@@ -19,11 +19,11 @@ from repro.exceptions import QueryError
 from repro.geo.weights import DistanceDecay
 from repro.network.graph import GeoSocialNetwork
 from repro.ris.corpus import RRCorpus
+from repro.ris.coupled import CoupledRRSampler
 from repro.ris.coverage import weighted_greedy_cover
 from repro.ris.lower_bound import lb_est
-from repro.ris.rrset import RRSampler
 from repro.ris.sample_size import required_sample_size
-from repro.rng import RandomLike
+from repro.rng import RandomLike, as_int_seed
 
 
 def adhoc_ris_query(
@@ -56,7 +56,7 @@ def adhoc_ris_query(
     l = required_sample_size(network.n, k, decay.w_max, epsilon, delta, lower)
     l = min(l, max_samples)
 
-    corpus = RRCorpus(RRSampler(network, seed=seed))
+    corpus = RRCorpus(CoupledRRSampler(network, seed=as_int_seed(seed)))
     corpus.ensure(l)
     sample_weights = weights[corpus.roots]
     cover = weighted_greedy_cover(corpus, sample_weights, k)

@@ -37,10 +37,10 @@ from repro.geo.point import PointLike, as_point
 from repro.geo.weights import DistanceDecay
 from repro.network.graph import GeoSocialNetwork
 from repro.ris.corpus import RRCorpus
+from repro.ris.coupled import CoupledRRSampler
 from repro.ris.coverage import covered_sample_mask, weighted_greedy_cover
-from repro.ris.rrset import RRSampler
 from repro.ris.sample_size import GREEDY_FACTOR
-from repro.rng import RandomLike
+from repro.rng import RandomLike, as_int_seed
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,9 @@ def certify_seed_set(
 
     start = time.perf_counter()
     q = as_point(query_location)
-    corpus = RRCorpus(RRSampler(network, seed=seed, diffusion=diffusion))
+    corpus = RRCorpus(
+        CoupledRRSampler(network, seed=as_int_seed(seed), diffusion=diffusion)
+    )
     corpus.ensure(n_samples)
     # Node-space weights gathered per sample: w(v_i, q) depends only on
     # the root, so evaluate it once per node.

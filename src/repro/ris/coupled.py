@@ -1,4 +1,10 @@
-"""Counter-based RR sampling: the one sampler of the RIS-DA index.
+"""Counter-based RR sampling: the one RR sampler of the library.
+
+An RR set (Definitions 3–4) is everything that reaches a uniform random
+root in a random live-edge instance of the graph; a reverse traversal
+from the root draws the instance lazily, touching only the part it
+reaches.  The RIS-DA index, the ad-hoc query and certification all
+sample with :class:`CoupledRRSampler`.
 
 A sequential sampler draws every sample from one RNG stream, so after a
 graph delta an update cannot re-derive a stored sample's randomness.
@@ -84,6 +90,8 @@ class CoupledRRSampler:
 
     Serves the corpus-growth paths (via :meth:`sample_batch`) and the
     streaming update (via :meth:`regenerate` and :meth:`_traverse`).
+    Callers holding a generator or ``None`` coerce it first with
+    :func:`repro.rng.as_int_seed`.
 
     Parameters
     ----------
@@ -104,9 +112,6 @@ class CoupledRRSampler:
         ``"ic"`` (default) or ``"lt"``.  LT requires per-node in-weights
         ``<= 1`` (:class:`~repro.exceptions.GraphError` otherwise).
     """
-
-    #: Marks the per-slot contract for :class:`~repro.ris.corpus.RRCorpus`.
-    coupled = True
 
     def __init__(
         self,

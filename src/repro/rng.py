@@ -31,9 +31,9 @@ def as_seed_sequence(seed: RandomLike) -> np.random.SeedSequence:
     """Coerce ``seed`` into a root :class:`numpy.random.SeedSequence`.
 
     An int maps to the canonical sequence for that seed and ``None`` draws
-    OS entropy.  A generator contributes one 64-bit draw — deterministic
-    given the generator's state — so parallel components seeded from a
-    shared generator inherit its reproducibility without entangling their
+    OS entropy.  A generator contributes one 63-bit draw — deterministic
+    given the generator's state — so components seeded from a shared
+    generator inherit its reproducibility without entangling their
     streams with the parent's future output.
     """
     if isinstance(seed, np.random.Generator):
@@ -41,13 +41,12 @@ def as_seed_sequence(seed: RandomLike) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``.
+def as_int_seed(seed: RandomLike) -> int:
+    """Coerce ``seed`` into the integer seed of a counter-based sampler.
 
-    Children are statistically independent of each other and of the parent's
-    future output, which makes parallel or per-pivot sampling reproducible.
+    An int passes through unchanged; a generator or ``None`` contributes
+    one 63-bit draw through :func:`as_seed_sequence`.
     """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return int(as_seed_sequence(seed).entropy) & (2**63 - 1)

@@ -331,7 +331,7 @@ class ServePool:
         self._base_fingerprint = self.fingerprint.split("#g", 1)[0]
         try:
             for wid in range(n_workers):
-                self._spawn(wid)
+                self._start_worker(wid)
         except BaseException:
             self.close()
             raise
@@ -344,7 +344,7 @@ class ServePool:
     # Worker lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn(self, worker_id: int) -> None:
+    def _start_worker(self, worker_id: int) -> None:
         task_q: "mp.Queue" = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -486,7 +486,7 @@ class ServePool:
                 self.metrics.inc("worker_restarts_total")
                 if self.logger.enabled:
                     self.logger.event("worker_restart", worker=wid)
-                self._spawn(wid)
+                self._start_worker(wid)
             for task_id, wid, sub in stranded:
                 del pending[task_id]
                 self._submit(wid, sub, ctx, pending)
@@ -553,7 +553,7 @@ class ServePool:
                 with self._lock:
                     old_proc = self._workers[wid]
                     old_q = self._task_qs[wid]
-                    self._spawn(wid)  # attaches the successor manifest
+                    self._start_worker(wid)  # attaches the successor manifest
                     if old_q is not None:
                         # Queued behind any in-flight tasks: the old
                         # worker answers them all before it sees this.

@@ -1,11 +1,15 @@
 """Tests for repro.core.keyword (the influential-cover-set extension)."""
 
+from typing import Mapping
+
+import numpy as np
 import pytest
 
 from repro.core.keyword import keyword_cover_query
 from repro.exceptions import QueryError
 from repro.geo.weights import DistanceDecay
-from repro.mia.pmia import MiaModel, PmiaDa
+from repro.mia.pmia import MiaGreedyState, MiaModel, PmiaDa
+from repro.network.graph import GeoSocialNetwork
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +102,105 @@ class TestValidation:
         seq = [{f"kw{u % 3}"} for u in range(net.n)]
         res = keyword_cover_query(model, decay, (10.0, 10.0), 3, {"kw2"}, seq)
         assert any("kw2" in seq[s] for s in res.seeds)
+
+
+def _loop_cover(model, decay, q, k, required_keywords, node_keywords):
+    """Frozen copy of the per-node cover loop the array pick replaced:
+    ``(seeds, estimate)``, or the ``QueryError`` message."""
+    n = model.n
+    required = set(required_keywords)
+
+    def keywords_of(u):
+        if isinstance(node_keywords, Mapping):
+            return node_keywords.get(u, frozenset())
+        return node_keywords[u]
+
+    available = set()
+    for u in range(n):
+        available |= set(keywords_of(u)) & required
+    if required - available:
+        return "no cover"
+    state = MiaGreedyState(model, decay.weights(model.network.coords, q))
+    seeds, uncovered, total = [], set(required), 0.0
+    while len(seeds) < k:
+        if uncovered:
+            best_u, best_key = -1, (-1, -np.inf)
+            for u in range(n):
+                if u in seeds:
+                    continue
+                newly = len(set(keywords_of(u)) & uncovered)
+                if newly == 0:
+                    continue
+                key = (newly, float(state.gain[u]))
+                if key > best_key:
+                    best_key = key
+                    best_u = u
+            if best_u < 0:
+                return "budget"
+            u = best_u
+        else:
+            u = state.best_candidate()
+        uncovered -= set(keywords_of(u))
+        total += state.add_seed(u)
+        seeds.append(u)
+    if uncovered:
+        return "budget"
+    return seeds, total
+
+
+class TestLoopParity:
+    """The array pick equals the per-node loop it replaced, seed for seed."""
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        """Coordinates on a 3x3 grid and many sink nodes: leaf gains are
+        node weights, so whole groups of candidates tie exactly."""
+        rng = np.random.default_rng(12)
+        n = 90
+        coords = rng.integers(0, 3, size=(n, 2)).astype(float) * 10.0
+        edges = sorted({
+            (int(u), int(v)) for u, v in rng.integers(0, n // 3, size=(60, 2))
+            if u != v
+        })
+        net = GeoSocialNetwork.from_edges(
+            edges, coords, rng.choice([0.2, 0.5, 1.0], size=len(edges))
+        )
+        return MiaModel(net, theta=0.05)
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_matches_frozen_loop(self, setup, tied, trial):
+        rng = np.random.default_rng(trial)
+        model = tied if trial % 2 else setup[1]
+        n = model.n
+        vocab = [f"kw{i}" for i in range(int(rng.integers(1, 8)))]
+        per_node = [
+            set(rng.choice(vocab, size=int(rng.integers(0, min(3, len(vocab)) + 1)),
+                           replace=False))
+            for _ in range(n)
+        ]
+        if trial % 3 == 0:
+            keywords = per_node  # sequence input
+        else:
+            keywords = {u: words for u, words in enumerate(per_node) if words}
+        required = set(
+            rng.choice(vocab, size=int(rng.integers(0, len(vocab) + 1)),
+                       replace=False)
+        )
+        if trial % 4 == 1:
+            required.add("rare")
+            keywords[int(rng.integers(n))] = {"rare"}
+        decay = DistanceDecay(alpha=0.02)
+        q = tuple(rng.uniform(0.0, 100.0, size=2))
+        k = int(rng.integers(1, 8))
+        if model is tied:
+            weights = decay.weights(model.network.coords, q)
+            gains = MiaGreedyState(model, weights).gain
+            assert len(np.unique(gains)) < n // 2  # ties are exercised
+        want = _loop_cover(model, decay, q, k, required, keywords)
+        try:
+            res = keyword_cover_query(model, decay, q, k, required, keywords)
+        except QueryError as exc:
+            assert isinstance(want, str), exc
+            assert want in ("no cover" if "no node" in str(exc) else "budget")
+            return
+        assert (res.seeds, res.estimate) == want

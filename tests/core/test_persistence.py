@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.core.persistence import (
+    assemble_ris_index,
     load_index,
     load_mia_index,
     load_ris_index,
+    ris_index_arrays,
     save_mia_index,
     save_ris_index,
 )
@@ -17,6 +19,14 @@ from repro.core.ris_da import RisDaConfig, RisDaIndex
 from repro.exceptions import DataFormatError, SamplingError
 from repro.geo.weights import DistanceDecay
 from repro.network.generators import GeoSocialConfig, generate_geo_social_network
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised only without hypothesis
+    HAVE_HYPOTHESIS = False
 
 
 @pytest.fixture(scope="module")
@@ -438,8 +448,44 @@ def _nan(name):
     return edit
 
 
+def _set_entry(name, position, value):
+    """Set one corpus array entry; ``value(meta)`` may read ``n_nodes``."""
+    def edit(meta, arrays):
+        arr = arrays[name].copy()
+        arr[position] = value(meta)
+        arrays[name] = arr
+    return edit
+
+
+def _swap_offsets(meta, arrays):
+    offsets = arrays["corpus_offsets"].copy()
+    i = int(np.flatnonzero(np.diff(offsets[1:]) > 0)[0]) + 1
+    offsets[i], offsets[i + 1] = offsets[i + 1], offsets[i]
+    arrays["corpus_offsets"] = offsets
+
+
+def _repeat_member(meta, arrays):
+    flat, offsets = arrays["corpus_flat"].copy(), arrays["corpus_offsets"]
+    i = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
+    flat[offsets[i] + 1] = flat[offsets[i]]
+    arrays["corpus_flat"] = flat
+
+
+def _float_flat(meta, arrays):
+    arrays["corpus_flat"] = arrays["corpus_flat"].astype(np.float64)
+
+
 #: (index kind, tampering) pairs a loader must refuse with a typed error.
 MALFORMED = {
+    "ris-flat-member-too-large": (
+        "ris", _set_entry("corpus_flat", 0, lambda meta: meta["n_nodes"])),
+    "ris-flat-member-negative": (
+        "ris", _set_entry("corpus_flat", 0, lambda meta: -1)),
+    "ris-offsets-swapped": ("ris", _swap_offsets),
+    "ris-root-too-large": (
+        "ris", _set_entry("corpus_roots", 0, lambda meta: meta["n_nodes"])),
+    "ris-float-flat": ("ris", _float_flat),
+    "ris-flat-repeated-member": ("ris", _repeat_member),
     "ris-no-config": ("ris", lambda meta, arrays: meta.pop("config")),
     "ris-no-decay": ("ris", lambda meta, arrays: meta.pop("decay")),
     "ris-no-config-field": (
@@ -474,3 +520,39 @@ def test_malformed_index_rejected(net, index, mia_index, tmp_path, case):
     _rewrite_npz(good, bad, tamper)
     with pytest.raises(DataFormatError):
         load_index(bad, net)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["corpus_roots", "corpus_flat", "corpus_offsets"]),
+        position=st.integers(0, 2**31),
+        value=st.integers(-4, 4),
+        mode=st.sampled_from(["set", "shift", "truncate", "float"]),
+    )
+    def test_corrupt_corpus_arrays_never_load_broken(
+        net, index, name, position, value, mode
+    ):
+        """A corrupted corpus array either fails to load with
+        DataFormatError or loads into an index that still answers — never
+        a bare ValueError/IndexError, at load or at query time."""
+        meta, arrays = ris_index_arrays(index)
+        arrays = dict(arrays)
+        arr = arrays[name].copy()
+        i = position % len(arr)
+        if mode == "set":
+            arr[i] = value if value < 0 else net.n - 1 + value
+        elif mode == "shift":
+            arr[i] += value
+        elif mode == "truncate":
+            arr = arr[:i]
+        else:
+            arr = arr.astype(np.float64) + 0.5 * (value != 0)
+        arrays[name] = arr
+        try:
+            loaded = assemble_ris_index(net, meta, arrays)
+        except DataFormatError:
+            return
+        result = loaded.query((50.0, 50.0), 4)
+        assert len(result.seeds) == 4

@@ -35,14 +35,13 @@ from repro.ris.coverage import (  # noqa: E402
     weighted_greedy_cover,
 )
 from repro.ris.reference import reference_greedy_cover  # noqa: E402
-from repro.ris.rrset import RRSampler  # noqa: E402
 
 QUERIES = [(1.0, 0.5), (40.0, 60.0), (0.0, 0.0)]
 
 
 @pytest.fixture(scope="module")
 def corpus(small_net) -> RRCorpus:
-    c = RRCorpus(RRSampler(small_net, seed=13))
+    c = RRCorpus(CoupledRRSampler(small_net, seed=13))
     c.ensure(3000)
     return c
 

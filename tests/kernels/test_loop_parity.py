@@ -35,7 +35,6 @@ from repro.ris.coverage import (
     weighted_budgeted_cover,
     weighted_greedy_cover,
 )
-from repro.ris.rrset import RRSampler
 
 QUERIES = [(1.0, 0.5), (40.0, 60.0), (0.0, 0.0)]
 
@@ -47,7 +46,7 @@ def interp():
 
 @pytest.fixture(scope="module")
 def corpus(small_net) -> RRCorpus:
-    c = RRCorpus(RRSampler(small_net, seed=13))
+    c = RRCorpus(CoupledRRSampler(small_net, seed=13))
     c.ensure(3000)
     return c
 

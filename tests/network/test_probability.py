@@ -10,7 +10,6 @@ from repro.network.probability import (
     assign_trivalency,
     assign_weighted_cascade,
     is_weighted_cascade,
-    uniform_in_probability,
 )
 
 
@@ -75,26 +74,3 @@ class TestConstant:
             assign_constant(star_in(), -0.1)
         with pytest.raises(GraphError):
             assign_constant(star_in(), 1.1)
-
-
-class TestUniformInProbability:
-    def test_wc_detected_per_node(self):
-        net = assign_weighted_cascade(star_in())
-        p = uniform_in_probability(net)
-        assert p is not None
-        assert p[4] == pytest.approx(0.25)
-        assert p[1] == pytest.approx(1.0)
-        assert p[0] == 0.0  # no in-edges
-
-    def test_heterogeneous_returns_none(self):
-        coords = np.zeros((3, 2))
-        net = GeoSocialNetwork.from_edges(
-            [(0, 2), (1, 2)], coords, [0.3, 0.7]
-        )
-        assert uniform_in_probability(net) is None
-
-    def test_constant_model_is_uniform(self):
-        net = assign_constant(star_in(), 0.2)
-        p = uniform_in_probability(net)
-        assert p is not None
-        assert p[4] == pytest.approx(0.2)

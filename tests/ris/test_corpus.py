@@ -5,12 +5,12 @@ import pytest
 
 from repro.exceptions import SamplingError
 from repro.ris.corpus import RRCorpus
-from repro.ris.rrset import RRSampler
+from repro.ris.coupled import CoupledRRSampler
 
 
 @pytest.fixture
 def corpus(example_net) -> RRCorpus:
-    return RRCorpus(RRSampler(example_net, seed=0))
+    return RRCorpus(CoupledRRSampler(example_net, seed=0))
 
 
 class TestEnsure:
@@ -35,33 +35,76 @@ class TestEnsure:
 
     def test_prefix_stability_equals_fresh_sampler(self, example_net):
         """Growing in steps produces the same stream as growing at once."""
-        a = RRCorpus(RRSampler(example_net, seed=9))
+        a = RRCorpus(CoupledRRSampler(example_net, seed=9))
         a.ensure(4)
         a.ensure(20)
-        b = RRCorpus(RRSampler(example_net, seed=9))
+        b = RRCorpus(CoupledRRSampler(example_net, seed=9))
         b.ensure(20)
         assert a.roots.tolist() == b.roots.tolist()
         for i in range(20):
             assert np.array_equal(a.members(i), b.members(i))
 
-    def test_serial_sampler_flat_path_matches_legacy(self, example_net):
-        """RRSampler corpora grow through the flat append path, drawing
-        the same stream as ``sample_many``."""
-        roots, members = RRSampler(example_net, seed=17).sample_many(50)
-        corpus = RRCorpus(RRSampler(example_net, seed=17))
+    def test_growth_matches_sample_batch(self, example_net):
+        """Growth appends the sampler's batch unchanged, keys included."""
+        keys, roots, flat, offsets = CoupledRRSampler(
+            example_net, seed=17
+        ).sample_batch(50)
+        corpus = RRCorpus(CoupledRRSampler(example_net, seed=17))
+        corpus.ensure(20)
         corpus.ensure(50)
+        assert corpus.keys.tolist() == keys.tolist()
         assert corpus.roots.tolist() == roots.tolist()
-        for i in range(50):
-            assert np.array_equal(corpus.members(i), members[i])
+        for got, want in zip(corpus.flat(), (flat, offsets)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
 
     def test_append_flat_validation(self, example_net):
-        corpus = RRCorpus(RRSampler(example_net, seed=0))
+        corpus = RRCorpus(CoupledRRSampler(example_net, seed=0))
         with pytest.raises(SamplingError):
             corpus.append_flat(
                 np.zeros(2, dtype=np.int64),
                 np.zeros(3, dtype=np.int64),
                 np.array([0, 1], dtype=np.int64),
             )
+
+
+class TestFromArraysValidation:
+    """``from_arrays`` refuses arrays outside the CSR layout, by reading."""
+
+    @pytest.fixture
+    def arrays(self, example_net):
+        corpus = RRCorpus(CoupledRRSampler(example_net, seed=2))
+        corpus.ensure(12)
+        flat, offsets = corpus.flat()
+        return corpus.sampler, corpus.roots.copy(), flat.copy(), offsets.copy()
+
+    @pytest.mark.parametrize("field, edit, match", [
+        ("flat", lambda a: a.astype(np.float64), "integers"),
+        ("roots", lambda a: a.astype(bool), "integers"),
+        ("offsets", lambda a: a + 1, "inconsistent"),
+        ("offsets", lambda a: np.concatenate(([0, 2, 1], a[3:])),
+         "non-decreasing"),
+        ("flat", lambda a: np.where(np.arange(len(a)) == 0, 5, a), "members"),
+        ("flat", lambda a: np.where(np.arange(len(a)) == 0, -1, a), "members"),
+        ("roots", lambda a: np.where(np.arange(len(a)) == 3, 5, a), "roots"),
+        ("roots", lambda a: a.reshape(3, 4), "one-dimensional"),
+        ("flat", lambda a: np.sort(a)[::-1].copy(), "sorted and distinct"),
+    ])
+    def test_bad_arrays_rejected(self, arrays, field, edit, match):
+        sampler, roots, flat, offsets = arrays
+        parts = {"roots": roots, "flat": flat, "offsets": offsets}
+        parts[field] = edit(parts[field])
+        with pytest.raises(SamplingError, match=match):
+            RRCorpus.from_arrays(sampler, **parts)
+
+    def test_valid_arrays_wrapped_read_only(self, arrays):
+        sampler, roots, flat, offsets = arrays
+        for arr in (roots, flat, offsets):
+            arr.flags.writeable = False
+        corpus = RRCorpus.from_arrays(sampler, roots, flat, offsets)
+        assert corpus.roots is roots
+        assert corpus.flat()[0] is flat and corpus.flat()[1] is offsets
+        assert corpus.inverted()[1][-1] == len(flat)
 
 
 class TestFlat:
@@ -99,7 +142,7 @@ class TestInverted:
                    for _ in range(300)]
         offsets = np.concatenate([[0], np.cumsum([len(m) for m in members])])
         corpus = RRCorpus.from_arrays(
-            RRSampler(net, seed=0), [int(m[0]) for m in members],
+            CoupledRRSampler(net, seed=0), [int(m[0]) for m in members],
             np.concatenate(members), offsets,
         )
         inv_samples, inv_offsets = corpus.inverted()

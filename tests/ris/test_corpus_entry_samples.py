@@ -15,7 +15,6 @@ from repro.geo.weights import DistanceDecay
 from repro.ris.corpus import RRCorpus
 from repro.ris.coupled import CoupledRRSampler
 from repro.ris.coverage import weighted_greedy_cover
-from repro.ris.rrset import RRSampler
 from repro.stream.delta import GraphDelta
 
 
@@ -33,7 +32,7 @@ def _assert_rebuilt(corpus, stale):
 
 @pytest.fixture
 def corpus(small_net):
-    c = RRCorpus(RRSampler(small_net, seed=4))
+    c = RRCorpus(CoupledRRSampler(small_net, seed=4))
     c.ensure(200)
     return c
 
@@ -54,7 +53,7 @@ class TestEntrySamples:
         assert corpus.entry_samples() is corpus.entry_samples()
 
     def test_empty_corpus(self, small_net):
-        c = RRCorpus(RRSampler(small_net, seed=0))
+        c = RRCorpus(CoupledRRSampler(small_net, seed=0))
         assert c.entry_samples().shape == (0,)
 
     def test_inverted_reuses_it(self, corpus):
@@ -79,7 +78,7 @@ class TestRebuiltAfterMutation:
     def test_from_arrays(self, corpus, small_net):
         flat, offsets = corpus.flat()
         restored = RRCorpus.from_arrays(
-            RRSampler(small_net, seed=4), corpus.roots, flat, offsets
+            CoupledRRSampler(small_net, seed=4), corpus.roots, flat, offsets
         )
         assert np.array_equal(restored.entry_samples(), _expected(corpus))
         stale = restored.entry_samples()
@@ -111,7 +110,7 @@ def test_update_serves_from_rebuilt_cache(small_net, diffusion):
     res = index.query(q, 5)
     flat, offsets = index.corpus.flat()
     fresh = RRCorpus.from_arrays(
-        RRSampler(index.network, seed=0), index.corpus.roots, flat, offsets
+        CoupledRRSampler(index.network, seed=0), index.corpus.roots, flat, offsets
     )
     weights = decay.weights(index.network.coords, q)[fresh.roots]
     cover = weighted_greedy_cover(

@@ -13,12 +13,12 @@ import pytest
 
 from repro.exceptions import SamplingError
 from repro.ris.corpus import RRCorpus
-from repro.ris.rrset import RRSampler
+from repro.ris.coupled import CoupledRRSampler
 
 
 @pytest.fixture
 def corpus(small_net) -> RRCorpus:
-    c = RRCorpus(RRSampler(small_net, seed=4))
+    c = RRCorpus(CoupledRRSampler(small_net, seed=4))
     c.ensure(200)
     return c
 
@@ -27,7 +27,7 @@ def restored_copy(corpus, net, seed=4):
     """Round-trip the corpus through its flat form, as persistence does."""
     flat, offsets = corpus.flat()
     return RRCorpus.from_arrays(
-        RRSampler(net, seed=seed), corpus.roots.copy(),
+        CoupledRRSampler(net, seed=seed), corpus.roots.copy(),
         flat.copy(), offsets.copy(),
     )
 
@@ -72,7 +72,7 @@ class TestCacheInvalidationAfterRestore:
     def test_restored_flat_is_zero_copy(self, corpus, small_net):
         flat, offsets = corpus.flat()
         c = RRCorpus.from_arrays(
-            RRSampler(small_net, seed=4), corpus.roots, flat, offsets
+            CoupledRRSampler(small_net, seed=4), corpus.roots, flat, offsets
         )
         flat2, offsets2 = c.flat()
         assert np.shares_memory(flat2, flat)
@@ -99,10 +99,10 @@ class TestSamplesTouching:
 
 class TestReplaceSampler:
     def test_swaps_future_growth(self, corpus, small_net):
-        replacement = RRSampler(small_net, seed=99)
+        replacement = CoupledRRSampler(small_net, seed=99)
         corpus.replace_sampler(replacement)
         assert corpus.sampler is replacement
 
     def test_node_universe_checked(self, corpus, example_net):
         with pytest.raises(SamplingError, match="covers"):
-            corpus.replace_sampler(RRSampler(example_net, seed=0))
+            corpus.replace_sampler(CoupledRRSampler(example_net, seed=0))

@@ -8,19 +8,19 @@ from repro.exceptions import QueryError, SamplingError
 from repro.geo.weights import DistanceDecay
 from repro.ris.corpus import RRCorpus
 from repro.ris.coverage import estimate_spread, weighted_greedy_cover
-from repro.ris.rrset import RRSampler
+from repro.ris.coupled import CoupledRRSampler
 
 
 @pytest.fixture
 def corpus(example_net) -> RRCorpus:
-    c = RRCorpus(RRSampler(example_net, seed=0))
+    c = RRCorpus(CoupledRRSampler(example_net, seed=0))
     c.ensure(4000)
     return c
 
 
 class TestValidation:
     def test_zero_samples_rejected(self, example_net):
-        empty = RRCorpus(RRSampler(example_net, seed=0))
+        empty = RRCorpus(CoupledRRSampler(example_net, seed=0))
         with pytest.raises(SamplingError):
             weighted_greedy_cover(empty, np.ones(0), 1)
 
@@ -95,7 +95,7 @@ class TestExhaustedPrefix:
     @pytest.fixture
     def covered_corpus(self, example_net):
         """Every sample contains node 0, so one seed covers the corpus."""
-        sampler = RRSampler(example_net, seed=0)
+        sampler = CoupledRRSampler(example_net, seed=0)
         roots = np.array([0, 1, 2, 3, 4, 0], dtype=np.int64)
         members = [[0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 1, 2]]
         flat = np.concatenate([np.asarray(m, dtype=np.int64) for m in members])
@@ -146,7 +146,7 @@ class TestUnbiasedness:
         decay = DistanceDecay(alpha=0.3)
         q = (2.0, 0.0)
         node_w = decay.weights(example_net.coords, q)
-        corpus = RRCorpus(RRSampler(example_net, seed=3))
+        corpus = RRCorpus(CoupledRRSampler(example_net, seed=3))
         corpus.ensure(60000)
         sample_w = node_w[corpus.roots]
         for seeds in ([2], [0, 3], [1, 4]):
@@ -155,7 +155,7 @@ class TestUnbiasedness:
             assert est == pytest.approx(exact, rel=0.06), seeds
 
     def test_uniform_weights_reduce_to_classic_ris(self, example_net):
-        corpus = RRCorpus(RRSampler(example_net, seed=4))
+        corpus = RRCorpus(CoupledRRSampler(example_net, seed=4))
         corpus.ensure(40000)
         est = estimate_spread(corpus, [2], np.ones(len(corpus)))
         from repro.diffusion.possible_world import exact_spread

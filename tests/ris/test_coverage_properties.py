@@ -43,7 +43,7 @@ from repro.ris.coverage import (
     weighted_greedy_cover,
 )
 from repro.ris.reference import reference_budgeted_cover
-from repro.ris.rrset import RRSampler
+from repro.ris.coupled import CoupledRRSampler
 
 try:
     from hypothesis import given, settings
@@ -58,7 +58,7 @@ def _make_corpus(rng: np.random.Generator, n_nodes: int, n_samples: int):
     """A synthetic corpus of random member sets (each containing its root)."""
     coords = rng.uniform(0.0, 10.0, size=(n_nodes, 2))
     network = GeoSocialNetwork.from_edges([(0, 1)], coords, [0.5])
-    sampler = RRSampler(network, seed=0)
+    sampler = CoupledRRSampler(network, seed=0)
     roots = rng.integers(0, n_nodes, size=n_samples)
     members = []
     offsets = [0]

@@ -19,7 +19,7 @@ from repro.diffusion.spread import monte_carlo_weighted_spread
 from repro.geo.weights import DistanceDecay
 from repro.ris.corpus import RRCorpus
 from repro.ris.coverage import estimate_spread, weighted_greedy_cover
-from repro.ris.rrset import RRSampler
+from repro.ris.coupled import CoupledRRSampler
 
 N_SAMPLES = 4000
 MC_ROUNDS = 2000
@@ -40,7 +40,7 @@ def decay():
 
 @pytest.fixture(scope="module")
 def corpus(small_net):
-    corpus = RRCorpus(RRSampler(small_net, seed=101))
+    corpus = RRCorpus(CoupledRRSampler(small_net, seed=101))
     corpus.ensure(N_SAMPLES)
     return corpus
 

@@ -40,14 +40,14 @@ from repro.ris.reference import (
     reference_estimate_spread,
     reference_greedy_cover,
 )
-from repro.ris.rrset import RRSampler
+from repro.ris.coupled import CoupledRRSampler
 
 QUERIES = [(1.0, 0.5), (2.5, -0.5), (0.0, 0.0)]
 
 
 @pytest.fixture(scope="module")
 def corpus(small_net) -> RRCorpus:
-    c = RRCorpus(RRSampler(small_net, seed=11))
+    c = RRCorpus(CoupledRRSampler(small_net, seed=11))
     c.ensure(6000)
     return c
 
@@ -190,7 +190,7 @@ def _random_corpus(rng: np.random.Generator, n_nodes: int, n_samples: int):
     """Synthetic corpus of random member sets (each containing its root)."""
     coords = rng.uniform(0.0, 10.0, size=(n_nodes, 2))
     network = GeoSocialNetwork.from_edges([(0, 1)], coords, [0.5])
-    sampler = RRSampler(network, seed=0)
+    sampler = CoupledRRSampler(network, seed=0)
     roots = rng.integers(0, n_nodes, size=n_samples)
     members = []
     offsets = [0]
@@ -261,7 +261,7 @@ class TestBatchedDecrementProperty:
         rng = np.random.default_rng(0)
         coords = rng.uniform(0.0, 10.0, size=(10, 2))
         network = GeoSocialNetwork.from_edges([(0, 1)], coords, [0.5])
-        sampler = RRSampler(network, seed=0)
+        sampler = CoupledRRSampler(network, seed=0)
         members = [
             np.array(m, dtype=np.int64)
             for m in ([1, 9], [1, 2, 9], [2, 3, 9], [3, 9], [9],)

@@ -23,7 +23,6 @@ from repro.ris.corpus import RRCorpus
 from repro.ris.coupled import CoupledRRSampler
 from repro.ris.coverage import estimate_spread
 from repro.ris.lower_bound import lb_est_lt
-from repro.ris.rrset import RRSampler
 
 
 @pytest.fixture
@@ -70,7 +69,7 @@ class TestExactLtEnumeration:
 class TestLtRRSets:
     def test_bad_diffusion_name(self, lt_net):
         with pytest.raises(GraphError):
-            RRSampler(lt_net, diffusion="sir")
+            CoupledRRSampler(lt_net, diffusion="sir")
 
     def test_overweight_graph_rejected(self):
         coords = np.zeros((3, 2))
@@ -78,37 +77,31 @@ class TestLtRRSets:
             [(0, 2), (1, 2)], coords, [0.8, 0.8]
         )
         with pytest.raises(GraphError, match="in-weights"):
-            RRSampler(net, diffusion="lt")
+            CoupledRRSampler(net, diffusion="lt")
 
     def test_membership_rate_matches_exact_lt(self, lt_net):
-        """P(u in RR_lt(v)) must equal the exact LT activation I({u}, v),
-        for the sequential sampler and for the coupled walk (many keys,
-        filtered by root: a coupled slot's root is a function of its
+        """P(u in RR_lt(v)) must equal the exact LT activation I({u}, v)
+        (many keys, filtered by root: a slot's root is a function of its
         key)."""
         root = 4
-        sequential = RRSampler(lt_net, seed=3, diffusion="lt")
-        coupled = CoupledRRSampler(lt_net, seed=3, diffusion="lt")
-        roots, flat, offsets = coupled._traverse(np.arange(150_000))
-        draws = {
-            "sequential": [sequential.sample_from(root) for _ in range(30000)],
-            "coupled": [
-                flat[offsets[i]: offsets[i + 1]]
-                for i in np.flatnonzero(roots == root)
-            ],
-        }
-        for name, sets in draws.items():
-            counts = np.zeros(lt_net.n)
-            for members in sets:
-                counts[members] += 1
-            rates = counts / len(sets)
-            for u in range(lt_net.n):
-                exact = exact_lt_activation_probabilities(lt_net, [u])[root]
-                assert rates[u] == pytest.approx(exact, abs=0.012), (name, u)
+        sampler = CoupledRRSampler(lt_net, seed=3, diffusion="lt")
+        roots, flat, offsets = sampler._traverse(np.arange(150_000))
+        sets = [
+            flat[offsets[i]: offsets[i + 1]]
+            for i in np.flatnonzero(roots == root)
+        ]
+        counts = np.zeros(lt_net.n)
+        for members in sets:
+            counts[members] += 1
+        rates = counts / len(sets)
+        for u in range(lt_net.n):
+            exact = exact_lt_activation_probabilities(lt_net, [u])[root]
+            assert rates[u] == pytest.approx(exact, abs=0.012), u
 
     def test_rr_set_is_path_sized(self, lt_net):
         """LT RR sets are reverse paths: size <= number of nodes, and the
         expected size is small."""
-        sampler = RRSampler(lt_net, seed=4, diffusion="lt")
+        sampler = CoupledRRSampler(lt_net, seed=4, diffusion="lt")
         sizes = [len(sampler.sample()[1]) for _ in range(2000)]
         assert max(sizes) <= lt_net.n
         assert np.mean(sizes) < 3.0
@@ -117,7 +110,7 @@ class TestLtRRSets:
         decay = DistanceDecay(alpha=0.3)
         q = (2.0, 0.5)
         w = decay.weights(lt_net.coords, q)
-        corpus = RRCorpus(RRSampler(lt_net, seed=5, diffusion="lt"))
+        corpus = RRCorpus(CoupledRRSampler(lt_net, seed=5, diffusion="lt"))
         corpus.ensure(60000)
         sample_w = w[corpus.roots]
         for seeds in ([0], [0, 3], [1]):
@@ -203,7 +196,7 @@ class TestLtRisDaIndex:
         (the in-probabilities sum to 1) — so the comparison is structural,
         not size-based.
         """
-        lt = RRCorpus(RRSampler(net, seed=8, diffusion="lt"))
+        lt = RRCorpus(CoupledRRSampler(net, seed=8, diffusion="lt"))
         lt.ensure(2000)
         for i in range(0, 2000, 97):
             members = lt.members(i)

@@ -1,9 +1,8 @@
 """Tests for repro.rng."""
 
 import numpy as np
-import pytest
 
-from repro.rng import as_generator, spawn
+from repro.rng import as_generator, as_int_seed
 
 
 class TestAsGenerator:
@@ -25,22 +24,18 @@ class TestAsGenerator:
         assert isinstance(as_generator(None), np.random.Generator)
 
 
-class TestSpawn:
-    def test_children_are_independent_of_each_other(self):
-        parent = as_generator(3)
-        kids = spawn(parent, 3)
-        outputs = [k.random(4).tolist() for k in kids]
-        assert outputs[0] != outputs[1]
-        assert outputs[1] != outputs[2]
+class TestAsIntSeed:
+    def test_int_passes_through(self):
+        assert as_int_seed(42) == 42
+        assert as_int_seed(np.int64(-3)) == -3
 
-    def test_spawn_is_deterministic_given_parent_seed(self):
-        a = [g.random(3).tolist() for g in spawn(as_generator(5), 2)]
-        b = [g.random(3).tolist() for g in spawn(as_generator(5), 2)]
-        assert a == b
+    def test_generator_contributes_one_63_bit_draw(self):
+        g, twin = np.random.default_rng(5), np.random.default_rng(5)
+        seed = as_int_seed(g)
+        assert seed == int(twin.integers(0, 2**63 - 1))
+        assert g.random() == twin.random()  # exactly one draw consumed
 
-    def test_zero_children(self):
-        assert spawn(as_generator(0), 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn(as_generator(0), -1)
+    def test_none_draws_a_63_bit_seed(self):
+        seeds = {as_int_seed(None) for _ in range(4)}
+        assert all(0 <= s < 2**63 for s in seeds)
+        assert len(seeds) > 1
