@@ -52,7 +52,7 @@ def _time_coupled(network, backend: str) -> tuple[float, tuple]:
 
 def test_coupled_backend_throughput():
     network = load_dataset("brightkite", scale=0.2 if TINY else 1.0)
-    numba_on = resolve_backend("auto") == "numba"
+    numba_on = resolve_backend() == "numba"
 
     if numba_on:
         # Warm-up: first compiled call pays JIT compilation; keep it out

@@ -144,7 +144,7 @@ def test_selection_kernel_speedup():
         "eager+obs(off)": lambda w: _eager_obs_off(corpus, w, K),
         "eager+prof(off)": lambda w: _eager_prof_off(corpus, w, K, slo),
     }
-    numba_on = resolve_backend("auto") == "numba"
+    numba_on = resolve_backend() == "numba"
     if numba_on:
         variants["eager@numba"] = lambda w: weighted_greedy_cover(
             corpus, w, K, compute_bound=False, backend="numba"

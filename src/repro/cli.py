@@ -122,18 +122,45 @@ def _add_decay_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=1.0, help="maximum node weight")
 
 
-def _add_kernel_backend_arg(
-    p: argparse.ArgumentParser, default: Optional[str]
-) -> None:
+def _add_serve_args(p: argparse.ArgumentParser) -> None:
+    """The index, engine and SLO flags ``serve-batch`` and ``serve-http`` share."""
+    p.add_argument("--index", required=True,
+                   help="saved index (.npz) from build-ris or build-mia")
+    p.add_argument("--method", choices=("ris", "mia"), default=None,
+                   help="require this index kind (default: serve whatever "
+                        "the file holds)")
+    p.add_argument("--threads", type=int, default=4,
+                   help="serving thread-pool size (per process)")
+    p.add_argument("--processes", type=int, default=0,
+                   help="serve through N pre-forked worker processes "
+                        "sharing the index zero-copy, sharded by query "
+                        "location (0 = in-process serving)")
+    p.add_argument("--backing", choices=("shm", "mmap"), default="shm",
+                   help="shared-index storage for --processes: POSIX "
+                        "shared memory, or memory-mapped .npy spill "
+                        "files (kernel-evictable; for indexes larger "
+                        "than RAM)")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-query deadline in seconds; on expiry the "
+                        "degree-discount fallback answers instead")
+    p.add_argument("--cache-size", type=int, default=1024,
+                   help="result-cache capacity (0 disables caching)")
+    p.add_argument("--cache-cells", type=int, default=4096,
+                   help="quantization-grid cell budget for cache keys")
     p.add_argument(
-        "--kernel-backend", choices=("auto", "numpy", "numba"),
-        default=default,
-        help="native-kernel backend for the selection/sampling hot loops: "
-             "auto picks numba when installed and warm, numpy is the "
-             "always-available reference, numba requires the optional "
-             "extra; answers are bit-identical across backends"
-             + ("" if default else
-                " (default: keep the index's persisted request)"),
+        "--slow-query-ms", type=float, default=None,
+        help="record queries at or above this latency (span tree + "
+             "diagnostics) to the slow-query JSONL sink",
+    )
+    p.add_argument(
+        "--slow-query-out", default="slow-queries.jsonl",
+        help="slow-query JSONL sink path (default: slow-queries.jsonl)",
+    )
+    p.add_argument(
+        "--slo-config", metavar="PATH",
+        help="JSON file with SLO objectives (latency_threshold_ms, "
+             "latency_target, availability_target, staleness_limit_s, "
+             "shed_burn, windows); default objectives apply without it",
     )
 
 
@@ -260,7 +287,7 @@ def _serve_engine(args: argparse.Namespace, network, obs: _ObsSession):
         obs.pool = obs.stack.enter_context(ServePool(
             args.index, network, n_workers=args.processes,
             kind=args.method, config=config, backing=args.backing,
-            kernel_backend=args.kernel_backend, slo_config=slo_cfg,
+            slo_config=slo_cfg,
             profile_hz=args.profile_hz if args.profile_out else None,
         ))
         return obs.pool
@@ -269,8 +296,7 @@ def _serve_engine(args: argparse.Namespace, network, obs: _ObsSession):
         slow_log = SlowQueryLog(args.slow_query_out, args.slow_query_ms)
     return QueryEngine.from_path(
         args.index, network, kind=args.method, config=config,
-        slow_log=slow_log, kernel_backend=args.kernel_backend,
-        slo=SloTracker(slo_cfg),
+        slow_log=slow_log, slo=SloTracker(slo_cfg),
     )
 
 
@@ -299,7 +325,6 @@ def cmd_build_ris(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         max_index_samples=args.max_samples,
         seed=args.seed,
-        kernel_backend=args.kernel_backend,
     )
     with _ObsSession(args):
         index = _build_index(args, RisDaIndex, network, decay, cfg)
@@ -393,10 +418,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     decay = DistanceDecay(c=args.c, alpha=args.alpha)
     q = (args.x, args.y)
     if args.method == "ris" and args.index:
-        index = load_ris_index(args.index, network)
-        if args.kernel_backend is not None:
-            index.set_kernel_backend(args.kernel_backend)
-        result = index.query(q, args.k)
+        result = load_ris_index(args.index, network).query(q, args.k)
     elif args.method == "ris":
         result = adhoc_ris_query(network, q, args.k, decay, seed=args.seed)
     elif args.method == "mia" and args.index:
@@ -672,7 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--max-samples", type=int, default=300_000)
     p.add_argument("--seed", type=int, default=0)
-    _add_kernel_backend_arg(p, default="auto")
     _add_obs_args(p, alloc=True)
     p.set_defaults(func=cmd_build_ris)
 
@@ -739,7 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--method mia (build-mia)",
     )
     p.add_argument("--seed", type=int, default=0)
-    _add_kernel_backend_arg(p, default=None)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser(
@@ -747,55 +767,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a JSONL query batch against a prebuilt index",
     )
     _add_network_args(p)
-    p.add_argument("--index", required=True,
-                   help="saved index (.npz) from build-ris or build-mia")
+    _add_serve_args(p)
     p.add_argument("--queries", required=True,
                    help='JSONL input, one {"x":, "y":, "k":?} per line')
     p.add_argument("--out",
                    help="JSONL output path (default: print results)")
     p.add_argument("-k", "--k", type=int, default=30,
                    help="budget for query lines without their own k")
-    p.add_argument("--method", choices=("ris", "mia"), default=None,
-                   help="require this index kind (default: serve whatever "
-                        "the file holds)")
-    p.add_argument("--threads", type=int, default=4,
-                   help="serving thread-pool size (per process)")
-    p.add_argument("--processes", type=int, default=0,
-                   help="serve through N pre-forked worker processes "
-                        "sharing the index zero-copy, sharded by query "
-                        "location (0 = in-process serving)")
-    p.add_argument("--backing", choices=("shm", "mmap"), default="shm",
-                   help="shared-index storage for --processes: POSIX "
-                        "shared memory, or memory-mapped .npy spill "
-                        "files (kernel-evictable; for indexes larger "
-                        "than RAM)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-query deadline in seconds; on expiry the "
-                        "degree-discount fallback answers instead")
-    p.add_argument("--cache-size", type=int, default=1024,
-                   help="result-cache capacity (0 disables caching)")
-    p.add_argument("--cache-cells", type=int, default=4096,
-                   help="quantization-grid cell budget for cache keys")
     p.add_argument("--metrics-out",
                    help="also write the metrics report to this file")
     p.add_argument("--metrics-prom",
                    help="write the metrics in Prometheus text format here")
-    p.add_argument(
-        "--slow-query-ms", type=float, default=None,
-        help="record queries at or above this latency (span tree + "
-             "diagnostics) to the slow-query JSONL sink",
-    )
-    p.add_argument(
-        "--slow-query-out", default="slow-queries.jsonl",
-        help="slow-query JSONL sink path (default: slow-queries.jsonl)",
-    )
-    p.add_argument(
-        "--slo-config", metavar="PATH",
-        help="JSON file with SLO objectives (latency_threshold_ms, "
-             "latency_target, availability_target, staleness_limit_s, "
-             "shed_burn, windows); default objectives apply without it",
-    )
-    _add_kernel_backend_arg(p, default=None)
     _add_obs_args(p)
     p.set_defaults(func=cmd_serve_batch)
 
@@ -805,47 +787,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(/query, /metrics, /healthz)",
     )
     _add_network_args(p)
-    p.add_argument("--index", required=True,
-                   help="saved index (.npz) from build-ris or build-mia")
+    _add_serve_args(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=9464,
                    help="listen port (0 picks an ephemeral port)")
     p.add_argument("-k", "--k", type=int, default=30,
                    help="budget for /query requests without their own k")
-    p.add_argument("--method", choices=("ris", "mia"), default=None,
-                   help="require this index kind (default: serve whatever "
-                        "the file holds)")
-    p.add_argument("--threads", type=int, default=4,
-                   help="serving thread-pool size (per process)")
-    p.add_argument("--processes", type=int, default=0,
-                   help="answer /query through N pre-forked worker "
-                        "processes sharing the index zero-copy "
-                        "(0 = in-process serving)")
-    p.add_argument("--backing", choices=("shm", "mmap"), default="shm",
-                   help="shared-index storage for --processes")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-query deadline in seconds; on expiry the "
-                        "degree-discount fallback answers instead")
-    p.add_argument("--cache-size", type=int, default=1024,
-                   help="result-cache capacity (0 disables caching)")
-    p.add_argument("--cache-cells", type=int, default=4096,
-                   help="quantization-grid cell budget for cache keys")
-    p.add_argument(
-        "--slow-query-ms", type=float, default=None,
-        help="record queries at or above this latency (span tree + "
-             "diagnostics) to the slow-query JSONL sink",
-    )
-    p.add_argument(
-        "--slow-query-out", default="slow-queries.jsonl",
-        help="slow-query JSONL sink path (default: slow-queries.jsonl)",
-    )
-    p.add_argument(
-        "--slo-config", metavar="PATH",
-        help="JSON file with SLO objectives (latency_threshold_ms, "
-             "latency_target, availability_target, staleness_limit_s, "
-             "shed_burn, windows); default objectives apply without it",
-    )
-    _add_kernel_backend_arg(p, default=None)
     _add_obs_args(p)
     p.set_defaults(func=cmd_serve_http)
 

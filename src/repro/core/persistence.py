@@ -225,12 +225,10 @@ def ris_index_arrays(
             "delta_pivot": index.config.delta_pivot,
             "epsilon": index.config.epsilon,
             "delta": index.config.delta,
-            "pivot_strategy": index.config.pivot_strategy,
             "max_index_samples": index.config.max_index_samples,
             "lb_k_grid": index.config.lb_k_grid,
             "diffusion": index.config.diffusion,
             "seed": index.config.seed,
-            "kernel_backend": index.config.kernel_backend,
         },
     }
     arrays = {
@@ -276,7 +274,11 @@ def load_ris_index(path: PathLike, network: GeoSocialNetwork) -> RisDaIndex:
     the config seed reconstruct every slot's randomness.  Keyless files
     (saved before slot keys existed, or by a build with a sequential or
     worker-pool sampler) load and answer as saved, and are re-keyed
-    wholesale on their first :meth:`~RisDaIndex.update`.  Corpus arrays
+    wholesale on their first :meth:`~RisDaIndex.update`.  Config keys
+    older files carry and this build no longer reads (a kernel-backend
+    request, the pivot placement, ``selection``, ``n_workers``) are
+    ignored: the loading host picks its own kernel backend, and the
+    stored pivots are used however they were placed.  Corpus arrays
     out of shape or range — non-integer, decreasing offsets, node ids
     outside ``[0, n)``, negative or repeated slot keys — raise
     :class:`~repro.exceptions.CorpusFormatError`, a
@@ -329,14 +331,10 @@ def assemble_ris_index(
             delta_pivot=cfg_raw["delta_pivot"],
             epsilon=cfg_raw["epsilon"],
             delta=cfg_raw["delta"],
-            pivot_strategy=cfg_raw["pivot_strategy"],
             max_index_samples=cfg_raw["max_index_samples"],
             lb_k_grid=cfg_raw["lb_k_grid"],
             diffusion=cfg_raw.get("diffusion", "ic"),
             seed=cfg_raw["seed"],
-            # The *request* is persisted; each loading host resolves it
-            # locally (answers are backend-invariant, speed is not).
-            kernel_backend=cfg_raw.get("kernel_backend", "auto"),
         )
         # operator.index: a JSON string or float here is a bad file.
         k_max = operator.index(meta["k_max"])
@@ -356,9 +354,9 @@ def assemble_ris_index(
     index.network = network
     index.decay = decay
     index.config = config
-    # Resolved per loading host, never persisted concrete: the file may
-    # travel between numba-capable and numba-less machines.
-    index.kernel_backend = resolve_backend(config.kernel_backend)
+    # Resolved per loading host, never persisted: the file may travel
+    # between numba-capable and numba-less machines.
+    index.kernel_backend = resolve_backend()
     index.pivots = pivots
     index._pivot_tree = KDTree(pivots)
     index.sampler = index._coupled_sampler(network)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -46,8 +47,43 @@ QUERY_KINDS = ("point", "trajectory", "targeted", "budgeted", "heuristic")
 LADDER_RUNGS = ("degree-discount", "single-discount", "high-degree")
 
 
+_INT64 = np.iinfo(np.int64)
+#: At most 19 digits: int64's width, far short of int()'s digit limit.
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]{1,19}")
+
+
+def _as_int(value: object, what: str) -> int:
+    """An integer field: an int64-range int, or a decimal-integer string.
+
+    Strings are accepted because HTTP parameters arrive as strings.
+    Booleans and floats are refused rather than coerced — ``int(2.9)``
+    would silently read as 2 and ``int(True)`` as 1.
+    """
+    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
+        value = int(value)
+    if (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and _INT64.min <= value <= _INT64.max
+    ):
+        return int(value)
+    raise QueryError(f"{what} must be an int64 integer, got {value!r}")
+
+
+def _as_float(value: object, what: str) -> float:
+    """A real field: a finite number or numeric string; not a boolean."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise QueryError(f"{what} must be a finite number, got {value!r}")
+
+
 def _as_k(k: object) -> int:
-    k = int(k)
+    k = _as_int(k, "k")
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
     return k
@@ -91,7 +127,7 @@ class TargetedQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", as_point(self.location))
         object.__setattr__(self, "k", _as_k(self.k))
-        ids = sorted({int(t) for t in self.targets})
+        ids = sorted({_as_int(t, "target node id") for t in self.targets})
         if not ids:
             raise QueryError("targeted query needs at least one target node")
         if ids[0] < 0:
@@ -115,18 +151,19 @@ class BudgetedQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", as_point(self.location))
-        budget = float(self.budget)
-        if not (budget > 0 and math.isfinite(budget)):
-            raise QueryError(f"budget must be positive and finite, got {budget}")
+        budget = _as_float(self.budget, "budget")
+        if not budget > 0:
+            raise QueryError(f"budget must be positive, got {budget}")
         object.__setattr__(self, "budget", budget)
-        default = float(self.default_cost)
+        default = _as_float(self.default_cost, "default_cost")
         if not default > 0:
             raise QueryError(f"default_cost must be positive, got {default}")
         object.__setattr__(self, "default_cost", default)
         overrides = []
         seen = set()
         for node, cost in self.costs:
-            node, cost = int(node), float(cost)
+            node = _as_int(node, "cost override node")
+            cost = _as_float(cost, "node cost")
             if node < 0:
                 raise QueryError(f"cost override node must be >= 0, got {node}")
             if node in seen:
@@ -164,7 +201,7 @@ class HeuristicQuery:
                 f"heuristic level must be one of {LADDER_RUNGS}, got {self.level!r}"
             )
         if self.budget_ms is not None:
-            budget_ms = float(self.budget_ms)
+            budget_ms = _as_float(self.budget_ms, "budget_ms")
             if budget_ms < 0:
                 raise QueryError(f"budget_ms must be >= 0, got {budget_ms}")
             object.__setattr__(self, "budget_ms", budget_ms)
@@ -307,67 +344,70 @@ def _require(obj: Mapping, field_name: str, kind: str) -> object:
 
 
 def _point_of(obj: Mapping, kind: str) -> Point:
-    return (float(_require(obj, "x", kind)), float(_require(obj, "y", kind)))
+    return (_as_float(_require(obj, "x", kind), "x"),
+            _as_float(_require(obj, "y", kind), "y"))
 
 
-def _k_of(obj: Mapping, default_k: int) -> int:
-    return int(obj.get("k", default_k))
+def _list_of(raw: object, what: str, pairs: bool = False) -> list:
+    """A list field (never a bare string); with ``pairs``, of 2-lists."""
+    if not isinstance(raw, (list, tuple)) or (pairs and not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in raw
+    )):
+        shape = "[a, b] pairs" if pairs else "a list"
+        raise QueryError(f"{what} must be {shape}, got {raw!r}")
+    return list(raw)
 
 
 def query_from_json(obj: Mapping, default_k: int) -> AnyQuery:
     """Parse one JSONL row / HTTP parameter map into a query object.
 
     The ``kind`` field defaults to ``"point"`` so every pre-existing
-    batch file keeps working unchanged.  Field values may be strings
-    (HTTP query parameters) — they are coerced.
+    batch file keeps working unchanged.  Numbers may arrive as strings
+    (HTTP query parameters); integer fields (``k``, target ids, cost
+    override nodes) take only integers or decimal-integer strings, and
+    list fields refuse a bare string; every number must be finite.
+    Every malformed row raises :class:`~repro.exceptions.QueryError`.
     """
+    if not isinstance(obj, Mapping):
+        raise QueryError(f"a query must be a JSON object, got {obj!r}")
     kind = str(obj.get("kind", "point"))
+    k = obj.get("k", default_k)
     if kind == "point":
-        return DaimQuery(location=_point_of(obj, kind), k=_k_of(obj, default_k))
+        return DaimQuery(location=_point_of(obj, kind), k=_as_k(k))
     if kind == "trajectory":
-        raw = _require(obj, "waypoints", kind)
-        try:
-            waypoints = tuple((float(p[0]), float(p[1])) for p in raw)
-        except (TypeError, ValueError, IndexError):
-            raise QueryError(
-                f"trajectory waypoints must be [x, y] pairs, got {raw!r}"
-            )
-        return TrajectoryQuery(waypoints=waypoints, k=_k_of(obj, default_k))
+        raw = _list_of(_require(obj, "waypoints", kind),
+                       "trajectory waypoints", pairs=True)
+        waypoints = tuple(
+            (_as_float(x, "waypoint x"), _as_float(y, "waypoint y"))
+            for x, y in raw
+        )
+        return TrajectoryQuery(waypoints=waypoints, k=k)
     if kind == "targeted":
-        raw = _require(obj, "targets", kind)
-        try:
-            targets = tuple(int(t) for t in raw)
-        except (TypeError, ValueError):
-            raise QueryError(f"targets must be a list of node ids, got {raw!r}")
+        targets = _list_of(_require(obj, "targets", kind), "targets")
         return TargetedQuery(
-            location=_point_of(obj, kind), k=_k_of(obj, default_k), targets=targets
+            location=_point_of(obj, kind), k=k, targets=tuple(targets)
         )
     if kind == "budgeted":
         raw_costs = obj.get("costs", ())
         if isinstance(raw_costs, Mapping):
-            pairs = tuple((int(node), float(cost)) for node, cost in raw_costs.items())
+            pairs = tuple(raw_costs.items())
         else:
-            try:
-                pairs = tuple((int(p[0]), float(p[1])) for p in raw_costs)
-            except (TypeError, ValueError, IndexError):
-                raise QueryError(
-                    "budgeted costs must be a {node: cost} map or [node, cost]"
-                    f" pairs, got {raw_costs!r}"
-                )
+            pairs = tuple(
+                tuple(p) for p in _list_of(raw_costs, "budgeted costs", pairs=True)
+            )
         return BudgetedQuery(
             location=_point_of(obj, kind),
-            budget=float(_require(obj, "budget", kind)),
+            budget=_require(obj, "budget", kind),
             costs=pairs,
-            default_cost=float(obj.get("cost", 1.0)),
+            default_cost=obj.get("cost", 1.0),
         )
     if kind == "heuristic":
         level = obj.get("level")
-        budget_ms = obj.get("budget_ms")
         return HeuristicQuery(
             location=_point_of(obj, kind),
-            k=_k_of(obj, default_k),
+            k=k,
             level=str(level) if level is not None else None,
-            budget_ms=float(budget_ms) if budget_ms is not None else None,
+            budget_ms=obj.get("budget_ms"),
         )
     raise QueryError(f"unknown query kind {kind!r} (expected one of {QUERY_KINDS})")
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,11 +53,7 @@ from repro.core.query import DaimQuery, SeedResult, validate_mask
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.kdtree import KDTree
 from repro.geo.point import Point, PointLike, as_point
-from repro.geo.sampling import (
-    farthest_point_sample,
-    sample_density_pivots,
-    sample_uniform_points,
-)
+from repro.geo.sampling import sample_uniform_points
 from repro.geo.voronoi import VoronoiDiagram
 from repro.geo.weights import DistanceDecay
 from repro.kernels import resolve_backend
@@ -86,15 +82,8 @@ class RisDaConfig:
     pivot (LB-EST is monotone in ``k``, so the bound at the largest grid
     point below ``k`` remains valid for ``k``); 0 means every ``k``.
     ``max_index_samples`` caps the pool size (memory valve; see module
-    docs).
-
-    ``kernel_backend`` requests the native-kernel backend for the hot
-    loops (selection and the coupled sampler traversal): ``"auto"``
-    (default; numba when importable and warm, else numpy), ``"numpy"``
-    or ``"numba"`` (raises :class:`~repro.exceptions.KernelError` when
-    the host cannot compile).  Resolution happens once per index — see
-    :mod:`repro.kernels` — and the compiled kernels are bit-identical
-    to the numpy ones, so the backend is a pure speed knob.
+    docs).  Pivots are sampled uniformly over the network's bounding
+    box, as in the paper.
     """
 
     k_max: int = 50
@@ -103,12 +92,10 @@ class RisDaConfig:
     delta_pivot: Optional[float] = None
     epsilon: float = 0.5
     delta: Optional[float] = None
-    pivot_strategy: str = "uniform"
     max_index_samples: int = 300_000
     lb_k_grid: int = 8
     diffusion: str = "ic"
     seed: int = 0
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.diffusion not in ("ic", "lt"):
@@ -119,18 +106,8 @@ class RisDaConfig:
             raise QueryError(f"k_max must be positive, got {self.k_max}")
         if self.n_pivots <= 0:
             raise QueryError(f"n_pivots must be positive, got {self.n_pivots}")
-        if self.pivot_strategy not in ("uniform", "density", "farthest"):
-            raise QueryError(
-                "pivot_strategy must be 'uniform', 'density' or 'farthest', "
-                f"got {self.pivot_strategy!r}"
-            )
         if self.max_index_samples <= 0:
             raise QueryError("max_index_samples must be positive")
-        if self.kernel_backend not in ("auto", "numpy", "numba"):
-            raise QueryError(
-                "kernel_backend must be 'auto', 'numpy' or 'numba', "
-                f"got {self.kernel_backend!r}"
-            )
 
     def resolved_deltas(self, n: int) -> Tuple[float, float]:
         """``(delta_pivot, delta_online)`` with the paper's defaults."""
@@ -229,9 +206,9 @@ class RisDaIndex:
         self.network = network
         self.decay = decay if decay is not None else DistanceDecay()
         self.config = config if config is not None else RisDaConfig()
-        #: The *resolved* native-kernel backend ("numpy" or "numba",
-        #: never "auto"); stamped into serving metrics and ``repro info``.
-        self.kernel_backend = resolve_backend(self.config.kernel_backend)
+        #: This host's native-kernel backend ("numpy" or "numba"); stamped
+        #: into serving metrics and ``repro info``.
+        self.kernel_backend = resolve_backend()
         #: Bumped by :meth:`update`; serving folds it into cache keys so
         #: result-cache entries die when the in-memory index changes.
         self.generation = 0
@@ -283,13 +260,7 @@ class RisDaIndex:
         tracer, start,
     ) -> None:
         box = net.bounding_box()
-        if cfg.pivot_strategy == "uniform":
-            pivots = sample_uniform_points(box, cfg.n_pivots, rng)
-        elif cfg.pivot_strategy == "density":
-            pivots = sample_density_pivots(net.coords, cfg.n_pivots, rng)
-        else:
-            candidates = sample_uniform_points(box, cfg.n_pivots * 16, rng)
-            pivots = farthest_point_sample(candidates, cfg.n_pivots, rng)
+        pivots = sample_uniform_points(box, cfg.n_pivots, rng)
         self.pivots = pivots
         self._pivot_tree = KDTree(pivots)
 
@@ -603,22 +574,6 @@ class RisDaIndex:
         if not flipped:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(flipped))
-
-    def set_kernel_backend(self, name: str) -> str:
-        """Re-resolve the native-kernel backend on a built index.
-
-        ``name`` is any of ``"auto"``/``"numpy"``/``"numba"``; returns
-        the resolved concrete name.  Safe at any time: the compiled and
-        numpy kernels are bit-identical, so switching never changes a
-        query answer — a loaded index can be served with a different
-        backend than it was built with (the persisted config stores the
-        *request*, each host resolves it locally).
-        """
-        resolved = resolve_backend(name)
-        self.config = replace(self.config, kernel_backend=name)
-        self.kernel_backend = resolved
-        self.sampler.kernel_backend = resolved
-        return resolved
 
     # ------------------------------------------------------------------
     # Online phase

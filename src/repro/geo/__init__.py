@@ -10,7 +10,8 @@ This package provides everything spatial that the DAIM algorithms need:
   furthest-point-in-cell computation used by RIS-DA index sizing;
 * :mod:`repro.geo.kdtree` — a static k-d tree for nearest-pivot lookup;
 * :mod:`repro.geo.grid` — a uniform grid index used for region-based bounds;
-* :mod:`repro.geo.sampling` — pivot/anchor placement strategies.
+* :mod:`repro.geo.sampling` — uniform pivot/anchor placement and
+  density-matched anchors.
 """
 
 from repro.geo.convex import ConvexPolygon, HalfPlane
@@ -24,11 +25,7 @@ from repro.geo.point import (
     pairwise_distances,
     resolve_metric,
 )
-from repro.geo.sampling import (
-    farthest_point_sample,
-    sample_density_pivots,
-    sample_uniform_points,
-)
+from repro.geo.sampling import sample_density_pivots, sample_uniform_points
 from repro.geo.voronoi import VoronoiCell, VoronoiDiagram
 from repro.geo.weights import DistanceDecay
 
@@ -43,7 +40,6 @@ __all__ = [
     "VoronoiCell",
     "VoronoiDiagram",
     "euclidean",
-    "farthest_point_sample",
     "manhattan",
     "pairwise_distances",
     "resolve_metric",

@@ -7,11 +7,10 @@ Both indexes pre-sample query locations offline:
 * RIS-DA samples *pivots* (paper: 2000) at which the DAIM problem is solved
   to seed the lower-bound machinery.
 
-The paper samples locations "randomly from the entire space".  We provide
-that (uniform), plus two refinements that are useful in practice and serve
-as ablation knobs: density-matched sampling (pivots where users actually
-are) and farthest-point sampling (maximally spread pivots, which minimises
-the worst-case cell radius that drives RIS-DA's sample count).
+The paper samples locations "randomly from the entire space"; RIS-DA
+always does (uniform).  MIA-DA can also place its anchors by
+density-matched sampling (anchors where users actually are), its
+``anchor_strategy="density"``.
 """
 
 from __future__ import annotations
@@ -66,35 +65,3 @@ def sample_density_pivots(
     if jitter > 0:
         pts += rng.normal(0.0, jitter, size=pts.shape)
     return pts
-
-
-def farthest_point_sample(
-    candidates: np.ndarray, n: int, seed: RandomLike = None
-) -> np.ndarray:
-    """Greedy farthest-point subsample of ``candidates``; shape ``(n, 2)``.
-
-    Starts from a random candidate and repeatedly adds the candidate
-    furthest from the chosen set.  This 2-approximates the optimal
-    k-centre cover, i.e. it (nearly) minimises the maximum distance from
-    any candidate to its closest pivot — exactly the quantity RIS-DA's
-    index size depends on.
-    """
-    cands = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if cands.size == 0:
-        raise GeometryError("cannot subsample an empty candidate set")
-    if n <= 0:
-        raise GeometryError(f"sample count must be positive, got {n}")
-    rng = as_generator(seed)
-    n = min(n, len(cands))
-    chosen = np.empty(n, dtype=np.int64)
-    chosen[0] = rng.integers(0, len(cands))
-    # min-distance of each candidate to the chosen set so far
-    d = np.hypot(
-        cands[:, 0] - cands[chosen[0], 0], cands[:, 1] - cands[chosen[0], 1]
-    )
-    for i in range(1, n):
-        nxt = int(np.argmax(d))
-        chosen[i] = nxt
-        nd = np.hypot(cands[:, 0] - cands[nxt, 0], cands[:, 1] - cands[nxt, 1])
-        np.minimum(d, nd, out=d)
-    return cands[chosen].copy()

@@ -2,9 +2,8 @@
 
 See DESIGN.md, "Native kernels".  Public surface:
 
-* :func:`resolve_backend` — ``"auto"``/``"numpy"``/``"numba"`` to a
-  concrete backend name (``"auto"`` falls back to numpy when numba is
-  missing or fails its warm-up self-check).
+* :func:`resolve_backend` — this host's backend: ``"numba"`` when numba
+  imports, compiles and passes its warm-up self-check, else ``"numpy"``.
 * :func:`available_backends` / :func:`numba_version` — host probes,
   stamped into ``repro info`` and benchmark environment blocks.
 * :func:`kernels` — the compiled :class:`KernelSet` of the numba
@@ -15,7 +14,6 @@ Importing this package never imports numba.
 """
 
 from repro.kernels.registry import (
-    BACKENDS,
     KernelSet,
     available_backends,
     kernels,
@@ -24,7 +22,6 @@ from repro.kernels.registry import (
 )
 
 __all__ = [
-    "BACKENDS",
     "KernelSet",
     "available_backends",
     "kernels",

@@ -1,25 +1,23 @@
 """Backend registry for the native selection/sampling kernels.
 
-The registry maps a *requested* backend name to a *resolved* one:
+There are two backends, and the host picks between them:
 
 * ``"numpy"`` — the vectorized kernels in :mod:`repro.ris.coverage` and
-  :mod:`repro.ris.coupled`; always available, the default and the
-  parity oracle.
+  :mod:`repro.ris.coupled`; always available and the parity oracle.
 * ``"numba"`` — the loops in :mod:`repro.kernels.loops` compiled with
-  ``numba.njit(cache=True)``.  Resolving it imports numba (never at
+  ``numba.njit(cache=True)``.  Loading it imports numba (never at
   module import time — numba is an optional extra), compiles the
   kernels, and runs a warm-up self-check: every compiled kernel is
   executed on tiny synthetic inputs and compared against its own
   interpreted body.  A host without numba, a compile failure, or a
   warm-up mismatch all raise :class:`~repro.exceptions.KernelError`.
-* ``"auto"`` — ``numba`` if it resolves (importable *and* warm), else
-  ``numpy``.  The failure is cached so a numba-less host pays the probe
-  once per process.
 
-Resolution happens once per index (at build or load); everything
-downstream — query kernels, serve engine metrics labels, spans,
-``repro info``, benchmark environment blocks — carries the resolved
-concrete name, never ``"auto"``.
+The backends are bit-identical, so the choice is a speed, never an
+answer: :func:`resolve_backend` returns ``"numba"`` when it loads and
+``"numpy"`` otherwise, and caches the outcome so a numba-less host pays
+the probe once per process.  Every index resolves at build or load;
+everything downstream — query kernels, serve engine metrics labels,
+spans, ``repro info``, benchmark environment blocks — carries that name.
 """
 
 from __future__ import annotations
@@ -30,10 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.exceptions import KernelError
-
-#: Accepted backend names, as validated by config/CLI.
-BACKENDS = ("auto", "numpy", "numba")
-
 
 @dataclass(frozen=True)
 class KernelSet:
@@ -216,32 +210,21 @@ def kernels(backend: str) -> KernelSet:
     return _load_numba()
 
 
-def resolve_backend(name: str = "auto") -> str:
-    """Resolve a requested backend name to a concrete one.
+def resolve_backend() -> str:
+    """This host's backend: ``"numba"`` if it loads and warms, else ``"numpy"``.
 
-    ``"numpy"`` is returned as-is; ``"numba"`` compiles and warm-checks
-    the native kernels (raising :class:`KernelError` with the real cause
-    on any failure); ``"auto"`` tries numba and quietly falls back to
-    numpy.  Unknown names raise.
+    The numba load (import, compile, warm-up check) runs once per
+    process; its failure is cached and answered with ``"numpy"``.
     """
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
+    try:
         _load_numba()
-        return "numba"
-    if name == "auto":
-        try:
-            _load_numba()
-        except KernelError:
-            return "numpy"
-        return "numba"
-    raise KernelError(
-        f"unknown kernel backend {name!r}; expected one of {BACKENDS}"
-    )
+    except KernelError:
+        return "numpy"
+    return "numba"
 
 
 def available_backends() -> tuple:
     """Concrete backends usable on this host (probes the numba load)."""
-    if resolve_backend("auto") == "numba":
+    if resolve_backend() == "numba":
         return ("numpy", "numba")
     return ("numpy",)

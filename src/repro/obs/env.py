@@ -60,9 +60,9 @@ def runtime_info() -> Dict[str, Any]:
         from repro.kernels import numba_version, resolve_backend
 
         numba = numba_version()
-        # What "auto" resolves to on this host: requires numba to be not
-        # just importable but compiled and warm-check clean.
-        kernel_backend = resolve_backend("auto")
+        # This host's backend: numba must be not just importable but
+        # compiled and warm-check clean.
+        kernel_backend = resolve_backend()
     except Exception:
         numba = None
         kernel_backend = "numpy"

@@ -51,7 +51,7 @@ from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.querykind import query_from_json
-from repro.exceptions import ReproError, ServeError
+from repro.exceptions import QueryError, ReproError, ServeError
 from repro.obs.log import get_logger
 from repro.obs.prom import render_prometheus
 from repro.serve.engine import QueryEngine, served_row
@@ -293,7 +293,7 @@ class ObsHttpServer:
         """Build a query object from HTTP parameters.
 
         Scalar fields pass straight through to
-        :func:`~repro.core.querykind.query_from_json` (which coerces the
+        :func:`~repro.core.querykind.query_from_json` (which parses the
         strings); the compound ones use flat encodings —
         ``targets=1,2,3``, ``waypoints=x:y;x:y``, ``costs=node:cost,...``
         — since query strings have no nesting.
@@ -311,7 +311,7 @@ class ObsHttpServer:
                     continue
                 xy = part.split(":")
                 if len(xy) != 2:
-                    raise ValueError(
+                    raise QueryError(
                         f"waypoints must be x:y pairs separated by ';', "
                         f"got {part!r}"
                     )
@@ -325,7 +325,7 @@ class ObsHttpServer:
                     continue
                 nc = part.split(":")
                 if len(nc) != 2:
-                    raise ValueError(
+                    raise QueryError(
                         f"costs must be node:cost pairs separated by ',', "
                         f"got {part!r}"
                     )

@@ -302,12 +302,12 @@ def weighted_greedy_cover(
     backend:
         ``"numpy"`` (default) runs the vectorized kernels in this
         module; ``"numba"`` runs the JIT-compiled loops from
-        :mod:`repro.kernels` (a *resolved* backend name — resolve
-        ``"auto"`` through :func:`repro.kernels.resolve_backend`
-        first).  The compiled path is seed-for-seed and bit-for-bit
-        gain-identical to numpy (pinned by ``tests/kernels``) and only
-        engages when ``compute_bound=False`` — the serving hot path;
-        bound-requesting (certification) calls always run numpy.
+        :mod:`repro.kernels` (the host's backend is
+        :func:`repro.kernels.resolve_backend`).  The compiled path is
+        seed-for-seed and bit-for-bit gain-identical to numpy (pinned by
+        ``tests/kernels``) and only engages when ``compute_bound=False``
+        — the serving hot path; bound-requesting (certification) calls
+        always run numpy.
     """
     t_start = time.perf_counter()
     l, weights = _checked_prefix(corpus, sample_weights, prefix, backend)

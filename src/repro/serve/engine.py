@@ -329,24 +329,13 @@ class QueryEngine:
         tracer=None,
         logger=None,
         slow_log: Optional[SlowQueryLog] = None,
-        kernel_backend: Optional[str] = None,
         slo: Optional[SloTracker] = None,
     ):
         self.index = index
         self.network: GeoSocialNetwork = index.network
         self.decay = index.decay
-        if kernel_backend is not None:
-            setter = getattr(index, "set_kernel_backend", None)
-            if setter is not None:
-                setter(kernel_backend)
-            elif kernel_backend not in ("auto", "numpy"):
-                # MIA-DA has no native kernels; an explicit numba request
-                # against it is a caller mistake, not a silent no-op.
-                raise ServeError(
-                    f"index of type {type(index).__name__} does not "
-                    f"support kernel backend {kernel_backend!r}"
-                )
-        #: The index's resolved native-kernel backend; stamped onto stage
+        #: The index's native-kernel backend (MIA-DA has none and runs
+        #: numpy); stamped onto stage
         #: histograms (``stage_*_ms{kernel_backend=...}``) and query spans.
         self.kernel_backend: str = getattr(index, "kernel_backend", "numpy")
         self._stage_labels = {"kernel_backend": self.kernel_backend}
@@ -467,7 +456,6 @@ class QueryEngine:
         tracer=None,
         logger=None,
         slow_log: Optional[SlowQueryLog] = None,
-        kernel_backend: Optional[str] = None,
         slo: Optional[SloTracker] = None,
     ) -> "QueryEngine":
         """An engine over the saved index at ``path``.
@@ -475,8 +463,7 @@ class QueryEngine:
         ``kind`` (``"ris"`` / ``"mia"``) restricts what the engine will
         accept; ``None`` serves whatever the file holds.  Pass a shared
         :class:`IndexCache` so several engines (or repeated CLI batches
-        in one process) load each file once.  ``kernel_backend``
-        overrides the loaded index's native-kernel backend request.
+        in one process) load each file once.
         """
         metrics = metrics if metrics is not None else MetricsRegistry()
         cache = cache if cache is not None else IndexCache(metrics=metrics)
@@ -489,7 +476,6 @@ class QueryEngine:
             tracer=tracer,
             logger=logger,
             slow_log=slow_log,
-            kernel_backend=kernel_backend,
             slo=slo,
         )
 

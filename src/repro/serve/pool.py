@@ -120,7 +120,6 @@ def _worker_main(
     result_q: "mp.Queue",
     untrack_shm: bool,
     parent_pid: int,
-    kernel_backend: Optional[str] = None,
     slo_config: Optional[SloConfig] = None,
     profile_hz: Optional[float] = None,
 ) -> None:
@@ -166,12 +165,9 @@ def _worker_main(
         # worker a real tracer (memory-bounded) purely for attribution.
         tracer = Tracer()
         profiler = SamplingProfiler(hz=profile_hz).start()
-    # Each worker resolves the backend itself: numba compile caches are
-    # per-process, and a fork/spawn child must not inherit a parent-side
-    # resolution it cannot honour.
     engine = QueryEngine(
         index, config=config, fingerprint=manifest.fingerprint,
-        kernel_backend=kernel_backend, slo=slo, tracer=tracer,
+        slo=slo, tracer=tracer,
     )
     try:
         while True:
@@ -263,23 +259,11 @@ class ServePool:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         logger=None,
-        kernel_backend: Optional[str] = None,
         slo_config: Optional[SloConfig] = None,
         profile_hz: Optional[float] = None,
     ):
         if n_workers < 1:
             raise ServeError(f"n_workers must be >= 1, got {n_workers}")
-        if kernel_backend is not None and kernel_backend not in (
-            "auto", "numpy", "numba"
-        ):
-            raise ServeError(
-                "kernel_backend must be 'auto', 'numpy' or 'numba', "
-                f"got {kernel_backend!r}"
-            )
-        #: Backend *request* forwarded to every worker engine (each
-        #: worker resolves it in its own process); None keeps the
-        #: index's persisted request.
-        self.kernel_backend = kernel_backend
         #: SLO objectives forwarded to every worker engine; None turns
         #: rolling-window tracking off pool-wide.
         self.slo_config = slo_config
@@ -357,7 +341,6 @@ class ServePool:
                 # strip its registrations.
                 self._ctx.get_start_method() != "fork",
                 os.getpid(),
-                self.kernel_backend,
                 self.slo_config,
                 self.profile_hz,
             ),

@@ -1,11 +1,13 @@
 """Tests for repro.core.persistence (RIS-DA and MIA-DA index save/load)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
+from repro.core.multi_location import multi_location_query
 from repro.core.persistence import (
     assemble_ris_index,
     load_index,
@@ -263,6 +265,16 @@ class TestLegacyAndTamperedFiles:
             meta = json.loads(data["meta"].tobytes().decode("utf-8"))
         assert "selection" not in meta["config"]
 
+    def test_saved_config_holds_only_build_parameters(self, saved):
+        """The kernel backend is a host property and pivots are always
+        uniform, so neither is written into the file's config."""
+        with np.load(saved) as data:
+            meta = json.loads(data["meta"].tobytes().decode("utf-8"))
+        assert set(meta["config"]) == {
+            "k_max", "n_pivots", "epsilon_pivot", "delta_pivot", "epsilon",
+            "delta", "max_index_samples", "lb_k_grid", "diffusion", "seed",
+        }
+
     @pytest.mark.parametrize("tamper", ["duplicate", "negative"])
     def test_bad_slot_keys_rejected(self, net, saved, tmp_path, tamper):
         def edit(meta, arrays):
@@ -274,6 +286,71 @@ class TestLegacyAndTamperedFiles:
         _rewrite_npz(saved, bad, edit)
         with pytest.raises(SamplingError, match="keys"):
             load_ris_index(bad, net)
+
+
+#: A RIS-DA index saved (format version 1) by a build whose config still
+#: carried a kernel-backend request ("auto") and a pivot-placement choice
+#: (density-placed pivots), beside that build's answers to every query
+#: kind.  Saved at commit 62a7226 over the module's ``net`` with
+#: ``RisDaConfig(k_max=6, n_pivots=8, epsilon_pivot=0.4,
+#: max_index_samples=8000, seed=9)`` and ``DistanceDecay(alpha=0.03)``.
+_LEGACY = Path(__file__).parent / "data" / "ris_v1_legacy_config.npz"
+_LEGACY_ANSWERS = _LEGACY.with_name("ris_v1_legacy_config_answers.json")
+_LEGACY_LOCS = [(10.0, 10.0), (50.0, 80.0), (90.0, 20.0)]
+
+
+def _answer_record(result, diag=None) -> dict:
+    record = {"seeds": [int(s) for s in result.seeds],
+              "estimate": result.estimate}
+    if diag is not None:
+        record["diag"] = {
+            name: getattr(diag, name)
+            for name in ("pivot_index", "pivot_distance", "lower_bound",
+                         "samples_required", "samples_used", "guarantee_met")
+        }
+    return record
+
+
+class TestPortableLegacyConfig:
+    """Older files carry the build host's kernel-backend request and the
+    pivot placement in their config.  Neither changes an answer, so every
+    such file loads on any host and answers exactly as it was saved."""
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy", "numba"])
+    def test_loads_and_answers_every_kind_as_saved(
+        self, net, tmp_path, backend
+    ):
+        path = tmp_path / "legacy.npz"
+        _rewrite_npz(
+            _LEGACY, path,
+            lambda meta, arrays: meta["config"].update(kernel_backend=backend),
+        )
+        loaded = load_ris_index(path, net)
+        n = net.n
+        mask = (np.arange(n) % 3 == 0).astype(float)
+        costs = 0.5 + (np.arange(n) % 4) * 0.5
+        got = {
+            "point": [_answer_record(*loaded.query(q, 5, return_diagnostics=True))
+                      for q in _LEGACY_LOCS],
+            "targeted": [
+                _answer_record(*loaded.query_masked(
+                    q, 4, mask, return_diagnostics=True))
+                for q in _LEGACY_LOCS
+            ],
+            "budgeted": [
+                _answer_record(*loaded.query_budgeted(
+                    q, 4.0, costs, return_diagnostics=True))
+                for q in _LEGACY_LOCS
+            ],
+            "trajectory": [
+                _answer_record(r, d) for r, d in loaded.query_trajectory(
+                    _LEGACY_LOCS, 4, return_diagnostics=True)
+            ],
+            "multi_location": [
+                _answer_record(multi_location_query(loaded, _LEGACY_LOCS, 4))
+            ],
+        }
+        assert got == json.loads(_LEGACY_ANSWERS.read_text())
 
 
 @pytest.fixture(scope="module")

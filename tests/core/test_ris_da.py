@@ -41,8 +41,6 @@ class TestConfig:
         with pytest.raises(QueryError):
             RisDaConfig(n_pivots=0)
         with pytest.raises(QueryError):
-            RisDaConfig(pivot_strategy="teleport")
-        with pytest.raises(QueryError):
             RisDaConfig(max_index_samples=0)
 
     def test_resolved_deltas_defaults(self):
@@ -77,16 +75,6 @@ class TestBuild:
         assert len(index.corpus) >= min(
             index.index_samples_required, index.config.max_index_samples
         )
-
-    def test_pivot_strategies_build(self, net):
-        decay = DistanceDecay(alpha=0.02)
-        for strategy in ("density", "farthest"):
-            cfg = RisDaConfig(
-                k_max=3, n_pivots=6, epsilon_pivot=0.4,
-                max_index_samples=8_000, pivot_strategy=strategy, seed=1,
-            )
-            idx = RisDaIndex(net, decay, cfg)
-            assert len(idx.pivots) == 6
 
 
 class TestQuery:

@@ -5,11 +5,7 @@ import pytest
 
 from repro.exceptions import GeometryError
 from repro.geo.point import BoundingBox
-from repro.geo.sampling import (
-    farthest_point_sample,
-    sample_density_pivots,
-    sample_uniform_points,
-)
+from repro.geo.sampling import sample_density_pivots, sample_uniform_points
 
 
 @pytest.fixture
@@ -65,37 +61,3 @@ class TestDensityPivots:
         pts = sample_density_pivots(coords, 200, seed=4)
         near_cluster = np.sum(np.hypot(pts[:, 0], pts[:, 1]) < 10)
         assert near_cluster > 140  # ~90% expected
-
-
-class TestFarthestPoint:
-    def test_output_subset_of_candidates(self):
-        rng = np.random.default_rng(0)
-        cands = rng.random((100, 2))
-        out = farthest_point_sample(cands, 10, seed=1)
-        cand_set = {tuple(c) for c in cands}
-        assert all(tuple(p) in cand_set for p in out)
-
-    def test_requesting_more_than_available_truncates(self):
-        cands = np.array([[0.0, 0.0], [1.0, 1.0]])
-        out = farthest_point_sample(cands, 10, seed=0)
-        assert len(out) == 2
-
-    def test_spread_better_than_random(self):
-        """FPS minimises max gap: compare cover radius vs random subset."""
-        rng = np.random.default_rng(5)
-        cands = rng.uniform(0, 100, size=(400, 2))
-
-        def cover_radius(chosen: np.ndarray) -> float:
-            d = np.hypot(
-                cands[:, None, 0] - chosen[None, :, 0],
-                cands[:, None, 1] - chosen[None, :, 1],
-            )
-            return float(d.min(axis=1).max())
-
-        fps = farthest_point_sample(cands, 20, seed=6)
-        rand = cands[rng.choice(400, 20, replace=False)]
-        assert cover_radius(fps) < cover_radius(rand)
-
-    def test_zero_rejected(self):
-        with pytest.raises(GeometryError):
-            farthest_point_sample(np.array([[0.0, 0.0]]), 0)

@@ -15,17 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import KernelError
-
 pytest.importorskip("numba")
 
 from repro.kernels import resolve_backend  # noqa: E402
 
-try:
-    resolve_backend("numba")
-except KernelError as exc:  # installed but broken / miscompiling host
-    pytest.skip(f"numba present but unusable: {exc}", allow_module_level=True)
+if resolve_backend() != "numba":  # installed but broken / miscompiling host
+    pytest.skip("numba present but unusable", allow_module_level=True)
 
+import repro.core.ris_da as ris_da  # noqa: E402
 from repro.core.ris_da import RisDaConfig, RisDaIndex  # noqa: E402
 from repro.geo.weights import DistanceDecay  # noqa: E402
 from repro.ris.corpus import RRCorpus  # noqa: E402
@@ -143,18 +140,24 @@ class TestCoupledParity:
 
 
 class TestIndexLevelParity:
-    """Whole-index agreement: build + query on each backend."""
+    """Whole-index agreement: build + query on each backend.
 
-    def _index(self, small_net, backend):
+    The host picks the backend, so each leg pins the index's resolver
+    to one backend, as a host with or without numba would resolve it.
+    """
+
+    def _index(self, small_net, monkeypatch, backend):
+        monkeypatch.setattr(ris_da, "resolve_backend", lambda: backend)
         cfg = RisDaConfig(
             k_max=6, n_pivots=4, epsilon_pivot=0.45,
-            max_index_samples=3000, seed=7, kernel_backend=backend,
+            max_index_samples=3000, seed=7,
         )
         return RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg)
 
-    def test_queries_and_estimates_agree(self, small_net):
-        numpy_idx = self._index(small_net, "numpy")
-        numba_idx = self._index(small_net, "numba")
+    def test_queries_and_estimates_agree(self, small_net, monkeypatch):
+        numpy_idx = self._index(small_net, monkeypatch, "numpy")
+        numba_idx = self._index(small_net, monkeypatch, "numba")
+        assert numpy_idx.kernel_backend == "numpy"
         assert numba_idx.kernel_backend == "numba"
         np.testing.assert_array_equal(
             numpy_idx.pivot_estimates, numba_idx.pivot_estimates

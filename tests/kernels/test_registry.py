@@ -1,22 +1,25 @@
-"""The backend registry and how the request threads through the system.
+"""The backend registry and how the host's backend threads through the system.
 
-Runs on every host: where numba is absent, the explicit ``"numba"``
-request must fail loudly (:class:`~repro.exceptions.KernelError`) while
-``"auto"`` falls back silently; where it is present, both resolve to
-``"numba"``.  Either way the *resolved* concrete name — never
-``"auto"`` — must surface at every observability point the ISSUE names:
-``RisDaIndex.kernel_backend``, persisted index metadata, the serve
-engine's stage-histogram labels, ``runtime_info()``, and the CLI.
+Runs on every host: where numba is absent the host resolves to
+``"numpy"`` and an explicit request for the compiled kernel set fails
+loudly (:class:`~repro.exceptions.KernelError`); where it is present and
+warm, the host resolves to ``"numba"``.  Either way the resolved name
+must surface at every observability point: ``RisDaIndex.kernel_backend``,
+the serve engine's stage-histogram labels, ``runtime_info()``, and the
+CLI — and nothing a caller passes can override it.
 """
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.persistence import load_ris_index, save_ris_index
 from repro.core.ris_da import RisDaConfig, RisDaIndex
-from repro.exceptions import KernelError, QueryError
+from repro.exceptions import KernelError
 from repro.geo.weights import DistanceDecay
 from repro.kernels import (
     available_backends,
@@ -31,28 +34,33 @@ HAVE_NUMBA = numba_version() is not None
 
 
 def _resolves_numba() -> bool:
-    try:
-        return resolve_backend("auto") == "numba"
-    except KernelError:
-        return False
+    return resolve_backend() == "numba"
+
+
+def _small_index(small_net) -> RisDaIndex:
+    cfg = RisDaConfig(
+        k_max=4, n_pivots=3, epsilon_pivot=0.5,
+        max_index_samples=1500, seed=2,
+    )
+    return RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg)
 
 
 class TestResolution:
-    def test_numpy_is_identity(self):
-        assert resolve_backend("numpy") == "numpy"
-
     def test_auto_resolves_concrete(self):
-        assert resolve_backend("auto") in ("numpy", "numba")
+        assert resolve_backend() in ("numpy", "numba")
+        # Cached per process: a second call agrees.
+        assert resolve_backend() == resolve_backend()
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            resolve_backend("cuda")
+        with pytest.raises(KernelError, match="no compiled kernel set"):
+            kernels("cuda")
 
     def test_explicit_numba_without_numba_raises(self):
         if HAVE_NUMBA:
-            pytest.skip("numba installed: the explicit request may succeed")
+            pytest.skip("numba installed: the kernel set may load")
+        assert resolve_backend() == "numpy"
         with pytest.raises(KernelError, match="numba backend unavailable"):
-            resolve_backend("numba")
+            kernels("numba")
 
     def test_available_matches_auto(self):
         avail = available_backends()
@@ -66,57 +74,28 @@ class TestResolution:
 
     def test_runtime_info_reports_backend(self):
         info = runtime_info()
-        assert info["kernel_backend"] in ("numpy", "numba")
+        assert info["kernel_backend"] == resolve_backend()
         assert info["numba"] == numba_version()
 
 
 class TestConfigAndIndex:
-    def test_bad_backend_rejected_at_config(self):
-        with pytest.raises(QueryError, match="kernel_backend"):
-            RisDaConfig(k_max=3, kernel_backend="fortran")
-
     def test_index_resolves_request(self, small_net):
-        cfg = RisDaConfig(
-            k_max=4, n_pivots=3, epsilon_pivot=0.5,
-            max_index_samples=1500, seed=2, kernel_backend="auto",
-        )
-        index = RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg)
-        # The request stays on the config; the index carries the concrete
-        # resolution for this host.
-        assert index.config.kernel_backend == "auto"
-        assert index.kernel_backend == resolve_backend("auto")
+        index = _small_index(small_net)
+        # The index carries this host's backend, and so does its sampler.
+        assert index.kernel_backend == resolve_backend()
         assert index.sampler.kernel_backend == index.kernel_backend
 
-    def test_set_kernel_backend(self, small_net):
-        cfg = RisDaConfig(
-            k_max=4, n_pivots=3, epsilon_pivot=0.5,
-            max_index_samples=1500, seed=2,
-        )
-        index = RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg)
-        before = index.query((30.0, 30.0), 3)
-        assert index.set_kernel_backend("numpy") == "numpy"
-        assert index.config.kernel_backend == "numpy"
-        assert index.sampler.kernel_backend == "numpy"
-        if not _resolves_numba():
-            with pytest.raises(KernelError):
-                index.set_kernel_backend("numba")
-            # A failed switch must leave the index serving on numpy.
-            assert index.kernel_backend == "numpy"
-        after = index.query((30.0, 30.0), 3)
-        assert after.seeds == before.seeds
-
     def test_persistence_round_trip(self, small_net, tmp_path):
-        cfg = RisDaConfig(
-            k_max=4, n_pivots=3, epsilon_pivot=0.5,
-            max_index_samples=1500, seed=2, kernel_backend="auto",
-        )
-        index = RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg)
+        index = _small_index(small_net)
         path = tmp_path / "idx.npz"
         save_ris_index(index, path)
+        with np.load(path) as data:
+            meta = json.loads(data["meta"].tobytes().decode("utf-8"))
+        # A host property is not an index property: nothing is persisted,
+        # and the loading host resolves its own backend.
+        assert "kernel_backend" not in meta["config"]
         loaded = load_ris_index(path, small_net)
-        # The request round-trips; the loading host re-resolves it.
-        assert loaded.config.kernel_backend == "auto"
-        assert loaded.kernel_backend == resolve_backend("auto")
+        assert loaded.kernel_backend == resolve_backend()
         a = index.query((30.0, 30.0), 3)
         b = loaded.query((30.0, 30.0), 3)
         assert b.seeds == a.seeds
@@ -125,64 +104,34 @@ class TestConfigAndIndex:
 
 class TestEngineLabels:
     def test_stage_histograms_carry_backend_label(self, small_net, tmp_path):
-        cfg = RisDaConfig(
-            k_max=4, n_pivots=3, epsilon_pivot=0.5,
-            max_index_samples=1500, seed=2,
-        )
         path = tmp_path / "idx.npz"
-        save_ris_index(
-            RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg), path
-        )
-        engine = QueryEngine.from_path(
-            path, small_net, kernel_backend="numpy"
-        )
-        assert engine.kernel_backend == "numpy"
+        save_ris_index(_small_index(small_net), path)
+        engine = QueryEngine.from_path(path, small_net)
+        backend = resolve_backend()
+        assert engine.kernel_backend == backend
         engine.query((30.0, 30.0), k=3)
         hist_names = engine.metrics.dump()["histograms"]
-        labelled = 'stage_selection_ms{kernel_backend="numpy"}'
+        labelled = f'stage_selection_ms{{kernel_backend="{backend}"}}'
         assert labelled in hist_names
         # Back-compat: the unlabelled series keeps updating too.
         assert "stage_selection_ms" in hist_names
 
-    def test_explicit_numba_engine_fails_loudly(self, small_net, tmp_path):
-        if _resolves_numba():
-            pytest.skip("numba resolves here: the request would succeed")
-        cfg = RisDaConfig(
-            k_max=4, n_pivots=3, epsilon_pivot=0.5,
-            max_index_samples=1500, seed=2,
-        )
-        path = tmp_path / "idx.npz"
-        save_ris_index(
-            RisDaIndex(small_net, DistanceDecay(alpha=0.03), cfg), path
-        )
-        with pytest.raises(KernelError):
-            QueryEngine.from_path(path, small_net, kernel_backend="numba")
-
 
 class TestCliWiring:
-    def test_build_and_query_with_backend_flag(self, tmp_path, capsys):
+    def test_build_and_query_report_host_backend(self, tmp_path, capsys):
         index_path = tmp_path / "idx.npz"
         rc = main([
             "build-ris", "--dataset", "brightkite", "--scale", "0.1",
             "--out", str(index_path), "--k-max", "4", "--pivots", "4",
             "--epsilon-pivot", "0.5", "--max-samples", "2000",
-            "--kernel-backend", "numpy",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "kernel backend numpy" in out
+        assert f"kernel backend {resolve_backend()}" in out
         rc = main([
             "query", "--dataset", "brightkite", "--scale", "0.1",
             "--x", "50", "--y", "50", "-k", "3", "--method", "ris",
-            "--index", str(index_path), "--kernel-backend", "numpy",
+            "--index", str(index_path),
         ])
         assert rc == 0
         assert "RIS-DA" in capsys.readouterr().out
-
-    def test_bogus_backend_flag_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "build-ris", "--dataset", "brightkite", "--scale", "0.1",
-                "--out", str(tmp_path / "x.npz"),
-                "--kernel-backend", "fortran",
-            ])
