@@ -89,6 +89,7 @@ from repro.obs.slo import SloConfig, SloTracker, slo_report
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import NULL_TRACER, Tracer, use_tracer
 from repro.ris.adhoc import adhoc_ris_query
+from repro.serve.cache import IndexCache
 from repro.serve.engine import QueryEngine, ServeConfig, served_row
 from repro.serve.pool import ServePool
 from repro.stream.delta import GraphDelta
@@ -417,6 +418,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     network = _resolve_network(args)
     decay = DistanceDecay(c=args.c, alpha=args.alpha)
     q = (args.x, args.y)
+    if args.method in ("ris", "mia") and args.index:
+        # A missing file fails as in serve-batch ("cannot stat index
+        # file"), not with a raw traceback from np.load.
+        IndexCache.fingerprint(args.index)
     if args.method == "ris" and args.index:
         result = load_ris_index(args.index, network).query(q, args.k)
     elif args.method == "ris":

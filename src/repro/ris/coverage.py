@@ -19,8 +19,8 @@ argmax ``score / cost``.  The state is built from flat numpy kernels
   (:meth:`~repro.ris.corpus.RRCorpus.entry_samples`);
 * when a seed is chosen, all samples it newly covers are decremented in
   a single batch: the flat positions of their member slices are gathered
-  through the CSR offsets, and members and entry weights read at those
-  positions are subtracted with one weighted ``bincount``;
+  through the CSR offsets, and the members there, each weighted by its
+  sample's weight, are subtracted with one weighted ``bincount``;
 * the per-iteration submodular certification bound (a ``np.partition``
   over all ``n`` scores) is **opt-in** via ``compute_bound`` — the
   default serving path runs without it, certification requests it.
@@ -41,7 +41,11 @@ The loop stays linear in the total member entries of the prefix: each
 sample's members are visited once at initialisation (score build) and
 once when the sample first becomes covered (batched decrement).  A
 zero-weight sample starts covered — its decrement would subtract nothing
-— so a targeted query, whose mask zeroes most roots, skips that work.
+— and its entries are left out of the score build (a ``+0.0`` term never
+changes a sum), so a targeted or masked query, whose mask zeroes most
+roots, skips both.  Without a bound to track, the k-th pick's decrement
+is skipped too: nothing reads the residuals after it.  Both skips are
+bit-identical to doing the work.
 """
 
 from __future__ import annotations
@@ -206,21 +210,36 @@ class _Residual:
 
     def __init__(self, corpus: RRCorpus, weights: np.ndarray, l: int) -> None:
         self.l = l
+        self.weights = weights
         self.flat, self.offsets = corpus.flat()
-        end = int(self.offsets[l])
-        # Per-entry weight: each member entry of sample i carries omega_i.
-        # The batched decrement reuses it, indexed by flat position.
-        self.entry_weight = weights[corpus.entry_samples()[:end]]
-        self.score = np.bincount(
-            self.flat[:end], weights=self.entry_weight, minlength=corpus.n_nodes
-        )
-        # Inverted index (node -> ascending sample ids) is cached
-        # corpus-wide; per-node prefix restriction is one binary search.
-        self.inv_samples, self.inv_offsets = corpus.inverted()
         # A zero-weight sample changes no score, so it starts covered: a
         # targeted mask zeroes most roots, and their decrements would
         # subtract nothing (exactly: ``s - 0.0 == s``).
         self.covered = weights[:l] == 0.0
+        if self.covered.any():
+            # Build the scores from the positive-weight samples' entries
+            # only.  Bit-identical to the full build: bincount sums each
+            # node's terms in entry order from +0.0, and skipping a
+            # ``+0.0`` term never changes such a sum.
+            members, entry_weight = self._entries(np.flatnonzero(~self.covered))
+        else:
+            # Per-entry weight: each member entry of sample i carries
+            # omega_i, one gather through the cached entry -> sample map.
+            end = int(self.offsets[l])
+            members = self.flat[:end]
+            entry_weight = weights[corpus.entry_samples()[:end]]
+        self.score = np.bincount(
+            members, weights=entry_weight, minlength=corpus.n_nodes
+        )
+        # Inverted index (node -> ascending sample ids) is cached
+        # corpus-wide; per-node prefix restriction is one binary search.
+        self.inv_samples, self.inv_offsets = corpus.inverted()
+
+    def _entries(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Members and per-entry weights of the samples ``ids``, in order."""
+        sizes = self.offsets[ids + 1] - self.offsets[ids]
+        pos = _gather_slices(self.offsets, ids)
+        return self.flat[pos], np.repeat(self.weights[ids], sizes)
 
     def take(self, u: int) -> None:
         """Cover every prefix sample of ``u`` and retire ``u``.
@@ -235,10 +254,9 @@ class _Residual:
         newly = candidates[~self.covered[candidates]]
         if len(newly):
             self.covered[newly] = True
-            pos = _gather_slices(self.offsets, newly)
+            members, entry_weight = self._entries(newly)
             self.score -= np.bincount(
-                self.flat[pos], weights=self.entry_weight[pos],
-                minlength=len(self.score),
+                members, weights=entry_weight, minlength=len(self.score)
             )
         # Guard against float drift leaving the seed positive.
         self.score[u] = -np.inf
@@ -367,7 +385,9 @@ def weighted_greedy_cover(
         seeds.append(u)
         gains[it] = gain
         covered_weight += gain
-        res.take(u)
+        if compute_bound or it + 1 < k:
+            # After the k-th pick only the bound reads the residuals.
+            res.take(u)
     return CoverageResult(
         seeds=seeds,
         gains=gains,

@@ -199,6 +199,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        # (prefix, label items) -> stage -> (plain name, labelled name).
+        self._stage_names: Dict[tuple, Dict[str, Tuple[str, Optional[str]]]] = {}
 
     def counter(self, name: str) -> Counter:
         with self._lock:
@@ -261,11 +263,21 @@ class MetricsRegistry:
         and once under the labelled sibling, so backend A/B comparisons
         don't break existing panels.
         """
+        key = (prefix, tuple(labels.items()) if labels else ())
+        names = self._stage_names.setdefault(key, {})
         for stage, seconds in stages.items():
+            pair = names.get(stage)
+            if pair is None:
+                # Each (prefix, stage, labels) name is built once: the
+                # engine observes every stage of every index answer.
+                name = f"{prefix}{stage}_ms"
+                pair = names[stage] = (
+                    name, labelled(name, **labels) if labels else None
+                )
             ms = float(seconds) * 1e3
-            self.observe(f"{prefix}{stage}_ms", ms)
-            if labels:
-                self.observe(labelled(f"{prefix}{stage}_ms", **labels), ms)
+            self.observe(pair[0], ms)
+            if pair[1] is not None:
+                self.observe(pair[1], ms)
 
     def merge_dump(self, dump: Mapping, prefix: str = "") -> None:
         """Fold another registry's :meth:`dump` into this one.

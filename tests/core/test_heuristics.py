@@ -230,3 +230,150 @@ class TestHeuristicLadder:
         est = ladder_cost_estimates(medium_net, 10)
         budget = (est["single-discount"] + est["degree-discount"]) / 2
         assert ladder_rung_for(medium_net, 10, budget) == "single-discount"
+
+
+# ----------------------------------------------------------------------
+# Parity with the per-node Python loops the array passes replaced.
+# ----------------------------------------------------------------------
+
+
+def _loop_degree_discount(network, w, k):
+    """Frozen copy of the per-node loop degree discount: (seeds, estimate)."""
+    score = w.copy()
+    for u in range(network.n):
+        nbrs = network.out_neighbors(u)
+        probs = network.out_probabilities(u)
+        if len(nbrs):
+            score[u] += float(np.dot(probs, w[nbrs]))
+    chosen = []
+    active = np.zeros(network.n, dtype=bool)
+    working = score.copy()
+    estimate = 0.0
+    for _ in range(k):
+        u = int(np.argmax(working))
+        chosen.append(u)
+        active[u] = True
+        estimate += float(working[u])
+        working[u] = -np.inf
+        nbrs = network.out_neighbors(u)
+        probs = network.out_probabilities(u)
+        for v, p in zip(nbrs, probs):
+            v = int(v)
+            if not active[v]:
+                working[v] -= float(p) * float(w[v])
+    return chosen, estimate
+
+
+def _loop_single_discount(network, w, k):
+    """Frozen copy of the per-neighbour loop single discount."""
+    deg = np.asarray(network.out_degree(), dtype=float)
+    chosen = []
+    active = np.zeros(network.n, dtype=bool)
+    working = w * deg
+    estimate = 0.0
+    for _ in range(k):
+        u = int(np.argmax(working))
+        chosen.append(u)
+        active[u] = True
+        estimate += float(working[u])
+        working[u] = -np.inf
+        for v in network.in_neighbors(u):
+            v = int(v)
+            if not active[v]:
+                working[v] -= float(w[v])
+    return chosen, estimate
+
+
+def _random_graph(seed, dyadic=False):
+    """A random graph with sinks, isolated nodes and p = 1 edges.
+
+    The upper third of the ids has no out-edges (sinks) and a few of
+    those no in-edges either (isolated).  ``dyadic`` draws every edge
+    probability from multiples of 1/8, so with unit weights every sum
+    the heuristics form is exact.
+    """
+    from repro.network.graph import GeoSocialNetwork
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    n_src = max(2, 2 * n // 3)
+    isolated = set(range(n - 2, n))
+    pairs = set()
+    for _ in range(int(rng.integers(n, 4 * n))):
+        u = int(rng.integers(0, n_src))
+        v = int(rng.integers(0, n))
+        if u != v and v not in isolated and u not in isolated:
+            pairs.add((u, v))
+    edges = sorted(pairs)
+    if dyadic:
+        probs = rng.integers(1, 9, size=len(edges)) / 8.0
+    else:
+        probs = rng.uniform(0.0, 1.0, size=len(edges))
+        probs[rng.random(len(edges)) < 0.2] = 1.0
+    coords = rng.uniform(0.0, 100.0, size=(n, 2))
+    return GeoSocialNetwork.from_edges(edges, coords, probs, n=n)
+
+
+class TestArrayPassParity:
+    """Seeds, estimates and ties against the frozen per-node loops."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_degree_discount_matches_loop(self, seed):
+        net = _random_graph(seed)
+        assert (np.diff(net.out_offsets) == 0).any()
+        decay = DistanceDecay(alpha=0.03)
+        q = (40.0, 60.0)
+        w = decay.weights(net.coords, q)
+        for k in sorted({1, 2, net.n // 2, net.n}):
+            got = degree_discount(net, q, k, decay)
+            seeds, estimate = _loop_degree_discount(net, w, k)
+            assert got.seeds == seeds
+            assert got.estimate == pytest.approx(estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_degree_discount_bit_equal_when_exact(self, seed):
+        """Dyadic probabilities and unit weights make every sum exact,
+        so the row-sum order cannot matter: bit for bit, ties included."""
+        net = _random_graph(seed, dyadic=True)
+        decay = DistanceDecay(alpha=0.0)
+        q = (0.0, 0.0)
+        w = decay.weights(net.coords, q)
+        for k in range(1, net.n + 1):
+            got = degree_discount(net, q, k, decay)
+            assert (got.seeds, got.estimate) == _loop_degree_discount(net, w, k)
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_single_discount_bit_equal(self, seed, dyadic):
+        net = _random_graph(seed, dyadic=dyadic)
+        decay = DistanceDecay(alpha=0.0 if dyadic else 0.03)
+        q = (40.0, 60.0)
+        w = decay.weights(net.coords, q)
+        for k in range(1, net.n + 1):
+            got = single_discount(net, q, k, decay)
+            assert (got.seeds, got.estimate) == _loop_single_discount(net, w, k)
+
+    def test_medium_net_matches_loop(self, medium_net):
+        decay = DistanceDecay(alpha=0.02)
+        for q in [(50.0, 50.0), (120.0, 30.0), (190.0, 190.0)]:
+            w = decay.weights(medium_net.coords, q)
+            for k in (1, 10, 30):
+                got = degree_discount(medium_net, q, k, decay)
+                seeds, estimate = _loop_degree_discount(medium_net, w, k)
+                assert got.seeds == seeds
+                assert got.estimate == pytest.approx(estimate, rel=1e-12)
+                got = single_discount(medium_net, q, k, decay)
+                assert (got.seeds, got.estimate) == _loop_single_discount(
+                    medium_net, w, k
+                )
+
+    def test_edgeless_graph(self):
+        from repro.network.graph import GeoSocialNetwork
+
+        net = GeoSocialNetwork.from_edges([], np.zeros((4, 2)), [], n=4)
+        decay = DistanceDecay(alpha=0.0)
+        w = decay.weights(net.coords, (0.0, 0.0))
+        got = degree_discount(net, (0.0, 0.0), 4, decay)
+        assert (got.seeds, got.estimate) == _loop_degree_discount(net, w, 4)
+        got = single_discount(net, (0.0, 0.0), 4, decay)
+        assert (got.seeds, got.estimate) == _loop_single_discount(net, w, 4)

@@ -167,3 +167,66 @@ class TestUnbiasedness:
             estimate_spread(corpus, [0], np.ones(2), prefix=10)
         with pytest.raises(SamplingError):
             estimate_spread(corpus, [0], np.ones(len(corpus)), prefix=0)
+
+
+def _full_prefix_cover(corpus, weights, k, l):
+    """The greedy cover with the score built from *every* prefix entry,
+    zero-weight samples included, and the k-th pick's decrement kept."""
+    flat, offsets = corpus.flat()
+    end = int(offsets[l])
+    entry_weight = weights[corpus.entry_samples()[:end]]
+    score = np.bincount(flat[:end], weights=entry_weight,
+                        minlength=corpus.n_nodes)
+    inv_samples, inv_offsets = corpus.inverted()
+    covered = weights[:l] == 0.0
+    gains = np.zeros(k)
+    seeds = []
+    covered_weight = 0.0
+    for it in range(k):
+        u = int(np.argmax(score))
+        gain = float(score[u])
+        if gain <= 1e-12 * covered_weight:
+            break
+        seeds.append(u)
+        gains[it] = gain
+        covered_weight += gain
+        mine = inv_samples[inv_offsets[u]:inv_offsets[u + 1]]
+        mine = mine[mine < l]
+        newly = mine[~covered[mine]]
+        covered[newly] = True
+        pos = np.concatenate(
+            [np.arange(offsets[i], offsets[i + 1]) for i in newly]
+            or [np.empty(0, dtype=np.int64)]
+        )
+        score -= np.bincount(flat[pos], weights=entry_weight[pos],
+                             minlength=len(score))
+        score[u] = -np.inf
+    return seeds, gains, covered_weight
+
+
+class TestZeroWeightScoreBuild:
+    """Zero-weight samples are left out of the score build, and the
+    decrement after the last pick is skipped: both must be bit-exact."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gains_equal_full_prefix_build(self, small_net, seed):
+        rng = np.random.default_rng(seed)
+        c = RRCorpus(CoupledRRSampler(small_net, seed=seed))
+        c.ensure(3000)
+        l = int(rng.integers(1000, 3001))
+        weights = DistanceDecay(alpha=0.03).weights(
+            small_net.coords, (40.0, 60.0)
+        )[c.roots]
+        weights[rng.random(len(weights)) < 0.9] = 0.0
+        assert (weights[:l] == 0.0).mean() > 0.85
+        for k in (1, 5, 12):
+            want_seeds, want_gains, covered = _full_prefix_cover(
+                c, weights, k, l
+            )
+            for bound in (False, True):
+                got = weighted_greedy_cover(
+                    c, weights, k, prefix=l, compute_bound=bound
+                )
+                assert got.seeds == want_seeds
+                assert got.gains.tobytes() == want_gains.tobytes()
+                assert got.estimate == small_net.n * covered / l

@@ -9,6 +9,7 @@ from repro.serve.metrics import (
     LATENCY_BUCKETS_MS,
     Histogram,
     MetricsRegistry,
+    labelled,
 )
 
 
@@ -231,3 +232,77 @@ class TestMergeDump:
         b.observe("x", 0.5, buckets=[5.0])
         with pytest.raises(ValueError, match="bucket bounds"):
             a.merge_dump(b.dump())
+
+
+def _uncached_observe_stage_seconds(registry, stages, prefix="stage_",
+                                    labels=None):
+    """The stage observation as it was before names were cached: every
+    call formats each name afresh through ``labelled``."""
+    for stage, seconds in stages.items():
+        ms = float(seconds) * 1e3
+        registry.observe(f"{prefix}{stage}_ms", ms)
+        if labels:
+            registry.observe(labelled(f"{prefix}{stage}_ms", **labels), ms)
+
+
+class TestStageNameCache:
+    """Cached stage names must render exactly what ``labelled`` gives."""
+
+    def test_engine_fed_exposition_is_byte_identical(self, small_net):
+        from repro.core.mia_da import MiaDaConfig, MiaDaIndex
+        from repro.core.ris_da import RisDaConfig, RisDaIndex
+        from repro.geo.weights import DistanceDecay
+        from repro.obs.prom import render_prometheus
+        from repro.serve.engine import QueryEngine, ServeConfig
+
+        decay = DistanceDecay(alpha=0.02)
+        ris = RisDaIndex(small_net, decay, RisDaConfig(
+            k_max=5, n_pivots=4, max_index_samples=4000, seed=3))
+        mia = MiaDaIndex(small_net, decay, MiaDaConfig(n_anchors=6, tau=16))
+        fed = MetricsRegistry()
+        calls = []
+        observe = fed.observe_stage_seconds
+
+        def spy(stages, prefix="stage_", labels=None):
+            calls.append((dict(stages), prefix,
+                          None if labels is None else dict(labels)))
+            observe(stages, prefix=prefix, labels=labels)
+
+        fed.observe_stage_seconds = spy
+        cfg = ServeConfig(result_cache_size=0)
+        for index in (ris, mia):
+            engine = QueryEngine(index, config=cfg, metrics=fed)
+            for i in range(6):
+                engine.query((20.0 + 10 * i, 50.0), k=1 + i % 5)
+        assert any(labels for _, _, labels in calls)
+        assert any(labels is None for _, _, labels in calls)
+
+        replayed = MetricsRegistry()
+        for stages, prefix, labels in calls:
+            _uncached_observe_stage_seconds(replayed, stages, prefix, labels)
+
+        def stage_lines(registry):
+            return [line for line in render_prometheus(registry).splitlines()
+                    if "stage_" in line]
+
+        got, want = stage_lines(fed), stage_lines(replayed)
+        assert got and got == want
+        names = set(fed.dump()["histograms"])
+        assert labelled("stage_selection_ms",
+                        kernel_backend=ris.kernel_backend) in names
+        assert {n for n in names if n.startswith("stage_")} == set(
+            replayed.dump()["histograms"]
+        )
+
+    def test_label_sets_and_prefixes_kept_apart(self):
+        m = MetricsRegistry()
+        m.observe_stage_seconds({"total": 0.001}, labels={"b": "1", "a": 'x"y'})
+        m.observe_stage_seconds({"total": 0.002}, labels={"a": 'x"y', "b": "1"})
+        m.observe_stage_seconds({"total": 0.003}, labels={"a": "z"})
+        m.observe_stage_seconds({"total": 0.004}, prefix="mia_")
+        h = m.dump()["histograms"]
+        same = labelled("stage_total_ms", a='x"y', b="1")
+        assert h[same]["count"] == 2
+        assert h[labelled("stage_total_ms", a="z")]["count"] == 1
+        assert h["stage_total_ms"]["count"] == 3
+        assert h["mia_total_ms"]["count"] == 1

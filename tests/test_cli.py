@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import pytest
 
 from repro.cli import main
 
@@ -76,6 +77,21 @@ class TestQuery:
             "--x", "0", "--y", "0",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("method", ["ris", "mia"])
+    @pytest.mark.parametrize("name", ["missing", "missing.npz"])
+    def test_missing_index_file_errors(self, tmp_path, capsys, method, name):
+        """A missing index is a one-line error with exit code 2, as in
+        serve-batch — not a FileNotFoundError traceback from np.load."""
+        rc = main([
+            "query", "--dataset", "brightkite", "--scale", "0.1",
+            "--x", "50", "--y", "50", "-k", "3", "--method", method,
+            "--index", str(tmp_path / name),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot stat index file ")
+        assert str(tmp_path / "missing.npz") in err
 
 
 class TestBuildAndLoadRis:
