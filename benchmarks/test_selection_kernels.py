@@ -19,13 +19,6 @@ same corpus and queries:
   ``SamplingProfiler`` in scope and one ``SloTracker.record_query`` per
   query (the CLI serves with SLO tracking on by default).
 
-On hosts where the optional numba extra resolves (see
-:mod:`repro.kernels`), one more variant runs — ``eager@numba`` — with
-the same seed-parity gate against the reference kernel, plus a compiled-vs-numpy bar: the combined
-``score_build + selection`` stage median must be >= 3x faster compiled
-(standard workload only; first-call JIT compilation happens in the
-warm-up pass, outside the timed region).
-
 Every run asserts **seed parity** against the reference kernel — this is
 the parity half of the CI smoke step (``REPRO_BENCH_TINY=1`` shrinks the
 workload and drops the speedup bar; parity always fails loudly).  On the
@@ -53,7 +46,6 @@ from repro.obs.slo import SloTracker
 from repro.obs.trace import NULL_TRACER
 from repro.ris.corpus import RRCorpus
 from repro.ris.coverage import weighted_greedy_cover
-from repro.kernels import resolve_backend
 from repro.ris.reference import reference_greedy_cover
 from repro.ris.coupled import CoupledRRSampler
 
@@ -74,9 +66,6 @@ OBS_OVERHEAD_BAR = 1.02
 #: A profiler that is constructed but not started (plus per-query SLO
 #: recording) must cost <= 2% over the bare kernel.
 PROFILER_OFF_BAR = 1.02
-#: Compiled kernels vs the numpy kernels, on the combined hot stages
-#: (score_build + selection) — the ISSUE's acceptance bar.
-NUMBA_STAGE_BAR = 3.0
 
 
 def _eager_obs_off(corpus, w, k):
@@ -144,15 +133,9 @@ def test_selection_kernel_speedup():
         "eager+obs(off)": lambda w: _eager_obs_off(corpus, w, K),
         "eager+prof(off)": lambda w: _eager_prof_off(corpus, w, K, slo),
     }
-    numba_on = resolve_backend() == "numba"
-    if numba_on:
-        variants["eager@numba"] = lambda w: weighted_greedy_cover(
-            corpus, w, K, compute_bound=False, backend="numba"
-        )
 
     # Warm shared lazy state (flat layout, inverted index) so no variant
-    # pays the one-off corpus indexing cost inside its timed region; for
-    # the compiled variants this is also where JIT compilation happens.
+    # pays the one-off corpus indexing cost inside its timed region.
     for fn in variants.values():
         fn(weights[0])
 
@@ -176,25 +159,12 @@ def test_selection_kernel_speedup():
 
     # Per-stage medians (ms) of the default serving path, from the
     # kernel's own SelectionTimings.
-    def _stage_medians(name):
-        return {
-            stage: statistics.median(
-                r.timings.as_dict()[stage] for r in results[name]
-            ) * 1e3
-            for stage in ("score_build", "selection", "bound", "total")
-        }
-
-    stage_medians = _stage_medians("eager")
-    numba_stage_medians = _stage_medians("eager@numba") if numba_on else None
-    # Combined hot-stage bar: score_build + selection, numpy vs compiled.
-    numba_stage_speedup = None
-    if numba_on:
-        numpy_hot = stage_medians["score_build"] + stage_medians["selection"]
-        numba_hot = (
-            numba_stage_medians["score_build"]
-            + numba_stage_medians["selection"]
-        )
-        numba_stage_speedup = numpy_hot / numba_hot if numba_hot > 0 else None
+    stage_medians = {
+        stage: statistics.median(
+            r.timings.as_dict()[stage] for r in results["eager"]
+        ) * 1e3
+        for stage in ("score_build", "selection", "bound", "total")
+    }
 
     speedups = {
         name: medians["reference"] / medians[name]
@@ -226,11 +196,6 @@ def test_selection_kernel_speedup():
         "median_ms": {n: m * 1e3 for n, m in medians.items()},
         "speedup_vs_reference": speedups,
         "eager_stage_median_ms": stage_medians,
-        "kernel_backend": "numba" if numba_on else "numpy",
-        "numba_stage_median_ms": numba_stage_medians,
-        "numba_stage_speedup": numba_stage_speedup,
-        "numba_stage_bar": NUMBA_STAGE_BAR,
-        "numba_stage_bar_enforced": bool(numba_on and not TINY),
         "speedup_bar": SPEEDUP_BAR,
         "speedup_bar_enforced": not TINY,
         "obs_disabled_overhead": obs_overhead,
@@ -254,9 +219,3 @@ def test_selection_kernel_speedup():
             f"profiler-off serving shape is {profiler_off_overhead:.3f}x "
             f"the bare kernel (bar: {PROFILER_OFF_BAR}x)"
         )
-        if numba_on:
-            assert numba_stage_speedup is not None
-            assert numba_stage_speedup >= NUMBA_STAGE_BAR, (
-                f"compiled kernels only {numba_stage_speedup:.2f}x the numpy "
-                f"kernels on score_build+selection (bar: {NUMBA_STAGE_BAR}x)"
-            )

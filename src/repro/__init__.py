@@ -35,7 +35,6 @@ from repro.core.persistence import (
     load_index,
     load_mia_index,
     load_ris_index,
-    peek_index_kind,
     save_mia_index,
     save_ris_index,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "load_index",
     "load_mia_index",
     "load_ris_index",
-    "peek_index_kind",
     "save_mia_index",
     "save_ris_index",
     "top_degree",

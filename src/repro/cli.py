@@ -334,7 +334,7 @@ def cmd_build_ris(args: argparse.Namespace) -> int:
         f"built RIS-DA index in {index.build_seconds:.1f}s: "
         f"{len(index.corpus)} samples "
         f"({'truncated' if index.truncated else 'complete'}), "
-        f"kernel backend {index.kernel_backend}, saved to {args.out}"
+        f"saved to {args.out}"
     )
     return 0
 

@@ -145,8 +145,9 @@ def degree_discount(
     # its own weight.  ``mass[e] = Pr(u, v) * w(v)`` for out-edge e = u -> v
     # is also exactly what u's pick later takes off v.
     mass = network.out_probs * w[targets]
-    sources = np.repeat(np.arange(network.n), np.diff(offsets))
-    working = w + np.bincount(sources, weights=mass, minlength=network.n)
+    working = w + np.bincount(
+        network.out_sources, weights=mass, minlength=network.n
+    )
 
     chosen: list[int] = []
     estimate = 0.0

@@ -67,8 +67,7 @@ def multi_location_query(
     One plan of the shared RIS-DA body: sample sizing uses the larger of
     ``max_i L_{q_i}^k`` and LB-EST at ``w(., Q)`` (both valid lower bounds
     of ``OPT_Q^k``), the weights
-    are :func:`multi_location_weights`, and the greedy runs once under
-    the index's kernel backend.
+    are :func:`multi_location_weights`, and the greedy runs once.
     """
     # Deferred: repro.core.ris_da imports this module.
     from repro.core.ris_da import _Plan

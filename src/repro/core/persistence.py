@@ -29,7 +29,12 @@ deserialising the ``.npz`` once per process.
 from __future__ import annotations
 
 import json
+import lzma
 import operator
+import os
+import tokenize
+import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Tuple, Union
@@ -49,7 +54,6 @@ from repro.exceptions import (
 from repro.geo.grid import UniformGrid
 from repro.geo.kdtree import KDTree
 from repro.geo.weights import DistanceDecay
-from repro.kernels import resolve_backend
 from repro.mia.pmia import MiaModel
 from repro.network.graph import GeoSocialNetwork
 from repro.ris.corpus import RRCorpus
@@ -58,6 +62,19 @@ PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
 _MIA_FORMAT_VERSION = 1
+
+#: What a damaged ``.npz`` raises on the way through ``np.load``: a bad
+#: archive or CRC, a corrupt deflate/bzip2/lzma stream, a short member,
+#: a bad ``.npy`` header (``ValueError``, ``TokenError``) or a pickle
+#: refusal (``ValueError``, which also covers bad UTF-8 and JSON in
+#: ``meta``), a flipped compression method or flag bit
+#: (``NotImplementedError``, ``RuntimeError``), short reads (``EOFError``,
+#: ``OSError``) and a header declaring more elements than memory holds.
+_UNREADABLE = (
+    zipfile.BadZipFile, zlib.error, lzma.LZMAError, tokenize.TokenError,
+    EOFError, OSError, ValueError, NotImplementedError, RuntimeError,
+    MemoryError,
+)
 
 
 def _with_npz_suffix(path: PathLike) -> Path:
@@ -109,20 +126,24 @@ def _decay(meta: dict) -> DistanceDecay:
     )
 
 
-def peek_index_kind(path: PathLike) -> str:
-    """The ``kind`` tag (``"ris"`` or ``"mia"``) of a saved index file.
+def _check_entry_count(fh, entries: int, path: Path) -> None:
+    """The central directory lists every member the end record counts.
 
-    Reads only the JSON metadata member, so callers (the serving layer's
-    index cache, CLI dispatch) can pick the matching loader without paying
-    for the array payload.  Files predating the ``kind`` tag are all RIS
-    indexes.
+    ``zipfile`` stops parsing the central directory at its declared
+    size, so a damaged entry (say, a huge comment length) can swallow
+    the entries after it and the archive reads as if they were never
+    saved.  The writer puts no archive comment after the 22-byte end
+    record, so its entry count sits at a fixed offset from the end.
     """
-    path = _with_npz_suffix(path)
-    with np.load(path) as data:
-        if "meta" not in data:
-            raise DataFormatError(f"{path} is not a repro index file")
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-    return meta.get("kind", "ris")
+    fh.seek(-22, os.SEEK_END)
+    record = fh.read(22)
+    if record[:4] == b"PK\x05\x06":
+        declared = int.from_bytes(record[10:12], "little")
+        if declared not in (entries, 0xFFFF):  # 0xFFFF: see the zip64 record
+            raise DataFormatError(
+                f"{path} lists {entries} members but its end record "
+                f"counts {declared}"
+            )
 
 
 def read_index_arrays(
@@ -135,13 +156,30 @@ def read_index_arrays(
     with :func:`assemble_index` to get a queryable index, or hand the
     arrays to the serving pool's shared-memory layer so many processes
     can assemble against one copy.
+
+    A file that opens but does not parse — truncated, a flipped byte, a
+    foreign format, a meta member that is not a JSON object — raises
+    :class:`DataFormatError` naming the path; errors opening the file
+    (a missing path) propagate unchanged.
     """
     path = _with_npz_suffix(path)
-    with np.load(path) as data:
-        if "meta" not in data:
-            raise DataFormatError(f"{path} is not a repro index file")
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-        arrays = {name: data[name] for name in data.files if name != "meta"}
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile) or "meta" not in data:
+                raise DataFormatError(f"{path} is not a repro index file")
+            meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+            arrays = {name: data[name] for name in data.files if name != "meta"}
+            _check_entry_count(fh, len(data.zip.infolist()), path)
+        except _UNREADABLE as exc:
+            raise DataFormatError(
+                f"{path} is not a readable index file: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+    if not isinstance(meta, dict):
+        raise DataFormatError(
+            f"{path} has a {type(meta).__name__} meta member, not an object"
+        )
     return meta.get("kind", "ris"), meta, arrays
 
 
@@ -277,8 +315,8 @@ def load_ris_index(path: PathLike, network: GeoSocialNetwork) -> RisDaIndex:
     wholesale on their first :meth:`~RisDaIndex.update`.  Config keys
     older files carry and this build no longer reads (a kernel-backend
     request, the pivot placement, ``selection``, ``n_workers``) are
-    ignored: the loading host picks its own kernel backend, and the
-    stored pivots are used however they were placed.  Corpus arrays
+    ignored: there is one kernel backend, and the stored pivots are
+    used however they were placed.  Corpus arrays
     out of shape or range — non-integer, decreasing offsets, node ids
     outside ``[0, n)``, negative or repeated slot keys — raise
     :class:`~repro.exceptions.CorpusFormatError`, a
@@ -354,9 +392,6 @@ def assemble_ris_index(
     index.network = network
     index.decay = decay
     index.config = config
-    # Resolved per loading host, never persisted: the file may travel
-    # between numba-capable and numba-less machines.
-    index.kernel_backend = resolve_backend()
     index.pivots = pivots
     index._pivot_tree = KDTree(pivots)
     index.sampler = index._coupled_sampler(network)

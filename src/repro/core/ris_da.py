@@ -56,7 +56,6 @@ from repro.geo.point import Point, PointLike, as_point
 from repro.geo.sampling import sample_uniform_points
 from repro.geo.voronoi import VoronoiDiagram
 from repro.geo.weights import DistanceDecay
-from repro.kernels import resolve_backend
 from repro.network.graph import GeoSocialNetwork
 from repro.obs.log import get_logger
 from repro.obs.progress import Heartbeat
@@ -206,9 +205,6 @@ class RisDaIndex:
         self.network = network
         self.decay = decay if decay is not None else DistanceDecay()
         self.config = config if config is not None else RisDaConfig()
-        #: This host's native-kernel backend ("numpy" or "numba"); stamped
-        #: into serving metrics and ``repro info``.
-        self.kernel_backend = resolve_backend()
         #: Bumped by :meth:`update`; serving folds it into cache keys so
         #: result-cache entries die when the in-memory index changes.
         self.generation = 0
@@ -291,7 +287,6 @@ class RisDaIndex:
                 cover = weighted_greedy_cover(
                     self.corpus, weights[self.corpus.roots[:l_p]], k_max,
                     prefix=l_p, compute_bound=False,
-                    backend=self.kernel_backend,
                 )
                 # Greedy is nested: prefix estimates give the whole k curve.
                 self.pivot_estimates[pi] = [
@@ -343,9 +338,7 @@ class RisDaIndex:
 
     def _coupled_sampler(self, network: GeoSocialNetwork) -> CoupledRRSampler:
         return CoupledRRSampler(
-            network, seed=self.config.seed,
-            kernel_backend=self.kernel_backend,
-            diffusion=self.config.diffusion,
+            network, seed=self.config.seed, diffusion=self.config.diffusion,
         )
 
     def _capped(self, l: int) -> int:
@@ -634,13 +627,11 @@ class RisDaIndex:
                 # Serving default: no certification bound (certify.py
                 # draws its own fresh samples and requests it there).
                 cover = weighted_greedy_cover(
-                    self.corpus, weights, plan.k, prefix=l_used,
-                    compute_bound=False, backend=self.kernel_backend,
+                    self.corpus, weights, plan.k, prefix=l_used, compute_bound=False,
                 )
             else:
                 cover = weighted_budgeted_cover(
-                    self.corpus, weights, plan.costs, plan.budget,
-                    prefix=l_used, backend=self.kernel_backend,
+                    self.corpus, weights, plan.costs, plan.budget, prefix=l_used,
                 )
             elapsed = time.perf_counter() - t_start
             result = SeedResult(

@@ -59,8 +59,3 @@ class ServeError(ReproError):
     """Raised by the online serving layer (bad engine config, kind
     mismatches between an engine and the index file it is pointed at)."""
 
-
-class KernelError(ReproError):
-    """Raised by the native-kernel registry (:mod:`repro.kernels`): an
-    unknown backend name, an explicit ``numba`` request on a host without
-    numba, or a compiled kernel failing its warm-up parity self-check."""

@@ -50,6 +50,7 @@ class GeoSocialNetwork:
         "m",
         "coords",
         "out_offsets",
+        "out_sources",
         "out_targets",
         "out_probs",
         "in_offsets",
@@ -116,6 +117,7 @@ class GeoSocialNetwork:
         if m:
             np.add.at(self.out_offsets, fe[:, 0] + 1, 1)
         np.cumsum(self.out_offsets, out=self.out_offsets)
+        self.out_sources = fe[:, 0].copy() if m else np.empty(0, np.int64)
         self.out_targets = fe[:, 1].copy() if m else np.empty(0, np.int64)
         self.out_probs = fp.copy() if m else np.empty(0, float)
 
@@ -134,6 +136,7 @@ class GeoSocialNetwork:
         for arr in (
             self.coords,
             self.out_offsets,
+            self.out_sources,
             self.out_targets,
             self.out_probs,
             self.in_offsets,
@@ -207,8 +210,10 @@ class GeoSocialNetwork:
 
     def edge_array(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(edges, probabilities)`` in forward-CSR order."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.out_offsets))
-        return np.column_stack([src, self.out_targets]), self.out_probs.copy()
+        return (
+            np.column_stack([self.out_sources, self.out_targets]),
+            self.out_probs.copy(),
+        )
 
     def iter_edges(self) -> Iterator[Tuple[int, int, float]]:
         """Yield ``(u, v, Pr(u, v))`` for every edge."""

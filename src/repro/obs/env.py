@@ -56,16 +56,6 @@ def runtime_info() -> Dict[str, Any]:
         from repro import __version__ as repro_version
     except Exception:
         repro_version = None
-    try:
-        from repro.kernels import numba_version, resolve_backend
-
-        numba = numba_version()
-        # This host's backend: numba must be not just importable but
-        # compiled and warm-check clean.
-        kernel_backend = resolve_backend()
-    except Exception:
-        numba = None
-        kernel_backend = "numpy"
     return {
         "repro_version": repro_version,
         "python": platform.python_version(),
@@ -74,8 +64,8 @@ def runtime_info() -> Dict[str, Any]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "numpy": np.__version__,
-        "numba": numba,
-        "kernel_backend": kernel_backend,
+        # One backend; kept because perfbench/test_smoke.py asserts it.
+        "kernel_backend": "numpy",
         "blas": _blas_info(),
         "argv0": os.path.basename(sys.argv[0]) if sys.argv else None,
     }

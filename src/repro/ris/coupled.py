@@ -101,13 +101,6 @@ class CoupledRRSampler:
         Integer seed.  Together with a slot key it fixes the slot's
         root and every draw, so corpora built from the same ``(seed,
         keys, graph)`` are bit-identical regardless of draw order.
-    kernel_backend:
-        ``"numpy"`` (default) or ``"numba"`` — a *resolved* backend
-        name (see :mod:`repro.kernels`).  The compiled IC traversal
-        hashes the identical coin domain, so batches and regenerated
-        slots are bit-identical across backends; the backend is
-        therefore free to change between a build and a later update.
-        The LT walk always runs on numpy.
     diffusion:
         ``"ic"`` (default) or ``"lt"``.  LT requires per-node in-weights
         ``<= 1`` (:class:`~repro.exceptions.GraphError` otherwise).
@@ -117,17 +110,11 @@ class CoupledRRSampler:
         self,
         network: GeoSocialNetwork,
         seed: int = 0,
-        kernel_backend: str = "numpy",
         diffusion: str = "ic",
     ):
         if not isinstance(seed, (int, np.integer)):
             raise GraphError(
                 f"coupled sampling needs an integer seed, got {type(seed).__name__}"
-            )
-        if kernel_backend not in ("numpy", "numba"):
-            raise GraphError(
-                f"kernel_backend must be a resolved backend ('numpy' or "
-                f"'numba'), got {kernel_backend!r}"
             )
         if diffusion not in ("ic", "lt"):
             raise GraphError(
@@ -135,7 +122,6 @@ class CoupledRRSampler:
             )
         if diffusion == "lt":
             validate_lt_weights(network)
-        self.kernel_backend = kernel_backend
         self.diffusion = diffusion
         self.network = network
         self.seed = int(seed)
@@ -265,13 +251,6 @@ class CoupledRRSampler:
         n = net.n
         if len(keys) and n == 0:
             raise GraphError("cannot sample from an empty network")
-        if self.kernel_backend == "numba" and self.diffusion == "ic" and len(keys):
-            from repro.kernels import kernels
-
-            return kernels("numba").coupled_batch(
-                self._seed64, keys, net.in_offsets, net.in_sources,
-                self._edge_mix, self._thresholds, n,
-            )
         step = self._ic_step if self.diffusion == "ic" else self._lt_step
         roots = np.empty(len(keys), dtype=np.int64)
         offsets = np.zeros(len(keys) + 1, dtype=np.int64)

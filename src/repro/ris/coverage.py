@@ -180,7 +180,6 @@ def _checked_prefix(
     corpus: RRCorpus,
     sample_weights: np.ndarray,
     prefix: int | None,
-    backend: str,
 ) -> tuple[int, np.ndarray]:
     """Validate the arguments both covers share; ``(l, weights)``."""
     l = len(corpus) if prefix is None else int(prefix)
@@ -188,11 +187,6 @@ def _checked_prefix(
         raise SamplingError("cannot run coverage over zero samples")
     if l > len(corpus):
         raise SamplingError(f"prefix {l} exceeds corpus size {len(corpus)}")
-    if backend not in ("numpy", "numba"):
-        raise QueryError(
-            f"backend must be a resolved kernel backend ('numpy' or "
-            f"'numba'), got {backend!r}"
-        )
     weights = np.asarray(sample_weights, dtype=float)
     if len(weights) < l:
         raise SamplingError(f"need at least {l} sample weights, got {len(weights)}")
@@ -204,8 +198,8 @@ class _Residual:
 
     ``score[u]`` is the uncovered weight node ``u`` would still cover;
     :meth:`take` selects ``u`` and batch-decrements every sample it
-    newly covers.  Both numpy covers run on this one state and differ
-    only in their pick rule.
+    newly covers.  Both covers run on this one state and differ only in
+    their pick rule.
     """
 
     def __init__(self, corpus: RRCorpus, weights: np.ndarray, l: int) -> None:
@@ -275,18 +269,6 @@ def _timings(
     )
 
 
-def _compiled_scores(corpus: RRCorpus, weights: np.ndarray, l: int):
-    """The numba kernel set plus the flat inputs and built score array."""
-    from repro.kernels import kernels
-
-    ks = kernels("numba")
-    flat, offsets = corpus.flat()
-    inv_samples, inv_offsets = corpus.inverted()
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    score = ks.score_build(flat, offsets, weights, l, corpus.n_nodes)
-    return ks, (flat, offsets, inv_samples, inv_offsets, weights, score)
-
-
 def weighted_greedy_cover(
     corpus: RRCorpus,
     sample_weights: np.ndarray,
@@ -294,7 +276,6 @@ def weighted_greedy_cover(
     prefix: int | None = None,
     *,
     compute_bound: bool = True,
-    backend: str = "numpy",
 ) -> CoverageResult:
     """Algorithm 2: greedy seed selection over a weighted sample prefix.
 
@@ -317,18 +298,9 @@ def weighted_greedy_cover(
         is identical either way; only the bound (and its cost) changes.
         The RIS-DA serving path passes ``False``;
         :mod:`repro.ris.certify` keeps the default.
-    backend:
-        ``"numpy"`` (default) runs the vectorized kernels in this
-        module; ``"numba"`` runs the JIT-compiled loops from
-        :mod:`repro.kernels` (the host's backend is
-        :func:`repro.kernels.resolve_backend`).  The compiled path is
-        seed-for-seed and bit-for-bit gain-identical to numpy (pinned by
-        ``tests/kernels``) and only engages when ``compute_bound=False``
-        — the serving hot path; bound-requesting (certification) calls
-        always run numpy.
     """
     t_start = time.perf_counter()
-    l, weights = _checked_prefix(corpus, sample_weights, prefix, backend)
+    l, weights = _checked_prefix(corpus, sample_weights, prefix)
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
     n = corpus.n_nodes
@@ -337,20 +309,6 @@ def weighted_greedy_cover(
     if compute_bound not in (True, False):
         raise QueryError(
             f"compute_bound must be True or False, got {compute_bound!r}"
-        )
-
-    if backend == "numba" and not compute_bound:
-        ks, args = _compiled_scores(corpus, weights, l)
-        t_built = time.perf_counter()
-        seed_arr, gains, n_sel, covered_weight = ks.greedy_select(
-            *args, l, k, _DRIFT_RTOL
-        )
-        return CoverageResult(
-            seeds=[int(s) for s in seed_arr[:n_sel]],
-            gains=gains,
-            estimate=n * covered_weight / l,
-            samples_used=l,
-            timings=_timings(t_start, t_built),
         )
 
     res = _Residual(corpus, weights, l)
@@ -404,8 +362,6 @@ def weighted_budgeted_cover(
     costs: np.ndarray,
     budget: float,
     prefix: int | None = None,
-    *,
-    backend: str = "numpy",
 ) -> BudgetedCoverageResult:
     """Cost-aware greedy max coverage: pick by gain/cost ratio, stop at budget.
 
@@ -421,13 +377,9 @@ def weighted_budgeted_cover(
     the gain ordering (division by a common positive constant — exact
     when ``c`` is a power of two), so the selection is identical to the
     top-``k`` greedy: this is the degenerate parity the test suite pins.
-
-    ``backend="numba"`` runs the JIT-compiled ratio loop (same
-    contract as :func:`weighted_greedy_cover`'s ``backend``): seeds,
-    gains and cost accounting are bit-identical to numpy.
     """
     t_start = time.perf_counter()
-    l, weights = _checked_prefix(corpus, sample_weights, prefix, backend)
+    l, weights = _checked_prefix(corpus, sample_weights, prefix)
     if not budget > 0:
         raise QueryError(f"budget must be positive, got {budget}")
     n = corpus.n_nodes
@@ -436,24 +388,6 @@ def weighted_budgeted_cover(
         raise QueryError(f"costs must have shape ({n},), got {costs.shape}")
     if not np.all(costs > 0):
         raise QueryError("all node costs must be positive")
-
-    if backend == "numba":
-        ks, args = _compiled_scores(corpus, weights, l)
-        t_built = time.perf_counter()
-        seed_arr, gain_arr, n_sel, covered_weight, cost_spent = (
-            ks.budgeted_eager_select(
-                *args, np.ascontiguousarray(costs, dtype=np.float64),
-                float(budget), l, _DRIFT_RTOL,
-            )
-        )
-        return BudgetedCoverageResult(
-            seeds=[int(s) for s in seed_arr[:n_sel]],
-            gains=np.asarray(gain_arr[:n_sel], dtype=float),
-            estimate=n * covered_weight / l,
-            samples_used=l,
-            cost_spent=float(cost_spent),
-            timings=_timings(t_start, t_built),
-        )
 
     res = _Residual(corpus, weights, l)
     score = res.score

@@ -334,11 +334,6 @@ class QueryEngine:
         self.index = index
         self.network: GeoSocialNetwork = index.network
         self.decay = index.decay
-        #: The index's native-kernel backend (MIA-DA has none and runs
-        #: numpy); stamped onto stage
-        #: histograms (``stage_*_ms{kernel_backend=...}``) and query spans.
-        self.kernel_backend: str = getattr(index, "kernel_backend", "numpy")
-        self._stage_labels = {"kernel_backend": self.kernel_backend}
         self.config = config if config is not None else ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Tracer/logger are resolved once from the ambient context here
@@ -603,8 +598,7 @@ class QueryEngine:
                 "query_start", trace_id=trace_id, kind=kind,
                 x=location[0], y=location[1], k=k,
             )
-        attrs = {"x": location[0], "y": location[1], "kind": kind,
-                 "kernel_backend": self.kernel_backend}
+        attrs = {"x": location[0], "y": location[1], "kind": kind}
         if k is not None:
             attrs["k"] = k
         if timed_out:
@@ -829,8 +823,7 @@ class QueryEngine:
                     m.observe("evaluations", result.evaluations)
                 timings = getattr(part_diag, "timings", None)
                 if timings is not None:
-                    m.observe_stage_seconds(timings.as_dict(),
-                                            labels=self._stage_labels)
+                    m.observe_stage_seconds(timings.as_dict())
                 setup = getattr(part_diag, "setup_seconds", None)
                 if setup is not None:
                     # MIA-DA reports its per-query bound setup separately.

@@ -199,8 +199,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # (prefix, label items) -> stage -> (plain name, labelled name).
-        self._stage_names: Dict[tuple, Dict[str, Tuple[str, Optional[str]]]] = {}
+        # prefix -> stage -> histogram name.
+        self._stage_names: Dict[str, Dict[str, str]] = {}
 
     def counter(self, name: str) -> Counter:
         with self._lock:
@@ -251,33 +251,22 @@ class MetricsRegistry:
         self,
         stages: Mapping[str, float],
         prefix: str = "stage_",
-        labels: Optional[Mapping[str, str]] = None,
     ) -> None:
         """Record a per-stage seconds breakdown as ``<prefix><name>_ms``.
 
         The serving engine feeds query-stage timings (weight eval, score
         build, selection, bound) through this, so each stage gets its own
         latency histogram without call sites hand-rolling the unit
-        conversion.  With ``labels`` (e.g. ``kernel_backend``) each stage
-        is observed twice — once unlabelled (the stable dashboard name)
-        and once under the labelled sibling, so backend A/B comparisons
-        don't break existing panels.
+        conversion.
         """
-        key = (prefix, tuple(labels.items()) if labels else ())
-        names = self._stage_names.setdefault(key, {})
+        names = self._stage_names.setdefault(prefix, {})
         for stage, seconds in stages.items():
-            pair = names.get(stage)
-            if pair is None:
-                # Each (prefix, stage, labels) name is built once: the
-                # engine observes every stage of every index answer.
-                name = f"{prefix}{stage}_ms"
-                pair = names[stage] = (
-                    name, labelled(name, **labels) if labels else None
-                )
-            ms = float(seconds) * 1e3
-            self.observe(pair[0], ms)
-            if pair[1] is not None:
-                self.observe(pair[1], ms)
+            name = names.get(stage)
+            if name is None:
+                # Each (prefix, stage) name is built once: the engine
+                # observes every stage of every index answer.
+                name = names[stage] = f"{prefix}{stage}_ms"
+            self.observe(name, float(seconds) * 1e3)
 
     def merge_dump(self, dump: Mapping, prefix: str = "") -> None:
         """Fold another registry's :meth:`dump` into this one.

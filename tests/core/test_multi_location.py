@@ -96,7 +96,7 @@ class TestQuery:
         assert multi.samples_used == plain.samples_used
 
     def test_uses_index_kernel_settings(self, index, monkeypatch):
-        """The cover runs with the index's kernel backend, and skips the certification bound like every serving query."""
+        """The cover skips the certification bound like every serving query."""
         import repro.core.ris_da as ris_da
 
         seen = {}
@@ -108,5 +108,4 @@ class TestQuery:
 
         monkeypatch.setattr(ris_da, "weighted_greedy_cover", spy)
         multi_location_query(index, [(20.0, 20.0), (80.0, 80.0)], 5)
-        assert seen["backend"] == index.kernel_backend
         assert seen["compute_bound"] is False

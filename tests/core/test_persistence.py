@@ -266,8 +266,8 @@ class TestLegacyAndTamperedFiles:
         assert "selection" not in meta["config"]
 
     def test_saved_config_holds_only_build_parameters(self, saved):
-        """The kernel backend is a host property and pivots are always
-        uniform, so neither is written into the file's config."""
+        """There is one kernel backend and pivots are always uniform, so
+        neither is written into the file's config."""
         with np.load(saved) as data:
             meta = json.loads(data["meta"].tobytes().decode("utf-8"))
         assert set(meta["config"]) == {

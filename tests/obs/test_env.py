@@ -21,3 +21,13 @@ class TestRuntimeInfo:
 
     def test_json_serialisable(self):
         assert json.loads(json.dumps(runtime_info())) == runtime_info()
+
+    def test_one_kernel_backend(self):
+        info = runtime_info()
+        assert info["kernel_backend"] == "numpy"
+        # No probe of an optional JIT package rides along.
+        assert set(info) == {
+            "repro_version", "python", "implementation", "platform",
+            "machine", "cpu_count", "numpy", "kernel_backend", "blas",
+            "argv0",
+        }

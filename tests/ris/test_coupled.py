@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError, SamplingError
-from repro.kernels.registry import _Interpreted
 from repro.network.graph import GeoSocialNetwork
 from repro.ris import coupled
 from repro.ris.corpus import RRCorpus
@@ -165,28 +164,54 @@ class TestCoupling:
 
 
 def _oracle(sampler, keys):
-    """The per-slot algorithm: ``coupled_batch`` run interpreted (IC),
-    or a scalar walk one slot and one step at a time (LT)."""
-    net = sampler.network
+    """The per-slot algorithm: a scalar walk one slot at a time, a
+    reverse DFS over every live in-edge (IC) or one step per coin (LT)."""
     keys = np.asarray(keys, dtype=np.int64)
     if sampler.diffusion == "lt":
         return _lt_walks(sampler, keys)
-    return _Interpreted().coupled_batch(
-        sampler._seed64, keys, net.in_offsets,
-        net.in_sources, sampler._edge_mix, sampler._thresholds, net.n,
-    )
+    return _ic_walks(sampler, keys)
+
+
+def _slot_and_root(sampler, key):
+    slot = coupled._mix64(sampler._seed64 ^ (np.uint64(key) * coupled._GOLDEN))
+    n = np.uint64(sampler.network.n)
+    return slot, int(coupled._mix64(slot ^ coupled._ROOT_SALT) % n)
+
+
+def _flat(roots, parts):
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in parts], out=offsets[1:])
+    flat = np.asarray([u for p in parts for u in p], dtype=np.int64)
+    return np.asarray(roots, dtype=np.int64), flat, offsets
+
+
+def _ic_walks(sampler, keys):
+    net = sampler.network
+    roots, parts = [], []
+    with np.errstate(over="ignore"):
+        for key in keys:
+            slot, root = _slot_and_root(sampler, key)
+            roots.append(root)
+            visited = {root}
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for e in range(int(net.in_offsets[x]), int(net.in_offsets[x + 1])):
+                    coin = coupled._mix64(slot ^ sampler._edge_mix[e]) >> np.uint64(11)
+                    u = int(net.in_sources[e])
+                    if coin < sampler._thresholds[e] and u not in visited:
+                        visited.add(u)
+                        stack.append(u)
+            parts.append(sorted(visited))
+    return _flat(roots, parts)
 
 
 def _lt_walks(sampler, keys):
     net = sampler.network
-    n = net.n
     roots, parts = [], []
     with np.errstate(over="ignore"):
         for key in keys:
-            slot = coupled._mix64(
-                sampler._seed64 ^ (np.uint64(key) * coupled._GOLDEN)
-            )
-            x = int(coupled._mix64(slot ^ coupled._ROOT_SALT) % np.uint64(n))
+            slot, x = _slot_and_root(sampler, key)
             roots.append(x)
             visited = {x}
             while True:
@@ -204,10 +229,7 @@ def _lt_walks(sampler, keys):
                 visited.add(chosen)
                 x = chosen
             parts.append(sorted(visited))
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum([len(p) for p in parts], out=offsets[1:])
-    flat = np.asarray([u for p in parts for u in p], dtype=np.int64)
-    return np.asarray(roots, dtype=np.int64), flat, offsets
+    return _flat(roots, parts)
 
 
 def _assert_batches_equal(got, want):

@@ -9,7 +9,6 @@ from repro.serve.metrics import (
     LATENCY_BUCKETS_MS,
     Histogram,
     MetricsRegistry,
-    labelled,
 )
 
 
@@ -234,19 +233,15 @@ class TestMergeDump:
             a.merge_dump(b.dump())
 
 
-def _uncached_observe_stage_seconds(registry, stages, prefix="stage_",
-                                    labels=None):
+def _uncached_observe_stage_seconds(registry, stages, prefix="stage_"):
     """The stage observation as it was before names were cached: every
-    call formats each name afresh through ``labelled``."""
+    call formats each name afresh."""
     for stage, seconds in stages.items():
-        ms = float(seconds) * 1e3
-        registry.observe(f"{prefix}{stage}_ms", ms)
-        if labels:
-            registry.observe(labelled(f"{prefix}{stage}_ms", **labels), ms)
+        registry.observe(f"{prefix}{stage}_ms", float(seconds) * 1e3)
 
 
 class TestStageNameCache:
-    """Cached stage names must render exactly what ``labelled`` gives."""
+    """Cached stage names must render exactly what formatting gives."""
 
     def test_engine_fed_exposition_is_byte_identical(self, small_net):
         from repro.core.mia_da import MiaDaConfig, MiaDaIndex
@@ -263,10 +258,9 @@ class TestStageNameCache:
         calls = []
         observe = fed.observe_stage_seconds
 
-        def spy(stages, prefix="stage_", labels=None):
-            calls.append((dict(stages), prefix,
-                          None if labels is None else dict(labels)))
-            observe(stages, prefix=prefix, labels=labels)
+        def spy(stages, prefix="stage_"):
+            calls.append((dict(stages), prefix))
+            observe(stages, prefix=prefix)
 
         fed.observe_stage_seconds = spy
         cfg = ServeConfig(result_cache_size=0)
@@ -274,12 +268,11 @@ class TestStageNameCache:
             engine = QueryEngine(index, config=cfg, metrics=fed)
             for i in range(6):
                 engine.query((20.0 + 10 * i, 50.0), k=1 + i % 5)
-        assert any(labels for _, _, labels in calls)
-        assert any(labels is None for _, _, labels in calls)
+        assert calls
 
         replayed = MetricsRegistry()
-        for stages, prefix, labels in calls:
-            _uncached_observe_stage_seconds(replayed, stages, prefix, labels)
+        for stages, prefix in calls:
+            _uncached_observe_stage_seconds(replayed, stages, prefix)
 
         def stage_lines(registry):
             return [line for line in render_prometheus(registry).splitlines()
@@ -287,22 +280,27 @@ class TestStageNameCache:
 
         got, want = stage_lines(fed), stage_lines(replayed)
         assert got and got == want
-        names = set(fed.dump()["histograms"])
-        assert labelled("stage_selection_ms",
-                        kernel_backend=ris.kernel_backend) in names
-        assert {n for n in names if n.startswith("stage_")} == set(
-            replayed.dump()["histograms"]
-        )
+        names = {n for n in fed.dump()["histograms"] if n.startswith("stage_")}
+        assert names == set(replayed.dump()["histograms"])
+        # Each stage is one unlabelled histogram, observed once per
+        # answer; no per-backend sibling is kept beside it.
+        for stage in ("weight_eval", "score_build", "selection", "bound",
+                      "total"):
+            assert f"stage_{stage}_ms" in names
+        assert not any("{" in n for n in names)
+        answers = fed.dump()["histograms"]["stage_total_ms"]["count"]
+        assert answers == sum(1 for stages, _ in calls if "total" in stages)
 
     def test_label_sets_and_prefixes_kept_apart(self):
         m = MetricsRegistry()
-        m.observe_stage_seconds({"total": 0.001}, labels={"b": "1", "a": 'x"y'})
-        m.observe_stage_seconds({"total": 0.002}, labels={"a": 'x"y', "b": "1"})
-        m.observe_stage_seconds({"total": 0.003}, labels={"a": "z"})
+        m.observe_stage_seconds({"total": 0.001})
+        m.observe_stage_seconds({"total": 0.002})
         m.observe_stage_seconds({"total": 0.004}, prefix="mia_")
+        with pytest.raises(TypeError):
+            m.observe_stage_seconds({"total": 0.003}, labels={"a": "z"})
         h = m.dump()["histograms"]
-        same = labelled("stage_total_ms", a='x"y', b="1")
-        assert h[same]["count"] == 2
-        assert h[labelled("stage_total_ms", a="z")]["count"] == 1
-        assert h["stage_total_ms"]["count"] == 3
+        assert set(h) == {"stage_total_ms", "mia_total_ms"}
+        assert h["stage_total_ms"]["count"] == 2
         assert h["mia_total_ms"]["count"] == 1
+
+

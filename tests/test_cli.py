@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -92,6 +93,23 @@ class TestQuery:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot stat index file ")
         assert str(tmp_path / "missing.npz") in err
+
+    @pytest.mark.parametrize("method", ["ris", "mia"])
+    def test_corrupt_index_file_errors(self, tmp_path, capsys, method):
+        """A truncated index is a one-line error with exit code 2 naming
+        the file, not a BadZipFile traceback."""
+        path = tmp_path / "corrupt.npz"
+        np.savez_compressed(path, meta=np.frombuffer(b"{}", np.uint8))
+        path.write_bytes(path.read_bytes()[:-10])
+        rc = main([
+            "query", "--dataset", "brightkite", "--scale", "0.1",
+            "--x", "50", "--y", "50", "-k", "3", "--method", method,
+            "--index", str(path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
 
 
 class TestBuildAndLoadRis:
