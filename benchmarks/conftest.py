@@ -2,7 +2,9 @@
 
 Every benchmark writes its paper-shaped output (the same rows/series the
 paper plots) to ``benchmarks/results/<name>.txt`` *and* prints it, so the
-tables survive pytest's output capture.  Index construction is done once
+tables survive pytest's output capture.  ``REPRO_RESULTS_DIR`` sends the
+files elsewhere (CI smoke runs write outside the checkout, leaving the
+committed results as they are).  Index construction is done once
 per session and shared across figures.
 
 Scaling: graphs are laptop-scaled stand-ins for the paper's datasets (see
@@ -25,7 +27,9 @@ from repro.mia.pmia import MiaModel, PmiaDa
 from repro.network.datasets import load_dataset
 from repro.obs.env import runtime_info
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(
+    os.environ.get("REPRO_RESULTS_DIR") or Path(__file__).parent / "results"
+)
 
 #: The paper's four datasets, smallest to largest.
 DATASETS = ("brightkite", "gowalla", "twitter", "foursquare")
@@ -53,8 +57,8 @@ N_QUERIES = int(os.environ.get("REPRO_N_QUERIES", "3"))
 
 
 def emit(name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Print a result block and persist it under :data:`RESULTS_DIR`."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print(f"\n=== {name} ===\n{text}\n")
 
@@ -62,7 +66,7 @@ def emit(name: str, text: str) -> None:
 def emit_json(
     section: str, payload: dict, name: str = "BENCH_query_kernels"
 ) -> None:
-    """Merge one section into ``benchmarks/results/<name>.json``.
+    """Merge one section into ``<RESULTS_DIR>/<name>.json``.
 
     The kernel benchmarks (``test_selection_kernels``,
     ``test_query_throughput``) each contribute a section to one
@@ -70,7 +74,7 @@ def emit_json(
     without clobbering the others.  An unreadable existing file is
     replaced rather than crashing the benchmark.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     data: dict = {}
     if path.exists():

@@ -16,7 +16,13 @@ Offline (:meth:`RisDaIndex.build`, run by the constructor):
    (cell, k) combination.  The pool then suffices for *any* online query.
 
 Online (:meth:`RisDaIndex.query` and every other kind, all through the one
-body :meth:`RisDaIndex._answer`): evaluate the query's node weights,
+body :meth:`RisDaIndex._answer`): evaluate the query's node weights.  A
+top-``k`` query on an index of at least ``2 * CERTIFY_SAMPLES`` samples
+first tries the **certified early stop** (:meth:`RisDaIndex._certify`):
+run Algorithm 2 on a short prefix of the index's own slots, validate the
+seeds on a disjoint slot range, and answer as soon as the Chernoff
+bounds certify the ``1 - 1/e - epsilon`` ratio — no LB-EST, no pivot
+lookup.  Otherwise (and for budgeted queries) the paper's path runs:
 bound ``OPT_q^k`` from below by the better of the nearest pivot's Lemma 8
 transfer (where that pivot's premise holds) and Algorithm 3 (LB-EST) at
 the query's own weights, compute the
@@ -29,7 +35,9 @@ has changed the graph under the build's pivot estimates.
 
 Guarantee: ``1 - 1/e - epsilon`` with probability ``>= 1 - delta`` for any
 query location and any ``k <= k_max`` (Lemma 9) — LB-EST never fails, so
-the union bound is still ``delta_pivot + (delta - delta_pivot)`` — provided
+the union bound is still ``delta_pivot + (delta - delta_pivot)``; where the
+certified early stop runs, its Chernoff events and the Lemma 7 fallback
+split ``delta - delta_pivot`` half and half — provided
 the pool was not truncated by ``max_index_samples`` (a practical memory
 valve the paper's C++ implementation does not need at its scale; when it
 engages, the flag :attr:`RisDaIndex.truncated` is set and queries needing
@@ -62,10 +70,43 @@ from repro.obs.progress import Heartbeat
 from repro.obs.trace import get_tracer
 from repro.ris.corpus import RRCorpus
 from repro.ris.coupled import CoupledRRSampler, quantize_probability
-from repro.ris.coverage import weighted_budgeted_cover, weighted_greedy_cover
+from repro.ris.certify import mean_lower_bound, mean_upper_bound
+from repro.ris.coverage import (
+    CoverageResult,
+    covered_sample_mask,
+    weighted_budgeted_cover,
+    weighted_greedy_cover,
+)
 from repro.ris.lower_bound import lb_est, lb_est_lt
-from repro.ris.sample_size import lemma8_lower_bound, required_sample_size
+from repro.ris.sample_size import (
+    GREEDY_FACTOR,
+    lemma8_lower_bound,
+    required_sample_size,
+)
 from repro.rng import as_generator
+
+#: First round of the certified early stop (:meth:`RisDaIndex._certify`):
+#: the top-``k`` greedy runs on the first ``CERTIFY_SAMPLES`` slots, then
+#: on twice as many, while the prefix fits in half the corpus.
+CERTIFY_SAMPLES = 4_096
+
+
+def certify_rounds(n_samples: int) -> Tuple[int, ...]:
+    """The prefix lengths the certified early stop tries, in order.
+
+    ``CERTIFY_SAMPLES * 2^r`` for every ``r`` with the prefix at most
+    ``n_samples // 2`` — so that the validation slots ``[N/2, N/2 + l)``
+    exist and stay disjoint from ``[0, l)``.  Empty below
+    ``2 * CERTIFY_SAMPLES`` samples: such an index always answers by
+    Lemma 7.
+    """
+    half = n_samples // 2
+    rounds = []
+    l = CERTIFY_SAMPLES
+    while l <= half:
+        rounds.append(l)
+        l *= 2
+    return tuple(rounds)
 
 
 @dataclass(frozen=True)
@@ -129,8 +170,11 @@ class QueryTimings:
     distance-decay evaluation over the ``n`` nodes (times a genuine mask)
     plus its gather to the prefix roots; ``score_build`` / ``selection``
     / ``bound`` come from the greedy cover (see
-    :class:`repro.ris.coverage.SelectionTimings`); ``total`` is the whole
-    query, sizing included.
+    :class:`repro.ris.coverage.SelectionTimings`), and ``bound`` also
+    holds the certified early stop's validation; ``total`` is the whole
+    query, sizing included.  A certified answer has no sizing (0.0);
+    every stage sums over the early stop's rounds and, when none
+    certifies, the Lemma 7 fallback after them.
     """
 
     sizing: float
@@ -151,27 +195,57 @@ class QueryTimings:
         }
 
 
+@dataclass
+class _Stages:
+    """A plan's stage seconds as they accrue (see :class:`QueryTimings`)."""
+
+    sizing: float = 0.0
+    weight_eval: float = 0.0
+    score_build: float = 0.0
+    selection: float = 0.0
+    bound: float = 0.0
+
+    def add_cover(self, timings) -> None:
+        if timings is not None:
+            self.score_build += timings.score_build
+            self.selection += timings.selection
+            self.bound += timings.bound
+
+    def finish(self, total: float) -> QueryTimings:
+        return QueryTimings(total=total, **vars(self))
+
+
 @dataclass(frozen=True)
 class QueryDiagnostics:
     """Side-channel information about one RIS-DA query.
 
-    ``lower_bound`` is the ``L`` the query was sized by (see
-    :meth:`RisDaIndex._lower_bound`), ``samples_required`` its Lemma 7
-    prefix — ``None`` when ``L <= 0``, which no prefix certifies — and
-    ``guarantee_met`` whether the ``1 - 1/e - epsilon`` certificate
-    holds: the corpus reached ``samples_required`` and the selector is
-    the top-``k`` greedy.
+    A certified answer (see :meth:`RisDaIndex._certify`) has
+    ``certified_ratio`` set — the certified lower bound on
+    ``I_q(S) / OPT_q^k`` — ``lower_bound`` the Chernoff LCB of
+    ``I_q(S)`` (so ``<= OPT_q^k`` w.p. ``>= 1 - delta``),
+    ``samples_required == samples_used`` the certifying prefix, and no
+    pivot (``pivot_index`` and ``pivot_distance`` are None: no lookup
+    ran).
+
+    On the Lemma 7 path ``certified_ratio`` is None, ``lower_bound`` is
+    the ``L`` the query was sized by (see
+    :meth:`RisDaIndex._lower_bound`) and ``samples_required`` its
+    Lemma 7 prefix — ``None`` when ``L <= 0``, which no prefix
+    certifies.  ``guarantee_met`` is whether the ``1 - 1/e - epsilon``
+    guarantee holds: the answer was certified, or the corpus reached
+    ``samples_required`` and the selector is the top-``k`` greedy.
 
     ``timings`` is excluded from equality: two runs of the same query are
     diagnostically identical even though their wall clocks never are.
     """
 
-    pivot_index: int
-    pivot_distance: float
+    pivot_index: Optional[int]
+    pivot_distance: Optional[float]
     lower_bound: float
     samples_required: Optional[int]
     samples_used: int
     guarantee_met: bool
+    certified_ratio: Optional[float] = None
     timings: Optional[QueryTimings] = field(default=None, compare=False)
 
 
@@ -578,20 +652,27 @@ class RisDaIndex:
         """The one online body every RIS-DA query kind runs.
 
         Per plan: evaluate the Eq. 9 node weights (the max over a
-        multi-location plan's locations, times a genuine mask), size the
-        plan by :meth:`_lower_bound` and Lemma 7, and run its selector
-        over that prefix.  A sample's weight depends only on its root,
-        so the weights are evaluated once per *node* and then gathered
-        per sample, ``w_node[roots[:l]]``: the same floats as evaluating
+        multi-location plan's locations, times a genuine mask).  A top-k
+        plan on an index of at least ``2 * CERTIFY_SAMPLES`` samples then
+        tries the certified early stop (:meth:`_certify`); a plan it does
+        not certify, and every budgeted plan, is sized by
+        :meth:`_lower_bound` and Lemma 7 and runs its selector over that
+        prefix.  A sample's weight depends only on its root, so the
+        weights are evaluated once per *node* and then gathered per
+        sample, ``w_node[roots[:l]]``: the same floats as evaluating
         ``w(v_i, q)`` per sample, at O(n) instead of O(l) distance and
-        ``exp`` work.  A plan's ``total`` covers its own weights, sizing
-        and selection.
+        ``exp`` work.  A plan's ``total`` covers its own weights, sizing,
+        certification and selection.
         """
         cfg = self.config
         n = self.network.n
         delta_pivot, delta_online = cfg.resolved_deltas(n)
+        delta_query = delta_online - delta_pivot
+        rounds = certify_rounds(len(self.corpus))
+        # Where the schedule runs, its 2R one-sided Chernoff events share
+        # half of delta - delta_pivot and the Lemma 7 fallback the other.
+        a = math.log(4.0 * len(rounds) / delta_query) if rounds else 0.0
         coords = self.network.coords
-        roots = self.corpus.roots
         out = []
         for plan in plans:
             t_start = time.perf_counter()
@@ -605,34 +686,22 @@ class RisDaIndex:
             if plan.mask is not None:
                 w_node *= plan.mask
                 w_cap *= float(plan.mask.max())
-            t_sizing = time.perf_counter()
-            lb, pi, dist = self._lower_bound(plan, w_node, delta_pivot)
-            # No positive bound (e.g. an all-zero mask): no prefix
-            # certifies, so answer from the whole corpus, uncertified.
-            l_required = (
-                required_sample_size(
-                    n, k, w_cap, cfg.epsilon, delta_online - delta_pivot, lb
-                )
-                if lb > 0 else None
+            stages = _Stages(weight_eval=time.perf_counter() - t_start)
+            schedule = rounds if plan.costs is None and w_cap > 0 else ()
+            certified = (
+                self._certify(w_node, w_cap, k, schedule, a, stages)
+                if schedule else None
             )
-            l_used = (
-                len(self.corpus) if l_required is None
-                else min(l_required, len(self.corpus))
-            )
-            start = time.perf_counter()
-            sizing = start - t_sizing
-            weights = w_node[roots[:l_used]]
-            weight_eval = (t_sizing - t_start) + (time.perf_counter() - start)
-            if plan.costs is None:
-                # Serving default: no certification bound (certify.py
-                # draws its own fresh samples and requests it there).
-                cover = weighted_greedy_cover(
-                    self.corpus, weights, plan.k, prefix=l_used, compute_bound=False,
-                )
+            if certified is not None:
+                cover, lb, ratio = certified
+                l_required = l_used = cover.samples_used
+                pi = dist = None
             else:
-                cover = weighted_budgeted_cover(
-                    self.corpus, weights, plan.costs, plan.budget, prefix=l_used,
+                cover, lb, pi, dist, l_required, l_used = self._lemma7(
+                    plan, w_node, w_cap, delta_pivot,
+                    delta_query / 2 if schedule else delta_query, stages,
                 )
+                ratio = None
             elapsed = time.perf_counter() - t_start
             result = SeedResult(
                 seeds=cover.seeds,
@@ -644,27 +713,105 @@ class RisDaIndex:
             if not return_diagnostics:
                 out.append(result)
                 continue
-            ct = cover.timings
             out.append((result, QueryDiagnostics(
                 pivot_index=pi,
                 pivot_distance=dist,
                 lower_bound=lb,
                 samples_required=l_required,
                 samples_used=l_used,
-                guarantee_met=(
+                guarantee_met=ratio is not None or (
                     l_required is not None and l_used >= l_required
                     and self._top_k_objective(plan)
                 ),
-                timings=QueryTimings(
-                    sizing=sizing,
-                    weight_eval=weight_eval,
-                    score_build=ct.score_build if ct else 0.0,
-                    selection=ct.selection if ct else 0.0,
-                    bound=ct.bound if ct else 0.0,
-                    total=elapsed,
-                ),
+                certified_ratio=ratio,
+                timings=stages.finish(elapsed),
             )))
         return out
+
+    def _certify(
+        self, w_node: np.ndarray, w_cap: float, k: int,
+        rounds: Sequence[int], a: float, stages: _Stages,
+    ) -> Optional[Tuple[CoverageResult, float, float]]:
+        """The certified early stop: ``(cover, spread LCB, ratio)`` or None.
+
+        Round ``l`` (doubling from :data:`CERTIFY_SAMPLES`) runs the
+        top-``k`` greedy on slots ``[0, l)`` and validates its seeds on
+        the disjoint slots ``[N/2, N/2 + l)``.  Weights normalised by
+        ``w_cap`` lie in ``[0, 1]``, so the OPIM-C Chernoff bounds of
+        :mod:`repro.ris.certify` give ``LCB(I_q(S))`` from the validation
+        coverage and ``UCB(OPT_q^k)`` from the greedy coverage over
+        ``1 - 1/e`` (the optimum covers no more of the greedy's own
+        slots), each failing w.p. ``<= exp(-a)``.  The first round whose
+        ``LCB / UCB`` reaches ``1 - 1/e - epsilon`` answers; None when
+        no round does.  Validation time is booked as ``bound``.
+        """
+        corpus = self.corpus
+        roots = corpus.roots
+        half = len(corpus) // 2
+        target = GREEDY_FACTOR - self.config.epsilon
+        for l in rounds:
+            t0 = time.perf_counter()
+            weights = w_node[roots[:l]]
+            stages.weight_eval += time.perf_counter() - t0
+            cover = weighted_greedy_cover(
+                corpus, weights, k, prefix=l, compute_bound=False,
+            )
+            stages.add_cover(cover.timings)
+            t0 = time.perf_counter()
+            hit = covered_sample_mask(corpus, cover.seeds, half + l, start=half)
+            checked = float(w_node[roots[half:half + l]][hit].sum())
+            lcb = mean_lower_bound(checked / w_cap, l, a)
+            ucb = mean_upper_bound(
+                float(cover.gains.sum()) / GREEDY_FACTOR / w_cap, l, a
+            )
+            stages.bound += time.perf_counter() - t0
+            ratio = lcb / ucb
+            if ratio >= target:
+                return cover, self.network.n * w_cap * lcb, ratio
+        return None
+
+    def _lemma7(
+        self, plan: _Plan, w_node: np.ndarray, w_cap: float,
+        delta_pivot: float, delta_query: float, stages: _Stages,
+    ):
+        """The paper's path: size the plan by Lemma 7, run its selector.
+
+        ``(cover, L, pivot index, pivot distance, samples required,
+        samples used)``; ``delta_query`` is the failure budget Lemma 7
+        sizes for.
+        """
+        n = self.network.n
+        t_sizing = time.perf_counter()
+        lb, pi, dist = self._lower_bound(plan, w_node, delta_pivot)
+        # No positive bound (e.g. an all-zero mask): no prefix
+        # certifies, so answer from the whole corpus, uncertified.
+        l_required = (
+            required_sample_size(
+                n, plan.k, w_cap, self.config.epsilon, delta_query, lb
+            )
+            if lb > 0 else None
+        )
+        l_used = (
+            len(self.corpus) if l_required is None
+            else min(l_required, len(self.corpus))
+        )
+        start = time.perf_counter()
+        stages.sizing += start - t_sizing
+        weights = w_node[self.corpus.roots[:l_used]]
+        stages.weight_eval += time.perf_counter() - start
+        if plan.costs is None:
+            # Serving default: no certification bound (certify.py
+            # draws its own fresh samples and requests it there).
+            cover = weighted_greedy_cover(
+                self.corpus, weights, plan.k, prefix=l_used,
+                compute_bound=False,
+            )
+        else:
+            cover = weighted_budgeted_cover(
+                self.corpus, weights, plan.costs, plan.budget, prefix=l_used,
+            )
+        stages.add_cover(cover.timings)
+        return cover, lb, pi, dist, l_required, l_used
 
     def _lower_bound(
         self, plan: _Plan, w_node: np.ndarray, delta_pivot: float
@@ -745,10 +892,12 @@ class RisDaIndex:
         so only influence landing on masked-in nodes counts.  With an
         all-ones mask this is bit-identical to :meth:`query` (multiplying
         by 1.0 is exact, so the mask is simply dropped).  A genuine mask
-        is sized by LB-EST at the masked weights alone — Lemma 8 bounds
-        the unmasked optimum — so ``guarantee_met`` holds whenever that
-        prefix fits in the corpus; an all-zero mask has no positive bound
-        and answers from the whole corpus, uncertified.
+        tries the certified early stop at the masked weights; if that
+        does not certify, it is sized by LB-EST at the masked weights
+        alone — Lemma 8 bounds the unmasked optimum — so
+        ``guarantee_met`` holds whenever that prefix fits in the corpus.
+        An all-zero mask has no positive bound and answers from the whole
+        corpus, uncertified.
         """
         mask = validate_mask(mask, self.network.n)
         plan = _Plan(
@@ -771,11 +920,14 @@ class RisDaIndex:
         :func:`repro.ris.coverage.weighted_budgeted_cover` over the same
         sized sample prefix a top-``k_eff`` query would use, where
         ``k_eff = min(k_max, floor(budget / min cost))`` bounds how many
-        seeds the budget can possibly buy.  With uniform costs ``c`` and
-        budget ``k * c`` the answer is bit-identical to ``query(q, k)``,
-        and only then (``floor(budget / c) <= k_max``) does
-        ``guarantee_met`` carry the certificate: the ratio greedy has no
-        ``1 - 1/e`` factor for non-uniform costs.
+        seeds the budget can possibly buy.  Budgeted plans never take
+        the certified early stop.  With uniform costs ``c`` and budget
+        ``k * c`` the answer is bit-identical to the Lemma 7 answer of
+        ``query(q, k)`` (the one ``query`` gives on an index below
+        ``2 * CERTIFY_SAMPLES`` samples), and only then
+        (``floor(budget / c) <= k_max``) does ``guarantee_met`` carry the
+        certificate: the ratio greedy has no ``1 - 1/e`` factor for
+        non-uniform costs.
         """
         n = self.network.n
         location = as_point(q)

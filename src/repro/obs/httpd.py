@@ -13,7 +13,7 @@ handler is all a scrape endpoint needs.  Endpoints:
     One DAIM query through the :class:`~repro.serve.QueryEngine` (result
     cache, metrics, tracing all apply); the JSON answer is the same row
     ``serve-batch`` writes (:func:`repro.serve.engine.served_row`), with
-    the trace id and ``guarantee_met``.
+    the trace id, ``guarantee_met`` and ``certified_ratio``.
     ``kind=`` selects a query kind (default ``point``): ``targeted``
     adds ``targets=1,2,3``; ``budgeted`` adds ``budget=`` plus optional
     ``cost=`` / ``costs=node:cost,...``; ``trajectory`` replaces ``x``/

@@ -430,29 +430,35 @@ def covered_sample_mask(
     corpus: RRCorpus,
     seeds: np.ndarray | List[int],
     prefix: int | None = None,
+    start: int = 0,
 ) -> np.ndarray:
-    """Boolean mask over the first ``prefix`` samples hit by ``seeds``.
+    """Boolean mask over the slots ``[start, prefix)`` hit by ``seeds``.
 
-    One flat gather (``seed_mask[flat]``) segment-reduced with
-    ``np.logical_or.reduceat`` over the CSR offsets — no per-sample loop.
-    Shared by :func:`estimate_spread` and the certification path.
+    One flat gather (``seed_mask[flat]``) over the range's member
+    entries, segment-reduced with ``np.logical_or.reduceat`` over the
+    CSR offsets — no per-sample loop.  Shared by :func:`estimate_spread`,
+    the certification path and RIS-DA's certified early stop, which
+    validates on a slot range disjoint from the greedy's prefix.
     """
     l = len(corpus) if prefix is None else int(prefix)
-    if l <= 0 or l > len(corpus):
-        raise SamplingError(f"invalid prefix {l} for corpus of {len(corpus)}")
+    if not 0 <= start < l <= len(corpus):
+        raise SamplingError(
+            f"invalid slot range [{start}, {l}) for corpus of {len(corpus)}"
+        )
     seed_mask = np.zeros(corpus.n_nodes, dtype=bool)
     seed_mask[np.asarray(list(seeds), dtype=np.int64)] = True
     flat, offsets = corpus.flat()
-    end = int(offsets[l])
-    hit = seed_mask[flat[:end]]
-    sizes = np.diff(offsets[: l + 1])
-    covered = np.zeros(l, dtype=bool)
+    bounds = offsets[start : l + 1]
+    lo, end = int(bounds[0]), int(bounds[-1])
+    hit = seed_mask[flat[lo:end]]
+    sizes = np.diff(bounds)
+    covered = np.zeros(l - start, dtype=bool)
     nonempty = sizes > 0
-    if end and nonempty.any():
+    if end > lo and nonempty.any():
         # reduceat needs one start index per non-empty segment; empty
         # samples (possible via from_arrays, never from real RR sets)
         # stay uncovered.
-        starts = offsets[:l][nonempty]
+        starts = bounds[:-1][nonempty] - lo
         covered[nonempty] = np.logical_or.reduceat(hit, starts)
     return covered
 

@@ -185,8 +185,8 @@ class ResultCache:
     """A thread-safe LRU of query answers keyed by the caller.
 
     The engine keys entries by ``(index fingerprint, grid cell, k)`` and
-    stores ``(SeedResult, guarantee_met)`` pairs; the cache itself only
-    requires keys to be hashable.  ``metrics``
+    stores ``(SeedResult, guarantee_met, certified_ratio)`` triples; the
+    cache itself only requires keys to be hashable.  ``metrics``
     (optional) records ``result_cache.hits`` / ``.misses``.
     """
 

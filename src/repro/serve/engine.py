@@ -10,7 +10,7 @@ and turns it into a serving component:
   :func:`repro.core.querykind.cache_extra`), so hot query neighbourhoods
   are answered from memory and an in-memory ``index.update()`` — which
   bumps the generation — invalidates every stale entry at once.  An
-  entry keeps the answer's guarantee flag beside it;
+  entry keeps the answer's guarantee flag and certified ratio beside it;
 * **query kinds** — point, trajectory, targeted, budgeted and heuristic
   queries (:mod:`repro.core.querykind`) all dispatch through
   :meth:`QueryEngine.query` / :meth:`QueryEngine.serve_batch`;
@@ -27,7 +27,8 @@ One record per query, written once.  A query body (index, heuristic or
 timeout fallback) only returns its :class:`ServedResult` and the index
 diagnostics.  :meth:`QueryEngine._record` then writes that record to
 every sink: the counters and their ``{kind}`` copies, ``latency_ms``,
-the stage histograms, ``guarantee_miss_total{kind}``, the JSON log
+the stage histograms, ``guarantee_miss_total{kind}``,
+``certified_ratio``, the JSON log
 events, the root-span attributes, the slow-query log and the SLO
 tracker.  It runs once per logical query: in the calling thread on the
 serial path, in the batch collector otherwise.  :func:`count_served` is
@@ -171,10 +172,14 @@ class ServedResult:
 
     ``kind`` is the query's kind tag.  ``guarantee_met`` says whether
     the RIS-DA answer carries the paper's ``1 - 1/e - ε`` guarantee
-    (its sample prefix reached the Lemma 7 size): a cache hit reports
-    the flag of the answer it returns, a trajectory the conjunction over
-    its waypoints.  It is ``None`` for MIA-DA, heuristic, fallback and
-    error answers.
+    (certified early, or its sample prefix reached the Lemma 7 size): a
+    cache hit reports the flag of the answer it returns, a trajectory
+    the conjunction over its waypoints.  It is ``None`` for MIA-DA, heuristic, fallback and
+    error answers.  ``certified_ratio`` is the certified lower bound on
+    ``I_q(S) / OPT_q^k`` of an answer RIS-DA's certified early stop
+    gave (a trajectory's is its weakest waypoint's); ``None`` wherever
+    the early stop did not answer — the Lemma 7 path, budgeted and
+    non-RIS-DA answers — and for a trajectory with such a waypoint.
 
     For trajectory queries ``waypoint_results`` holds one
     :class:`SeedResult` per waypoint in order and ``result`` aliases the
@@ -193,6 +198,7 @@ class ServedResult:
     kind: str = "point"
     guarantee_met: Optional[bool] = None
     timed_out: bool = False
+    certified_ratio: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -221,6 +227,7 @@ def served_row(query: AnyQuery, served: ServedResult) -> dict:
         fallback_reason=served.fallback_reason,
         error=served.error,
         guarantee_met=served.guarantee_met,
+        certified_ratio=served.certified_ratio,
         trace_id=served.trace_id,
     )
     if served.result is not None:
@@ -274,6 +281,8 @@ def count_served(metrics: MetricsRegistry, served: ServedResult) -> None:
         metrics.inc("errors")
     if served.guarantee_met is False:
         metrics.inc(guarantee_miss)
+    if served.certified_ratio is not None:
+        metrics.observe("certified_ratio", served.certified_ratio)
     if served.waypoint_results is not None:
         metrics.inc("trajectory_waypoints_total",
                     len(served.waypoint_results))
@@ -290,9 +299,13 @@ def count_served(metrics: MetricsRegistry, served: ServedResult) -> None:
             metrics.observe("fallback_latency_ms", served.elapsed * 1e3)
 
 
-def _guarantee(diag: object) -> Optional[bool]:
+def _certificate(diag: object) -> Tuple[Optional[bool], Optional[float]]:
+    """``(guarantee_met, certified_ratio)`` of one index answer."""
     flag = getattr(diag, "guarantee_met", None)
-    return None if flag is None else bool(flag)
+    return (
+        None if flag is None else bool(flag),
+        getattr(diag, "certified_ratio", None),
+    )
 
 
 def _parts(served: ServedResult, diag: object) -> list:
@@ -680,15 +693,15 @@ class QueryEngine:
                     query, start, trace_id, error=str(exc)
                 ), None
             for i, (result, diag) in zip(missing, answered):
-                entries[i] = (result, _guarantee(diag))
+                entries[i] = (result, *_certificate(diag))
                 diags[i] = diag
-        results = tuple(result for result, _ in entries)
-        flags = [flag for _, flag in entries]
+        results, flags, ratios = zip(*entries)
         trajectory = isinstance(query, TrajectoryQuery)
         served = self._served(
             query, start, trace_id, result=results[-1], cached=not missing,
             waypoint_results=results if trajectory else None,
             guarantee_met=None if None in flags else all(flags),
+            certified_ratio=None if None in ratios else min(ratios),
         )
         return served, (tuple(diags) if trajectory else diags[0])
 
@@ -726,7 +739,7 @@ class QueryEngine:
         return answered
 
     def _store(self, query: AnyQuery, served: ServedResult, diag) -> None:
-        """Cache the index answers a run computed, with their guarantee flags.
+        """Cache the index answers a run computed, with their certificates.
 
         Cache hits, heuristic, fallback and error answers are never
         stored: a later query in the same cell deserves the real index
@@ -739,7 +752,7 @@ class QueryEngine:
             self._keys(query), _parts(served, diag)
         ):
             if key is not None and part_diag is not None:
-                self._results.put(key, (result, _guarantee(part_diag)))
+                self._results.put(key, (result, *_certificate(part_diag)))
 
     def _serve_heuristic(
         self, query: HeuristicQuery, start: float, trace_id: str

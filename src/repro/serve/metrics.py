@@ -35,6 +35,10 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
 #: marginal evaluations): powers of four cover 1 .. ~1e6 in 10 buckets.
 COUNT_BUCKETS: Tuple[float, ...] = tuple(float(4 ** i) for i in range(11))
 
+#: Default buckets for ratios in [0, 1] (``certified_ratio``): steps of
+#: 0.05.
+RATIO_BUCKETS: Tuple[float, ...] = tuple(i / 20 for i in range(1, 21))
+
 
 def labelled(name: str, **labels: str) -> str:
     """Build a labelled instrument name, Prometheus-style.
@@ -228,6 +232,7 @@ class MetricsRegistry:
                 base = name.partition("{")[0]
                 chosen = buckets if buckets is not None else (
                     LATENCY_BUCKETS_MS if base.endswith("_ms")
+                    else RATIO_BUCKETS if base.endswith("_ratio")
                     else COUNT_BUCKETS
                 )
                 h = self._histograms[name] = Histogram(

@@ -78,3 +78,19 @@ def decay() -> DistanceDecay:
 def strong_decay() -> DistanceDecay:
     """A fast-decaying weight function for small-extent test graphs."""
     return DistanceDecay(c=1.0, alpha=0.05)
+
+
+@pytest.fixture
+def lemma7_sizing(monkeypatch):
+    """Answer every RIS-DA query on the paper's Lemma 7 path.
+
+    The certified early stop runs only on indexes of at least
+    ``2 * CERTIFY_SAMPLES`` samples; a first round larger than any test
+    corpus leaves every plan to the Lemma 7 sizing, with the full
+    ``delta - delta_pivot``, exactly as an index too small for the
+    schedule answers.  Patched on the module, so forked pool workers see
+    it too.
+    """
+    import repro.core.ris_da as ris_da
+
+    monkeypatch.setattr(ris_da, "CERTIFY_SAMPLES", 1 << 40)

@@ -9,7 +9,9 @@ runs point, masked, multi-location and uniform-cost budgeted queries at
 pivots and far from them, before and after an
 :meth:`~repro.core.ris_da.RisDaIndex.update`, plus point and
 multi-location queries on indexes whose ``max_index_samples`` cuts
-every pivot's Algorithm 4 prefix short, and checks
+every pivot's Algorithm 4 prefix short, and the same kinds again on
+indexes large enough (``epsilon = 0.25``) for the certified early stop,
+and checks
 
 * **LB-EST soundness**: Algorithm 3 at the query's own weights never
   exceeds the exact optimum (it is a certain bound), and neither does
@@ -18,7 +20,11 @@ every pivot's Algorithm 4 prefix short, and checks
   premise fails;
 * **the certificate**: among answers flagged ``guarantee_met``, the
   share with ``I_q(S) < (1 - 1/e - epsilon) * OPT`` is consistent with a
-  failure rate ``<= delta`` (one-sided binomial test).
+  failure rate ``<= delta`` (one-sided binomial test);
+* **the certified early stop**: among answers it certified, both the
+  ratio and its reported Chernoff LCB (``lower_bound > OPT``) fail no
+  more often than ``delta`` allows, against that index's stricter
+  ``epsilon``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro.core.multi_location import multi_location_weights
-from repro.core.ris_da import RisDaConfig, RisDaIndex, _Plan
+from repro.core.ris_da import RisDaConfig, RisDaIndex, _Plan, certify_rounds
 from repro.diffusion.lt import exact_lt_activation_probabilities
 from repro.diffusion.possible_world import (
     exact_activation_probabilities,
@@ -48,6 +54,9 @@ GRAPH_SEEDS = (1, 2, 3)
 #: Lemma 7 size (2k-3.4k samples here): one cut deep enough that the
 #: pivots' greedy estimates are noise, one shallow enough to certify.
 CAPS = (32, 1500)
+#: Online ``epsilon`` of the indexes the certified early stop runs on:
+#: their Lemma 7 sizes reach 10k-16k samples, past ``2 * CERTIFY_SAMPLES``.
+EARLY_STOP_EPSILON = 0.25
 #: Reject the certificate when P(Binomial(certified, delta) >= failures)
 #: falls below this.
 ALPHA = 1e-3
@@ -112,8 +121,9 @@ def _locations(index: RisDaIndex, rng: np.random.Generator):
 def _audit_index(
     index: RisDaIndex, exact: _Exact, rng: np.random.Generator, kinds
 ):
-    """``(kind, certified, I_q(S), OPT, LB-EST, sizing L)`` per query;
-    ``exact`` must enumerate ``index.network`` as it is now."""
+    """``(kind, certified, I_q(S), OPT, LB-EST, reported L, certified
+    ratio)`` per query; ``exact`` must enumerate ``index.network`` as it
+    is now."""
     net, decay = index.network, index.decay
     bound = lb_est if index.config.diffusion == "ic" else lb_est_lt
     locs = _locations(index, rng)
@@ -123,7 +133,7 @@ def _audit_index(
         rows.append((
             kind, bool(diag.guarantee_met), exact.spread(res.seeds, w),
             exact.opt(w, k), bound(net, w, k, decay.w_max),
-            diag.lower_bound,
+            diag.lower_bound, diag.certified_ratio,
         ))
 
     for loc in locs:
@@ -154,18 +164,33 @@ def _audit_index(
 
 
 def _binomial_tail(failures: int, trials: int, p: float) -> float:
-    """``P(Binomial(trials, p) >= failures)``."""
+    """``P(Binomial(trials, p) >= failures)``, each term in log space
+    (``math.comb`` times a float overflows past ~1,000 trials)."""
     return float(sum(
-        math.comb(trials, i) * p**i * (1.0 - p) ** (trials - i)
+        math.exp(
+            math.lgamma(trials + 1) - math.lgamma(i + 1)
+            - math.lgamma(trials - i + 1)
+            + i * math.log(p) + (trials - i) * math.log1p(-p)
+        )
         for i in range(failures, trials + 1)
     ))
 
 
-def _index(net, diffusion, seed, cap=30_000) -> RisDaIndex:
+def _index(net, diffusion, seed, cap=30_000, epsilon=0.5) -> RisDaIndex:
     return RisDaIndex(net, DistanceDecay(alpha=0.3), RisDaConfig(
-        k_max=K_MAX, n_pivots=4, epsilon_pivot=0.3,
+        k_max=K_MAX, n_pivots=4, epsilon_pivot=0.3, epsilon=epsilon,
         max_index_samples=cap, diffusion=diffusion, seed=seed,
     ))
+
+
+def _weaken(index: RisDaIndex) -> None:
+    """A delta that weakens and drops edges and moves a check-in: OPT
+    can fall below the build's pivot estimates."""
+    edges, probs = index.network.edge_array()
+    index.update(
+        edges=edges[1:4], probabilities=probs[1:4] / 2.0,
+        removed=edges[:1], checkins=[(0, 5.0, 5.0)],
+    )
 
 
 def run_audit(diffusion: str = "ic"):
@@ -186,16 +211,24 @@ def run_audit(diffusion: str = "ic"):
                 ("capped-" + r[0],) + r[1:]
                 for r in _audit_index(capped, exact, rng, ("multi",))
             ]
-        # A delta that weakens and drops edges and moves a check-in:
-        # OPT can fall below the build's pivot estimates.
-        edges, probs = index.network.edge_array()
-        index.update(
-            edges=edges[1:4], probabilities=probs[1:4] / 2.0,
-            removed=edges[:1], checkins=[(0, 5.0, 5.0)],
-        )
-        exact = _Exact(index.network, diffusion)
+        _weaken(index)
+        updated = _Exact(index.network, diffusion)
         rows += [
-            ("updated",) + r[1:] for r in _audit_index(index, exact, rng, ())
+            ("updated",) + r[1:]
+            for r in _audit_index(index, updated, rng, ())
+        ]
+        large = _index(net, diffusion, seed, epsilon=EARLY_STOP_EPSILON)
+        assert certify_rounds(len(large.corpus))
+        rows += [
+            ("early-" + r[0],) + r[1:]
+            for r in _audit_index(
+                large, exact, rng, ("masked", "budgeted", "multi")
+            )
+        ]
+        _weaken(large)
+        rows += [
+            ("early-updated",) + r[1:]
+            for r in _audit_index(large, updated, rng, ())
         ]
     return rows, 1.0 / N_NODES, index.config.epsilon
 
@@ -215,7 +248,7 @@ def test_enumeration_matches_exact_weighted_spread():
 
 def test_lb_est_never_exceeds_opt(audit):
     rows, _, _ = audit
-    assert all(lb <= opt + 1e-9 for *_, opt, lb, _ in rows)
+    assert all(r[4] <= r[3] + 1e-9 for r in rows)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +291,40 @@ def test_certified_answers_meet_the_ratio(audit):
     _assert_ratio_met(*audit)
 
 
+def _early_stopped(rows):
+    return [r for r in rows if r[6] is not None]
+
+
+@pytest.mark.parametrize("kind", ["point", "masked", "multi", "updated"])
+def test_early_stop_certifies_every_top_k_kind(audit, kind):
+    """The early stop runs on the large indexes only, for every top-k
+    kind; budgeted plans keep the Lemma 7 path."""
+    rows, _, _ = audit
+    early = _early_stopped(rows)
+    assert any(r[0] == "early-" + kind for r in early)
+    assert {r[0] for r in early} <= {
+        "early-point", "early-masked", "early-multi", "early-updated",
+    }
+    assert all(r[1] for r in early)
+
+
+def test_early_stopped_answers_meet_the_ratio(audit):
+    rows, delta, _ = audit
+    _assert_ratio_met(_early_stopped(rows), delta, EARLY_STOP_EPSILON)
+
+
+def test_early_stop_lcb_rarely_exceeds_opt(audit):
+    """A certified answer reports its spread LCB as ``lower_bound``: it
+    may exceed the exact optimum only as often as delta allows."""
+    rows, delta, _ = audit
+    early = _early_stopped(rows)
+    failures = sum(r[5] > r[3] + 1e-9 for r in early)
+    assert len(early) >= 100
+    assert _binomial_tail(failures, len(early), delta) >= ALPHA, (
+        failures, len(early),
+    )
+
+
 def test_capped_certified_answers_meet_the_ratio(audit):
     rows, delta, epsilon = audit
     _assert_ratio_met(
@@ -285,4 +352,13 @@ class TestLinearThreshold:
     )
     test_capped_certified_answers_meet_the_ratio = staticmethod(
         test_capped_certified_answers_meet_the_ratio
+    )
+    test_early_stop_certifies_every_top_k_kind = staticmethod(
+        test_early_stop_certifies_every_top_k_kind
+    )
+    test_early_stopped_answers_meet_the_ratio = staticmethod(
+        test_early_stopped_answers_meet_the_ratio
+    )
+    test_early_stop_lcb_rarely_exceeds_opt = staticmethod(
+        test_early_stop_lcb_rarely_exceeds_opt
     )

@@ -96,6 +96,7 @@ class TestQuery:
         with pytest.raises(QueryError):
             index.query((0.0, 0.0))
 
+    @pytest.mark.usefixtures("lemma7_sizing")
     def test_diagnostics(self, index):
         res, diag = index.query((50.0, 50.0), 5, return_diagnostics=True)
         assert isinstance(diag, QueryDiagnostics)
@@ -105,6 +106,7 @@ class TestQuery:
         assert diag.samples_used == res.samples_used
         assert diag.samples_required >= diag.samples_used
 
+    @pytest.mark.usefixtures("lemma7_sizing")
     def test_diagnostics_timings(self, index):
         """Per-stage timings ride along; the serving path books no bound."""
         _, diag = index.query((50.0, 50.0), 5, return_diagnostics=True)
@@ -126,6 +128,7 @@ class TestQuery:
         _, again = index.query((50.0, 50.0), 5, return_diagnostics=True)
         assert diag == again
 
+    @pytest.mark.usefixtures("lemma7_sizing")
     def test_prefix_size_follows_lemma(self, index, net):
         """samples_required must equal the Lemma 7 formula for L_q^k."""
         q, k = (42.0, 58.0), 5
@@ -137,6 +140,7 @@ class TestQuery:
         )
         assert diag.samples_required == expected
 
+    @pytest.mark.usefixtures("lemma7_sizing")
     def test_near_pivot_needs_fewer_samples_than_far(self, index):
         """The lower bound decays with pivot distance, so sample need grows."""
         pivot = tuple(index.pivots[0])
@@ -187,6 +191,7 @@ class TestQuery:
             assert res.seeds == single_res.seeds
             assert diag == single_diag
 
+    @pytest.mark.usefixtures("lemma7_sizing")
     def test_batch_totals_include_sizing(self, index):
         """Every waypoint's total covers its own sizing, as a point
         query's does, and stays the sum-bound of its stages."""
@@ -325,11 +330,14 @@ def uncapped_index(net):
     ))
 
 
+@pytest.mark.usefixtures("lemma7_sizing")
 class TestSizingRule:
     """Every plan is sized by ``L = max(Lemma 8, LB-EST(w_node, k))``,
     where Lemma 8 transfers only from pivots whose Algorithm 4 prefix
     reached its Lemma 7 size; masked plans, updated indexes and pivots
-    the cap cut short are sized by LB-EST alone."""
+    the cap cut short are sized by LB-EST alone.  The certified early
+    stop is switched off (``lemma7_sizing``): the rule is what its
+    fallback and every index below ``2 * CERTIFY_SAMPLES`` samples run."""
 
     Q = (42.0, 58.0)
 

@@ -7,7 +7,11 @@ from repro.diffusion.possible_world import exact_weighted_spread
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.weights import DistanceDecay
 from repro.ris.corpus import RRCorpus
-from repro.ris.coverage import estimate_spread, weighted_greedy_cover
+from repro.ris.coverage import (
+    covered_sample_mask,
+    estimate_spread,
+    weighted_greedy_cover,
+)
 from repro.ris.coupled import CoupledRRSampler
 
 
@@ -167,6 +171,27 @@ class TestUnbiasedness:
             estimate_spread(corpus, [0], np.ones(2), prefix=10)
         with pytest.raises(SamplingError):
             estimate_spread(corpus, [0], np.ones(len(corpus)), prefix=0)
+
+
+class TestCoveredSampleMaskRange:
+    """A start slot masks ``[start, prefix)``: the full mask's slice."""
+
+    @pytest.mark.parametrize("start,stop", [(0, 4000), (2000, 2500),
+                                            (1, 2), (3999, 4000)])
+    def test_is_a_slice_of_the_full_mask(self, corpus, start, stop):
+        full = covered_sample_mask(corpus, [0, 3])
+        part = covered_sample_mask(corpus, [0, 3], stop, start=start)
+        assert np.array_equal(part, full[start:stop])
+        per_sample = [
+            bool({0, 3} & set(corpus.members(i).tolist()))
+            for i in range(start, stop)
+        ]
+        assert part.tolist() == per_sample
+
+    @pytest.mark.parametrize("start,stop", [(-1, 10), (10, 10), (5, 4001)])
+    def test_bad_range_rejected(self, corpus, start, stop):
+        with pytest.raises(SamplingError):
+            covered_sample_mask(corpus, [0], stop, start=start)
 
 
 def _full_prefix_cover(corpus, weights, k, l):

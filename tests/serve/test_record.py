@@ -20,6 +20,7 @@ from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.core.persistence import save_ris_index
 from repro.core.query import DaimQuery
 from repro.core.querykind import (
+    BudgetedQuery,
     HeuristicQuery,
     TargetedQuery,
     TrajectoryQuery,
@@ -153,8 +154,12 @@ def assert_mixed_outcomes(batch, fallback):
     assert targeted.guarantee_met is False
 
 
+@pytest.mark.usefixtures("lemma7_sizing")
 @pytest.mark.parametrize("fallback", ["degree-discount", "ladder", "none"])
 class TestSinkAgreement:
+    """On the Lemma 7 path, so the targeted query misses its guarantee
+    and ``guarantee_miss_total`` has a count to agree on."""
+
     def test_engine(self, ris_index, tmp_path, slow_and_failing, fallback):
         metrics = MetricsRegistry()
         slow_log = SlowQueryLog(tmp_path / "slow.jsonl", 0.0)
@@ -296,6 +301,7 @@ class TestGuaranteeMetric:
         assert all(s.ok and s.guarantee_met is None for s in served)
         assert all(_miss(metrics, kind) == 0 for kind in KINDS)
 
+    @pytest.mark.usefixtures("lemma7_sizing")
     def test_http_query_body_carries_the_flag(self, ris_index):
         engine = QueryEngine(ris_index)
         server = ObsHttpServer(engine=engine, port=0, default_k=3).start()
@@ -307,3 +313,58 @@ class TestGuaranteeMetric:
         finally:
             server.stop()
         assert payload["guarantee_met"] is False
+
+
+class TestCertifiedRatio:
+    """The fixture index (10,000 samples) certifies top-k answers early."""
+
+    def test_point_hit_row_and_histogram(self, ris_index):
+        metrics = MetricsRegistry()
+        engine = QueryEngine(ris_index, metrics=metrics)
+        _, diag = ris_index.query((50.0, 50.0), 3, return_diagnostics=True)
+        assert diag.certified_ratio is not None
+        first = engine.query((50.0, 50.0), k=3)
+        hit = engine.query((50.0, 50.0), k=3)
+        assert hit.cached and not first.cached
+        assert first.certified_ratio == hit.certified_ratio
+        assert hit.certified_ratio == diag.certified_ratio
+        row = served_row(DaimQuery((50.0, 50.0), 3), hit)
+        assert row["certified_ratio"] == diag.certified_ratio
+        hist = metrics.histogram("certified_ratio")
+        assert hist.count == 2
+        assert hist.buckets[-1] == 1.0
+
+    def test_trajectory_reports_its_weakest_waypoint(self, ris_index):
+        waypoints = ((10.0, 10.0), (70.0, 70.0))
+        served = QueryEngine(ris_index).query(
+            TrajectoryQuery(waypoints=waypoints, k=3)
+        )
+        ratios = [
+            ris_index.query(wp, 3, return_diagnostics=True)[1].certified_ratio
+            for wp in waypoints
+        ]
+        assert served.certified_ratio == min(ratios)
+
+    def test_budgeted_and_mia_answers_carry_none(self, ris_index, net, decay):
+        metrics = MetricsRegistry()
+        mia = MiaDaIndex(net, decay, MiaDaConfig(n_anchors=10, tau=24, seed=3))
+        served = [
+            QueryEngine(ris_index, metrics=metrics).query(BudgetedQuery(
+                location=(50.0, 50.0), budget=3.0,
+            )),
+            QueryEngine(mia, metrics=metrics).query((40.0, 60.0), k=3),
+        ]
+        assert all(s.ok and s.certified_ratio is None for s in served)
+        assert metrics.histogram("certified_ratio").count == 0
+
+    def test_http_query_body_carries_the_ratio(self, ris_index):
+        engine = QueryEngine(ris_index)
+        server = ObsHttpServer(engine=engine, port=0, default_k=3).start()
+        try:
+            url = f"http://{server.host}:{server.port}/query?x=50&y=50&k=3"
+            with urllib.request.urlopen(url, timeout=10) as resp:
+                payload = json.loads(resp.read().decode())
+        finally:
+            server.stop()
+        _, diag = ris_index.query((50.0, 50.0), 3, return_diagnostics=True)
+        assert payload["certified_ratio"] == diag.certified_ratio
