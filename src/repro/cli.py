@@ -355,7 +355,7 @@ def cmd_build_mia(args: argparse.Namespace) -> int:
     save_mia_index(index, args.out)
     print(
         f"built MIA-DA index in {index.build_seconds:.1f}s: "
-        f"{len(index.model.trees)} arborescences, "
+        f"{index.model.n} arborescences, "
         f"{len(index.anchor_bounds.anchors)} anchors, "
         f"{len(index.region_bounds.nodes)} heavy nodes, "
         f"saved to {args.out}"

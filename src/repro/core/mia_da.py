@@ -254,8 +254,9 @@ class MiaDaIndex:
         through the edge enters ``v`` via ``w``'s unchanged MIP suffix,
         which must clear ``theta`` — so ``w`` sits in the old tree).
         Those trees are found through the flat membership index
-        (:meth:`MiaModel.reach_of`) and rebuilt over the new network;
-        every other tree is reused as-is.  The anchor and region bounds
+        (:meth:`MiaModel.reach_of`), rebuilt over the new network and
+        spliced into the flat arrays (:meth:`MiaModel.rebuilt`); every
+        other tree is reused as-is.  The anchor and region bounds
         are then recomputed through the same constructors a fresh build
         runs (they are vectorized and cheap next to ``n`` Dijkstras), so
         the updated index is **bit-identical** to a from-scratch rebuild
@@ -266,7 +267,6 @@ class MiaDaIndex:
         Returns :class:`repro.stream.UpdateStats`; bumps
         :attr:`generation` so serving caches invalidate.
         """
-        from repro.mia.arborescence import build_miia
         from repro.stream.delta import GraphDelta, UpdateStats, apply_delta
 
         start = time.perf_counter()
@@ -282,13 +282,8 @@ class MiaDaIndex:
             roots, _ = self.model.reach_of(int(d))
             dirty_roots.update(int(v) for v in roots)
         net = applied.network
-        trees = [
-            build_miia(net, v, cfg.theta) if v in dirty_roots
-            else self.model.trees[v]
-            for v in range(net.n)
-        ]
+        self.model = self.model.rebuilt(net, sorted(dirty_roots))
         self.network = net
-        self.model = MiaModel(net, cfg.theta, trees=trees)
         # Geometry-dependent structures are recomputed wholesale through
         # the build's exact code path (same RNG consumption, new bounding
         # box) — that is what buys bit-identical rebuild parity even when

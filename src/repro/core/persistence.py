@@ -48,6 +48,7 @@ from repro.exceptions import (
     CorpusFormatError,
     DataFormatError,
     GeometryError,
+    GraphError,
     QueryError,
     SamplingError,
 )
@@ -106,7 +107,7 @@ def _malformed(source: str) -> Iterator[None]:
         raise DataFormatError(f"{source} is missing field {exc}") from exc
     except SamplingError as exc:
         raise CorpusFormatError(f"{source} has a corrupt corpus: {exc}") from exc
-    except (TypeError, ValueError, QueryError, GeometryError) as exc:
+    except (TypeError, ValueError, QueryError, GeometryError, GraphError) as exc:
         raise DataFormatError(f"{source} is malformed: {exc}") from exc
 
 
@@ -499,10 +500,13 @@ def assemble_mia_index(
 ) -> MiaDaIndex:
     """Rebuild a MIA-DA index from its meta dict and flat arrays.
 
-    The arborescences, anchor structures, and region bounds are all
+    The forest arrays, anchor structures, and region bounds are all
     views over the supplied arrays (no copies, no Dijkstra re-runs), so
     shared-memory or memmap'd arrays serve many processes from one
-    physical copy.  Only the anchor k-d tree is rebuilt per process.
+    physical copy.  Only the anchor k-d tree and the forest's derived
+    indexes (tree ids, depths, member and child CSR) are built per
+    process.  Forest arrays out of dtype, shape, range or tree order
+    raise :class:`DataFormatError` naming ``source``.
     """
     if meta.get("kind", "ris") != "mia":
         raise DataFormatError(
@@ -540,7 +544,7 @@ def assemble_mia_index(
             seed=cfg_raw["seed"],
         )
         generation = int(meta.get("generation", 0))
-    model = MiaModel.from_flat_trees(network, config.theta, flat)
+        model = MiaModel.from_flat_trees(network, config.theta, flat)
 
     # Assemble the bound structures without recomputing any influences.
     anchor_bounds = AnchorBounds.__new__(AnchorBounds)

@@ -6,14 +6,22 @@ influence as travelling only along each pair's *maximum influence path*
 falls below a threshold ``theta``.
 
 * :mod:`repro.mia.paths` — MIP computation (Dijkstra on ``-log p``);
-* :mod:`repro.mia.arborescence` — the ``MIIA(v)`` / ``MIOA(v)`` trees;
+* :mod:`repro.mia.arborescence` — the ``MIIA(v)`` / ``MIOA(v)`` trees, as
+  bare per-root arrays (:func:`miia_arrays`, what the model stores) and
+  as :class:`Arborescence` objects;
 * :mod:`repro.mia.influence` — activation probabilities on a tree (Eq. 5)
   and the linear (alpha) coefficients, as per-tree reference recursions;
 * :mod:`repro.mia.forest` — every tree as one flat forest and the
   per-query state all MIA methods share (array-op ``ap``/``alpha``
   updates, bit-identical to the recursions);
-* :mod:`repro.mia.pmia` — the PMIA-DA baseline: greedy seed selection over
-  pre-built arborescences with distance-aware node weights.
+* :mod:`repro.mia.pmia` — the :class:`MiaModel` (the flat tree arrays and
+  their forest, nothing else) and the PMIA-DA baseline: greedy seed
+  selection over pre-built arborescences with distance-aware node weights.
+
+:class:`Arborescence`, :func:`build_miia` / :func:`build_mioa` and
+:mod:`repro.mia.influence` are the test oracle, like
+:mod:`repro.ris.reference`: no served path (build, load, shared-memory
+attach, update, query) constructs an :class:`Arborescence`.
 """
 
 from repro.mia.arborescence import Arborescence, build_miia, build_mioa

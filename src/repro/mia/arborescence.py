@@ -10,12 +10,15 @@ with nodes ordered root-first by decreasing path probability — i.e. a
 topological order where every node appears after its tree-parent.  Walking
 the array backward visits leaves before parents, which is the order the
 activation-probability recursion (Eq. 5) needs.
+
+:func:`miia_arrays` returns those bare arrays, all the model stores;
+:class:`Arborescence` wraps them for the per-tree reference recursions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -63,10 +66,8 @@ class Arborescence:
             raise GraphError(f"kind must be 'miia' or 'mioa', got {self.kind!r}")
         if len(self.nodes) == 0 or self.nodes[0] != self.root:
             raise GraphError("arborescence must start at its root")
-        # Local id lookup and children lists are derived once here.  This
-        # runs once per tree — n times per model build or index load — so
-        # the children grouping is vectorized (bucket by parent via a
-        # stable argsort) rather than looped.
+        # Local id lookup and children lists are derived once here; the
+        # children grouping buckets by parent via a stable argsort.
         object.__setattr__(
             self, "local", {int(g): i for i, g in enumerate(self.nodes)}
         )
@@ -97,8 +98,12 @@ class Arborescence:
         return self.local[int(node)]
 
 
-def _from_pathmap(root: int, paths: PathMap, kind: str) -> Arborescence:
-    """Assemble an arborescence from a Dijkstra path map.
+#: One tree's ``(nodes, parent, edge_prob, path_prob)`` arrays.
+TreeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _tree_arrays(root: int, paths: PathMap) -> TreeArrays:
+    """Assemble one tree's arrays from a Dijkstra path map.
 
     ``paths[node] = (prob, hop)`` where ``hop`` is the neighbour through
     which the path reaches ``node`` in *traversal* direction — for an MIIA
@@ -146,17 +151,21 @@ def _from_pathmap(root: int, paths: PathMap, kind: str) -> Arborescence:
     for i in range(1, n):
         if parent[i] >= i:
             raise GraphError("non-topological arborescence order (internal error)")
-    return Arborescence(
-        root=root, nodes=nodes, parent=parent, edge_prob=edge_prob,
-        path_prob=path_prob, kind=kind,
-    )
+    return nodes, parent, edge_prob, path_prob
+
+
+def miia_arrays(network: GeoSocialNetwork, v: int, theta: float) -> TreeArrays:
+    """``MIIA(v)`` as bare arrays: the form :class:`~repro.mia.pmia.MiaModel`
+    stores, without an :class:`Arborescence` around them."""
+    return _tree_arrays(int(v), max_influence_paths_to(network, v, theta))
 
 
 def build_miia(network: GeoSocialNetwork, v: int, theta: float) -> Arborescence:
     """Build ``MIIA(v)``: every node that can influence ``v`` at >= theta."""
-    return _from_pathmap(int(v), max_influence_paths_to(network, v, theta), "miia")
+    return Arborescence(int(v), *miia_arrays(network, v, theta), kind="miia")
 
 
 def build_mioa(network: GeoSocialNetwork, v: int, theta: float) -> Arborescence:
     """Build ``MIOA(v)``: every node ``v`` can influence at >= theta."""
-    return _from_pathmap(int(v), max_influence_paths_from(network, v, theta), "mioa")
+    paths = max_influence_paths_from(network, v, theta)
+    return Arborescence(int(v), *_tree_arrays(int(v), paths), kind="mioa")

@@ -1,9 +1,10 @@
 """The MIA influence model and the PMIA-DA baseline.
 
 :class:`MiaModel` holds the static, query-independent structures — one
-``MIIA(v)`` per node plus their flat-forest view — built offline exactly as
-the paper prescribes for PMIA ("we pre-compute the MIIA(v) and MIOA(v)
-offline for each node, because there may be many queries raised").
+``MIIA(v)`` per node, as flat CSR arrays with their flat-forest view —
+built offline exactly as the paper prescribes for PMIA ("we pre-compute
+the MIIA(v) and MIOA(v) offline for each node, because there may be many
+queries raised").
 
 :class:`MiaGreedyState` is the per-query mutable state implementing Chen et
 al.'s incremental greedy: marginal gains for *all* candidates are maintained
@@ -18,12 +19,12 @@ marginal gain of ``u`` is ``sum_v alpha(v, u) * (1 - ap_v(u)) * w[v]``
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError, QueryError
-from repro.mia.arborescence import Arborescence, build_miia
+from repro.mia.arborescence import TreeArrays, miia_arrays
 from repro.mia.forest import FlatForest, MiaForestState
 from repro.network.graph import GeoSocialNetwork
 
@@ -35,8 +36,89 @@ from repro.network.graph import GeoSocialNetwork
 FlatTrees = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+def _concat(trees: Sequence[TreeArrays]) -> FlatTrees:
+    """Per-root tree arrays, in the given order, as one CSR block."""
+    offsets = np.zeros(len(trees) + 1, dtype=np.int64)
+    np.cumsum([len(t[0]) for t in trees], out=offsets[1:])
+    members, parents, edge_probs, path_probs = (
+        np.concatenate(column) for column in zip(*trees)
+    )
+    return members, parents, edge_probs, path_probs, offsets
+
+
+def _column(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a 1-D ``dtype`` array, refusing another dtype kind.
+
+    An input already of ``dtype`` comes back as-is (no copy), so memmap
+    and shared-memory arrays stay zero-copy.
+    """
+    arr = np.asarray(values)
+    kind = "integer" if np.dtype(dtype).kind == "i" else "float"
+    if arr.dtype.kind not in ("iu" if kind == "integer" else "f") or arr.ndim != 1:
+        raise GraphError(f"forest {name} must be a 1-D {kind} array, got "
+                         f"{arr.dtype} of shape {arr.shape}")
+    return arr.astype(dtype, copy=False)
+
+
+def _checked(flat, n: int) -> FlatTrees:
+    """``flat`` as :data:`FlatTrees` over ``n`` roots, or a GraphError.
+
+    Reads the arrays only.  Every tree must hold at least its root,
+    first; a member must be a node id, once per tree; a parent is -1
+    exactly at the root, and elsewhere a local index below the entry's
+    own, so every tree is acyclic and topologically ordered (the flat
+    forest's depth pass relies on it to terminate); probabilities lie
+    in ``(0, 1]``.
+    """
+    members, parents, edge_probs, path_probs, offsets = flat
+    members = _column("members", members, np.int64)
+    parents = _column("parents", parents, np.int64)
+    offsets = _column("offsets", offsets, np.int64)
+    edge_probs = _column("edge probabilities", edge_probs, float)
+    path_probs = _column("path probabilities", path_probs, float)
+    size = len(members)
+    if len(offsets) != n + 1 or not (
+        len(parents) == len(edge_probs) == len(path_probs) == size
+    ):
+        raise GraphError(
+            f"flat trees for a {n}-node network need {n + 1} offsets and "
+            f"equal columns; got {len(offsets)} offsets, {size} members, "
+            f"{len(parents)} parents, {len(edge_probs)} edge and "
+            f"{len(path_probs)} path probabilities"
+        )
+    if offsets[0] != 0 or offsets[-1] != size or np.any(offsets[1:] <= offsets[:-1]):
+        raise GraphError(
+            f"forest offsets must rise from 0 to {size}, every tree "
+            "holding its root"
+        )
+    if size and (members.min() < 0 or members.max() >= n):
+        raise GraphError(
+            f"forest members must be node ids in [0, {n}), got range "
+            f"[{members.min()}, {members.max()}]"
+        )
+    starts = offsets[:-1]
+    if np.any(members[starts] != np.arange(n)):
+        raise GraphError("each tree must start at its root")
+    tree = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    if len(np.unique(tree * n + members)) != size:
+        raise GraphError("a tree must not hold a member twice")
+    local = np.arange(size) - offsets[tree]
+    if np.any(np.where(local == 0, parents != -1,
+                       (parents < 0) | (parents >= local))):
+        raise GraphError(
+            "forest parents must be -1 exactly at roots and an earlier "
+            "local index elsewhere"
+        )
+    for name, probs in (("edge", edge_probs), ("path", path_probs)):
+        if not np.all((probs > 0.0) & (probs <= 1.0)):
+            raise GraphError(f"forest {name} probabilities must lie in (0, 1]")
+    return members, parents, edge_probs, path_probs, offsets
+
+
 class MiaModel:
-    """Pre-built MIA structures for a network at a given ``theta``.
+    """Pre-built MIA structures for a network at a given ``theta``: the
+    ``MIIA(v)`` trees as one :data:`FlatTrees` block and the
+    :class:`~repro.mia.forest.FlatForest` over it, nothing else.
 
     Parameters
     ----------
@@ -45,44 +127,31 @@ class MiaModel:
     theta:
         MIP pruning threshold (paper default 0.05): pairs whose best path
         has probability below ``theta`` do not influence each other.
-    trees:
-        Pre-built ``MIIA(v)`` arborescences, one per node in node order.
-        ``None`` (the default) builds them here; :meth:`from_flat_trees`
-        passes the trees it rebuilt from a saved index.
+    flat:
+        The trees in the :data:`FlatTrees` layout, validated (a
+        :class:`~repro.exceptions.GraphError` if malformed) and wrapped
+        without copying.  ``None`` (the default) builds them here.
     """
 
     def __init__(
         self,
         network: GeoSocialNetwork,
         theta: float = 0.05,
-        trees: List[Arborescence] | None = None,
+        flat: FlatTrees | None = None,
     ):
         if not 0.0 < theta <= 1.0:
             raise GraphError(f"theta must be in (0, 1], got {theta}")
         self.network = network
         self.theta = float(theta)
-        if trees is None:
-            trees = [build_miia(network, v, theta) for v in range(network.n)]
-        elif len(trees) != network.n or any(
-            t.root != v for v, t in enumerate(trees)
-        ):
-            raise GraphError(
-                "trees must hold exactly one MIIA per node, in node order"
+        if flat is None:
+            flat = _concat(
+                [miia_arrays(network, v, theta) for v in range(network.n)]
             )
-        self.trees: List[Arborescence] = trees
-        sizes = np.fromiter((len(t) for t in trees), dtype=np.int64,
-                            count=len(trees))
-        offsets = np.zeros(network.n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        self._flat: FlatTrees = (
-            np.concatenate([t.nodes for t in trees]),
-            np.concatenate([t.parent for t in trees]),
-            np.concatenate([t.edge_prob for t in trees]),
-            np.concatenate([t.path_prob for t in trees]),
-            offsets,
-        )
+        else:
+            flat = _checked(flat, network.n)
+        self._flat: FlatTrees = flat
         #: The flat-forest view every per-query state reads.
-        self.forest = FlatForest.from_flat(self._flat)
+        self.forest = FlatForest.from_flat(flat)
 
     @classmethod
     def from_flat_trees(
@@ -91,33 +160,35 @@ class MiaModel:
         theta: float,
         flat: FlatTrees,
     ) -> "MiaModel":
-        """Rebuild a model from the :data:`FlatTrees` CSR layout.
+        """A model over saved :data:`FlatTrees` arrays (the persistence layer).
 
-        The inverse of :meth:`flat_trees`; used by the persistence layer.
-        Rebuilding is exact: the arborescences come back with identical
-        arrays, so the resulting model is indistinguishable from a fresh
-        build.
+        The inverse of :meth:`flat_trees`: the arrays are validated and
+        wrapped, not copied, so the model is indistinguishable from a
+        fresh build and memmap'd or shared-memory arrays stay shared.
         """
-        members, parents, edge_probs, path_probs, offsets = flat
-        if len(offsets) != network.n + 1:
-            raise GraphError(
-                f"flat trees describe {len(offsets) - 1} roots for a "
-                f"{network.n}-node network"
-            )
-        trees: List[Arborescence] = []
-        for v in range(network.n):
-            lo, hi = int(offsets[v]), int(offsets[v + 1])
-            trees.append(
-                Arborescence(
-                    root=v,
-                    nodes=members[lo:hi],
-                    parent=parents[lo:hi],
-                    edge_prob=edge_probs[lo:hi],
-                    path_prob=path_probs[lo:hi],
-                    kind="miia",
-                )
-            )
-        return cls(network, theta, trees=trees)
+        return cls(network, theta, flat)
+
+    def rebuilt(self, network: GeoSocialNetwork, roots) -> "MiaModel":
+        """A model over ``network`` with the trees of ``roots`` rebuilt and
+        every other tree kept; its arrays equal a fresh build's whenever
+        the kept trees are unchanged on ``network``."""
+        roots = np.unique(np.asarray(roots, dtype=np.int64))
+        trees = [miia_arrays(network, int(v), self.theta) for v in roots]
+        tree = self.forest.tree
+        kept = np.flatnonzero(~np.isin(tree, roots))
+        # Kept entries, then the rebuilt trees' entries: a stable sort by
+        # tree id splices every tree into place, in root order.
+        owner = np.concatenate(
+            [tree[kept], np.repeat(roots, [len(t[0]) for t in trees])]
+        )
+        order = np.argsort(owner, kind="stable")
+        offsets = np.zeros(network.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=network.n), out=offsets[1:])
+        columns = (
+            np.concatenate([column[kept], *fresh])[order]
+            for column, *fresh in zip(self._flat[:4], *trees)
+        )
+        return MiaModel(network, self.theta, (*columns, offsets))
 
     def flat_trees(self) -> FlatTrees:
         """All arborescences as one :data:`FlatTrees` CSR block.

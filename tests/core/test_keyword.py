@@ -52,13 +52,15 @@ class TestCoverage:
         res = keyword_cover_query(
             model, decay, (30.0, 70.0), 4, {"kw1"}, keywords
         )
-        # Recompute the MIA objective of the returned set.
+        # Recompute the MIA objective of the returned set, on trees built
+        # independently of the model.
+        from repro.mia.arborescence import build_miia
         from repro.mia.influence import activation_probabilities
 
         w = decay.weights(net.coords, (30.0, 70.0))
         expected = sum(
             activation_probabilities(t, set(res.seeds))[0] * w[t.root]
-            for t in model.trees
+            for t in (build_miia(net, v, model.theta) for v in range(net.n))
             if any(s in t for s in res.seeds)
         )
         assert res.estimate == pytest.approx(expected, rel=1e-9)

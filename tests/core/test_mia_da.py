@@ -119,12 +119,13 @@ class TestEquivalenceWithPmia:
 
     def test_estimate_matches_model_recomputation(self, net, model, index):
         res = index.query((30.0, 70.0), 4)
+        from repro.mia.arborescence import build_miia
         from repro.mia.influence import activation_probabilities
 
         w = index.decay.weights(net.coords, (30.0, 70.0))
         expected = sum(
             activation_probabilities(t, set(res.seeds))[0] * w[t.root]
-            for t in model.trees
+            for t in (build_miia(net, v, model.theta) for v in range(net.n))
             if any(s in t for s in res.seeds)
         )
         assert res.estimate == pytest.approx(expected, rel=1e-9)

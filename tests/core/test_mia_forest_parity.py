@@ -5,6 +5,8 @@ The per-tree states below are frozen copies of the MIA-DA lazy state and
 the PMIA-DA greedy state as they were before the flat forest.  Every MIA
 answer — MIA-DA seeds, estimates, evaluation and heap-pop counts, PMIA
 and keyword gain vectors — must come out of the forest bit for bit equal.
+The frozen states read their trees from :func:`build_miia`, run root by
+root, not from the model under test.
 """
 
 from typing import Dict, Set, Tuple
@@ -18,16 +20,32 @@ from repro.core.keyword import keyword_cover_query
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.exceptions import QueryError
 from repro.geo.weights import DistanceDecay
+from repro.mia.arborescence import Arborescence, build_miia
 from repro.mia.influence import activation_probabilities, linear_coefficients
 from repro.mia.pmia import MiaGreedyState, MiaModel
 from repro.network.datasets import load_dataset
 
 
+class OracleTrees:
+    """``MIIA(v)`` of a model's network and theta, built on first use."""
+
+    def __init__(self, model: MiaModel):
+        self.model = model
+        self._trees: Dict[int, Arborescence] = {}
+
+    def __getitem__(self, v: int) -> Arborescence:
+        if v not in self._trees:
+            self._trees[v] = build_miia(self.model.network, v, self.model.theta)
+        return self._trees[v]
+
+
 class FrozenLazyMiaState:
     """Per-query MIA greedy state with lazy per-root refresh (frozen)."""
 
-    def __init__(self, model: MiaModel, weights: np.ndarray):
+    def __init__(self, model: MiaModel, weights: np.ndarray,
+                 trees: OracleTrees | None = None):
         self.model = model
+        self.trees = trees if trees is not None else OracleTrees(model)
         self.weights = weights
         self.seeds: list[int] = []
         self._seed_set: Set[int] = set()
@@ -48,7 +66,7 @@ class FrozenLazyMiaState:
             if wv == 0.0:
                 continue
             ap, alpha = self._tree_state(v)
-            tree = self.model.trees[v]
+            tree = self.trees[v]
             i = tree.local_index(u)
             total += float(alpha[i]) * (1.0 - float(ap[i])) * wv
         return total
@@ -68,7 +86,7 @@ class FrozenLazyMiaState:
     def _tree_state(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         if v in self._ap and v not in self._dirty:
             return self._ap[v], self._alpha[v]
-        tree = self.model.trees[v]
+        tree = self.trees[v]
         if v not in self._touched_roots:
             ap = np.zeros(len(tree), dtype=float)
             alpha = tree.path_prob
@@ -84,8 +102,10 @@ class FrozenLazyMiaState:
 class FrozenGreedyState:
     """PMIA-DA greedy state with the per-root update loop (frozen)."""
 
-    def __init__(self, model: MiaModel, weights: np.ndarray):
+    def __init__(self, model: MiaModel, weights: np.ndarray,
+                 trees: OracleTrees | None = None):
         self.model = model
+        self.trees = trees if trees is not None else OracleTrees(model)
         self.weights = np.asarray(weights, dtype=float)
         self.seeds: list[int] = []
         self._seed_set: set[int] = set()
@@ -109,7 +129,7 @@ class FrozenGreedyState:
         roots, _ = self.model.reach_of(u)
         for v in roots:
             v = int(v)
-            tree = self.model.trees[v]
+            tree = self.trees[v]
             if v not in self._ap:
                 self._ap[v] = np.zeros(len(tree), dtype=float)
                 self._alpha[v] = tree.path_prob.copy()
@@ -152,9 +172,11 @@ def _answers(index, frozen: bool):
 
     with pytest.MonkeyPatch.context() as mp:
         if frozen:
+            trees = OracleTrees(index.model)
             mp.setattr(
                 mia_da_module, "MiaForestState",
-                lambda forest, weights: FrozenLazyMiaState(index.model, weights),
+                lambda forest, weights: FrozenLazyMiaState(
+                    index.model, weights, trees),
             )
         out = []
         for _ in range(80):

@@ -1,6 +1,8 @@
 """Tests for repro.core.persistence (RIS-DA and MIA-DA index save/load)."""
 
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
 from repro.core.multi_location import multi_location_query
 from repro.core.persistence import (
+    assemble_mia_index,
     assemble_ris_index,
     load_index,
     load_mia_index,
     load_ris_index,
+    mia_index_arrays,
     ris_index_arrays,
     save_mia_index,
     save_ris_index,
@@ -491,6 +495,39 @@ class TestMiaRoundTrip:
             load_mia_index(path, other)
 
 
+def test_served_paths_build_no_arborescence(net, tmp_path, monkeypatch):
+    """Build, save, load, update and shared-memory attach of a MIA-DA
+    index construct no per-tree Arborescence: it is the test oracle only."""
+    from repro.mia.arborescence import Arborescence
+    from repro.serve.shared import SharedIndexArrays, attach_index
+    from repro.stream.delta import GraphDelta
+
+    def refuse(self):
+        raise AssertionError("an Arborescence was constructed")
+
+    monkeypatch.setattr(Arborescence, "__post_init__", refuse)
+    cfg = MiaDaConfig(theta=0.03, n_anchors=8, tau=32, n_heavy=10, seed=5)
+    built = MiaDaIndex(net, DistanceDecay(alpha=0.03), cfg)
+    path = tmp_path / "mia.npz"
+    save_mia_index(built, path)
+    loaded = load_mia_index(path, net)
+    stats = loaded.update(delta=GraphDelta.make(
+        edges=[(0, 1), (2, 3)], probabilities=[0.4, 0.2]))
+    assert stats.trees_rebuilt > 0
+    before = loaded.model.flat_trees()
+    stats = loaded.update(delta=GraphDelta.make(checkins=[(4, 20.0, 30.0)]))
+    assert stats.trees_rebuilt == 0
+    assert all(np.array_equal(a, b)
+               for a, b in zip(loaded.model.flat_trees(), before))
+    with SharedIndexArrays.create(path) as shared:
+        handle, attached = attach_index(shared.manifest, net)
+        try:
+            for index in (built, loaded, attached):
+                assert len(index.query((50.0, 50.0), 4).seeds) == 4
+        finally:
+            handle.close()
+
+
 class TestKindCrossCheck:
     """Each loader must reject the other format with a clear message."""
 
@@ -552,6 +589,49 @@ def _float_flat(meta, arrays):
     arrays["corpus_flat"] = arrays["corpus_flat"].astype(np.float64)
 
 
+def _edit_array(name, change):
+    """Replace array ``name`` by ``change(array)``."""
+    def edit(meta, arrays):
+        arrays[name] = change(arrays[name].copy())
+    return edit
+
+
+def _set_tree_entry(name, local, value):
+    """Set entry ``local`` of the first MIA tree holding more than
+    ``local`` entries to ``value(meta)``."""
+    def edit(meta, arrays):
+        offsets = arrays["tree_offsets"]
+        start = offsets[np.flatnonzero(np.diff(offsets) > local)[0]]
+        arr = arrays[name].copy()
+        arr[start + local] = value(meta)
+        arrays[name] = arr
+    return edit
+
+
+def _swap_tree_offsets(meta, arrays):
+    offsets = arrays["tree_offsets"].copy()
+    offsets[1], offsets[2] = offsets[2], offsets[1]
+    arrays["tree_offsets"] = offsets
+
+
+def _repeat_tree_member(meta, arrays):
+    offsets = arrays["tree_offsets"]
+    start = offsets[np.flatnonzero(np.diff(offsets) >= 3)[0]]
+    members = arrays["tree_members"].copy()
+    members[start + 2] = members[start + 1]
+    arrays["tree_members"] = members
+
+
+def _parent_cycle(meta, arrays):
+    """Two entries of one tree each the other's parent: a forest whose
+    depth pass would never settle."""
+    offsets = arrays["tree_offsets"]
+    start = offsets[np.flatnonzero(np.diff(offsets) >= 3)[0]]
+    parents = arrays["tree_parents"].copy()
+    parents[start + 1], parents[start + 2] = 2, 1
+    arrays["tree_parents"] = parents
+
+
 #: (index kind, tampering) pairs a loader must refuse with a typed error.
 MALFORMED = {
     "ris-flat-member-too-large": (
@@ -578,7 +658,65 @@ MALFORMED = {
     "mia-no-config-field": (
         "mia", lambda meta, arrays: meta["config"].pop("tau")),
     "mia-no-array": ("mia", lambda meta, arrays: arrays.pop("anchors")),
+    "mia-float-members": (
+        "mia", _edit_array("tree_members", lambda a: a.astype(np.float64))),
+    "mia-float-parents": (
+        "mia", _edit_array("tree_parents", lambda a: a.astype(np.float64))),
+    "mia-int-edge-probs": (
+        "mia", _edit_array("tree_edge_probs", lambda a: np.ones_like(a, int))),
+    "mia-2d-members": (
+        "mia", _edit_array("tree_members", lambda a: a.reshape(-1, 1))),
+    "mia-ragged-members": ("mia", _edit_array("tree_members", lambda a: a[:-1])),
+    "mia-ragged-path-probs": (
+        "mia", _edit_array("tree_path_probs", lambda a: a[:-1])),
+    "mia-offsets-short": ("mia", _edit_array("tree_offsets", lambda a: a[:-1])),
+    "mia-offsets-start": (
+        "mia", _edit_array("tree_offsets", lambda a: a + (a == 0))),
+    "mia-offsets-end": (
+        "mia", _edit_array("tree_offsets", lambda a: a + (a == a[-1]))),
+    "mia-offsets-swapped": ("mia", _swap_tree_offsets),
+    "mia-empty-tree": (
+        "mia", _edit_array("tree_offsets", lambda a: np.r_[a[:1], a[:1], a[2:]])),
+    "mia-member-too-large": (
+        "mia", _set_tree_entry("tree_members", 1, lambda m: m["n_nodes"] + 3)),
+    "mia-member-negative": (
+        "mia", _set_tree_entry("tree_members", 1, lambda m: -2)),
+    "mia-repeated-member": ("mia", _repeat_tree_member),
+    "mia-root-not-first": (
+        "mia", _set_tree_entry("tree_members", 0, lambda m: 1)),
+    "mia-root-has-parent": (
+        "mia", _set_tree_entry("tree_parents", 0, lambda m: 0)),
+    "mia-second-root": (
+        "mia", _set_tree_entry("tree_parents", 1, lambda m: -1)),
+    "mia-parent-negative": (
+        "mia", _set_tree_entry("tree_parents", 1, lambda m: -2)),
+    "mia-parent-is-self": (
+        "mia", _set_tree_entry("tree_parents", 1, lambda m: 1)),
+    "mia-parent-cycle": ("mia", _parent_cycle),
+    "mia-edge-prob-above-one": (
+        "mia", _set_tree_entry("tree_edge_probs", 1, lambda m: 2.5)),
+    "mia-edge-prob-zero": (
+        "mia", _set_tree_entry("tree_edge_probs", 1, lambda m: 0.0)),
+    "mia-path-prob-nan": (
+        "mia", _set_tree_entry("tree_path_probs", 1, lambda m: np.nan)),
+    "mia-path-prob-inf": (
+        "mia", _set_tree_entry("tree_path_probs", 0, lambda m: np.inf)),
 }
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail the test, rather than hang, if the body outlives ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -595,7 +733,7 @@ def test_malformed_index_rejected(net, index, mia_index, tmp_path, case):
         save_mia_index(mia_index, good)
     bad = tmp_path / "bad.npz"
     _rewrite_npz(good, bad, tamper)
-    with pytest.raises(DataFormatError):
+    with _time_limit(30), pytest.raises(DataFormatError):
         load_index(bad, net)
 
 
@@ -632,4 +770,40 @@ if HAVE_HYPOTHESIS:
         except DataFormatError:
             return
         result = loaded.query((50.0, 50.0), 4)
+        assert len(result.seeds) == 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(["tree_members", "tree_parents", "tree_edge_probs",
+                              "tree_path_probs", "tree_offsets"]),
+        position=st.integers(0, 2**31),
+        value=st.integers(-4, 4),
+        mode=st.sampled_from(["set", "shift", "truncate", "float"]),
+    )
+    def test_corrupt_forest_arrays_never_load_broken(
+        net, mia_index, name, position, value, mode
+    ):
+        """A corrupted MIA forest array either fails to load with
+        DataFormatError or loads into an index that still answers — never
+        a bare ValueError/IndexError, never a hang, at load or at query
+        time."""
+        meta, arrays = mia_index_arrays(mia_index)
+        arrays = dict(arrays)
+        arr = arrays[name].copy()
+        i = position % len(arr)
+        if mode == "set":
+            arr[i] = value if value < 0 else net.n - 1 + value
+        elif mode == "shift":
+            arr[i] += value
+        elif mode == "truncate":
+            arr = arr[:i]
+        else:
+            arr = arr.astype(np.float64) + 0.5 * (value != 0)
+        arrays[name] = arr
+        with _time_limit(30):
+            try:
+                loaded = assemble_mia_index(net, meta, arrays)
+            except DataFormatError:
+                return
+            result = loaded.query((50.0, 50.0), 4)
         assert len(result.seeds) == 4

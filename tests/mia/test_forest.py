@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import QueryError
-from repro.mia.arborescence import Arborescence
+from repro.mia.arborescence import Arborescence, build_miia
 from repro.mia.forest import FlatForest, MiaForestState
 from repro.mia.influence import activation_probabilities, linear_coefficients
 from repro.mia.pmia import MiaModel
@@ -151,7 +151,8 @@ class TestModelArraysUnchanged:
 
     def test_flat_trees_are_the_per_tree_concatenation(self, small_net):
         model = MiaModel(small_net, 0.05)
-        for got, want in zip(model.flat_trees(), flat_of(model.trees)):
+        trees = [build_miia(small_net, v, 0.05) for v in range(small_net.n)]
+        for got, want in zip(model.flat_trees(), flat_of(trees)):
             assert np.array_equal(got, want)
             assert got.dtype == want.dtype
 
@@ -163,7 +164,7 @@ class TestModelArraysUnchanged:
 
         model = MiaModel(small_net, 0.05)
         members, roots, probs = [], [], []
-        for t in model.trees:
+        for t in (build_miia(small_net, v, 0.05) for v in range(model.n)):
             members.extend(int(g) for g in t.nodes)
             roots.extend([t.root] * len(t))
             probs.extend(float(p) for p in t.path_prob)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError, QueryError
+from repro.mia.arborescence import build_miia
 from repro.mia.influence import activation_probabilities
 from repro.mia.pmia import MiaGreedyState, MiaModel, PmiaDa
 
@@ -11,6 +12,12 @@ from repro.mia.pmia import MiaGreedyState, MiaModel, PmiaDa
 @pytest.fixture
 def model(example_net) -> MiaModel:
     return MiaModel(example_net, theta=0.01)
+
+
+@pytest.fixture
+def trees(example_net):
+    """The oracle: every ``MIIA(v)`` built on its own, at the model's theta."""
+    return [build_miia(example_net, v, 0.01) for v in range(example_net.n)]
 
 
 class TestMiaModel:
@@ -31,12 +38,12 @@ class TestMiaModel:
             assert len(pos) == 1
             assert probs[pos[0]] == 1.0
 
-    def test_reach_matches_trees(self, model):
+    def test_reach_matches_trees(self, model, trees):
         """reach_of(u) must agree with membership across all MIIA trees."""
         for u in range(model.n):
             roots, _ = model.reach_of(u)
             got = set(roots.tolist())
-            want = {t.root for t in model.trees if u in t}
+            want = {t.root for t in trees if u in t}
             assert got == want
 
     def test_singleton_influences_uniform_weights(self, model):
@@ -108,7 +115,7 @@ class TestMiaGreedyState:
         with pytest.raises(QueryError):
             state.add_seed(0)
 
-    def test_gain_maintenance_matches_fresh_computation(self, model):
+    def test_gain_maintenance_matches_fresh_computation(self, model, trees):
         """After seeding, maintained gains equal recomputed ap deltas."""
         w = np.linspace(0.5, 1.5, model.n)
         state = MiaGreedyState(model, w)
@@ -119,7 +126,7 @@ class TestMiaGreedyState:
                 continue
             # Recompute marginal from scratch via tree influence deltas.
             expected = 0.0
-            for tree in model.trees:
+            for tree in trees:
                 if u not in tree:
                     continue
                 before = activation_probabilities(tree, seeds)[0]

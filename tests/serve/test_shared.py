@@ -23,6 +23,17 @@ def net():
 
 
 @pytest.fixture(scope="module")
+def mia_path(net, tmp_path_factory):
+    from repro.core.mia_da import MiaDaConfig, MiaDaIndex
+    from repro.core.persistence import save_mia_index
+
+    path = tmp_path_factory.mktemp("shared") / "mia.npz"
+    cfg = MiaDaConfig(theta=0.03, n_anchors=8, tau=32, n_heavy=10, seed=2)
+    save_mia_index(MiaDaIndex(net, DistanceDecay(alpha=0.02), cfg), path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def ris_path(net, tmp_path_factory):
     path = tmp_path_factory.mktemp("shared") / "ris.npz"
     cfg = RisDaConfig(
@@ -144,5 +155,19 @@ class TestAttachIndex:
             try:
                 flat, _ = index.corpus.flat()
                 assert np.shares_memory(flat, handle.arrays["corpus_flat"])
+            finally:
+                handle.close()
+
+    def test_mia_forest_reads_straight_from_shared_pages(self, net, mia_path):
+        # Every forest array of an attached MIA-DA model is a view over
+        # its shm segment, not a per-worker copy.
+        names = ("tree_members", "tree_parents", "tree_edge_probs",
+                 "tree_path_probs", "tree_offsets")
+        with SharedIndexArrays.create(mia_path) as shared:
+            handle, index = attach_index(shared.manifest, net)
+            try:
+                for name, arr in zip(names, index.model.flat_trees()):
+                    assert np.shares_memory(arr, handle.arrays[name]), name
+                assert index.query((50.0, 50.0), 4).seeds
             finally:
                 handle.close()

@@ -394,6 +394,15 @@ class TestMiaUpdateParity:
                     b.seeds, b.estimate, b.evaluations, db.heap_pops
                 )
 
+    def test_flat_trees_match_rebuild(self, setup):
+        """The spliced forest arrays are the rebuild's, dtype included."""
+        index, rebuilt, _, _ = setup
+        got, want = index.model.flat_trees(), rebuilt.model.flat_trees()
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
     def test_bit_identical_node_bounds(self, setup, small_net):
         index, rebuilt, _, _ = setup
         box = small_net.bounding_box()
