@@ -400,7 +400,6 @@ def assemble_ris_index(
         index.corpus = RRCorpus.from_arrays(
             index.sampler, roots, flat, offsets, keys=arrays.get("corpus_keys")
         )
-    index.corpus.inverted()  # pay the inverted-index cost at load time
     index.pivot_estimates = pivot_estimates
     index.pivot_lower_bounds = pivot_lower_bounds
     index.k_max = k_max
@@ -413,6 +412,7 @@ def assemble_ris_index(
     index.build_seconds = 0.0
     with _malformed(source):
         index.lemma8_ok = index._lemma8_pivots()
+    index.warm()  # pay the inverted-index and prefix-cut costs at load time
     return index
 
 
@@ -492,6 +492,58 @@ def load_mia_index(path: PathLike, network: GeoSocialNetwork) -> MiaDaIndex:
     return assemble_mia_index(network, meta, arrays, source=str(path))
 
 
+def _check_bound_arrays(
+    n: int, n_cells: int, anchors, influence, mass,
+    nodes, cells, masses, offsets,
+) -> None:
+    """Refuse MIA-DA bound arrays that would mis-answer or fail later.
+
+    Reads the arrays only (raising ``ValueError``): ``(A, 2)`` finite
+    anchors, one row of ``n`` finite non-negative singleton influences
+    per anchor and ``n`` masses; region offsets rising from 0 to the
+    number of region cells; distinct heavy nodes in ``[0, n)``; cells
+    inside the grid; finite non-negative region masses.
+    """
+    def floats(name, arr, shape):
+        if arr.dtype.kind != "f" or arr.shape != shape:
+            raise ValueError(
+                f"{name} must be a float array of shape {shape}, got "
+                f"{arr.dtype} of shape {arr.shape}"
+            )
+        if not (np.isfinite(arr).all() and (arr >= 0).all()):
+            raise ValueError(f"{name} must be finite and non-negative")
+
+    def ints(name, arr):
+        if arr.dtype.kind not in "iu" or arr.ndim != 1:
+            raise ValueError(
+                f"{name} must be a 1-D integer array, got {arr.dtype} of "
+                f"shape {arr.shape}"
+            )
+
+    if anchors.ndim != 2 or anchors.shape[1:] != (2,) or not len(anchors):
+        raise ValueError(f"anchors must have shape (A, 2), got {anchors.shape}")
+    if not np.isfinite(anchors).all():
+        raise ValueError("anchors must be finite")
+    floats("anchor_influence", influence, (len(anchors), n))
+    floats("anchor_mass", mass, (n,))
+    for name, arr in (("region_nodes", nodes), ("region_cells", cells),
+                      ("region_offsets", offsets)):
+        ints(name, arr)
+    floats("region_masses", masses, cells.shape)
+    if (len(offsets) != len(nodes) + 1 or offsets[0] != 0
+            or offsets[-1] != len(cells) or (np.diff(offsets) < 0).any()):
+        raise ValueError(
+            f"region_offsets must rise from 0 to {len(cells)} over "
+            f"{len(nodes)} heavy nodes"
+        )
+    if len(nodes) and (nodes.min() < 0 or nodes.max() >= n):
+        raise ValueError(f"region_nodes must be node ids in [0, {n})")
+    if len(np.unique(nodes)) != len(nodes):
+        raise ValueError("region_nodes must be distinct")
+    if len(cells) and (cells.min() < 0 or cells.max() >= n_cells):
+        raise ValueError(f"region_cells must be grid cells in [0, {n_cells})")
+
+
 def assemble_mia_index(
     network: GeoSocialNetwork,
     meta: dict,
@@ -505,8 +557,9 @@ def assemble_mia_index(
     shared-memory or memmap'd arrays serve many processes from one
     physical copy.  Only the anchor k-d tree and the forest's derived
     indexes (tree ids, depths, member and child CSR) are built per
-    process.  Forest arrays out of dtype, shape, range or tree order
-    raise :class:`DataFormatError` naming ``source``.
+    process.  Forest arrays out of dtype, shape, range or tree order,
+    and bound arrays out of dtype, shape or range, raise
+    :class:`DataFormatError` naming ``source``.
     """
     if meta.get("kind", "ris") != "mia":
         raise DataFormatError(
@@ -545,6 +598,14 @@ def assemble_mia_index(
         )
         generation = int(meta.get("generation", 0))
         model = MiaModel.from_flat_trees(network, config.theta, flat)
+        # The grid is a pure function of (bounding box, tau) — identical
+        # to the build-time grid because the network is shape-validated
+        # above.
+        grid = UniformGrid.with_cell_budget(network.bounding_box(), config.tau)
+        _check_bound_arrays(
+            network.n, grid.n_cells, anchors, anchor_influence, anchor_mass,
+            region_nodes, region_cells, region_masses, region_offsets,
+        )
 
     # Assemble the bound structures without recomputing any influences.
     anchor_bounds = AnchorBounds.__new__(AnchorBounds)
@@ -556,11 +617,7 @@ def assemble_mia_index(
 
     region_bounds = RegionBounds.__new__(RegionBounds)
     region_bounds.decay = decay
-    # The grid is a pure function of (bounding box, tau) — identical to
-    # the build-time grid because the network is shape-validated above.
-    region_bounds.grid = UniformGrid.with_cell_budget(
-        network.bounding_box(), config.tau
-    )
+    region_bounds.grid = grid
     region_bounds.nodes = region_nodes
     region_bounds._node_pos = {int(u): i for i, u in enumerate(region_nodes)}
     region_bounds._cells = region_cells

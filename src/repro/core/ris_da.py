@@ -405,10 +405,31 @@ class RisDaIndex:
             l_final = self._capped(max(l_max, len(self.corpus)))
             self.corpus.ensure(l_final)
         with tracer.span("ris.inverted_index"):
-            # Pay the inverted-index build offline; queries then only
-            # binary-search prefix cutoffs instead of re-sorting.
-            self.corpus.inverted()
+            # Pay the inverted-index and prefix-cut builds offline;
+            # queries then only slice inverted lists.
+            self.warm()
         self.voronoi_seconds = time.perf_counter() - vstart
+
+    def warm(self) -> None:
+        """Build the corpus caches queries read, before any query runs.
+
+        The inverted index, then the prefix cuts
+        (:meth:`~repro.ris.corpus.RRCorpus.prefix_cut`) at the certified
+        early stop's boundaries: ``N/2``, then ``l`` and ``N/2 + l`` for
+        each round ``l``, so the first rounds' cuts are the ones the
+        corpus keeps.  Run after the build, every :meth:`update` and a
+        load, and by the serving engine before its threads query
+        concurrently (the lazy inverted build is unsynchronised).
+        """
+        corpus = self.corpus
+        corpus.inverted()
+        rounds = certify_rounds(len(corpus))
+        half = len(corpus) // 2
+        if rounds:
+            corpus.prefix_cut(half)
+        for l in rounds:
+            corpus.prefix_cut(l)
+            corpus.prefix_cut(half + l)
 
     def _coupled_sampler(self, network: GeoSocialNetwork) -> CoupledRRSampler:
         return CoupledRRSampler(
@@ -541,10 +562,10 @@ class RisDaIndex:
         applied = apply_delta(self.network, delta)
         prior = len(self.corpus)
         retired, added = self._refresh(applied, delta, prior)
-        # Rebuild the inverted index eagerly, mirroring _build_phases:
-        # the next update's dirty-sample query (and first query's prefix
-        # cuts) should not pay for it inline.
-        self.corpus.inverted()
+        # Rebuild the inverted index and prefix cuts eagerly, mirroring
+        # _build_phases: the next update's dirty-sample query (and the
+        # first query's cover) should not pay for them inline.
+        self.warm()
         self.generation += 1
         stats = UpdateStats(
             generation=self.generation,

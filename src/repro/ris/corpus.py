@@ -16,10 +16,11 @@ updated network, and :meth:`RRCorpus.regenerate` re-runs the chosen
 slots in place against it.  A corpus restored from a file saved before
 slot keys existed is *keyless*: it answers queries but cannot
 regenerate.  Every mutation installs new arrays through
-:meth:`RRCorpus._install`, which drops both derived caches (entry
-samples, inverted) together — a stale inverted index would silently
-mis-route the next regeneration, and a stale entry -> sample array would
-silently mis-weight the next query.
+:meth:`RRCorpus._install`, which drops all three derived caches (entry
+samples, inverted, prefix cuts) together — a stale inverted index would
+silently mis-route the next regeneration, a stale entry -> sample array
+would silently mis-weight the next query, and a stale prefix cut would
+silently hand a greedy pick the wrong candidate samples.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ from repro.exceptions import SamplingError
 
 if TYPE_CHECKING:  # coupled imports coverage, which imports this module
     from repro.ris.coupled import CoupledRRSampler
+
+#: How many :meth:`RRCorpus.prefix_cut` arrays one corpus state keeps
+#: (``n`` int64 each).  The first ones asked for are kept and never
+#: evicted — the RIS-DA index asks for its certify boundaries first — and
+#: any other prefix is computed per call.
+PREFIX_CUT_MEMO = 8
 
 
 def _int_array(name: str, values) -> np.ndarray:
@@ -337,6 +344,7 @@ class RRCorpus:
         self._keys = keys
         self._entry_samples_cache: np.ndarray | None = None
         self._inverted_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._prefix_cuts: dict[int, np.ndarray] = {}
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """``(flat_members, offsets)`` over the whole corpus.
@@ -366,7 +374,7 @@ class RRCorpus:
 
         ``inv_samples[inv_offsets[u]:inv_offsets[u+1]]`` lists the ids of
         the samples containing node ``u``, in ascending order — so a
-        prefix query can cut each list with one binary search.  Cached
+        prefix query reads each list's head up to :meth:`prefix_cut`.  Cached
         until the corpus changes; building it is the dominant cost of the
         first query, so index construction calls this eagerly.
         """
@@ -379,6 +387,43 @@ class RRCorpus:
             np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=inv_offsets[1:])
             self._inverted_cache = (inv_samples, inv_offsets)
         return self._inverted_cache
+
+    def prefix_cut(self, l: int) -> np.ndarray:
+        """End of every node's inverted slice restricted to slots ``< l``.
+
+        ``inv_samples[inv_offsets[u]:prefix_cut(l)[u]]`` lists the samples
+        of the prefix ``[0, l)`` that contain node ``u`` (the inverted
+        lists ascend, so they are a head of ``u``'s list), and the slots
+        ``[a, b)`` holding ``u`` sit between ``prefix_cut(a)[u]`` and
+        ``prefix_cut(b)[u]``.  One unweighted ``bincount`` over the
+        prefix's members counts each node's entries there: members are
+        distinct within a sample, so the count is the number of prefix
+        samples containing ``u``.  ``l = 0`` and ``l = len(self)`` are the
+        inverted offsets themselves.  The first :data:`PREFIX_CUT_MEMO`
+        prefixes asked for are kept until the corpus changes.
+        """
+        l = int(l)
+        if not 0 <= l <= len(self):
+            raise SamplingError(
+                f"prefix {l} out of range [0, {len(self)}]"
+            )
+        _, inv_offsets = self.inverted()
+        if l == 0:
+            return inv_offsets[:-1]
+        if l == len(self):
+            return inv_offsets[1:]
+        cut = self._prefix_cuts.get(l)
+        if cut is None:
+            cut = inv_offsets[:-1] + np.bincount(
+                self._flat[: self._offsets[l]], minlength=self.n_nodes
+            )
+            # First come, first kept, never evicted: concurrent queries
+            # only ever store equal arrays.  (Threads racing past the
+            # size check can each add one more; no lock, so a corpus
+            # stays picklable and deep-copyable.)
+            if len(self._prefix_cuts) < PREFIX_CUT_MEMO:
+                cut = self._prefix_cuts.setdefault(l, cut)
+        return cut
 
     def average_size(self) -> float:
         """Mean RR-set size (diagnostic; drives memory/time estimates)."""

@@ -17,10 +17,17 @@ argmax ``score / cost``.  The state is built from flat numpy kernels
   ufunc path); the per-entry weights are one gather through the
   corpus's cached entry -> sample array
   (:meth:`~repro.ris.corpus.RRCorpus.entry_samples`);
-* when a seed is chosen, all samples it newly covers are decremented in
-  a single batch: the flat positions of their member slices are gathered
-  through the CSR offsets, and the members there, each weighted by its
-  sample's weight, are subtracted with one weighted ``bincount``;
+* when a seed ``u`` is chosen, its prefix samples are the head of its
+  inverted list up to the corpus's prefix cut
+  (:meth:`~repro.ris.corpus.RRCorpus.prefix_cut`, kept per corpus state
+  for the prefixes RIS-DA certifies on) — a slice, no per-pick binary
+  search; all samples it newly covers are decremented in a single
+  batch: the flat positions of their member slices are gathered through
+  the CSR offsets, and the members there, each weighted by its sample's
+  weight, are subtracted with one weighted ``bincount``;
+* :func:`covered_sample_mask` reads the seeds' inverted lists between
+  two prefix cuts, so validating k seeds on a slot range touches their
+  own entries there, not every member entry of the range;
 * the per-iteration submodular certification bound (a ``np.partition``
   over all ``n`` scores) is **opt-in** via ``compute_bound`` — the
   default serving path runs without it, certification requests it.
@@ -71,8 +78,8 @@ class SelectionTimings:
     """Per-stage wall-clock seconds of one greedy-cover run.
 
     ``score_build`` covers the per-entry weight gather, the weighted
-    ``bincount`` and (on a cold corpus) the lazy entry -> sample and
-    inverted-index builds;
+    ``bincount`` and (on a cold corpus) the lazy entry -> sample,
+    inverted-index and prefix-cut builds;
     ``selection`` is the pick/decrement loop excluding bound work;
     ``bound`` is the submodular upper-bound computation (0 when
     ``compute_bound=False``); ``total`` the whole call.
@@ -167,7 +174,11 @@ def _gather_slices(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
     members; indexing the per-entry weights yields their weights.
     """
     starts = offsets[ids]
-    counts = offsets[ids + 1] - starts
+    return _gather_runs(starts, offsets[ids + 1] - starts)
+
+
+def _gather_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(starts[j], starts[j] + counts[j])``."""
     cum = np.cumsum(counts)
     total = int(cum[-1]) if len(cum) else 0
     # Within block j the flat position runs starts[j] .. starts[j]+counts[j)-1:
@@ -203,7 +214,6 @@ class _Residual:
     """
 
     def __init__(self, corpus: RRCorpus, weights: np.ndarray, l: int) -> None:
-        self.l = l
         self.weights = weights
         self.flat, self.offsets = corpus.flat()
         # A zero-weight sample changes no score, so it starts covered: a
@@ -226,13 +236,15 @@ class _Residual:
             members, weights=entry_weight, minlength=corpus.n_nodes
         )
         # Inverted index (node -> ascending sample ids) is cached
-        # corpus-wide; per-node prefix restriction is one binary search.
+        # corpus-wide; node u's prefix samples end at cut[u].
         self.inv_samples, self.inv_offsets = corpus.inverted()
+        self.cut = corpus.prefix_cut(l)
 
     def _entries(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Members and per-entry weights of the samples ``ids``, in order."""
-        sizes = self.offsets[ids + 1] - self.offsets[ids]
-        pos = _gather_slices(self.offsets, ids)
+        starts = self.offsets[ids]
+        sizes = self.offsets[ids + 1] - starts
+        pos = _gather_runs(starts, sizes)
         return self.flat[pos], np.repeat(self.weights[ids], sizes)
 
     def take(self, u: int) -> None:
@@ -243,8 +255,7 @@ class _Residual:
         ``bincount`` of the members and entry weights there is
         subtracted — no per-sample Python loop.
         """
-        u_samples = self.inv_samples[self.inv_offsets[u] : self.inv_offsets[u + 1]]
-        candidates = u_samples[: int(np.searchsorted(u_samples, self.l))]
+        candidates = self.inv_samples[self.inv_offsets[u] : self.cut[u]]
         newly = candidates[~self.covered[candidates]]
         if len(newly):
             self.covered[newly] = True
@@ -434,32 +445,26 @@ def covered_sample_mask(
 ) -> np.ndarray:
     """Boolean mask over the slots ``[start, prefix)`` hit by ``seeds``.
 
-    One flat gather (``seed_mask[flat]``) over the range's member
-    entries, segment-reduced with ``np.logical_or.reduceat`` over the
-    CSR offsets — no per-sample loop.  Shared by :func:`estimate_spread`,
-    the certification path and RIS-DA's certified early stop, which
-    validates on a slot range disjoint from the greedy's prefix.
+    Each seed's samples in the range are the part of its inverted list
+    between the corpus's prefix cuts at ``start`` and ``prefix``
+    (:meth:`~repro.ris.corpus.RRCorpus.prefix_cut`): one ragged gather
+    over those parts, scattered into the mask.  The work is the seeds'
+    own entries, not every member entry of the range.  Shared by
+    :func:`estimate_spread`, the certification path and RIS-DA's
+    certified early stop, which validates on a slot range disjoint from
+    the greedy's prefix.
     """
     l = len(corpus) if prefix is None else int(prefix)
     if not 0 <= start < l <= len(corpus):
         raise SamplingError(
             f"invalid slot range [{start}, {l}) for corpus of {len(corpus)}"
         )
-    seed_mask = np.zeros(corpus.n_nodes, dtype=bool)
-    seed_mask[np.asarray(list(seeds), dtype=np.int64)] = True
-    flat, offsets = corpus.flat()
-    bounds = offsets[start : l + 1]
-    lo, end = int(bounds[0]), int(bounds[-1])
-    hit = seed_mask[flat[lo:end]]
-    sizes = np.diff(bounds)
+    seed_ids = np.asarray(list(seeds), dtype=np.int64)
+    lo = corpus.prefix_cut(start)[seed_ids]
+    hi = corpus.prefix_cut(l)[seed_ids]
+    inv_samples, _ = corpus.inverted()
     covered = np.zeros(l - start, dtype=bool)
-    nonempty = sizes > 0
-    if end > lo and nonempty.any():
-        # reduceat needs one start index per non-empty segment; empty
-        # samples (possible via from_arrays, never from real RR sets)
-        # stay uncovered.
-        starts = bounds[:-1][nonempty] - lo
-        covered[nonempty] = np.logical_or.reduceat(hit, starts)
+    covered[inv_samples[_gather_runs(lo, hi - lo)] - start] = True
     return covered
 
 

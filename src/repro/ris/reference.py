@@ -4,7 +4,10 @@ These are the Algorithm 2 kernels exactly as they shipped before the
 flat-array rewrite of :mod:`repro.ris.coverage`: ``np.add.at`` for the
 score build, a per-sample Python loop for the coverage decrement, a
 ``np.partition`` submodular bound recomputed every iteration, and a
-per-sample Python loop in the spread estimator — plus the Algorithm 3
+per-sample Python loop in the spread estimator — plus the slot mask as
+a reduction over every member entry of its range, as it was before
+the prefix-cut rewrite of
+:func:`repro.ris.coverage.covered_sample_mask`, and the Algorithm 3
 lower bounds (LB-EST, IC and LT) as the per-node dict loops they were
 before the CSR rewrite of :mod:`repro.ris.lower_bound`.  They are
 deliberately *not* exported through ``repro.ris`` — production code must
@@ -226,6 +229,42 @@ def reference_estimate_spread(
         if bool(seed_mask[members].any()):
             covered_weight += float(weights[i])
     return corpus.n_nodes * covered_weight / l
+
+
+def reference_covered_sample_mask(
+    corpus: RRCorpus,
+    seeds: np.ndarray | List[int],
+    prefix: int | None = None,
+    start: int = 0,
+) -> np.ndarray:
+    """The pre-prefix-cut slot mask: a reduction over every range entry.
+
+    One flat gather (``seed_mask[flat]``) over the member entries of the
+    slots ``[start, prefix)``, segment-reduced with
+    ``np.logical_or.reduceat`` over the CSR offsets.  The oracle of
+    :func:`repro.ris.coverage.covered_sample_mask`, which reads the
+    seeds' inverted lists instead.
+    """
+    l = len(corpus) if prefix is None else int(prefix)
+    if not 0 <= start < l <= len(corpus):
+        raise SamplingError(
+            f"invalid slot range [{start}, {l}) for corpus of {len(corpus)}"
+        )
+    seed_mask = np.zeros(corpus.n_nodes, dtype=bool)
+    seed_mask[np.asarray(list(seeds), dtype=np.int64)] = True
+    flat, offsets = corpus.flat()
+    bounds = offsets[start : l + 1]
+    lo, end = int(bounds[0]), int(bounds[-1])
+    hit = seed_mask[flat[lo:end]]
+    sizes = np.diff(bounds)
+    covered = np.zeros(l - start, dtype=bool)
+    nonempty = sizes > 0
+    if end > lo and nonempty.any():
+        # reduceat needs one start index per non-empty segment; empty
+        # samples stay uncovered.
+        starts = bounds[:-1][nonempty] - lo
+        covered[nonempty] = np.logical_or.reduceat(hit, starts)
+    return covered
 
 
 def reference_lb_est(

@@ -378,11 +378,10 @@ class QueryEngine:
         else:
             self._grid = None
             self._results = None
-        # RIS: make sure the corpus's inverted index is built before any
-        # concurrent query triggers its (unsynchronised) lazy build.
-        corpus = getattr(index, "corpus", None)
-        if corpus is not None:
-            corpus.inverted()
+        # RIS: make sure the corpus's inverted index and prefix cuts are
+        # built before any concurrent query triggers their lazy builds.
+        if isinstance(index, RisDaIndex):
+            index.warm()
         #: The last :class:`repro.stream.UpdateStats` applied through
         #: :meth:`apply_update` (None until the first update).
         self.last_update = None

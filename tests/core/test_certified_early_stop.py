@@ -27,6 +27,7 @@ from repro.geo.kdtree import KDTree
 from repro.geo.weights import DistanceDecay
 from repro.ris.certify import mean_lower_bound, mean_upper_bound
 from repro.ris.coverage import weighted_greedy_cover
+from repro.ris.reference import reference_covered_sample_mask
 from repro.ris.sample_size import GREEDY_FACTOR, required_sample_size
 from repro.serve.engine import QueryEngine
 from repro.serve.pool import ServePool
@@ -309,3 +310,86 @@ class TestDeterminism:
         answers = _answers(updated)
         assert _same(answers) == _same(_answers(rebuilt))
         assert all(d.certified_ratio is not None for _, d in answers)
+
+
+def _certified(answers):
+    """``(seeds, estimate, certified_ratio, lower_bound)`` per answer."""
+    return [
+        (r.seeds, r.estimate, d.certified_ratio, d.lower_bound)
+        for r, d in answers
+    ]
+
+
+def _all_plans(index, n):
+    """Answers of point, masked, multi-location and trajectory plans."""
+    mask = np.zeros(n)
+    mask[::3] = 1.0
+    return [
+        *(index.query(q, 4, return_diagnostics=True) for q in LOCATIONS),
+        *(index.query_masked(q, 3, mask, return_diagnostics=True)
+          for q in LOCATIONS[:2]),
+        *index._answer(
+            [_Plan((LOCATIONS[1], LOCATIONS[3]), 3)], return_diagnostics=True
+        ),
+        *index.query_trajectory(LOCATIONS, 2, return_diagnostics=True),
+    ]
+
+
+class TestValidationMatchesReduceatOracle:
+    """Certified answers are bit-identical to validating with the slot
+    mask reduced over every member entry of ``[N/2, N/2 + l)``."""
+
+    @staticmethod
+    def _oracle(monkeypatch, answer):
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                ris_da, "covered_sample_mask", reference_covered_sample_mask
+            )
+            return answer()
+
+    def test_point_masked_multi_location_and_trajectory(
+        self, index, small_net, monkeypatch
+    ):
+        got = _certified(_all_plans(index, small_net.n))
+        want = _certified(self._oracle(
+            monkeypatch, lambda: _all_plans(index, small_net.n)
+        ))
+        assert got == want
+        assert all(ratio is not None for _, _, ratio, _ in got)
+
+    def test_after_a_20_edge_update(self, small_net, monkeypatch):
+        rng = np.random.default_rng(21)
+        edges, probs = small_net.edge_array()
+        pick = rng.choice(len(edges), size=20, replace=False)
+        updated = RisDaIndex(small_net, DECAY, _config())
+        updated.update(
+            edges=edges[pick], probabilities=probs[pick] * 0.5
+        )
+        n = updated.network.n
+        got = _certified(_all_plans(updated, n))
+        want = _certified(self._oracle(
+            monkeypatch, lambda: _all_plans(updated, n)
+        ))
+        assert got == want
+        assert any(ratio is not None for _, _, ratio, _ in got)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backing", ["shm", "mmap"])
+    def test_pool_workers_build_their_own_cuts(
+        self, index, small_net, tmp_path, monkeypatch, workers, backing
+    ):
+        path = tmp_path / "ris.npz"
+        save_ris_index(index, path)
+        want = self._oracle(monkeypatch, lambda: _answers(index))
+        with ServePool(
+            path, small_net, n_workers=workers, backing=backing
+        ) as pool:
+            served = pool.serve_batch(LOCATIONS, k=4)
+        got = [
+            (s.result.seeds, s.result.estimate, s.certified_ratio)
+            for s in served
+        ]
+        assert got == [
+            (r.seeds, r.estimate, d.certified_ratio) for r, d in want
+        ]
+        assert all(ratio is not None for _, _, ratio in got)

@@ -563,7 +563,7 @@ def _nan(name):
 
 
 def _set_entry(name, position, value):
-    """Set one corpus array entry; ``value(meta)`` may read ``n_nodes``."""
+    """Set one array entry; ``value(meta)`` may read ``n_nodes``."""
     def edit(meta, arrays):
         arr = arrays[name].copy()
         arr[position] = value(meta)
@@ -701,6 +701,21 @@ MALFORMED = {
         "mia", _set_tree_entry("tree_path_probs", 1, lambda m: np.nan)),
     "mia-path-prob-inf": (
         "mia", _set_tree_entry("tree_path_probs", 0, lambda m: np.inf)),
+    "mia-narrow-anchor-influence": (
+        "mia", _edit_array("anchor_influence", lambda a: a[:, :5])),
+    "mia-short-anchor-mass": (
+        "mia", _edit_array("anchor_mass", lambda a: a[:-1])),
+    "mia-region-node-too-large": (
+        "mia", _set_entry("region_nodes", 0, lambda meta: meta["n_nodes"])),
+    "mia-region-node-repeated": ("mia", _edit_array(
+        "region_nodes", lambda a: np.r_[a[1:2], a[1:]])),
+    "mia-region-cell-too-large": (
+        "mia", _set_entry("region_cells", 0, lambda meta: 10**6)),
+    "mia-region-offsets-reversed": (
+        "mia", _edit_array("region_offsets", lambda a: a[::-1])),
+    "mia-region-masses-negated": (
+        "mia", _edit_array("region_masses", lambda a: -a)),
+    "mia-region-masses-nan": ("mia", _nan("region_masses")),
 }
 
 
