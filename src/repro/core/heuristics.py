@@ -218,32 +218,35 @@ def single_discount(
 
 
 #: Per-unit seconds of the ladder's cost model, least-squares fitted
-#: (relative error) to best-of-3x20 in-process timings of the three rungs
-#: on seven synthetic graphs (n = 150 .. 4,000, m = 1.1k .. 44k,
-#: k in {1, 10, 30}) on a 2-vCPU x86-64 container.
+#: (relative error) to best-of-3x20 in-process timings on a 2-vCPU x86-64
+#: container: seven synthetic graphs (n = 150 .. 4,000, m = 1.1k .. 44k,
+#: k in {1, 10, 30}); the top-k terms to brightkite x0.5 and gowalla.
 _CALL_S = 3.5e-5   # one call: weight vector setup, result assembly
 _NODE_S = 4e-8     # per node: the Eq. 9 weight (an exp) and vector passes
 _EDGE_S = 6e-9     # per edge: the degree-discount base-score bincount
 _PICK_S = 6e-6     # per pick: argmax plus one fancy-index row update
 _ROW_S = 1.5e-7    # per row entry a pick discounts
+_TOPK_S = 2e-5     # per top-k call: argpartition, argsort of the k, list
+_PART_S = 2e-9     # per node the top-k's argpartition passes over
 
 
 def ladder_cost_estimates(network: GeoSocialNetwork, k: int) -> dict:
     """Predicted wall-clock seconds of each ladder rung on this network.
 
     Work counts times per-unit constants measured from the array code
-    (``_CALL_S`` .. ``_ROW_S``): ``degree-discount`` pays the nodes, a
+    (``_CALL_S`` .. ``_PART_S``): ``degree-discount`` pays the nodes, a
     pass over all ``m`` edges, and ``k`` picks each discounting one
     out-row; ``single-discount`` the nodes and ``k`` in-row picks;
-    ``high-degree`` the nodes only.  An average row holds ``m / n``
-    entries, in or out.  Used to *order* rungs against a latency budget,
-    never to report timings.  Across the fitted graphs every prediction
-    was within 1.32x of the time it was fitted to; in a later run on
-    brightkite x0.5 (n=500, m=3,700) and gowalla (n=2,000, m=19,200),
-    k in {1, 10, 30}, within 1.7x.  At ``k=10`` it predicts 0.15 /
-    0.13 / 0.06 ms on brightkite x0.5 against 0.12 / 0.10 / 0.05 ms
-    measured (degree / single / high), and 0.31 / 0.19 / 0.12 ms on
-    gowalla against 0.20 / 0.16 / 0.12 ms.
+    ``high-degree`` the nodes and its top-k selection (dearer than one
+    pick at ``k = 1``).  An average row holds ``m / n`` entries, in or
+    out.  Used to *order* rungs against a latency budget, never to
+    report timings: it orders them as measured on brightkite x0.5
+    (n=500, m=3,700) and gowalla (n=2,000, m=19,200) at k in {1, 10,
+    30}.  At ``k=1`` it predicts 0.084 / 0.062 / 0.076 ms and 0.24 /
+    0.12 / 0.14 ms there (degree / single / high) against 0.038 / 0.026
+    / 0.033 and 0.12 / 0.046 / 0.055 ms measured (best of 5x20 CPU time
+    on a shared 2-vCPU host up to 2x faster than the fitting host, where
+    every prediction was within 1.32x).
     """
     n, m = network.n, network.m
     nodes = _CALL_S + _NODE_S * n
@@ -251,7 +254,7 @@ def ladder_cost_estimates(network: GeoSocialNetwork, k: int) -> dict:
     return {
         "degree-discount": nodes + _EDGE_S * m + picks,
         "single-discount": nodes + picks,
-        "high-degree": nodes,
+        "high-degree": nodes + _TOPK_S + _PART_S * n,
     }
 
 

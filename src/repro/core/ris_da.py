@@ -185,14 +185,7 @@ class QueryTimings:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "sizing": self.sizing,
-            "weight_eval": self.weight_eval,
-            "score_build": self.score_build,
-            "selection": self.selection,
-            "bound": self.bound,
-            "total": self.total,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -206,10 +199,9 @@ class _Stages:
     bound: float = 0.0
 
     def add_cover(self, timings) -> None:
-        if timings is not None:
-            self.score_build += timings.score_build
-            self.selection += timings.selection
-            self.bound += timings.bound
+        self.score_build += timings.score_build
+        self.selection += timings.selection
+        self.bound += timings.bound
 
     def finish(self, total: float) -> QueryTimings:
         return QueryTimings(total=total, **vars(self))
@@ -780,7 +772,7 @@ class RisDaIndex:
             stages.add_cover(cover.timings)
             t0 = time.perf_counter()
             hit = covered_sample_mask(corpus, cover.seeds, half + l, start=half)
-            checked = float(w_node[roots[half:half + l]][hit].sum())
+            checked = float(w_node[roots[half:half + l][hit]].sum())
             lcb = mean_lower_bound(checked / w_cap, l, a)
             ucb = mean_upper_bound(
                 float(cover.gains.sum()) / GREEDY_FACTOR / w_cap, l, a

@@ -38,7 +38,7 @@ from repro.geo.weights import DistanceDecay
 from repro.network.graph import GeoSocialNetwork
 from repro.ris.corpus import RRCorpus
 from repro.ris.coupled import CoupledRRSampler
-from repro.ris.coverage import covered_sample_mask, weighted_greedy_cover
+from repro.ris.coverage import _seed_ids, covered_sample_mask, weighted_greedy_cover
 from repro.ris.sample_size import GREEDY_FACTOR
 from repro.rng import RandomLike, as_int_seed
 
@@ -99,8 +99,10 @@ def certify_seed_set(
     against a larger-budget optimum (a stricter test).  ``seeds`` must
     have been selected *without* looking at this function's fresh samples
     — any seed set qualifies, including ones from MIA-DA or heuristics.
+    A seed id that is not an integer in ``[0, n)`` raises
+    :class:`QueryError`.
     """
-    seed_list = sorted(set(int(s) for s in seeds))
+    seed_list = sorted(set(_seed_ids(seeds, network.n).tolist()))
     if not seed_list:
         raise QueryError("cannot certify an empty seed set")
     if k is None:

@@ -48,7 +48,7 @@ import numpy as np
 from repro.diffusion.lt import validate_lt_weights
 from repro.exceptions import GraphError
 from repro.network.graph import GeoSocialNetwork
-from repro.ris.coverage import _gather_slices
+from repro.ris.coverage import _gather_runs
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -281,8 +281,9 @@ class CoupledRRSampler:
         net = self.network
         n = net.n
         slot_idx, node = np.divmod(frontier, n)
-        pos = _gather_slices(net.in_offsets, node)
-        edge_slot = np.repeat(slot_idx, self._in_degree[node])
+        deg = self._in_degree[node]
+        pos = _gather_runs(net.in_offsets[node + 1], deg)
+        edge_slot = np.repeat(slot_idx, deg)
         with np.errstate(over="ignore"):
             coins = _mix64(slot[edge_slot] ^ self._edge_mix[pos])
         live = (coins >> _U64_SHIFT_11) < self._thresholds[pos]
@@ -303,7 +304,7 @@ class CoupledRRSampler:
         with np.errstate(over="ignore"):
             coins = _mix64(slot[slot_idx] ^ self._node_mix[node]) >> _U64_SHIFT_11
         deg = self._in_degree[node]
-        pos = _gather_slices(net.in_offsets, node)
+        pos = _gather_runs(net.in_offsets[node + 1], deg)
         row = np.repeat(np.arange(len(node)), deg)
         below = np.bincount(
             row[self._cumq[pos] <= coins[row]], minlength=len(node)

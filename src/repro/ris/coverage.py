@@ -9,56 +9,44 @@ the unbiased DAIM spread estimate (Eq. 9)::
 
 Two objectives share one residual-score state (:class:`_Residual`): the
 top-``k`` cover picks the argmax score, the budgeted cover the affordable
-argmax ``score / cost``.  The state is built from flat numpy kernels
-(this is the hot online path — see DESIGN.md, "Selection kernels"):
+argmax ``score / cost``.  This is the hot online path (DESIGN.md,
+"Selection kernels"):
 
-* the initial score array is one weighted ``np.bincount`` over the flat
-  member prefix (not ``np.add.at``, which takes a slow generalized
-  ufunc path); the per-entry weights are one gather through the
-  corpus's cached entry -> sample array
-  (:meth:`~repro.ris.corpus.RRCorpus.entry_samples`);
-* when a seed ``u`` is chosen, its prefix samples are the head of its
-  inverted list up to the corpus's prefix cut
-  (:meth:`~repro.ris.corpus.RRCorpus.prefix_cut`, kept per corpus state
-  for the prefixes RIS-DA certifies on) — a slice, no per-pick binary
-  search; all samples it newly covers are decremented in a single
-  batch: the flat positions of their member slices are gathered through
-  the CSR offsets, and the members there, each weighted by its sample's
-  weight, are subtracted with one weighted ``bincount``;
+* the scores start as one weighted ``np.bincount`` over the flat member
+  prefix, each entry weighted through the corpus's cached entry -> sample
+  array (:meth:`~repro.ris.corpus.RRCorpus.entry_samples`);
+* a pick of ``u`` is one inlined step of about fifteen array calls: its
+  prefix samples are a slice of its inverted list up to the corpus's
+  prefix cut (:meth:`~repro.ris.corpus.RRCorpus.prefix_cut`), the
+  uncovered ones among them are marked, their member slices are
+  gathered as one shifted ``arange`` from the prefix's sample sizes
+  (computed once per cover), and the members there, each repeating its
+  sample's weight, are subtracted with one weighted ``bincount``;
 * :func:`covered_sample_mask` reads the seeds' inverted lists between
   two prefix cuts, so validating k seeds on a slot range touches their
   own entries there, not every member entry of the range;
 * the per-iteration submodular certification bound (a ``np.partition``
-  over all ``n`` scores) is **opt-in** via ``compute_bound`` — the
-  default serving path runs without it, certification requests it.
+  over all ``n`` scores) is **opt-in** via ``compute_bound``.
 
-Float caveat: the batched decrement subtracts each node's pre-summed
-total where the old per-sample loop subtracted one weight at a time, so
-residual scores may differ from the historical kernel by ~1 ulp per
-covered sample — including drifting slightly *positive* where the
-sequential order happened to land at or below zero.  Selection therefore
-stops once the best gain falls to ``<= 1e-12`` of the covered weight
-(``_DRIFT_RTOL``): drift seeds are never selected, and a genuine gain
-that small changes the estimate by less than 1e-12 relative anyway.
-Seed sets agree with the historical kernel on every pinned corpus (see
-``tests/ris/test_kernel_parity.py``); an exact-tie flip on an unpinned
-corpus would still yield an equally valid greedy solution.
-
-The loop stays linear in the total member entries of the prefix: each
-sample's members are visited once at initialisation (score build) and
-once when the sample first becomes covered (batched decrement).  A
-zero-weight sample starts covered — its decrement would subtract nothing
-— and its entries are left out of the score build (a ``+0.0`` term never
-changes a sum), so a targeted or masked query, whose mask zeroes most
-roots, skips both.  Without a bound to track, the k-th pick's decrement
-is skipped too: nothing reads the residuals after it.  Both skips are
-bit-identical to doing the work.
+The work stays linear in the prefix's member entries: each sample's
+members are read once by the score build and once when first covered.  A
+zero-weight sample starts covered and its entries are left out of the
+score build, and without a bound the k-th pick's decrement is skipped;
+both skips are bit-identical to doing the work (a ``+0.0`` term never
+changes a sum).  Float caveat: the batched decrement subtracts pre-summed
+per-node totals where the historical kernel subtracted weight by weight,
+so residuals may differ from it by ~1 ulp per covered sample; selection
+stops once the best gain is ``<= 1e-12`` of the covered weight
+(``_DRIFT_RTOL``), so drift is never selected
+(``tests/ris/test_kernel_parity.py`` pins the seed sets).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -91,12 +79,7 @@ class SelectionTimings:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "score_build": self.score_build,
-            "selection": self.selection,
-            "bound": self.bound,
-            "total": self.total,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -165,26 +148,15 @@ def _topk_residual(score: np.ndarray, n: int, k: int) -> float:
     return float(score[score > 0].sum())
 
 
-def _gather_slices(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Flat positions of the member slices of the samples in ``ids``.
-
-    The concatenation of ``arange(offsets[i], offsets[i+1])`` for each
-    ``i`` in ``ids`` — the ragged gather done entirely with array ops (no
-    per-sample Python loop).  Indexing ``flat`` with it yields the
-    members; indexing the per-entry weights yields their weights.
-    """
-    starts = offsets[ids]
-    return _gather_runs(starts, offsets[ids + 1] - starts)
-
-
-def _gather_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(starts[j], starts[j] + counts[j])``."""
-    cum = np.cumsum(counts)
-    total = int(cum[-1]) if len(cum) else 0
-    # Within block j the flat position runs starts[j] .. starts[j]+counts[j)-1:
-    # a global arange shifted back to each block's start.
-    shift = np.repeat(starts - (cum - counts), counts)
-    return np.arange(total, dtype=np.int64) + shift
+def _gather_runs(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(ends[j] - counts[j], ends[j])``: a
+    ragged gather of CSR slices with no per-slice Python loop."""
+    cum = counts.cumsum()
+    # Block j of a global arange runs cum[j] - counts[j] .. cum[j] - 1;
+    # shifting it by ends[j] - cum[j] lands it on its own slice.
+    pos = np.repeat(ends - cum, counts)
+    pos += np.arange(cum[-1] if len(cum) else 0)
+    return pos
 
 
 def _checked_prefix(
@@ -215,23 +187,28 @@ class _Residual:
 
     def __init__(self, corpus: RRCorpus, weights: np.ndarray, l: int) -> None:
         self.weights = weights
-        self.flat, self.offsets = corpus.flat()
+        self.flat, offsets = corpus.flat()
+        self.offsets = offsets[: l + 1]
+        self.ends = offsets[1 : l + 1]
         # A zero-weight sample changes no score, so it starts covered: a
         # targeted mask zeroes most roots, and their decrements would
         # subtract nothing (exactly: ``s - 0.0 == s``).
-        self.covered = weights[:l] == 0.0
-        if self.covered.any():
+        self.uncovered = weights[:l] != 0.0
+        if self.uncovered.all():
+            # Per-entry weight: each member entry of sample i carries
+            # omega_i, one gather through the cached entry -> sample map.
+            end = int(offsets[l])
+            members = self.flat[:end]
+            entry_weight = weights[corpus.entry_samples()[:end]]
+        else:
             # Build the scores from the positive-weight samples' entries
             # only.  Bit-identical to the full build: bincount sums each
             # node's terms in entry order from +0.0, and skipping a
             # ``+0.0`` term never changes such a sum.
-            members, entry_weight = self._entries(np.flatnonzero(~self.covered))
-        else:
-            # Per-entry weight: each member entry of sample i carries
-            # omega_i, one gather through the cached entry -> sample map.
-            end = int(self.offsets[l])
-            members = self.flat[:end]
-            entry_weight = weights[corpus.entry_samples()[:end]]
+            ids = np.flatnonzero(self.uncovered)
+            sizes = self.sizes[ids]
+            members = self.flat[_gather_runs(self.ends[ids], sizes)]
+            entry_weight = np.repeat(weights[ids], sizes)
         self.score = np.bincount(
             members, weights=entry_weight, minlength=corpus.n_nodes
         )
@@ -240,28 +217,31 @@ class _Residual:
         self.inv_samples, self.inv_offsets = corpus.inverted()
         self.cut = corpus.prefix_cut(l)
 
-    def _entries(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Members and per-entry weights of the samples ``ids``, in order."""
-        starts = self.offsets[ids]
-        sizes = self.offsets[ids + 1] - starts
-        pos = _gather_runs(starts, sizes)
-        return self.flat[pos], np.repeat(self.weights[ids], sizes)
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Member count of every prefix sample, computed on first use."""
+        return np.diff(self.offsets)
 
     def take(self, u: int) -> None:
         """Cover every prefix sample of ``u`` and retire ``u``.
 
-        The flat positions of the newly covered samples' member slices
-        are gathered through the CSR offsets, and one weighted
-        ``bincount`` of the members and entry weights there is
-        subtracted — no per-sample Python loop.
+        One inlined step of array calls, no helper: the newly covered
+        samples' member slices are gathered as one shifted ``arange``
+        (the body of :func:`_gather_runs`), and one weighted ``bincount``
+        of the members there, each repeating its sample's weight, is
+        subtracted.
         """
         candidates = self.inv_samples[self.inv_offsets[u] : self.cut[u]]
-        newly = candidates[~self.covered[candidates]]
+        newly = candidates[self.uncovered[candidates]]
         if len(newly):
-            self.covered[newly] = True
-            members, entry_weight = self._entries(newly)
+            self.uncovered[newly] = False
+            sizes = self.sizes[newly]
+            cum = sizes.cumsum()
+            pos = np.repeat(self.ends[newly] - cum, sizes)
+            pos += np.arange(cum[-1])
             self.score -= np.bincount(
-                members, weights=entry_weight, minlength=len(self.score)
+                self.flat[pos], weights=np.repeat(self.weights[newly], sizes),
+                minlength=len(self.score),
             )
         # Guard against float drift leaving the seed positive.
         self.score[u] = -np.inf
@@ -342,7 +322,7 @@ def weighted_greedy_cover(
             bound_seconds += time.perf_counter() - tb
         if it == k:
             break
-        u = int(np.argmax(score))
+        u = int(score.argmax())
         gain = float(score[u])
         if gain <= _DRIFT_RTOL * covered_weight:
             # Prefix exhausted: every positive-weight sample is covered.
@@ -409,13 +389,11 @@ def weighted_budgeted_cover(
     remaining = float(budget)
     cost_spent = 0.0
     while True:
-        affordable = costs <= remaining
-        if not affordable.any():
-            break
-        ratio = np.where(affordable, score / costs, -np.inf)
-        u = int(np.argmax(ratio))
+        # No affordable node left leaves every ratio at -inf.
+        ratio = np.where(costs <= remaining, score / costs, -np.inf)
+        u = int(ratio.argmax())
         gain = float(score[u])
-        if not np.isfinite(ratio[u]):
+        if not math.isfinite(ratio[u]):
             break
         if gain <= _DRIFT_RTOL * covered_weight:
             # The best-ratio affordable node covers only drift noise;
@@ -437,6 +415,25 @@ def weighted_budgeted_cover(
     )
 
 
+def _seed_ids(seeds, n: int) -> np.ndarray:
+    """``seeds`` as int64 node ids; :class:`QueryError` unless each is an
+    integer in ``[0, n)`` (numpy would read id -1 as node ``n - 1``)."""
+    try:
+        ids = np.asarray(list(seeds))
+    except (TypeError, ValueError) as exc:
+        raise QueryError(f"seed ids must be integers: {exc}") from None
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise QueryError(f"seed ids must be integers, got {ids.dtype} {ids.shape}")
+    ids = ids.astype(np.int64, copy=False)
+    # Viewed as unsigned, a negative id is huge: one max checks both ends.
+    if ids.size and ids.view(np.uint64).max() >= n:
+        raise QueryError(
+            f"seed ids must be node ids in [0, {n}), got range "
+            f"[{int(ids.min())}, {int(ids.max())}]"
+        )
+    return ids
+
+
 def covered_sample_mask(
     corpus: RRCorpus,
     seeds: np.ndarray | List[int],
@@ -449,7 +446,8 @@ def covered_sample_mask(
     between the corpus's prefix cuts at ``start`` and ``prefix``
     (:meth:`~repro.ris.corpus.RRCorpus.prefix_cut`): one ragged gather
     over those parts, scattered into the mask.  The work is the seeds'
-    own entries, not every member entry of the range.  Shared by
+    own entries, not every member entry of the range.  A seed id that
+    is not an integer in ``[0, n)`` raises :class:`QueryError`.  Shared by
     :func:`estimate_spread`, the certification path and RIS-DA's
     certified early stop, which validates on a slot range disjoint from
     the greedy's prefix.
@@ -459,12 +457,12 @@ def covered_sample_mask(
         raise SamplingError(
             f"invalid slot range [{start}, {l}) for corpus of {len(corpus)}"
         )
-    seed_ids = np.asarray(list(seeds), dtype=np.int64)
-    lo = corpus.prefix_cut(start)[seed_ids]
-    hi = corpus.prefix_cut(l)[seed_ids]
+    ids = _seed_ids(seeds, corpus.n_nodes)
+    lo = corpus.prefix_cut(start)[ids]
+    hi = corpus.prefix_cut(l)[ids]
     inv_samples, _ = corpus.inverted()
     covered = np.zeros(l - start, dtype=bool)
-    covered[inv_samples[_gather_runs(lo, hi - lo)] - start] = True
+    covered[inv_samples[_gather_runs(hi, hi - lo)] - start] = True
     return covered
 
 
@@ -479,10 +477,7 @@ def estimate_spread(
     Used by tests to validate unbiasedness and by ablations to score seed
     sets chosen by other methods on an independent sample pool.
     """
-    l = len(corpus) if prefix is None else int(prefix)
     covered = covered_sample_mask(corpus, seeds, prefix)
-    weights = np.asarray(sample_weights, dtype=float)
-    if len(weights) < l:
-        raise SamplingError(f"need at least {l} sample weights, got {len(weights)}")
+    l, weights = _checked_prefix(corpus, sample_weights, prefix)
     covered_weight = float(weights[:l][covered].sum())
     return corpus.n_nodes * covered_weight / l

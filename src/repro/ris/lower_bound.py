@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.exceptions import QueryError
 from repro.network.graph import GeoSocialNetwork
-from repro.ris.coverage import _gather_slices
+from repro.ris.coverage import _gather_runs
 
 
 def topk_sum(weights: np.ndarray, k: int) -> float:
@@ -82,10 +82,10 @@ def _out_edges(
 
     One ragged gather over the forward CSR, no per-node Python loop.
     """
-    offsets = network.out_offsets
-    pos = _gather_slices(offsets, rows)
-    sources = np.repeat(rows, offsets[rows + 1] - offsets[rows])
-    return sources, network.out_targets[pos], network.out_probs[pos]
+    ends = network.out_offsets[rows + 1]
+    counts = ends - network.out_offsets[rows]
+    pos = _gather_runs(ends, counts)
+    return np.repeat(rows, counts), network.out_targets[pos], network.out_probs[pos]
 
 
 def _node_sums(targets: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

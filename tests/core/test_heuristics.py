@@ -226,6 +226,14 @@ class TestHeuristicLadder:
         assert est["degree-discount"] > est["single-discount"]
         assert est["single-discount"] >= est["high-degree"]
 
+    def test_top_k_selection_is_priced(self, medium_net):
+        """``high-degree`` pays an argpartition and argsort that the
+        discount rungs' single pick at ``k=1`` does not: measured dearer
+        than single-discount there, and now predicted so."""
+        est = ladder_cost_estimates(medium_net, 1)
+        assert est["high-degree"] > est["single-discount"]
+        assert est["degree-discount"] > est["high-degree"]
+
     def test_budget_between_rungs_picks_middle(self, medium_net):
         est = ladder_cost_estimates(medium_net, 10)
         budget = (est["single-discount"] + est["degree-discount"]) / 2

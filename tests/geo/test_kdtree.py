@@ -1,10 +1,20 @@
 """Tests for repro.geo.kdtree (validated against brute force)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.exceptions import GeometryError
 from repro.geo.kdtree import KDTree
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised only without hypothesis
+    HAVE_HYPOTHESIS = False
 
 
 def brute_nearest(points: np.ndarray, q) -> tuple[int, float]:
@@ -98,3 +108,57 @@ class TestWithinRadius:
     def test_negative_radius_rejected(self):
         with pytest.raises(GeometryError):
             KDTree(np.array([[0.0, 0.0]])).within_radius((0, 0), -1.0)
+
+
+class TestVectorisedNearestMatchesWalk:
+    """``nearest`` is one vectorised argmin that hands exact ties to the
+    tree walk, so index and distance bits are the walk's everywhere."""
+
+    @staticmethod
+    def _check(tree, queries):
+        idx, dist = tree.nearest_many(queries)
+        for row, q in enumerate(queries):
+            want = tree._walk(float(q[0]), float(q[1]))
+            got = tree.nearest((q[0], q[1]))
+            assert got == want
+            assert math.copysign(1.0, got[1]) == 1.0
+            assert (int(idx[row]), float(dist[row])) == want
+
+    def test_duplicates_and_queries_on_points(self):
+        rng = np.random.default_rng(4)
+        base = rng.integers(0, 6, size=(40, 2)).astype(float)
+        pts = np.vstack([base, base[:15]])
+        tree = KDTree(pts)
+        queries = np.vstack([pts, rng.integers(0, 6, size=(30, 2)) + 0.5,
+                             rng.uniform(-2, 8, size=(30, 2))])
+        self._check(tree, queries)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(GeometryError):
+            KDTree(np.array([[0.0, np.nan]]))
+        tree = KDTree(np.zeros((2, 2)) + [[0.0], [1.0]])
+        with pytest.raises(GeometryError):
+            tree.nearest_many(np.array([[0.0, np.inf]]))
+        with pytest.raises(GeometryError):
+            tree.nearest_many(np.zeros((2, 3)))
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            grid=st.integers(1, 6),
+            n=st.integers(1, 30),
+            dup=st.integers(0, 10),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def test_matches_walk(self, grid, n, dup, seed):
+            rng = np.random.default_rng(seed)
+            # Coarse integer grids force exact distance ties.
+            pts = rng.integers(0, grid, size=(n, 2)).astype(float)
+            pts = np.vstack([pts, pts[rng.integers(0, n, size=dup)]])
+            queries = np.vstack([
+                pts[rng.integers(0, len(pts), size=5)],
+                rng.integers(-1, grid + 1, size=(5, 2)) / 2.0,
+                rng.uniform(-1, grid, size=(5, 2)),
+            ])
+            self._check(KDTree(pts), queries)

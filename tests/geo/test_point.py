@@ -5,6 +5,14 @@ import math
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised only without hypothesis
+    HAVE_HYPOTHESIS = False
+
 from repro.exceptions import GeometryError
 from repro.geo.point import (
     BoundingBox,
@@ -139,3 +147,43 @@ class TestBoundingBox:
     def test_expanded(self):
         box = BoundingBox(0, 0, 1, 1).expanded(1.0)
         assert (box.xmin, box.ymin, box.xmax, box.ymax) == (-1, -1, 2, 2)
+
+
+class TestPlanarEuclideanKernel:
+    """The last-dimension-2 path of :func:`euclidean` is the generic
+    axis sum bit for bit; other widths keep the generic path."""
+
+    @staticmethod
+    def _generic(a, b):
+        diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+
+    def _same(self, a, b):
+        got = euclidean(a, b)
+        want = self._generic(a, b)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_other_widths_keep_the_generic_path(self):
+        rng = np.random.default_rng(2)
+        for width in (1, 3, 5):
+            a, b = rng.normal(size=(4, width)), rng.normal(size=(1, width))
+            self._same(a, b)
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            m=st.integers(1, 4),
+            n=st.integers(1, 40),
+            scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e150]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def test_bit_identical(self, m, n, scale, seed):
+            rng = np.random.default_rng(seed)
+            pts = rng.normal(size=(m, n, 2)) * scale
+            q = rng.normal(size=(1, 2)) * scale
+            self._same(pts[0], q)
+            self._same(pts[0, 0], q[0])
+            self._same(pts, q)
+            self._same(pts, pts[:, :1, :])

@@ -61,6 +61,11 @@ class TestCertifySeedSet:
         with pytest.raises(SamplingError):
             certify_seed_set(example_net, (0, 0), [0], delta=2.0)
 
+    @pytest.mark.parametrize("seeds", [[-1], [0, 5], [0.5], ["a"]])
+    def test_seed_ids_must_be_node_ids(self, example_net, seeds):
+        with pytest.raises(QueryError):
+            certify_seed_set(example_net, (0, 0), seeds, n_samples=100)
+
     def test_certificate_is_sound_on_exact_graph(self, example_net):
         """LCB <= true spread and UCB >= true optimum (checked exactly)."""
         from itertools import combinations

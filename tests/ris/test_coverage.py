@@ -194,6 +194,31 @@ class TestCoveredSampleMaskRange:
             covered_sample_mask(corpus, [0], stop, start=start)
 
 
+class TestSeedIdValidation:
+    """Seed ids enter as node ids: numpy would read -1 as node n - 1 and
+    fail on n with a raw IndexError; both, and non-integers, are typed
+    errors."""
+
+    BAD = [[-1], [0, 5], [5], [0.5], [1.0], ["a"], [True], [[0, 1]], 3]
+
+    @pytest.mark.parametrize("seeds", BAD)
+    def test_covered_sample_mask(self, corpus, seeds):
+        with pytest.raises(QueryError):
+            covered_sample_mask(corpus, seeds)
+
+    @pytest.mark.parametrize("seeds", BAD)
+    def test_estimate_spread(self, corpus, seeds):
+        with pytest.raises(QueryError):
+            estimate_spread(corpus, seeds, np.ones(len(corpus)))
+
+    def test_valid_ids_of_any_integer_kind(self, corpus):
+        want = covered_sample_mask(corpus, [0, 4])
+        for seeds in ([0, 4], np.array([0, 4], dtype=np.uint8),
+                      (np.int32(0), 4), {0, 4}):
+            assert np.array_equal(covered_sample_mask(corpus, seeds), want)
+        assert not covered_sample_mask(corpus, []).any()
+
+
 def _full_prefix_cover(corpus, weights, k, l):
     """The greedy cover with the score built from *every* prefix entry,
     zero-weight samples included, and the k-th pick's decrement kept."""
