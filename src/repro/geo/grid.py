@@ -17,7 +17,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.exceptions import GeometryError
-from repro.geo.point import BoundingBox, PointLike, as_point
+from repro.geo.point import BoundingBox, Point, PointLike, as_point
 
 
 class UniformGrid:
@@ -26,7 +26,8 @@ class UniformGrid:
     Cells are indexed by a flat integer ``cell = row * cols + col``.
     """
 
-    __slots__ = ("box", "rows", "cols", "_cw", "_ch", "_x_edges", "_y_edges")
+    __slots__ = ("box", "rows", "cols", "_cw", "_ch", "_x0", "_y0",
+                 "_x_edges", "_y_edges")
 
     def __init__(self, box: BoundingBox, rows: int, cols: int):
         if rows <= 0 or cols <= 0:
@@ -40,6 +41,8 @@ class UniformGrid:
         self.cols = cols
         self._cw = box.width / cols
         self._ch = box.height / rows
+        self._x0 = box.xmin
+        self._y0 = box.ymin
         # (lo, hi) cell edges per column and per row, for distance_bounds.
         x_lo = box.xmin + np.arange(cols) * self._cw
         y_lo = box.ymin + np.arange(rows) * self._ch
@@ -66,12 +69,29 @@ class UniformGrid:
 
     def cell_of(self, p: PointLike) -> int:
         """Flat cell id containing ``p`` (clamped to the grid extent)."""
-        x, y = as_point(p)
-        col = int((x - self.box.xmin) / self._cw)
-        row = int((y - self.box.ymin) / self._ch)
-        col = min(max(col, 0), self.cols - 1)
-        row = min(max(row, 0), self.rows - 1)
-        return row * self.cols + col
+        return self.cell_of_normalised(as_point(p))
+
+    def cell_of_normalised(self, p: Point) -> int:
+        """:meth:`cell_of` for a point ``as_point`` already returned.
+
+        Skips re-validating the point: the serving engine keys every
+        query by a location its query kind normalised on construction.
+        """
+        x, y = p
+        cols, rows = self.cols, self.rows
+        col = int((x - self._x0) / self._cw)
+        row = int((y - self._y0) / self._ch)
+        # Clamped by comparison, not min()/max(): this runs on every
+        # served query.
+        if col < 0:
+            col = 0
+        elif col >= cols:
+            col = cols - 1
+        if row < 0:
+            row = 0
+        elif row >= rows:
+            row = rows - 1
+        return row * cols + col
 
     def cells_of(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`cell_of` over an ``(n, 2)`` array."""

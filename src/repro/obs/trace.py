@@ -64,6 +64,10 @@ DEFAULT_MAX_FINISHED = 20_000
 
 SpanContext = Tuple[str, str]  # (trace_id, span_id)
 
+#: ``stage -> "stage.<stage>"``: the names :meth:`Tracer.record_stages`
+#: gives its child spans, each built once.
+_STAGE_SPAN_NAMES: Dict[str, str] = {}
+
 _current_span: contextvars.ContextVar[Optional["Span"]] = (
     contextvars.ContextVar("repro_current_span", default=None)
 )
@@ -147,15 +151,16 @@ def new_trace_id() -> str:
 class Span:
     """One named, timed interval of a trace.
 
-    Spans are created by :meth:`Tracer.span` (as context managers) or
-    :meth:`Tracer.start_span` (ended explicitly); attributes may be added
-    via :meth:`set_attribute`, also after the span ended: the finished
-    record shares the attribute dict.
+    Spans are created by :meth:`Tracer.span` (used as context managers:
+    entering one makes it the current span, so spans opened inside nest
+    under it) or :meth:`Tracer.start_span` (ended explicitly);
+    attributes may be added via :meth:`set_attribute`, also after the
+    span ended: the finished record shares the attribute dict.
     """
 
     __slots__ = (
         "name", "trace_id", "span_id", "parent_id", "attributes",
-        "start_unix", "duration_ms", "_t0", "_tracer",
+        "start_unix", "duration_ms", "_t0", "_tracer", "_token", "_tracked",
     )
 
     def __init__(
@@ -171,10 +176,13 @@ class Span:
         self.span_id = new_id()
         self.parent_id = parent_id
         self.attributes: Dict[str, Any] = dict(attributes or {})
-        self.start_unix = wall_now()
+        # wall_now() of the same clock reading the duration starts from.
+        self._t0 = t0 = time.perf_counter()
+        self.start_unix = _ANCHOR_UNIX + (t0 - _ANCHOR_PERF)
         self.duration_ms: Optional[float] = None
-        self._t0 = time.perf_counter()
         self._tracer = tracer
+        self._token: Optional[contextvars.Token] = None
+        self._tracked = False
 
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
@@ -199,30 +207,21 @@ class Span:
             "attributes": self.attributes,
         }
 
+    # -- context manager: maintains the nesting stack ------------------
 
-class _SpanHandle:
-    """Context manager that opens a span and maintains the nesting stack."""
-
-    __slots__ = ("_span", "_token", "_tracked")
-
-    def __init__(self, span: Span):
-        self._span = span
-        self._token: Optional[contextvars.Token] = None
-        self._tracked = False
-
-    def __enter__(self) -> Span:
-        self._token = _current_span.set(self._span)
+    def __enter__(self) -> "Span":
+        self._token = _current_span.set(self)
         if _span_tracking:
             _THREAD_SPAN_STACKS.setdefault(
                 threading.get_ident(), []
-            ).append(self._span.name)
+            ).append(self.name)
             self._tracked = True
-        return self._span
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
-            self._span.set_attribute("error", f"{exc_type.__name__}: {exc}")
-        self._span.end()
+            self.set_attribute("error", f"{exc_type.__name__}: {exc}")
+        self.end()
         if self._tracked:
             # A profiler stopping mid-span may have cleared the registry;
             # pop defensively rather than assume our frame survived.
@@ -311,14 +310,14 @@ class Tracer:
         name: str,
         attributes: Optional[Mapping[str, Any]] = None,
         trace_id: Optional[str] = None,
-    ) -> _SpanHandle:
+    ) -> Span:
         """A context manager opening a child of the current span.
 
         With no current span (or an explicit ``trace_id``) a new root is
         opened; ``trace_id`` pins the id so callers can stamp results
         before the span closes.
         """
-        return _SpanHandle(self.start_span(name, attributes, trace_id))
+        return self.start_span(name, attributes, trace_id)
 
     def start_span(
         self,
@@ -345,8 +344,9 @@ class Tracer:
         return Span(self, name, tid, pid, attributes)
 
     def _finish(self, span: Span) -> None:
+        row = span.to_dict()
         with self._lock:
-            self._extend([span.to_dict()])
+            self._extend([row])
 
     # -- worker-span adoption ------------------------------------------
 
@@ -380,18 +380,25 @@ class Tracer:
         ``synthetic: true`` — their start offsets are reconstructed, only
         their durations are measured.
         """
+        kept = [(stage, seconds) for stage, seconds in stages.items()
+                if stage not in skip]
+        # One random draw covers every span id of the batch.
+        ids = os.urandom(8 * len(kept)).hex()
+        trace_id, parent_id = parent.trace_id, parent.span_id
+        start = parent.start_unix
         offset = 0.0
         rows = []
-        for stage, seconds in stages.items():
-            if stage in skip:
-                continue
+        for i, (stage, seconds) in enumerate(kept):
+            name = _STAGE_SPAN_NAMES.get(stage)
+            if name is None:
+                name = _STAGE_SPAN_NAMES.setdefault(stage, f"stage.{stage}")
             ms = float(seconds) * 1e3
             rows.append({
-                "name": f"stage.{stage}",
-                "trace_id": parent.trace_id,
-                "span_id": new_id(),
-                "parent_id": parent.span_id,
-                "start_unix": parent.start_unix + offset / 1e3,
+                "name": name,
+                "trace_id": trace_id,
+                "span_id": ids[16 * i:16 * i + 16],
+                "parent_id": parent_id,
+                "start_unix": start + offset / 1e3,
                 "duration_ms": ms,
                 "attributes": {"synthetic": True},
             })

@@ -613,17 +613,27 @@ class QueryEngine:
         attrs = {"x": location[0], "y": location[1], "kind": kind}
         if k is not None:
             attrs["k"] = k
+        keys = None
         if timed_out:
             name, body = "serve.fallback", self._fallback
         elif isinstance(query, HeuristicQuery):
             name, body = "serve.query", self._serve_heuristic
         else:
+            # The keys are taken once, before the index call, and the
+            # answer is stored under them: an update landing during the
+            # call must not file a pre-update answer under the new
+            # generation.
+            keys = self._keys(query)
             name, body = "serve.query", self._serve_index
         with self.tracer.span(name, attrs, trace_id=trace_id) as span:
-            served, diag = body(query, start, trace_id)
+            if keys is None:
+                served, diag = body(query, start, trace_id)
+            else:
+                served, diag = body(query, start, trace_id, keys)
         if claim is not None and not claim.acquire(blocking=False):
             return self._abandon()
-        self._store(query, served, diag)
+        if keys is not None:
+            self._store(keys, served, diag)
         return served, diag, span
 
     def _abandon(self) -> None:
@@ -659,26 +669,29 @@ class QueryEngine:
         # graph die immediately (an mtime-based fingerprint alone
         # cannot see in-memory mutations).
         head = (self.fingerprint, getattr(self.index, "generation", 0))
+        # Every query kind ran its locations through ``as_point`` on
+        # construction, so the grid need not validate them again.
+        cell_of = self._grid.cell_of_normalised
         if trajectory:
             return [
-                head + (self._grid.cell_of(wp), "point", query.k)
+                head + (cell_of(wp), "point", query.k)
                 for wp in query.waypoints
             ]
         extra = cache_extra(query)
         if extra is None:
             return [None]
-        return [head + (self._grid.cell_of(query.location),) + extra]
+        return [head + (cell_of(query.location),) + extra]
 
     def _serve_index(
-        self, query: AnyQuery, start: float, trace_id: str
+        self, query: AnyQuery, start: float, trace_id: str, keys: list
     ) -> Tuple[ServedResult, object]:
         """Every kind but heuristic: the result cache, then the index.
 
-        The parts the cache misses go to the index together, in one
-        call.  The diagnostics are the index's own, None on a cache
-        hit, and one entry per waypoint for a trajectory.
+        ``keys`` are the query's :meth:`_keys`.  The parts the cache
+        misses go to the index together, in one call.  The diagnostics
+        are the index's own, None on a cache hit, and one entry per
+        waypoint for a trajectory.
         """
-        keys = self._keys(query)
         entries = [
             None if key is None else self._results.get(key) for key in keys
         ]
@@ -694,15 +707,19 @@ class QueryEngine:
             for i, (result, diag) in zip(missing, answered):
                 entries[i] = (result, *_certificate(diag))
                 diags[i] = diag
-        results, flags, ratios = zip(*entries)
-        trajectory = isinstance(query, TrajectoryQuery)
-        served = self._served(
-            query, start, trace_id, result=results[-1], cached=not missing,
-            waypoint_results=results if trajectory else None,
-            guarantee_met=None if None in flags else all(flags),
-            certified_ratio=None if None in ratios else min(ratios),
-        )
-        return served, (tuple(diags) if trajectory else diags[0])
+        if isinstance(query, TrajectoryQuery):
+            results, flags, ratios = zip(*entries)
+            return self._served(
+                query, start, trace_id, result=results[-1],
+                cached=not missing, waypoint_results=results,
+                guarantee_met=None if None in flags else all(flags),
+                certified_ratio=None if None in ratios else min(ratios),
+            ), tuple(diags)
+        (result, flag, ratio), = entries
+        return self._served(
+            query, start, trace_id, result=result, cached=not missing,
+            guarantee_met=flag, certified_ratio=ratio,
+        ), diags[0]
 
     def _index_call(self, query: AnyQuery, missing: List[int]) -> list:
         """``[(result, diag)]`` for the missing parts of one query.
@@ -737,19 +754,18 @@ class QueryEngine:
                 self.tracer.record_stages(qspan, _span_stages(result, diag))
         return answered
 
-    def _store(self, query: AnyQuery, served: ServedResult, diag) -> None:
+    def _store(self, keys: list, served: ServedResult, diag) -> None:
         """Cache the index answers a run computed, with their certificates.
 
-        Cache hits, heuristic, fallback and error answers are never
-        stored: a later query in the same cell deserves the real index
-        answer, not a frozen heuristic.
+        ``keys`` are the ones the run looked the query up with.  Cache
+        hits, heuristic, fallback and error answers are never stored: a
+        later query in the same cell deserves the real index answer, not
+        a frozen heuristic.
         """
-        if (self._results is None or served.result is None
+        if (self._results is None or served.result is None or served.cached
                 or served.fallback_reason is not None):
             return
-        for key, (result, part_diag) in zip(
-            self._keys(query), _parts(served, diag)
-        ):
+        for key, (result, part_diag) in zip(keys, _parts(served, diag)):
             if key is not None and part_diag is not None:
                 self._results.put(key, (result, *_certificate(part_diag)))
 
@@ -825,7 +841,7 @@ class QueryEngine:
             rung = diag["rung"] if diag else None
             if rung is not None:
                 m.inc(labelled("heuristic_rung_total", rung=rung))
-        elif served.result is not None:
+        elif served.result is not None and not served.cached:
             for result, part_diag in _parts(served, diag):
                 if part_diag is None:
                     continue

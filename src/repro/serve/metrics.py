@@ -15,14 +15,18 @@ samples, seconds since the last refresh), where a counter's monotonicity
 would be wrong.
 
 All instruments are thread-safe: the engine serves batches from a thread
-pool, so counters and histograms take a registry-wide lock per update
-(updates are tiny; contention is negligible next to a query).
+pool, so every update of a counter, gauge or histogram takes the
+registry-wide lock (updates are tiny; contention is negligible next to a
+query).  Creating an instrument takes the same lock; looking up one that
+exists does not — a dict read is atomic, and an instrument once created
+is never replaced.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 #: Default latency buckets, in milliseconds (upper bounds; +inf implicit).
@@ -153,15 +157,18 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        i = 0
-        while i < len(self.buckets) and value > self.buckets[i]:
-            i += 1
+        # The first bucket with ``value <= bound`` (the +inf slot past
+        # the last); NaN compares false everywhere and lands in bucket 0.
+        i = bisect_left(self.buckets, value)
         with self._lock:
             self.counts[i] += 1
             self.count += 1
             self.total += value
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
+            # As min()/max() would: NaN never replaces either bound.
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
 
     @property
     def mean(self) -> float:
@@ -203,10 +210,17 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # prefix -> stage -> histogram name.
-        self._stage_names: Dict[str, Dict[str, str]] = {}
+        # prefix -> stage -> histogram.
+        self._stage_histograms: Dict[str, Dict[str, Histogram]] = {}
+
+    # An existing instrument is returned without the lock; only creation
+    # takes it, and re-checks, so two threads creating one name concurrently
+    # still end up sharing a single instrument.
 
     def counter(self, name: str) -> Counter:
+        c = self._counters.get(name)
+        if c is not None:
+            return c
         with self._lock:
             c = self._counters.get(name)
             if c is None:
@@ -214,6 +228,9 @@ class MetricsRegistry:
         return c
 
     def gauge(self, name: str) -> Gauge:
+        g = self._gauges.get(name)
+        if g is not None:
+            return g
         with self._lock:
             g = self._gauges.get(name)
             if g is None:
@@ -223,6 +240,9 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
+        h = self._histograms.get(name)
+        if h is not None:
+            return h
         with self._lock:
             h = self._histograms.get(name)
             if h is None:
@@ -242,15 +262,24 @@ class MetricsRegistry:
 
     # Convenience shortcuts -------------------------------------------------
 
+    # inc/observe are the serving hot path: they try the lock-free
+    # lookup inline before falling back to the creating accessor.
+
     def inc(self, name: str, n: int = 1) -> None:
-        self.counter(name).inc(n)
+        c = self._counters.get(name)
+        if c is None:
+            c = self.counter(name)
+        c.inc(n)
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
 
     def observe(self, name: str, value: float,
                 buckets: Optional[Sequence[float]] = None) -> None:
-        self.histogram(name, buckets).observe(value)
+        h = self._histograms.get(name)
+        if h is None:
+            h = self.histogram(name, buckets)
+        h.observe(value)
 
     def observe_stage_seconds(
         self,
@@ -264,14 +293,16 @@ class MetricsRegistry:
         latency histogram without call sites hand-rolling the unit
         conversion.
         """
-        names = self._stage_names.setdefault(prefix, {})
+        bound = self._stage_histograms.setdefault(prefix, {})
         for stage, seconds in stages.items():
-            name = names.get(stage)
-            if name is None:
-                # Each (prefix, stage) name is built once: the engine
-                # observes every stage of every index answer.
-                name = names[stage] = f"{prefix}{stage}_ms"
-            self.observe(name, float(seconds) * 1e3)
+            h = bound.get(stage)
+            if h is None:
+                # Each (prefix, stage) is bound to its histogram once: the
+                # engine observes every stage of every index answer.
+                h = bound.setdefault(
+                    stage, self.histogram(f"{prefix}{stage}_ms")
+                )
+            h.observe(float(seconds) * 1e3)
 
     def merge_dump(self, dump: Mapping, prefix: str = "") -> None:
         """Fold another registry's :meth:`dump` into this one.

@@ -9,6 +9,7 @@ reading as ``k=2``, ``"123"`` iterated into targets ``(1, 2, 3)``).
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.query import DaimQuery
@@ -144,3 +145,28 @@ if HAVE_HYPOTHESIS:
         if isinstance(query, (DaimQuery, TargetedQuery, BudgetedQuery,
                               HeuristicQuery)):
             assert all(math.isfinite(c) for c in query.location)
+
+
+@pytest.mark.parametrize("make", [
+    lambda loc: DaimQuery(loc, 3),
+    lambda loc: TrajectoryQuery((loc, (1, 2), loc), 3),
+    lambda loc: TargetedQuery(loc, 3, (0,)),
+    lambda loc: BudgetedQuery(loc, 4.0),
+    lambda loc: HeuristicQuery(loc, 3),
+], ids=["point", "trajectory", "targeted", "budgeted", "heuristic"])
+def test_every_kind_normalises_its_locations(make):
+    # The serving engine keys its result cache through
+    # UniformGrid.cell_of_normalised, which trusts every location of a
+    # query object to be a validated tuple of two Python floats.
+    query = make(np.array([10, 20]))
+    if isinstance(query, TrajectoryQuery):
+        locations = query.waypoints
+    else:
+        locations = (query.location,)
+    for location in locations:
+        assert type(location) is tuple
+        assert all(type(c) is float for c in location)
+    assert locations[0] == (10.0, 20.0)
+    for bad in ((math.nan, 1.0), (1.0, math.inf), (1.0, 2.0, 3.0)):
+        with pytest.raises(ReproError):
+            make(bad)

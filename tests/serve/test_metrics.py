@@ -1,15 +1,32 @@
 """Tests for repro.serve.metrics (counters, histograms, report format)."""
 
+import math
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.serve.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS_MS,
+    RATIO_BUCKETS,
     Histogram,
     MetricsRegistry,
 )
+
+
+def linear_bucket(buckets, value: float) -> int:
+    """The bucket rule ``Histogram.observe`` had as a linear scan.
+
+    The first ``i`` with ``value <= buckets[i]`` (the +inf slot past the
+    last bound); NaN fails every ``value > bound`` test and so lands in
+    bucket 0.
+    """
+    i = 0
+    while i < len(buckets) and value > buckets[i]:
+        i += 1
+    return i
 
 
 class TestCounter:
@@ -171,6 +188,47 @@ class TestDumpAndReport:
         assert "never_ms: count=0" in m.report()
 
 
+class TestBucketRule:
+    """``Histogram.observe`` picks the bucket the linear rule picked."""
+
+    @staticmethod
+    def probes(buckets):
+        values = [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]
+        for bound in buckets:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        return values
+
+    @pytest.mark.parametrize(
+        "buckets", [LATENCY_BUCKETS_MS, COUNT_BUCKETS, RATIO_BUCKETS],
+        ids=["latency", "count", "ratio"],
+    )
+    def test_matches_linear_rule(self, buckets):
+        for value in self.probes(buckets):
+            h = Histogram("h", buckets, threading.Lock())
+            h.observe(value)
+            expected = [0] * (len(buckets) + 1)
+            expected[linear_bucket(buckets, value)] = 1
+            assert h.counts == expected, value
+
+    def test_nan_keeps_min_max(self):
+        h = Histogram("h", RATIO_BUCKETS, threading.Lock())
+        h.observe(0.5)
+        h.observe(math.nan)
+        assert h.min == 0.5 and h.max == 0.5
+        assert h.counts[0] == 1 and h.count == 2
+
+
+class YieldOnMiss(dict):
+    """A dict whose failed ``get`` sleeps briefly before returning."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is default:
+            time.sleep(1e-4)
+        return value
+
+
 class TestThreadSafety:
     def test_concurrent_updates_are_lossless(self):
         m = MetricsRegistry()
@@ -188,6 +246,49 @@ class TestThreadSafety:
             t.join()
         assert m.counter("n").value == 8 * rounds
         assert m.histogram("v_ms").count == 8 * rounds
+
+    def test_concurrent_creation_makes_one_instrument_per_name(self):
+        # Instruments are looked up without the lock and created under
+        # it: threads racing to create one name must share it.  Failed
+        # lookups yield the GIL, which widens the check-then-create
+        # window: creating without a re-check under the lock then loses
+        # counts here.
+        m = MetricsRegistry()
+        m._counters = YieldOnMiss()
+        m._histograms = YieldOnMiss()
+        n_threads, calls, n_names = 4, 10_000, 50
+        start = threading.Barrier(n_threads)
+        seen = [dict() for _ in range(n_threads)]
+
+        def work(t):
+            start.wait()
+            for i in range(calls):
+                name = f"c{i % n_names}"
+                m.inc(name)
+                m.observe(f"h{i % n_names}_ms", 1.0)
+                if i < n_names:
+                    seen[t][name] = (m.counter(name),
+                                     m.histogram(f"h{i}_ms"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        dump = m.dump()
+        per_name = n_threads * calls // n_names
+        assert dump["counters"] == {f"c{i}": per_name for i in range(n_names)}
+        assert {name: h["count"] for name, h in dump["histograms"].items()} \
+            == {f"h{i}_ms": per_name for i in range(n_names)}
+        for name in seen[0]:
+            assert all(s[name][0] is seen[0][name][0] for s in seen)
+            assert all(s[name][1] is seen[0][name][1] for s in seen)
 
 
 class TestMergeDump:

@@ -95,3 +95,32 @@ class TestApplyUpdate:
         engine.index = Frozen()
         with pytest.raises(ServeError, match="streaming updates"):
             engine.apply_update(GraphDelta.make())
+
+
+class TestUpdateDuringIndexCall:
+    """An answer is stored under the key it was looked up with."""
+
+    def test_pre_update_answer_not_served_as_current(
+        self, engine, delta, monkeypatch
+    ):
+        # The update lands while the index call is running, as a
+        # concurrent ``POST /admin/update`` can do to a ``GET /query``.
+        q = (50.0, 50.0)
+        answer = engine.index.query
+
+        def racing(*args, **kwargs):
+            out = answer(*args, **kwargs)
+            engine.apply_update(delta)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine.index, "query", racing)
+            first = engine.query(q, 3)
+        assert first.ok and not first.cached
+        assert engine.index.generation == 1
+        after = engine.query(q, 3)
+        assert not after.cached  # the stale answer sits under generation 0
+        direct = engine.index.query(q, 3)
+        assert after.result.seeds == direct.seeds
+        assert after.result.estimate == direct.estimate
+        assert engine.query(q, 3).cached
