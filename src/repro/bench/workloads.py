@@ -1,16 +1,14 @@
-"""Query workload generators and throughput probes for the evaluation.
+"""Query workload generators for the evaluation.
 
 The paper's query workload: "query locations are randomly selected from
 the entire space" (Section 5.1), plus Figure 7's partitioning of queries
-into quintiles by the average user-to-query distance.  In addition,
-:func:`serve_throughput` measures cold-cache vs warm-cache queries/sec
-through the serving engine.
+into quintiles by the average user-to-query distance.  Serving
+throughput is measured by ``perfbench/`` (the ``serve_hotspot`` and
+``update_stream`` workloads), not here.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -65,71 +63,3 @@ def distance_partitioned_queries(
         idx = rng.choice(len(segment), size=per_bucket, replace=False)
         buckets.append([segment[int(i)] for i in idx])
     return buckets
-
-
-@dataclass(frozen=True)
-class ServeThroughput:
-    """One phase (cold or warm) of the query-serving workload."""
-
-    phase: str
-    queries: int
-    seconds: float
-    queries_per_second: float
-    cache_hits: int
-    cache_misses: int
-    fallbacks: int
-    speedup: float
-
-    def as_row(self) -> dict[str, object]:
-        return {
-            "phase": self.phase,
-            "queries": self.queries,
-            "sec": round(self.seconds, 4),
-            "q/s": int(self.queries_per_second),
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "fallbacks": self.fallbacks,
-            "speedup": round(self.speedup, 2),
-        }
-
-
-def serve_throughput(engine, queries, k: int, rounds: int = 2):
-    """Cold-cache vs warm-cache serving throughput.
-
-    Serves the same batch ``rounds`` times through ``engine`` (a
-    :class:`repro.serve.QueryEngine`).  Round 0 runs against an empty
-    result cache ("cold"); later rounds replay the identical workload
-    and should be answered mostly from the cache ("warm").  Each row
-    reports the per-round hit/miss deltas and the speedup over the cold
-    round.
-    """
-    if rounds < 2:
-        raise QueryError(f"need at least 2 rounds (cold + warm), got {rounds}")
-    if not queries:
-        raise QueryError("queries must not be empty")
-    rows: List[ServeThroughput] = []
-    hits = engine.metrics.counter("result_cache.hits")
-    misses = engine.metrics.counter("result_cache.misses")
-    fallbacks = engine.metrics.counter("fallbacks")
-    cold_seconds: float | None = None
-    for r in range(rounds):
-        h0, m0, f0 = hits.value, misses.value, fallbacks.value
-        start = time.perf_counter()
-        engine.serve_batch(queries, k=k)
-        elapsed = time.perf_counter() - start
-        if cold_seconds is None:
-            cold_seconds = elapsed
-        rows.append(
-            ServeThroughput(
-                phase="cold" if r == 0 else f"warm{r}",
-                queries=len(queries),
-                seconds=elapsed,
-                queries_per_second=len(queries) / elapsed if elapsed > 0 else 0.0,
-                cache_hits=hits.value - h0,
-                cache_misses=misses.value - m0,
-                fallbacks=fallbacks.value - f0,
-                speedup=cold_seconds / elapsed if elapsed > 0 else 0.0,
-            )
-        )
-    return rows
-

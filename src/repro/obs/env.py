@@ -3,8 +3,7 @@
 A latency or throughput figure is meaningless without the hardware and
 library versions behind it, so the same snapshot is embedded everywhere
 numbers leave the process: trace exports (:meth:`repro.obs.Tracer.export`),
-the machine-readable benchmark files (``benchmarks/results/BENCH_*.json``),
-and the ``repro info`` CLI subcommand.
+``repro diag`` bundles and the ``repro info`` CLI subcommand.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ Design constraints, in order:
   singleton :data:`NULL_TRACER`, whose :meth:`NullTracer.span` returns a
   pre-allocated no-op context manager: the hot serving path pays one
   attribute load and one method call per query when tracing is off
-  (measured in ``benchmarks/test_selection_kernels.py``);
+  (``tests/obs/test_trace.py`` pins the shared no-op span, and
+  ``tests/obs/test_profile.py`` that an unstarted profiler leaves span
+  tracking off);
 * **worker-pool propagation** — spans cannot cross process boundaries as
   objects, so a parent serialises a :func:`span_context` (trace id +
   span id), ships it with the task, and the worker returns a plain span

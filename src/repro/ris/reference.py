@@ -1,4 +1,4 @@
-"""Pre-vectorization kernels, kept as the parity/benchmark oracle.
+"""Pre-vectorization kernels, kept as the parity oracle.
 
 These are the Algorithm 2 kernels exactly as they shipped before the
 flat-array rewrite of :mod:`repro.ris.coverage`: ``np.add.at`` for the
@@ -12,17 +12,13 @@ lower bounds (LB-EST, IC and LT) as the per-node dict loops they were
 before the CSR rewrite of :mod:`repro.ris.lower_bound`.  They are
 deliberately *not* exported through ``repro.ris`` — production code must
 use :func:`repro.ris.coverage.weighted_greedy_cover` and
-:func:`repro.ris.lower_bound.lb_est` — but they stay in the tree for two
-jobs:
-
-* **parity tests** (``tests/ris/test_kernel_parity.py``) prove the
-  vectorized kernels select the same seeds with the same gains, and
-  (``tests/ris/test_lower_bound_parity.py``) that the CSR-vectorized
-  LB-EST bounds of :mod:`repro.ris.lower_bound` match the per-node dict
-  loops below to rounding;
-* **benchmarks** (``benchmarks/test_selection_kernels.py``) measure the
-  speedup of the new default query path against this baseline and record
-  it in ``BENCH_query_kernels.json``.
+:func:`repro.ris.lower_bound.lb_est` — but they stay in the tree for the
+**parity tests**: ``tests/ris/test_kernel_parity.py`` proves the
+vectorized kernels select the same seeds with the same gains, and
+``tests/ris/test_lower_bound_parity.py`` that the CSR-vectorized LB-EST
+bounds of :mod:`repro.ris.lower_bound` match the per-node dict loops
+below to rounding.  Speed is gated by perfbench's ``query_mix`` workload
+against the parent commit, not against this baseline.
 
 Float caveat: the reference decrements a node's score once per newly
 covered sample (``((s - w1) - w2)``), while the batched kernel subtracts

@@ -193,6 +193,28 @@ class TestDeterminismNeutrality:
                     ]
         assert profiled == baseline
 
+    def test_unstarted_profiler_leaves_span_tracking_off(self):
+        """A profiler that exists but never started costs serving
+        nothing: spans skip the per-thread attribution registry."""
+        from repro.obs import trace
+        from repro.obs.slo import SloTracker
+        from repro.serve.engine import QueryEngine
+
+        net = generate_geo_social_network(
+            GeoSocialConfig(n=60, avg_out_degree=3.0, extent=100.0),
+            seed=17,
+        )
+        cfg = RisDaConfig(
+            k_max=3, n_pivots=4, epsilon_pivot=0.4,
+            max_index_samples=2_000, seed=3,
+        )
+        index = RisDaIndex(net, DistanceDecay(alpha=0.02), cfg)
+        profiler = SamplingProfiler()
+        engine = QueryEngine(index, slo=SloTracker())
+        served = engine.query((50.0, 50.0), k=3)
+        assert served.ok and not profiler.running
+        assert trace._span_tracking == 0
+
 
 class TestAllocationSnapshot:
     def test_reports_block_allocations(self):

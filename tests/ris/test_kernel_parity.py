@@ -57,17 +57,37 @@ class TestQueryPathParity:
 
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_reference_parity(self, corpus, small_net, k):
+        """Both serving (no bound) and certification (bound) selections
+        pick the reference's seeds with its gains."""
         decay = DistanceDecay(alpha=0.05)
         for q in QUERIES:
             w = decay.weights(small_net.coords[corpus.roots], q)
             ref = reference_greedy_cover(corpus, w, k)
-            new = weighted_greedy_cover(corpus, w, k, compute_bound=True)
-            assert new.seeds == ref.seeds
-            np.testing.assert_allclose(new.gains, ref.gains, rtol=1e-9)
-            assert new.estimate == pytest.approx(ref.estimate, rel=1e-9)
-            assert new.optimal_coverage_upper == pytest.approx(
+            bounded = weighted_greedy_cover(corpus, w, k, compute_bound=True)
+            serving = weighted_greedy_cover(corpus, w, k, compute_bound=False)
+            for new in (bounded, serving):
+                assert new.seeds == ref.seeds
+                np.testing.assert_allclose(new.gains, ref.gains, rtol=1e-9)
+                assert new.estimate == pytest.approx(ref.estimate, rel=1e-9)
+            assert bounded.optimal_coverage_upper == pytest.approx(
                 ref.optimal_coverage_upper, rel=1e-9
             )
+
+    @pytest.mark.parametrize("prefix", [50, 200])
+    def test_tie_break_parity(self, corpus, small_net, prefix):
+        """alpha = 0 (classical influence): every weight is 1, scores are
+        exact integer counts, and nodes of equal coverage tie exactly —
+        both kernels must break each tie toward the lowest node id."""
+        w = DistanceDecay(alpha=0.0).weights(
+            small_net.coords[corpus.roots], (0.0, 0.0)
+        )
+        ref = reference_greedy_cover(corpus, w, 12, prefix=prefix)
+        for compute_bound in (True, False):
+            new = weighted_greedy_cover(
+                corpus, w, 12, prefix=prefix, compute_bound=compute_bound
+            )
+            assert new.seeds == ref.seeds
+            assert np.array_equal(new.gains, ref.gains)
 
     @pytest.mark.parametrize("prefix", [50, 500, 4000])
     def test_prefix_parity(self, corpus, small_net, prefix):

@@ -182,14 +182,23 @@ class TestServeBatch:
         assert batch[0].ok
         assert not batch[1].ok and batch[1].result is None
 
-    def test_warm_batch_is_all_hits(self, ris_index):
+    def test_warm_batch_is_all_hits(self, ris_index, monkeypatch):
         metrics = MetricsRegistry()
         engine = QueryEngine(ris_index, metrics=metrics)
         locations = [(float(x), 50.0) for x in range(0, 100, 10)]
         engine.serve_batch(locations, k=4)
         hits_before = metrics.counter("result_cache.hits").value
+        # A hit is answered from memory: the index body never runs.
+        answered = []
+        real_answer = RisDaIndex._answer
+        monkeypatch.setattr(
+            RisDaIndex, "_answer",
+            lambda self, *a, **kw: answered.append(1)
+            or real_answer(self, *a, **kw),
+        )
         warm = engine.serve_batch(locations, k=4)
         assert all(s.cached for s in warm)
+        assert answered == []
         assert (
             metrics.counter("result_cache.hits").value
             == hits_before + len(locations)

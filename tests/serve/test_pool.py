@@ -106,11 +106,12 @@ class TestPoolServing:
             assert _seed_lists(served) == _seed_lists(reference)
             counters = pool.metrics.dump()["counters"]
             assert counters["queries_total"] == len(queries)
-            assert (
-                counters.get("shard0_queries_total", 0)
-                + counters.get("shard1_queries_total", 0)
-                == len(queries)
-            )
+            per_shard = [
+                counters.get(f"shard{i}_queries_total", 0) for i in (0, 1)
+            ]
+            # Both workers take a share of the batch.
+            assert all(n > 0 for n in per_shard), per_shard
+            assert sum(per_shard) == len(queries)
 
     def test_mmap_backing_parity(self, net, ris_path, queries, reference):
         with ServePool(

@@ -130,6 +130,48 @@ class TestRisUpdateParity:
             assert s.seconds >= 0.0
             assert s.moved_nodes == 2
 
+    def test_update_does_delta_work_only(self, small_net, monkeypatch):
+        """update() regenerates the flipped slots and nothing else.
+
+        It must not re-run any build phase (pivot estimates, Voronoi
+        sizing, LB-EST curves), and its regenerated-slot count is
+        exactly the flip filter's output, a small share of the corpus.
+        """
+        import repro.core.ris_da as ris_da_mod
+        from repro.geo.weights import DistanceDecay
+        from repro.obs.trace import Tracer, use_tracer
+
+        cfg = RisDaConfig(
+            k_max=5, n_pivots=8, epsilon_pivot=0.4,
+            max_index_samples=6000, seed=3,
+        )
+        index = RisDaIndex(small_net, DistanceDecay(c=1.0, alpha=0.02), cfg)
+        (delta,), _ = random_deltas(
+            small_net, np.random.default_rng(77), rounds=1, upserts=6,
+            moves=3,
+        )
+        flipped = len(index._flipped_slots(delta))
+        # The library opens no span around LB-EST (perfbench's
+        # ris.lower_bound layer wraps the function), so count calls.
+        lb_calls = []
+        for name in ("lb_est", "lb_est_lt"):
+            real = getattr(ris_da_mod, name)
+            monkeypatch.setattr(
+                ris_da_mod, name,
+                lambda *a, _real=real, **kw: lb_calls.append(1)
+                or _real(*a, **kw),
+            )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            stats = index.update(delta=delta)
+        opened = {s["name"] for s in tracer.finished_spans}
+        assert not opened & {
+            "ris.build", "ris.pivot_phase", "ris.voronoi_sizing",
+        }, opened
+        assert lb_calls == []
+        assert stats.samples_retired == flipped
+        assert 0 < flipped < len(index.corpus) / 5
+
     def test_generation_survives_persistence(self, setup, tmp_path):
         index, _, final, _ = setup
         path = tmp_path / "updated.npz"
