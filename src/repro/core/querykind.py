@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -123,6 +123,9 @@ class TargetedQuery:
     location: Point
     k: int
     targets: Tuple[int, ...]
+    #: :func:`targets_fingerprint` of ``targets``, computed once here for
+    #: the result-cache key and the served row.
+    targets_fp: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", as_point(self.location))
@@ -133,6 +136,7 @@ class TargetedQuery:
         if ids[0] < 0:
             raise QueryError(f"target node ids must be >= 0, got {ids[0]}")
         object.__setattr__(self, "targets", tuple(ids))
+        object.__setattr__(self, "targets_fp", targets_fingerprint(ids))
 
 
 @dataclass(frozen=True)
@@ -331,7 +335,7 @@ def cache_extra(query: AnyQuery) -> Optional[tuple]:
     if isinstance(query, DaimQuery):
         return ("point", query.k)
     if isinstance(query, TargetedQuery):
-        return ("targeted", query.k, targets_fingerprint(query.targets))
+        return ("targeted", query.k, query.targets_fp)
     if isinstance(query, BudgetedQuery):
         return ("budgeted", query.budget, costs_fingerprint(query))
     return None
@@ -427,7 +431,7 @@ def query_to_row(query: AnyQuery) -> dict:
     elif isinstance(query, TargetedQuery):
         row["k"] = query.k
         row["targets"] = len(query.targets)
-        row["targets_fp"] = targets_fingerprint(query.targets)
+        row["targets_fp"] = query.targets_fp
     elif isinstance(query, BudgetedQuery):
         row["budget"] = query.budget
         row["cost"] = query.default_cost

@@ -262,6 +262,10 @@ class _Plan(NamedTuple):
 class RisDaIndex:
     """The RIS-DA offline index and its online query processor."""
 
+    #: ``(key, schedule)`` of the last :meth:`_schedule` call; the class
+    #: default serves indexes made without ``__init__`` (a load).
+    _schedule_memo: Optional[tuple] = None
+
     def __init__(
         self,
         network: GeoSocialNetwork,
@@ -677,14 +681,7 @@ class RisDaIndex:
         ``exp`` work.  A plan's ``total`` covers its own weights, sizing,
         certification and selection.
         """
-        cfg = self.config
-        n = self.network.n
-        delta_pivot, delta_online = cfg.resolved_deltas(n)
-        delta_query = delta_online - delta_pivot
-        rounds = certify_rounds(len(self.corpus))
-        # Where the schedule runs, its 2R one-sided Chernoff events share
-        # half of delta - delta_pivot and the Lemma 7 fallback the other.
-        a = math.log(4.0 * len(rounds) / delta_query) if rounds else 0.0
+        delta_pivot, delta_query, rounds, a = self._schedule()
         coords = self.network.coords
         out = []
         for plan in plans:
@@ -740,6 +737,28 @@ class RisDaIndex:
                 timings=stages.finish(elapsed),
             )))
         return out
+
+    def _schedule(self) -> Tuple[float, float, Tuple[int, ...], float]:
+        """``(delta_pivot, delta_query, rounds, a)`` every plan shares.
+
+        Memoised under the corpus size, ``n`` and the module's
+        :data:`CERTIFY_SAMPLES`, which is read per call, so a patch of
+        the module constant after the build still takes effect.
+        """
+        key = (len(self.corpus), self.network.n, CERTIFY_SAMPLES)
+        memo = self._schedule_memo
+        if memo is None or memo[0] != key:
+            delta_pivot, delta_online = self.config.resolved_deltas(key[1])
+            delta_query = delta_online - delta_pivot
+            rounds = certify_rounds(key[0])
+            # Where the schedule runs, its 2R one-sided Chernoff events
+            # share half of delta - delta_pivot and the Lemma 7 fallback
+            # the other.
+            a = math.log(4.0 * len(rounds) / delta_query) if rounds else 0.0
+            memo = self._schedule_memo = (
+                key, (delta_pivot, delta_query, rounds, a)
+            )
+        return memo[1]
 
     def _certify(
         self, w_node: np.ndarray, w_cap: float, k: int,

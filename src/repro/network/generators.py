@@ -197,7 +197,7 @@ def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
     """Index drawn proportionally to ``weights`` (need not be normalised)."""
     total = float(weights.sum())
     r = rng.random() * total
-    return int(np.searchsorted(np.cumsum(weights), r, side="right").clip(0, len(weights) - 1))
+    return min(int(weights.cumsum().searchsorted(r, side="right")), len(weights) - 1)
 
 
 def _spatial_neighbor_lists(
@@ -215,14 +215,14 @@ def _spatial_neighbor_lists(
     bucket_of = (
         np.clip((coords[:, 1] // size).astype(np.int64), 0, cells - 1) * cells
         + np.clip((coords[:, 0] // size).astype(np.int64), 0, cells - 1)
-    )
+    ).tolist()
     buckets: dict[int, list[int]] = {}
     for i, b in enumerate(bucket_of):
-        buckets.setdefault(int(b), []).append(i)
+        buckets.setdefault(b, []).append(i)
 
-    out: List[np.ndarray] = []
-    for i in range(n):
-        b = int(bucket_of[i])
+    # Each occupied bucket's 3x3 candidates, gathered once for its nodes.
+    around: dict[int, np.ndarray] = {}
+    for b in buckets:
         row, col = divmod(b, cells)
         cand: list[int] = []
         for dr in (-1, 0, 1):
@@ -230,14 +230,17 @@ def _spatial_neighbor_lists(
                 rr, cc = row + dr, col + dc
                 if 0 <= rr < cells and 0 <= cc < cells:
                     cand.extend(buckets.get(rr * cells + cc, ()))
-        cand = [c for c in cand if c != i]
-        if not cand:
-            cand = [(i + 1) % n]
-        arr = np.asarray(cand, dtype=np.int64)
+        around[b] = np.asarray(cand, dtype=np.int64)
+
+    xs, ys = coords[:, 0], coords[:, 1]
+    out: List[np.ndarray] = []
+    for i, b in enumerate(bucket_of):
+        arr = around[b]
+        arr = arr[arr != i]
+        if not len(arr):
+            arr = np.asarray([(i + 1) % n], dtype=np.int64)
         if len(arr) > k:
-            d = np.hypot(
-                coords[arr, 0] - coords[i, 0], coords[arr, 1] - coords[i, 1]
-            )
+            d = np.hypot(xs[arr] - xs[i], ys[arr] - ys[i])
             arr = arr[np.argpartition(d, k)[:k]]
         out.append(arr)
     return out

@@ -395,10 +395,12 @@ class RRCorpus:
         of the prefix ``[0, l)`` that contain node ``u`` (the inverted
         lists ascend, so they are a head of ``u``'s list), and the slots
         ``[a, b)`` holding ``u`` sit between ``prefix_cut(a)[u]`` and
-        ``prefix_cut(b)[u]``.  One unweighted ``bincount`` over the
-        prefix's members counts each node's entries there: members are
-        distinct within a sample, so the count is the number of prefix
-        samples containing ``u``.  ``l = 0`` and ``l = len(self)`` are the
+        ``prefix_cut(b)[u]``.  An unweighted ``bincount`` over a slot
+        range's members counts each node's entries there: members are
+        distinct within a sample, so the count is the number of those
+        samples containing ``u``.  A cut is the largest kept cut below
+        ``l`` (or the inverted list starts) plus that count over the
+        slots in between.  ``l = 0`` and ``l = len(self)`` are the
         inverted offsets themselves.  The first :data:`PREFIX_CUT_MEMO`
         prefixes asked for are kept until the corpus changes.
         """
@@ -412,17 +414,23 @@ class RRCorpus:
             return inv_offsets[:-1]
         if l == len(self):
             return inv_offsets[1:]
-        cut = self._prefix_cuts.get(l)
+        cuts = self._prefix_cuts
+        cut = cuts.get(l)
         if cut is None:
-            cut = inv_offsets[:-1] + np.bincount(
-                self._flat[: self._offsets[l]], minlength=self.n_nodes
+            # ``list`` copies the keys in one step, so a thread adding a
+            # cut meanwhile cannot break the scan.
+            below = max((a for a in list(cuts) if a < l), default=0)
+            base = cuts[below] if below else inv_offsets[:-1]
+            cut = base + np.bincount(
+                self._flat[self._offsets[below]: self._offsets[l]],
+                minlength=self.n_nodes,
             )
             # First come, first kept, never evicted: concurrent queries
             # only ever store equal arrays.  (Threads racing past the
             # size check can each add one more; no lock, so a corpus
             # stays picklable and deep-copyable.)
-            if len(self._prefix_cuts) < PREFIX_CUT_MEMO:
-                cut = self._prefix_cuts.setdefault(l, cut)
+            if len(cuts) < PREFIX_CUT_MEMO:
+                cut = cuts.setdefault(l, cut)
         return cut
 
     def average_size(self) -> float:

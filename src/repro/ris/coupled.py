@@ -76,6 +76,24 @@ def _mix64(z):
     return z ^ (z >> _U64_SHIFT_31)
 
 
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a ``uint64`` array, overwriting it.
+
+    The same bits with one scratch array instead of six temporaries: the
+    level step hashes every examined in-edge, so this is its largest
+    array.  Array arithmetic wraps silently.
+    """
+    t = z >> _U64_SHIFT_30
+    z ^= t
+    z *= _M1
+    np.right_shift(z, _U64_SHIFT_27, out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, _U64_SHIFT_31, out=t)
+    z ^= t
+    return z
+
+
 def quantize_probability(p: float) -> np.uint64:
     """``p`` as a 53-bit liveness threshold: a coin is live iff its top
     53 hash bits are below this.  One quantisation, used by both the
@@ -240,7 +258,10 @@ class CoupledRRSampler:
         codes list every slot's members ascending.  One level expands
         the frontier with :meth:`_ic_step` (every live in-edge) or
         :meth:`_lt_step` (at most one chosen in-neighbour per slot); an
-        LT walk thus stops on "none" or on a revisit.
+        LT walk thus stops on "none" or on a revisit.  Both steps return
+        sorted unique codes, so the new frontier is a sorted run, and a
+        stable sort of ``visited`` with it appended is timsort merging
+        two runs.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys) and keys.min() < 0:
@@ -265,11 +286,12 @@ class CoupledRRSampler:
             frontier = visited
             while len(frontier):
                 reached = step(slot, frontier)
-                at = np.searchsorted(visited, reached)
-                seen = at < len(visited)
-                seen[seen] = visited[at[seen]] == reached[seen]
-                frontier = reached[~seen]
-                visited = np.insert(visited, at[~seen], frontier)
+                # A code past the end of ``visited`` exceeds its last
+                # entry, so the clipped lookup still tells it apart.
+                at = visited.searchsorted(reached)
+                frontier = reached[visited.take(at, mode="clip") != reached]
+                visited = np.concatenate((visited, frontier))
+                visited.sort(kind="stable")
             slot_idx, members = np.divmod(visited, n)
             offsets[lo + 1 : hi + 1] = np.bincount(slot_idx, minlength=len(chunk))
             parts.append(members)
@@ -283,11 +305,20 @@ class CoupledRRSampler:
         slot_idx, node = np.divmod(frontier, n)
         deg = self._in_degree[node]
         pos = _gather_runs(net.in_offsets[node + 1], deg)
-        edge_slot = np.repeat(slot_idx, deg)
-        with np.errstate(over="ignore"):
-            coins = _mix64(slot[edge_slot] ^ self._edge_mix[pos])
-        live = (coins >> _U64_SHIFT_11) < self._thresholds[pos]
-        return np.unique(edge_slot[live] * n + net.in_sources[pos[live]])
+        edge_slot = slot_idx.repeat(deg)
+        coins = slot[edge_slot]
+        coins ^= self._edge_mix[pos]
+        _mix64_inplace(coins)
+        coins >>= _U64_SHIFT_11
+        live = coins < self._thresholds[pos]
+        codes = edge_slot[live]
+        codes *= n
+        codes += net.in_sources[pos[live]]
+        codes.sort()
+        first = np.empty(len(codes), dtype=bool)
+        first[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        return codes[first]
 
     def _lt_step(self, slot: np.ndarray, frontier: np.ndarray) -> np.ndarray:
         """Codes of each frontier node's chosen in-neighbour, if any.
@@ -301,11 +332,13 @@ class CoupledRRSampler:
         net = self.network
         n = net.n
         slot_idx, node = np.divmod(frontier, n)
-        with np.errstate(over="ignore"):
-            coins = _mix64(slot[slot_idx] ^ self._node_mix[node]) >> _U64_SHIFT_11
+        coins = slot[slot_idx]
+        coins ^= self._node_mix[node]
+        _mix64_inplace(coins)
+        coins >>= _U64_SHIFT_11
         deg = self._in_degree[node]
         pos = _gather_runs(net.in_offsets[node + 1], deg)
-        row = np.repeat(np.arange(len(node)), deg)
+        row = np.arange(len(node)).repeat(deg)
         below = np.bincount(
             row[self._cumq[pos] <= coins[row]], minlength=len(node)
         )

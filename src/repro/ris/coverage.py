@@ -154,7 +154,7 @@ def _gather_runs(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
     cum = counts.cumsum()
     # Block j of a global arange runs cum[j] - counts[j] .. cum[j] - 1;
     # shifting it by ends[j] - cum[j] lands it on its own slice.
-    pos = np.repeat(ends - cum, counts)
+    pos = (ends - cum).repeat(counts)
     pos += np.arange(cum[-1] if len(cum) else 0)
     return pos
 

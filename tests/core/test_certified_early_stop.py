@@ -252,6 +252,30 @@ class TestUntouchedPlans:
         assert _same(before) == _same(after)
         assert all(d.certified_ratio is None for _, d in before)
 
+    def test_patching_the_first_round_between_queries_takes_effect(
+        self, index, monkeypatch
+    ):
+        """The schedule is memoised per index, keyed by the module
+        constant: a patch after the build (``lemma7_sizing``) and its
+        undo both reach the next query."""
+        first = index.query(self.Q, 4, return_diagnostics=True)
+        certified = first[1]
+        assert certified.samples_used == CERTIFY_SAMPLES
+        assert certified.certified_ratio is not None
+        monkeypatch.setattr(ris_da, "CERTIFY_SAMPLES", 1 << 40)
+        _, lemma7 = index.query(self.Q, 4, return_diagnostics=True)
+        assert lemma7.certified_ratio is None
+        assert lemma7.pivot_index is not None
+        # With no schedule, Lemma 7 sizes on the full delta - delta_pivot.
+        cfg, n = index.config, index.network.n
+        dp, d = cfg.resolved_deltas(n)
+        assert lemma7.samples_required == required_sample_size(
+            n, 4, DECAY.w_max, cfg.epsilon, d - dp, lemma7.lower_bound
+        )
+        monkeypatch.undo()
+        again = index.query(self.Q, 4, return_diagnostics=True)
+        assert _same([again]) == _same([first])
+
 
 def _answers(index, k=4):
     return [index.query(q, k, return_diagnostics=True) for q in LOCATIONS]

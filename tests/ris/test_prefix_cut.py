@@ -154,6 +154,60 @@ class TestPrefixCut:
             )
 
 
+def _full_count_cut(corpus: RRCorpus, l: int) -> np.ndarray:
+    """The cut of prefix ``l`` counted over the whole prefix."""
+    flat, offsets = corpus.flat()
+    _, inv_offsets = corpus.inverted()
+    return inv_offsets[:-1] + np.bincount(
+        flat[: offsets[l]], minlength=corpus.n_nodes
+    )
+
+
+class TestCutsCountUpFromAKeptCut:
+    """A prefix the corpus does not keep is counted from the largest
+    kept cut below it; the counts are the full-prefix ones exactly."""
+
+    def _sweep(self, corpus, rng):
+        kept = sorted(corpus._prefix_cuts)
+        assert len(kept) == PREFIX_CUT_MEMO
+        n = len(corpus)
+        ls = {0, 1, n - 1, n}
+        ls.update(l + d for l in kept for d in (-1, 0, 1))
+        ls.update(rng.integers(0, n + 1, size=40).tolist())
+        for l in sorted(ls):
+            got = corpus.prefix_cut(l)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _full_count_cut(corpus, l)), l
+        # The sweep added no cut: the memo was full.
+        assert sorted(corpus._prefix_cuts) == kept
+
+    def test_sweep_before_and_after_update(self, small_net):
+        from repro.core.ris_da import RisDaConfig, RisDaIndex
+        from repro.geo.weights import DistanceDecay
+        from repro.stream.delta import GraphDelta
+
+        index = RisDaIndex(small_net, DistanceDecay(alpha=0.02), RisDaConfig(
+            k_max=5, n_pivots=6, epsilon_pivot=0.4,
+            max_index_samples=12_000, seed=3,
+        ))
+        rng = np.random.default_rng(33)
+        corpus = index.corpus
+        # Fill the memo past warm()'s certify boundaries.
+        for l in (7, 2_000, 5_000, 9_000, len(corpus) - 3):
+            corpus.prefix_cut(l)
+        self._sweep(corpus, rng)
+        edges, probs = small_net.edge_array()
+        pick = rng.choice(len(edges), size=6, replace=False)
+        stats = index.update(delta=GraphDelta.make(
+            edges=edges[pick], probabilities=probs[pick] * 0.5,
+        ))
+        assert stats.samples_retired > 0
+        corpus = index.corpus
+        for l in (7, 2_000, 5_000, 9_000, len(corpus) - 3):
+            corpus.prefix_cut(l)
+        self._sweep(corpus, rng)
+
+
 class TestCoveredSampleMask:
     def test_matches_loop_and_reduceat_oracle(self, grown):
         rng = np.random.default_rng(5)

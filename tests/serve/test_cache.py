@@ -1,6 +1,7 @@
 """Tests for repro.serve.cache (index LRU + result LRU)."""
 
 import os
+import pickle
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.core.querykind import (
     HeuristicQuery,
     TargetedQuery,
     cache_extra,
+    targets_fingerprint,
 )
 from repro.core.ris_da import RisDaConfig, RisDaIndex
 from repro.exceptions import ServeError
@@ -263,6 +265,23 @@ class TestKindAwareCacheKeys:
         assert cache_extra(
             BudgetedQuery(location=q, budget=3.0, costs=((1, 2.0),))
         ) != budgeted
+
+    def test_targets_fingerprint_is_computed_once_and_pickles(self):
+        """The fingerprint is fixed at construction, whatever the order
+        or repetition of the targets, and rides along to a pool worker
+        (whose task queue pickles with ``ForkingPickler``)."""
+        from multiprocessing.reduction import ForkingPickler
+
+        q = (1.0, 2.0)
+        want = targets_fingerprint([0, 2, 5])
+        for targets in ((0, 2, 5), (5, 0, 2), (2, 2, 5, 0, 0)):
+            query = TargetedQuery(location=q, k=3, targets=targets)
+            assert query.targets_fp == want
+            assert cache_extra(query) == ("targeted", 3, want)
+            shipped = pickle.loads(ForkingPickler.dumps(query))
+            assert shipped == query
+            assert shipped.targets_fp == want
+            assert cache_extra(shipped) == cache_extra(query)
 
 
 class TestIndexCacheConcurrency:
