@@ -37,6 +37,7 @@ from repro.geo.kdtree import KDTree
 from repro.geo.point import PointLike
 from repro.geo.weights import DistanceDecay
 from repro.mia.pmia import MiaModel
+from repro.ris.coverage import _gather_runs
 
 
 class AnchorBounds:
@@ -61,6 +62,9 @@ class AnchorBounds:
         self._tree = KDTree(anchors)
         coords = model.network.coords
         # influence[a, u] = I_a^m({u}): MIA singleton influence at anchor a.
+        # One bincount per anchor keeps its n bins in cache: one keyed
+        # bincount over anchor * n + member keys measured slower (2.6
+        # against 1.6 ms for 60 anchors at brightkite@0.5).
         self.influence = np.vstack(
             [
                 model.singleton_influences(decay.weights(coords, (a[0], a[1])))
@@ -120,23 +124,24 @@ class RegionBounds:
         self.nodes = np.asarray(sorted(set(int(h) for h in heavy_nodes)), dtype=np.int64)
         self._node_pos = {int(u): i for i, u in enumerate(self.nodes)}
         # Sparse per-node (cells, masses): influence mass bucketed by cell,
-        # node i's share at [offsets[i]:offsets[i + 1]] of the flat arrays.
-        cells: list[np.ndarray] = []
-        masses: list[np.ndarray] = []
-        for u in self.nodes:
-            roots, probs = model.reach_of(int(u))
-            cell_ids = self.grid.cells_of(coords[roots])
-            uniq, inv = np.unique(cell_ids, return_inverse=True)
-            mass = np.zeros(len(uniq), dtype=float)
-            np.add.at(mass, inv, probs)
-            cells.append(uniq)
-            masses.append(mass)
-        self._offsets = np.zeros(len(self.nodes) + 1, dtype=np.int64)
-        np.cumsum([len(c) for c in cells], out=self._offsets[1:])
-        self._cells = (
-            np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
+        # node i's share at [offsets[i]:offsets[i + 1]] of the flat arrays,
+        # cells ascending.  One keyed pass over every heavy node's entries
+        # (each node's in tree order, so every bin sums in entry order).
+        f = model.forest
+        lo = f.member_offsets[self.nodes]
+        hi = f.member_offsets[self.nodes + 1]
+        entries = f.member_entries[_gather_runs(hi, hi - lo)]
+        n_cells = self.grid.n_cells
+        keys = np.arange(len(self.nodes)).repeat(hi - lo) * n_cells
+        keys += self.grid.cells_of(coords[f.tree[entries]])
+        keys, inverse = np.unique(keys, return_inverse=True)
+        self._masses = np.bincount(
+            inverse, weights=f.path_prob[entries], minlength=len(keys)
         )
-        self._masses = np.concatenate(masses) if masses else np.empty(0)
+        owner, self._cells = np.divmod(keys, n_cells)
+        self._offsets = np.zeros(len(self.nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=len(self.nodes)),
+                  out=self._offsets[1:])
 
     def covers(self, u: int) -> bool:
         return int(u) in self._node_pos

@@ -192,8 +192,10 @@ class MiaDaIndex:
             if model is not None:
                 self.model = model
             else:
-                with tracer.span("mia.build_trees", {"n": network.n}):
+                with tracer.span("mia.build_trees", {"n": network.n}) as span:
                     self.model = MiaModel(network, self.config.theta)
+                    span.set_attribute("rounds", self.model.build_rounds)
+                    span.set_attribute("tie_roots", self.model.tie_roots)
             rng = as_generator(self.config.seed)
             if self.config.anchor_strategy == "uniform":
                 anchors = sample_uniform_points(
@@ -231,6 +233,8 @@ class MiaDaIndex:
             logger.event(
                 "build_end", phase="mia.build",
                 seconds=round(self.build_seconds, 3), n=network.n,
+                rounds=self.model.build_rounds,
+                tie_roots=self.model.tie_roots,
             )
 
     # ------------------------------------------------------------------

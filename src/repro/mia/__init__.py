@@ -7,8 +7,12 @@ falls below a threshold ``theta``.
 
 * :mod:`repro.mia.paths` — MIP computation (Dijkstra on ``-log p``);
 * :mod:`repro.mia.arborescence` — the ``MIIA(v)`` / ``MIOA(v)`` trees, as
-  bare per-root arrays (:func:`miia_arrays`, what the model stores) and
-  as :class:`Arborescence` objects;
+  bare per-root arrays (:func:`miia_arrays`) and as
+  :class:`Arborescence` objects;
+* :mod:`repro.mia.build` — every ``MIIA(v)`` at once in one batched
+  relaxation (what the model stores), bit-identical to per-root
+  :func:`miia_arrays`, which builds the roots whose hops hinge on
+  Dijkstra's pop order;
 * :mod:`repro.mia.influence` — activation probabilities on a tree (Eq. 5)
   and the linear (alpha) coefficients, as per-tree reference recursions;
 * :mod:`repro.mia.forest` — every tree as one flat forest and the

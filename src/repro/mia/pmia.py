@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError, QueryError
-from repro.mia.arborescence import TreeArrays, miia_arrays
+from repro.mia.build import build_miia_forest, merge_trees
 from repro.mia.forest import FlatForest, MiaForestState
 from repro.network.graph import GeoSocialNetwork
 
@@ -36,14 +36,11 @@ from repro.network.graph import GeoSocialNetwork
 FlatTrees = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _concat(trees: Sequence[TreeArrays]) -> FlatTrees:
-    """Per-root tree arrays, in the given order, as one CSR block."""
-    offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-    np.cumsum([len(t[0]) for t in trees], out=offsets[1:])
-    members, parents, edge_probs, path_probs = (
-        np.concatenate(column) for column in zip(*trees)
-    )
-    return members, parents, edge_probs, path_probs, offsets
+def _flat(owner: np.ndarray, columns, n: int) -> FlatTrees:
+    """Columns grouped by ``owner`` (every root present) as one CSR block."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
+    return (*columns, offsets)
 
 
 def _column(name: str, values, dtype) -> np.ndarray:
@@ -143,10 +140,13 @@ class MiaModel:
             raise GraphError(f"theta must be in (0, 1], got {theta}")
         self.network = network
         self.theta = float(theta)
+        #: Relaxation rounds and roots built one at a time by the batched
+        #: builder (both 0 for a model over saved arrays).
+        self.build_rounds = self.tie_roots = 0
         if flat is None:
-            flat = _concat(
-                [miia_arrays(network, v, theta) for v in range(network.n)]
-            )
+            built = build_miia_forest(network, self.theta)
+            self.build_rounds, self.tie_roots = built.rounds, built.tie_roots
+            flat = _flat(built.owner, built[1:5], network.n)
         else:
             flat = _checked(flat, network.n)
         self._flat: FlatTrees = flat
@@ -173,22 +173,14 @@ class MiaModel:
         every other tree kept; its arrays equal a fresh build's whenever
         the kept trees are unchanged on ``network``."""
         roots = np.unique(np.asarray(roots, dtype=np.int64))
-        trees = [miia_arrays(network, int(v), self.theta) for v in roots]
+        built = build_miia_forest(network, self.theta, roots)
         tree = self.forest.tree
         kept = np.flatnonzero(~np.isin(tree, roots))
-        # Kept entries, then the rebuilt trees' entries: a stable sort by
-        # tree id splices every tree into place, in root order.
-        owner = np.concatenate(
-            [tree[kept], np.repeat(roots, [len(t[0]) for t in trees])]
+        owner, *columns = merge_trees(
+            (tree[kept], *(column[kept] for column in self._flat[:4])),
+            built[:5],
         )
-        order = np.argsort(owner, kind="stable")
-        offsets = np.zeros(network.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=network.n), out=offsets[1:])
-        columns = (
-            np.concatenate([column[kept], *fresh])[order]
-            for column, *fresh in zip(self._flat[:4], *trees)
-        )
-        return MiaModel(network, self.theta, (*columns, offsets))
+        return MiaModel(network, self.theta, _flat(owner, columns, network.n))
 
     def flat_trees(self) -> FlatTrees:
         """All arborescences as one :data:`FlatTrees` CSR block.

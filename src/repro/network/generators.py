@@ -138,11 +138,18 @@ def generate_geo_social_network(
     neighbors = _spatial_neighbor_lists(coords, k=25, extent=config.extent)
 
     target_m = int(round(config.avg_out_degree * n))
-    indeg = np.ones(n, dtype=float)  # +1 smoothing so early nodes are reachable
+    indeg = [1] * n  # +1 smoothing so early nodes are reachable
     edge_set: set[Tuple[int, int]] = set()
     edges: List[Tuple[int, int]] = []
 
     arrival = rng.permutation(n)
+    # Preferential picks draw from in-degree prefix sums over arrival order
+    # (the arrived pool is a prefix of it); ``slot`` maps a node to its
+    # position there.  The top-up below rebinds both to node order.
+    degrees = _Fenwick(indeg)
+    slot = np.empty(n, dtype=np.int64)
+    slot[arrival] = np.arange(n)
+    slot = slot.tolist()
     # Every node attempts the same expected number of out-edges.
     per_node = max(1, int(round(config.avg_out_degree / 1.5)))
     attempts = 0
@@ -155,12 +162,13 @@ def generate_geo_social_network(
             return
         edge_set.add((u, v))
         edges.append((u, v))
-        indeg[v] += 1.0
+        indeg[v] += 1
+        degrees.add(slot[v], 1)
 
     # Preferential attachment over a growing prefix of the arrival order.
     for pos, u in enumerate(arrival):
         u = int(u)
-        pool = arrival[: max(pos, 1)]
+        pool = max(pos, 1)
         for _ in range(per_node):
             if len(edges) >= target_m or attempts > max_attempts:
                 break
@@ -170,13 +178,13 @@ def generate_geo_social_network(
                 v = int(cands[rng.integers(0, len(cands))])
             else:
                 # Degree-proportional choice within the already-arrived pool.
-                pslice = indeg[pool]
-                v = int(pool[_weighted_pick(pslice, rng)])
+                v = int(arrival[_weighted_pick(degrees, pool, rng)])
             try_add(u, v)
             if rng.random() < 0.5:
                 try_add(v, u)
 
     # Top up with random geo/preferential edges if we undershot the target.
+    degrees, slot = _Fenwick(indeg), list(range(n))
     while len(edges) < target_m and attempts <= max_attempts:
         attempts += 1
         u = int(rng.integers(0, n))
@@ -184,7 +192,7 @@ def generate_geo_social_network(
             cands = neighbors[u]
             v = int(cands[rng.integers(0, len(cands))])
         else:
-            v = int(_weighted_pick(indeg, rng))
+            v = _weighted_pick(degrees, n, rng)
         try_add(u, v)
 
     if not edges:
@@ -193,11 +201,59 @@ def generate_geo_social_network(
     return assign_weighted_cascade(network)
 
 
-def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn proportionally to ``weights`` (need not be normalised)."""
-    total = float(weights.sum())
-    r = rng.random() * total
-    return min(int(weights.cumsum().searchsorted(r, side="right")), len(weights) - 1)
+class _Fenwick:
+    """Prefix sums of integer weights (a Fenwick tree), each update and
+    query in O(log n) Python steps.  Python ints keep every sum exact."""
+
+    def __init__(self, weights: List[int]):
+        size = len(weights)
+        tree = [0, *weights]
+        for i in range(1, size + 1):
+            j = i + (i & -i)
+            if j <= size:
+                tree[j] += tree[i]
+        self._tree = tree
+        self._top = 1 << (size.bit_length() - 1) if size else 0
+
+    def add(self, i: int, delta: int) -> None:
+        """Add ``delta`` to weight ``i``."""
+        tree = self._tree
+        size = len(tree)
+        i += 1
+        while i < size:
+            tree[i] += delta
+            i += i & -i
+
+    def prefix(self, m: int) -> int:
+        """The sum of the first ``m`` weights."""
+        tree = self._tree
+        total = 0
+        while m:
+            total += tree[m]
+            m &= m - 1
+        return total
+
+    def count_upto(self, m: int, r: float) -> int:
+        """How many of the first ``m`` running sums are ``<= r``: what
+        ``np.searchsorted(cumsum(weights[:m]), r, "right")`` returns.
+        Int-float comparisons are exact, so no sum is rounded."""
+        tree = self._tree
+        pos = acc = 0
+        step = self._top
+        while step:
+            nxt = pos + step
+            if nxt <= m and acc + tree[nxt] <= r:
+                pos = nxt
+                acc += tree[nxt]
+            step >>= 1
+        return pos
+
+
+def _weighted_pick(weights: _Fenwick, m: int, rng: np.random.Generator) -> int:
+    """An index in ``[0, m)`` drawn proportionally to the first ``m``
+    weights, from a single ``rng.random()`` draw."""
+    r = rng.random() * float(weights.prefix(m))
+    return min(weights.count_upto(m, r), m - 1)
 
 
 def _spatial_neighbor_lists(

@@ -20,7 +20,10 @@ Event schema (``event`` -> fields; all optional unless noted):
 ``slow_query``
     ``trace_id``, ``elapsed_ms``, ``threshold_ms``, ``sink``
 ``build_start`` / ``build_end``
-    ``phase``, ``trace_id``; ``build_end`` adds ``seconds``
+    ``phase``, ``trace_id``; ``build_end`` adds ``seconds``, and for
+    ``mia.build`` the tree builder's ``rounds`` (relaxation rounds) and
+    ``tie_roots`` (roots built one at a time; both 0 when the trees were
+    given, not built)
 ``build_progress``
     ``phase``, ``done``, ``total``, ``unit``, ``rate_per_s``, ``eta_s``
 ``index_update``

@@ -153,7 +153,7 @@ class ServeConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServedResult:
     """One served query: the answer plus everything the sinks record.
 

@@ -196,7 +196,10 @@ class TestBuildTracing:
         for phase in ("mia.build_trees", "mia.anchor_bounds",
                       "mia.region_bounds"):
             assert spans[phase]["parent_id"] == build["span_id"]
-        assert spans["mia.build_trees"]["attributes"]["n"] == net.n
+        attributes = spans["mia.build_trees"]["attributes"]
+        assert attributes["n"] == net.n
+        assert attributes["rounds"] >= 1
+        assert 0 <= attributes["tie_roots"] < net.n
 
     def test_tracing_does_not_change_the_index(self, net):
         from repro.obs.trace import Tracer, use_tracer

@@ -124,3 +124,25 @@ class TestGenerator:
         ea, _ = a.edge_array()
         eb, _ = b.edge_array()
         assert ea.shape != eb.shape or not np.array_equal(ea, eb)
+
+
+class TestFenwickPick:
+    """The O(log n) preferential pick returns the index the cumsum search
+    over the same integer weights would, boundaries included."""
+
+    def test_matches_cumsum_search(self):
+        from repro.network.generators import _Fenwick
+
+        rng = np.random.default_rng(3)
+        weights = rng.integers(1, 9, size=37)
+        tree = _Fenwick(weights.tolist())
+        for i in rng.integers(0, 37, size=20).tolist():
+            weights[i] += 1
+            tree.add(i, 1)
+        for m in (1, 2, 16, 17, 37):
+            sums = np.cumsum(weights[:m].astype(float))
+            assert tree.prefix(m) == sums[-1]
+            draws = np.concatenate([sums, sums - 0.5, [0.0, sums[-1] + 1],
+                                    rng.random(50) * sums[-1]])
+            for r in draws.tolist():
+                assert tree.count_upto(m, r) == np.searchsorted(sums, r, "right")

@@ -449,6 +449,9 @@ class TestObservabilityFlags:
         events = [json.loads(line) for line in err.splitlines() if line]
         names = [e["event"] for e in events]
         assert "build_start" in names and "build_end" in names
+        end = next(e for e in events if e["event"] == "build_end")
+        assert end["phase"] == "mia.build"
+        assert end["rounds"] >= 1 and end["tie_roots"] >= 0
 
     def test_serve_batch_rows_carry_trace_ids(self, tmp_path, capsys):
         import json
