@@ -5,17 +5,18 @@ at once; a user attends the *closest* store, so the natural node weight is
 
     w(v, Q) = max_i w(v, q_i)  =  c * exp(-alpha * min_i d(v, q_i))
 
-Both indexes consume per-node/per-sample weight vectors, so the extension
-needs only (1) the weight kernel below, and (2) a sound lower bound on
-``OPT_Q^k`` for RIS-DA's sample sizing: since ``w(v, Q) >= w(v, q_i)`` for
-every ``i`` pointwise, ``OPT_Q^k >= max_i OPT_{q_i}^k``, and Lemma 8's
-per-location bounds transfer — :func:`multi_location_query` takes the max,
-and the max of that with Algorithm 3 (LB-EST) at ``w(., Q)`` itself.
+RIS-DA consumes per-sample weights, so the extension needs only (1) the
+weight kernel below, and (2) a sound lower bound on ``OPT_Q^k`` for the
+sample sizing: since ``w(v, Q) >= w(v, q_i)`` for every ``i`` pointwise,
+``OPT_Q^k >= max_i OPT_{q_i}^k``, and Lemma 8's per-location bounds
+transfer — :func:`multi_location_query` takes the max, and the max of
+that with Algorithm 3 (LB-EST) at ``w(., Q)`` itself.
 
-MIA-DA's anchor bounds also transfer (``I_Q^m({u}) <= sum over the best
-anchor per location`` is loose); for simplicity and exactness we answer
-multi-location MIA queries through the PMIA engine with the combined
-weight vector, which stays polynomial.
+Only RIS-DA answers multi-location queries.  MIA-DA has no such query:
+its anchor and region bounds are per location, and a sum of them over
+``Q`` would be a loose bound on ``I_Q^m({u})``.  A MIA answer for ``Q``
+can still be had from :class:`repro.mia.pmia.PmiaDa` over
+:func:`multi_location_weights`.
 """
 
 from __future__ import annotations

@@ -265,7 +265,6 @@ def ris_index_arrays(
             "epsilon": index.config.epsilon,
             "delta": index.config.delta,
             "max_index_samples": index.config.max_index_samples,
-            "lb_k_grid": index.config.lb_k_grid,
             "diffusion": index.config.diffusion,
             "seed": index.config.seed,
         },
@@ -315,9 +314,10 @@ def load_ris_index(path: PathLike, network: GeoSocialNetwork) -> RisDaIndex:
     worker-pool sampler) load and answer as saved, and are re-keyed
     wholesale on their first :meth:`~RisDaIndex.update`.  Config keys
     older files carry and this build no longer reads (a kernel-backend
-    request, the pivot placement, ``selection``, ``n_workers``) are
-    ignored: there is one kernel backend, and the stored pivots are
-    used however they were placed.  Corpus arrays
+    request, the pivot placement, ``selection``, ``n_workers``,
+    ``lb_k_grid``) are ignored: there is one kernel backend, the stored
+    pivots are used however they were placed, and their stored lower
+    bounds however coarse a ``k`` grid computed them.  Corpus arrays
     out of shape or range — non-integer, decreasing offsets, node ids
     outside ``[0, n)``, negative or repeated slot keys — raise
     :class:`~repro.exceptions.CorpusFormatError`, a
@@ -371,7 +371,6 @@ def assemble_ris_index(
             epsilon=cfg_raw["epsilon"],
             delta=cfg_raw["delta"],
             max_index_samples=cfg_raw["max_index_samples"],
-            lb_k_grid=cfg_raw["lb_k_grid"],
             diffusion=cfg_raw.get("diffusion", "ic"),
             seed=cfg_raw["seed"],
         )

@@ -97,3 +97,21 @@ def validate_mask(mask, n_nodes: int) -> np.ndarray:
     if not np.all(mask >= 0):
         raise QueryError("mask entries must be >= 0")
     return mask
+
+
+def validate_costs(costs, n_nodes: int) -> np.ndarray:
+    """A budgeted query's per-node costs as a float ``(n,)`` array.
+
+    Shared by both index families' ``query_budgeted``.  Raises
+    :class:`~repro.exceptions.QueryError` on a wrong shape or on any
+    cost that is not positive.
+    """
+    try:
+        costs = np.asarray(costs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise QueryError(f"costs must be numeric: {exc}") from None
+    if costs.shape != (n_nodes,):
+        raise QueryError(f"costs must have shape ({n_nodes},), got {costs.shape}")
+    if not np.all(costs > 0):
+        raise QueryError("all node costs must be positive")
+    return costs

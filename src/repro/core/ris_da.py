@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.multi_location import multi_location_weights
-from repro.core.query import DaimQuery, SeedResult, validate_mask
+from repro.core.query import DaimQuery, SeedResult, validate_costs, validate_mask
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.kdtree import KDTree
 from repro.geo.point import Point, PointLike, as_point
@@ -90,6 +90,10 @@ from repro.rng import as_generator
 #: on twice as many, while the prefix fits in half the corpus.
 CERTIFY_SAMPLES = 4_096
 
+#: Step of the ``k`` grid at which the pivot phase runs Algorithm 3
+#: (see :meth:`RisDaIndex._lb_curve`).
+LB_K_GRID = 8
+
 
 def certify_rounds(n_samples: int) -> Tuple[int, ...]:
     """The prefix lengths the certified early stop tries, in order.
@@ -118,9 +122,6 @@ class RisDaConfig:
     ``n_pivots`` and ``epsilon_pivot`` here default to laptop-scaled
     values; pass the paper's numbers explicitly to reproduce them.
 
-    ``lb_k_grid`` controls at which ``k`` values Algorithm 3 is re-run per
-    pivot (LB-EST is monotone in ``k``, so the bound at the largest grid
-    point below ``k`` remains valid for ``k``); 0 means every ``k``.
     ``max_index_samples`` caps the pool size (memory valve; see module
     docs).  Pivots are sampled uniformly over the network's bounding
     box, as in the paper.
@@ -133,7 +134,6 @@ class RisDaConfig:
     epsilon: float = 0.5
     delta: Optional[float] = None
     max_index_samples: int = 300_000
-    lb_k_grid: int = 8
     diffusion: str = "ic"
     seed: int = 0
 
@@ -470,15 +470,12 @@ class RisDaIndex:
     def _lb_curve(self, weights: np.ndarray, k_max: int) -> np.ndarray:
         """``L_p^k`` for k = 1..k_max via Algorithm 3 on a k-grid.
 
+        Algorithm 3 runs at ``k = 1, 1 + LB_K_GRID, ...`` and ``k_max``.
         LB-EST is monotone in k (adding seeds only adds weight), so for
         off-grid k the bound at the largest grid point <= k is still a
         valid (slightly looser) lower bound.
         """
-        grid = self.config.lb_k_grid
-        if grid <= 0:
-            ks = list(range(1, k_max + 1))
-        else:
-            ks = sorted(set([1, k_max] + list(range(1, k_max + 1, grid))))
+        ks = sorted(set([1, k_max] + list(range(1, k_max + 1, LB_K_GRID))))
         curve = np.zeros(k_max, dtype=float)
         last = 0.0
         values = {k: self._lb_est(weights, k) for k in ks}
@@ -961,16 +958,11 @@ class RisDaIndex:
         certificate: the ratio greedy has no ``1 - 1/e`` factor for
         non-uniform costs.
         """
-        n = self.network.n
         location = as_point(q)
         budget = float(budget)
         if not math.isfinite(budget):
             raise QueryError(f"budget must be finite, got {budget}")
-        costs = np.asarray(costs, dtype=float)
-        if costs.shape != (n,):
-            raise QueryError(f"costs must have shape ({n},), got {costs.shape}")
-        if not np.all(costs > 0):
-            raise QueryError("all node costs must be positive")
+        costs = validate_costs(costs, self.network.n)
         k_eff = min(self.k_max, int(budget // float(costs.min())))
         if k_eff < 1:
             raise QueryError(
@@ -989,31 +981,15 @@ class RisDaIndex:
         """Answer a trajectory: one seed set per waypoint, shared setup.
 
         Equivalent to ``[query(wp, k) for wp in waypoints]`` bit-for-bit;
-        it is :meth:`query_many` except that an empty trajectory is an
-        error.
+        with ``return_diagnostics`` each element is the same
+        ``(SeedResult, QueryDiagnostics)`` pair :meth:`query` returns.
+        The waypoints share one delta resolution (see :meth:`_answer`);
+        each evaluates its own node-space weights.
         """
         if not len(waypoints):
             raise QueryError("trajectory needs at least one waypoint")
-        return self.query_many(waypoints, k, return_diagnostics)
-
-    def query_many(
-        self,
-        locations: Sequence[PointLike],
-        k: int,
-        return_diagnostics: bool = False,
-    ) -> list[SeedResult] | list[Tuple[SeedResult, QueryDiagnostics]]:
-        """Answer a batch of queries with the same budget.
-
-        Bit-identical to looping :meth:`query`; with
-        ``return_diagnostics`` each element is the same
-        ``(SeedResult, QueryDiagnostics)`` pair :meth:`query` returns.
-        The batch shares one delta resolution (see :meth:`_answer`);
-        each query evaluates its own node-space weights.  For cached,
-        concurrent, metered batches, wrap the index in a
-        :class:`repro.serve.QueryEngine` (see :meth:`serve`) instead.
-        """
         return self._answer(
-            [_Plan((as_point(q),), k) for q in locations], return_diagnostics
+            [_Plan((as_point(q),), k) for q in waypoints], return_diagnostics
         )
 
     def serve(self, config=None, metrics=None, **kwargs):

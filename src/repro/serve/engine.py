@@ -105,24 +105,18 @@ class ServeConfig:
 
     ``n_threads`` sizes the batch thread pool; ``timeout`` (seconds,
     ``None`` = unlimited) is the per-query deadline after which the
-    engine answers with the ``fallback`` method instead
-    (``"degree-discount"``, ``"ladder"`` for the graded heuristic ladder
-    of :func:`repro.core.heuristics.heuristic_ladder`, or ``"none"`` to
-    surface a timeout error result).  ``fallback_budget`` (seconds,
-    ``"ladder"`` only) is the wall-clock the ladder may spend on a
-    fallback answer — the cheaper rungs engage as it shrinks; ``None``
-    always takes the most accurate rung.  ``result_cache_size`` bounds
-    the result LRU (0 disables result caching); ``cache_cells`` is the
-    budget for the quantization grid — more cells mean finer-grained
-    (more exact, less shared) cache keys.
+    engine answers with the distance-aware degree-discount heuristic
+    instead (the top rung of
+    :func:`repro.core.heuristics.heuristic_ladder`).
+    ``result_cache_size`` bounds the result LRU (0 disables result
+    caching); ``cache_cells`` is the budget for the quantization grid —
+    more cells mean finer-grained (more exact, less shared) cache keys.
     """
 
     n_threads: int = 4
     timeout: Optional[float] = None
     result_cache_size: int = 1024
     cache_cells: int = 4096
-    fallback: str = "degree-discount"
-    fallback_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_threads < 1:
@@ -140,16 +134,6 @@ class ServeConfig:
         if self.cache_cells <= 0:
             raise ServeError(
                 f"cache_cells must be positive, got {self.cache_cells}"
-            )
-        if self.fallback not in ("degree-discount", "ladder", "none"):
-            raise ServeError(
-                f"fallback must be 'degree-discount', 'ladder' or 'none', "
-                f"got {self.fallback!r}"
-            )
-        if self.fallback_budget is not None and self.fallback_budget < 0:
-            raise ServeError(
-                f"fallback_budget must be >= 0 (or None), "
-                f"got {self.fallback_budget}"
             )
 
 
@@ -797,28 +781,15 @@ class QueryEngine:
     def _fallback(
         self, query: AnyQuery, start: float, trace_id: str
     ) -> Tuple[ServedResult, object]:
-        """The answer to a timed-out query, from the configured fallback."""
-        cfg = self.config
-        if cfg.fallback == "none":
-            return self._served(
-                query, start, trace_id, timed_out=True,
-                error=f"query timed out after {cfg.timeout}s "
-                      f"(fallback disabled)",
-            ), None
+        """The answer to a timed-out query: degree discount."""
         # A trajectory falls back at its *last* waypoint — the one whose
         # answer ServedResult.result carries; a budgeted query converts
         # its budget into the seed count it could at most afford.
-        location = fallback_location(query)
-        k = fallback_k(query, self.network.n)
-        rung = None
         try:
-            if cfg.fallback == "ladder":
-                result, rung = heuristic_ladder(
-                    self.network, location, k, self.decay,
-                    budget_s=cfg.fallback_budget,
-                )
-            else:
-                result = degree_discount(self.network, location, k, self.decay)
+            result = degree_discount(
+                self.network, fallback_location(query),
+                fallback_k(query, self.network.n), self.decay,
+            )
         except ReproError as exc:
             return self._served(
                 query, start, trace_id, timed_out=True,
@@ -828,7 +799,7 @@ class QueryEngine:
         return self._served(
             query, start, trace_id, result=result, timed_out=True,
             fallback_reason="timeout",
-        ), (None if rung is None else {"rung": rung})
+        ), None
 
     def _record(
         self, query: AnyQuery, served: ServedResult, diag: object, span

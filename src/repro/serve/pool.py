@@ -255,7 +255,6 @@ class ServePool:
         kind: Optional[str] = None,
         config: Optional[ServeConfig] = None,
         backing: str = "shm",
-        shard_cells: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         logger=None,
@@ -292,9 +291,7 @@ class ServePool:
             )
         self.index_kind = self._shared.manifest.kind
         self.fingerprint = self._shared.manifest.fingerprint
-        self.router = ShardRouter(
-            network.bounding_box(), n_workers, cells=shard_cells
-        )
+        self.router = ShardRouter(network.bounding_box(), n_workers)
         start_methods = mp.get_all_start_methods()
         self._ctx = mp.get_context(
             "fork" if "fork" in start_methods else "spawn"

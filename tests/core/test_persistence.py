@@ -276,7 +276,7 @@ class TestLegacyAndTamperedFiles:
             meta = json.loads(data["meta"].tobytes().decode("utf-8"))
         assert set(meta["config"]) == {
             "k_max", "n_pivots", "epsilon_pivot", "delta_pivot", "epsilon",
-            "delta", "max_index_samples", "lb_k_grid", "diffusion", "seed",
+            "delta", "max_index_samples", "diffusion", "seed",
         }
 
     @pytest.mark.parametrize("tamper", ["duplicate", "negative"])

@@ -1,9 +1,9 @@
-"""Parity: ``query_many`` must be bit-identical to looping ``query``.
+"""Parity: a many-waypoint ``query_trajectory`` must equal looping ``query``.
 
-The serving engine and the CLI batch path both build on ``query_many``,
-so it must never drift from the single-query path — same seeds, same
-estimates, same diagnostics — for both index families, with and without
-``return_diagnostics``.
+``query_trajectory`` is the batch form of a point query (the serving
+engine answers trajectories with it), so it must never drift from the
+single-query path — same seeds, same estimates, same diagnostics — for
+both index families, with and without ``return_diagnostics``.
 """
 
 import pytest
@@ -43,7 +43,7 @@ def mia_index(net):
 
 class TestRisParity:
     def test_without_diagnostics(self, ris_index):
-        batch = ris_index.query_many(LOCATIONS, K)
+        batch = ris_index.query_trajectory(LOCATIONS, K)
         singles = [ris_index.query(q, K) for q in LOCATIONS]
         for b, s in zip(batch, singles):
             assert b.seeds == s.seeds
@@ -52,7 +52,7 @@ class TestRisParity:
             assert b.method == s.method
 
     def test_with_diagnostics(self, ris_index):
-        batch = ris_index.query_many(LOCATIONS, K, return_diagnostics=True)
+        batch = ris_index.query_trajectory(LOCATIONS, K, return_diagnostics=True)
         singles = [
             ris_index.query(q, K, return_diagnostics=True) for q in LOCATIONS
         ]
@@ -65,7 +65,7 @@ class TestRisParity:
 
 class TestMiaParity:
     def test_without_diagnostics(self, mia_index):
-        batch = mia_index.query_many(LOCATIONS, K)
+        batch = mia_index.query_trajectory(LOCATIONS, K)
         singles = [mia_index.query(q, K) for q in LOCATIONS]
         for b, s in zip(batch, singles):
             assert b.seeds == s.seeds
@@ -74,7 +74,7 @@ class TestMiaParity:
             assert b.method == s.method
 
     def test_with_diagnostics(self, mia_index):
-        batch = mia_index.query_many(LOCATIONS, K, return_diagnostics=True)
+        batch = mia_index.query_trajectory(LOCATIONS, K, return_diagnostics=True)
         singles = [
             mia_index.query(q, K, return_diagnostics=True) for q in LOCATIONS
         ]

@@ -78,11 +78,16 @@ class TestIndexLevelParity:
     @pytest.mark.parametrize("q,k", QK_PAIRS)
     @pytest.mark.parametrize("c", UNIFORM_COSTS)
     def test_uniform_cost_budget_is_topk(self, index, small_net, q, k, c):
-        point = index.query(q, k)
+        point = index.query(q, k, return_diagnostics=True)
         budgeted = index.query_budgeted(
-            q, budget=k * c, costs=np.full(small_net.n, c)
+            q, budget=k * c, costs=np.full(small_net.n, c),
+            return_diagnostics=True,
         )
-        _assert_identical(budgeted, point, f"uniform cost {c}")
+        _assert_identical(budgeted[0], point[0], f"uniform cost {c}")
+        if isinstance(index, MiaDaIndex):
+            # One search: top-k is the unit-cost budget, work included.
+            assert budgeted[1].evaluations == point[1].evaluations
+            assert budgeted[1].heap_pops == point[1].heap_pops
 
     def test_trajectory_slices_match_separate_queries(self, index):
         """Every waypoint of a trajectory equals its standalone query —

@@ -174,14 +174,14 @@ class TestQuery:
 
     def test_query_many_matches_single(self, index):
         locs = [(15.0, 15.0), (70.0, 40.0)]
-        batch = index.query_many(locs, 3)
+        batch = index.query_trajectory(locs, 3)
         assert len(batch) == 2
         for res, q in zip(batch, locs):
             assert res.seeds == index.query(q, 3).seeds
 
     def test_query_many_diagnostics(self, index):
         locs = [(15.0, 15.0), (70.0, 40.0), (33.0, 90.0)]
-        batch = index.query_many(locs, 3, return_diagnostics=True)
+        batch = index.query_trajectory(locs, 3, return_diagnostics=True)
         assert len(batch) == 3
         for (res, diag), q in zip(batch, locs):
             single_res, single_diag = index.query(

@@ -53,8 +53,6 @@ class TestServeConfig:
             ServeConfig(result_cache_size=-1)
         with pytest.raises(ServeError):
             ServeConfig(cache_cells=0)
-        with pytest.raises(ServeError):
-            ServeConfig(fallback="coin-flip")
 
 
 class TestSingleQuery:
@@ -206,13 +204,11 @@ class TestServeBatch:
 
 
 class TestTimeoutFallback:
-    def _slow_engine(self, ris_index, monkeypatch, **cfg_kwargs):
+    def _slow_engine(self, ris_index, monkeypatch):
         metrics = MetricsRegistry()
         engine = QueryEngine(
             ris_index,
-            config=ServeConfig(
-                n_threads=2, timeout=0.05, result_cache_size=0, **cfg_kwargs
-            ),
+            config=ServeConfig(n_threads=2, timeout=0.05, result_cache_size=0),
             metrics=metrics,
         )
         real_query = ris_index.query
@@ -236,14 +232,6 @@ class TestTimeoutFallback:
         assert metrics.counter("timeouts").value == 2
         assert metrics.counter("fallbacks").value == 2
         assert metrics.histogram("fallback_latency_ms").count == 2
-
-    def test_fallback_none_surfaces_error(self, ris_index, monkeypatch):
-        engine, _ = self._slow_engine(
-            ris_index, monkeypatch, fallback="none"
-        )
-        batch = engine.serve_batch([(50.0, 50.0)], k=4)
-        assert not batch[0].ok
-        assert "timed out" in batch[0].error
 
     def test_fast_queries_beat_the_deadline(self, ris_index):
         engine = QueryEngine(

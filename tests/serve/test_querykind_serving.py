@@ -15,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.heuristics import heuristic_ladder
 from repro.core.persistence import save_ris_index
 from repro.core.querykind import (
     BudgetedQuery,
@@ -24,7 +25,7 @@ from repro.core.querykind import (
     query_from_json,
 )
 from repro.core.ris_da import RisDaConfig, RisDaIndex
-from repro.exceptions import QueryError, ServeError
+from repro.exceptions import QueryError
 from repro.geo.weights import DistanceDecay
 from repro.network.generators import GeoSocialConfig, generate_geo_social_network
 from repro.serve.engine import QueryEngine, ServeConfig
@@ -169,13 +170,11 @@ class TestTrajectoryServing:
 
 
 class TestLadderFallback:
-    def _slow_engine(self, ris_index, monkeypatch, **cfg_kwargs):
+    def _slow_engine(self, ris_index, monkeypatch):
         metrics = MetricsRegistry()
         engine = QueryEngine(
             ris_index,
-            config=ServeConfig(
-                n_threads=2, timeout=0.05, result_cache_size=0, **cfg_kwargs
-            ),
+            config=ServeConfig(n_threads=2, timeout=0.05, result_cache_size=0),
             metrics=metrics,
         )
         for name in ("query", "query_masked", "query_budgeted",
@@ -189,27 +188,17 @@ class TestLadderFallback:
             monkeypatch.setattr(ris_index, name, slow)
         return engine, metrics
 
-    def test_ladder_fallback_respects_budget(self, ris_index, monkeypatch):
-        engine, metrics = self._slow_engine(
-            ris_index, monkeypatch, fallback="ladder", fallback_budget=0.0
-        )
-        [served] = engine.serve_batch([(50.0, 50.0)], k=4)
-        assert served.ok
-        assert served.fallback_reason == "timeout"
-        assert served.result.method == "TopWeightedDegree"
-        assert metrics.counter(
-            labelled("heuristic_rung_total", rung="high-degree")
-        ).value == 1
-
     def test_ladder_fallback_without_budget_takes_top_rung(
-        self, ris_index, monkeypatch
+        self, ris_index, net, monkeypatch
     ):
-        engine, _ = self._slow_engine(
-            ris_index, monkeypatch, fallback="ladder"
-        )
+        """A timed-out query answers as the ladder's top rung would."""
+        engine, _ = self._slow_engine(ris_index, monkeypatch)
         [served] = engine.serve_batch([(50.0, 50.0)], k=4)
-        assert served.ok
-        assert served.result.method == "DegreeDiscount"
+        assert served.ok and served.fallback_reason == "timeout"
+        top, rung = heuristic_ladder(net, (50.0, 50.0), 4, engine.decay)
+        assert rung == "degree-discount"
+        assert served.result.method == top.method
+        assert served.result.seeds == top.seeds
 
     def test_budgeted_fallback_honours_budget_as_k(
         self, ris_index, monkeypatch
@@ -232,12 +221,6 @@ class TestLadderFallback:
         from repro.core.heuristics import degree_discount
         expected = degree_discount(net, (90.0, 90.0), 4, engine.decay)
         assert served.result.seeds == expected.seeds
-
-    def test_fallback_config_validation(self):
-        with pytest.raises(ServeError):
-            ServeConfig(fallback="psychic")
-        with pytest.raises(ServeError):
-            ServeConfig(fallback_budget=-1.0)
 
 
 class TestHttpKinds:

@@ -119,10 +119,10 @@ RACE = [DaimQuery((10.0 * i, 100.0 - 10.0 * i), 3) for i in range(1, 7)]
 RACE_TIMEOUT_S = 0.002
 
 
-def _config(fallback, **kwargs):
+def _config(**kwargs):
     kwargs.setdefault("n_threads", len(MIXED))
     kwargs.setdefault("timeout", TIMEOUT_S)
-    return ServeConfig(fallback=fallback, **kwargs)
+    return ServeConfig(**kwargs)
 
 
 def assert_sinks_agree(metrics, served, slo_total):
@@ -142,39 +142,38 @@ def assert_sinks_agree(metrics, served, slo_total):
     assert metrics.counter("timeouts").value == timed_out
 
 
-def assert_mixed_outcomes(batch, fallback):
+def assert_mixed_outcomes(batch):
     hit_a, hit_b, heur, index_err, slow, failing, traj, targeted = batch
     assert hit_a.cached and hit_b.cached
     assert heur.ok and heur.fallback_reason == "requested"
     assert not index_err.ok and not index_err.timed_out
     assert slow.timed_out and failing.timed_out
     assert not failing.ok
-    assert slow.ok == (fallback != "none")
+    assert slow.ok and slow.result.method == "DegreeDiscount"
     assert traj.ok and targeted.ok
     assert targeted.guarantee_met is False
 
 
 @pytest.mark.usefixtures("lemma7_sizing")
-@pytest.mark.parametrize("fallback", ["degree-discount", "ladder", "none"])
 class TestSinkAgreement:
     """On the Lemma 7 path, so the targeted query misses its guarantee
     and ``guarantee_miss_total`` has a count to agree on."""
 
-    def test_engine(self, ris_index, tmp_path, slow_and_failing, fallback):
+    def test_engine(self, ris_index, tmp_path, slow_and_failing):
         metrics = MetricsRegistry()
         slow_log = SlowQueryLog(tmp_path / "slow.jsonl", 0.0)
         slo = SloTracker()
         engine = QueryEngine(
-            ris_index, config=_config(fallback), metrics=metrics,
+            ris_index, config=_config(), metrics=metrics,
             slow_log=slow_log, slo=slo,
         )
         served = engine.serve_batch(WARM)
         batch = engine.serve_batch(MIXED)
-        assert_mixed_outcomes(batch, fallback)
+        assert_mixed_outcomes(batch)
         served += batch
         race = QueryEngine(
             ris_index, metrics=metrics, slow_log=slow_log, slo=slo,
-            config=_config(fallback, timeout=RACE_TIMEOUT_S,
+            config=_config(timeout=RACE_TIMEOUT_S,
                            result_cache_size=0),
         )
         interval = sys.getswitchinterval()
@@ -204,23 +203,23 @@ class TestSinkAgreement:
         assert metrics.counter("abandoned_queries_total").value >= 2
         assert metrics.counter("queries_total").value == len(served)
 
-    def test_pool(self, net, ris_path, slow_and_failing, fallback):
+    def test_pool(self, net, ris_path, slow_and_failing):
         metrics = MetricsRegistry()
         served = []
         with ServePool(
-            ris_path, net, n_workers=2, config=_config(fallback),
+            ris_path, net, n_workers=2, config=_config(),
             metrics=metrics, slo_config=SloConfig(),
         ) as pool:
             served += pool.serve_batch(WARM)
             batch = pool.serve_batch(MIXED)
-            assert_mixed_outcomes(batch, fallback)
+            assert_mixed_outcomes(batch)
             served += batch
             pool.refresh_slo()
             assert_sinks_agree(metrics, served, pool.slo.total_queries)
         with ServePool(
             ris_path, net, n_workers=2, metrics=metrics,
             slo_config=SloConfig(),
-            config=_config(fallback, timeout=RACE_TIMEOUT_S,
+            config=_config(timeout=RACE_TIMEOUT_S,
                            result_cache_size=0),
         ) as race:
             race_served = []
