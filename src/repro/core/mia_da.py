@@ -28,7 +28,6 @@ speed-up over PMIA that Figure 4 measures.
 from __future__ import annotations
 
 import heapq
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Set, Tuple
@@ -36,7 +35,14 @@ from typing import Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.bounds import AnchorBounds, RegionBounds
-from repro.core.query import DaimQuery, SeedResult, validate_costs, validate_mask
+from repro.core.query import (
+    DaimQuery,
+    SeedResult,
+    validate_budget,
+    validate_costs,
+    validate_k,
+    validate_mask,
+)
 from repro.exceptions import QueryError
 from repro.geo.point import PointLike
 from repro.geo.sampling import sample_density_pivots, sample_uniform_points
@@ -353,7 +359,7 @@ class MiaDaIndex:
             if k is None:
                 raise QueryError("k is required when passing a bare location")
             location = q
-        self._check_k(k)
+        validate_k(k, self.network.n)
         return self._search(location, k, return_diagnostics)
 
     def query_masked(
@@ -373,7 +379,7 @@ class MiaDaIndex:
         exactly 1.0, so the search is bit-identical to :meth:`query`.
         """
         mask = validate_mask(mask, self.network.n)
-        self._check_k(k)
+        validate_k(k, self.network.n)
         return self._search(q, k, return_diagnostics, mask=mask)
 
     def query_budgeted(
@@ -393,23 +399,13 @@ class MiaDaIndex:
         ``evaluations`` and ``heap_pops`` included.
         """
         costs = validate_costs(costs, self.network.n)
-        budget = float(budget)
-        if not budget > 0:
-            raise QueryError(f"budget must be positive, got {budget}")
+        budget = validate_budget(budget)
         if budget < float(costs.min()):
             raise QueryError(
                 f"budget {budget} cannot afford any node (cheapest costs "
                 f"{float(costs.min())})"
             )
         return self._search(q, budget, return_diagnostics, costs=costs)
-
-    def _check_k(self, k: int) -> None:
-        # Integral only: the search spends k as a unit-cost budget, so a
-        # fractional k would silently buy floor(k) seeds.
-        if not isinstance(k, numbers.Integral):
-            raise QueryError(f"k must be an integer, got {k!r}")
-        if not 0 < k <= self.network.n:
-            raise QueryError(f"k must be in [1, {self.network.n}], got {k}")
 
     def _search(
         self,

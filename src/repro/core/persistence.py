@@ -411,6 +411,15 @@ def assemble_ris_index(
     index.build_seconds = 0.0
     with _malformed(source):
         index.lemma8_ok = index._lemma8_pivots()
+        # A build leaves NaN only in the rows of pivots the cap cut short;
+        # a row Lemma 8 reads must be a number, or sizing turns to NaN.
+        usable = np.flatnonzero(index.lemma8_ok)
+        bad = usable[~np.isfinite(pivot_estimates[usable]).all(axis=1)]
+        if len(bad):
+            raise ValueError(
+                f"pivot_estimates has a non-finite entry in the row of "
+                f"pivot {int(bad[0])}, which Lemma 8 transfers from"
+            )
     index.warm()  # pay the inverted-index and prefix-cut costs at load time
     return index
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -115,3 +117,35 @@ def validate_costs(costs, n_nodes: int) -> np.ndarray:
     if not np.all(costs > 0):
         raise QueryError("all node costs must be positive")
     return costs
+
+
+def validate_k(k, k_max: int) -> None:
+    """Check a top-``k`` query's seed count against ``[1, k_max]``.
+
+    Shared by both index families' top-``k`` kinds.  Raises
+    :class:`~repro.exceptions.QueryError` unless ``k`` is an integer in
+    range: a float (even ``3.0``) or a ``bool`` is refused, numpy
+    integers are accepted as they are.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise QueryError(f"k must be an integer, got {k!r}")
+    if not 0 < k <= k_max:
+        raise QueryError(f"k must be in [1, {k_max}], got {k}")
+
+
+def validate_budget(budget) -> float:
+    """A budgeted query's total budget as a finite positive float.
+
+    Shared by both index families' ``query_budgeted``.  Raises
+    :class:`~repro.exceptions.QueryError` on a non-numeric, non-finite
+    or non-positive budget: an infinite budget would buy every node.
+    """
+    try:
+        budget = float(budget)
+    except (TypeError, ValueError) as exc:
+        raise QueryError(f"budget must be numeric: {exc}") from None
+    if not math.isfinite(budget):
+        raise QueryError(f"budget must be finite, got {budget}")
+    if not budget > 0:
+        raise QueryError(f"budget must be positive, got {budget}")
+    return budget

@@ -4,10 +4,12 @@ Offline (:meth:`RisDaIndex.build`, run by the constructor):
 
 1. **Pivot phase** (Algorithm 4) — sample pivot locations; for each pivot
    ``p`` derive a certain lower bound ``L_p^k`` of ``OPT_p^k`` with
-   Algorithm 3 (LB-EST), grow the shared sample pool to the Lemma 7 size,
-   run the weighted greedy (Algorithm 2) and record the estimated spread
-   ``I_hat_p(S_p^k)`` for every ``k`` up to ``k_max`` (greedy seed sets are
-   nested, so one run yields the whole curve).
+   Algorithm 3 (LB-EST) and grow the shared sample pool to the Lemma 7
+   size.  Where that size fits ``max_index_samples`` (the pivots Lemma 8
+   may transfer from), run the weighted greedy (Algorithm 2) and record
+   the estimated spread ``I_hat_p(S_p^k)`` for every ``k`` up to ``k_max``
+   (greedy seed sets are nested, so one run yields the whole curve); a
+   pivot the cap cuts short keeps a NaN estimate row, which nothing reads.
 2. **Worst-case sizing** (Algorithm 5) — partition space into the pivots'
    Voronoi cells; for each cell take the location furthest from its pivot,
    transfer the pivot's estimate there with Lemma 8 (or, from a pivot
@@ -57,7 +59,14 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.multi_location import multi_location_weights
-from repro.core.query import DaimQuery, SeedResult, validate_costs, validate_mask
+from repro.core.query import (
+    DaimQuery,
+    SeedResult,
+    validate_budget,
+    validate_costs,
+    validate_k,
+    validate_mask,
+)
 from repro.exceptions import QueryError, SamplingError
 from repro.geo.kdtree import KDTree
 from repro.geo.point import Point, PointLike, as_point
@@ -339,8 +348,9 @@ class RisDaIndex:
 
         # ---- Algorithm 4: pivot information ----
         w_max = self.decay.w_max
-        self.pivot_estimates = np.zeros((len(pivots), k_max), dtype=float)
+        self.pivot_estimates = np.full((len(pivots), k_max), np.nan)
         self.pivot_lower_bounds = np.zeros((len(pivots), k_max), dtype=float)
+        self.lemma8_ok = np.zeros(len(pivots), dtype=bool)
         self.truncated = False
         with tracer.span("ris.pivot_phase", {"n_pivots": len(pivots)}):
             hb = Heartbeat("ris.pivot_phase", total=len(pivots),
@@ -350,22 +360,27 @@ class RisDaIndex:
                 weights = self.decay.weights(net.coords, loc)
                 lbs = self._lb_curve(weights, k_max)
                 self.pivot_lower_bounds[pi] = lbs
-                l_p = self._capped(self._pivot_sample_size(lbs))
+                l_pivot = self._pivot_sample_size(lbs)
+                l_p = self._capped(l_pivot)
                 self.corpus.ensure(l_p)
-                # The pivot phase only needs the estimate curve, never the
-                # certification bound — skip the per-iteration partitions.
-                cover = weighted_greedy_cover(
-                    self.corpus, weights[self.corpus.roots[:l_p]], k_max,
-                    prefix=l_p, compute_bound=False,
-                )
-                # Greedy is nested: prefix estimates give the whole k curve.
-                self.pivot_estimates[pi] = [
-                    cover.estimate_for_prefix(k, n)
-                    for k in range(1, k_max + 1)
-                ]
+                # Lemma 8 reads a pivot's curve only if its prefix reached
+                # the Lemma 7 size (the rule of _lemma8_pivots); a pivot
+                # the cap cut short keeps a NaN row and runs no greedy.
+                self.lemma8_ok[pi] = l_pivot <= cfg.max_index_samples
+                if self.lemma8_ok[pi]:
+                    # Only the estimate curve, never the certification
+                    # bound — skip the per-iteration partitions.
+                    cover = weighted_greedy_cover(
+                        self.corpus, weights[self.corpus.roots[:l_p]],
+                        k_max, prefix=l_p, compute_bound=False,
+                    )
+                    # Greedy is nested: prefix estimates give the k curve.
+                    self.pivot_estimates[pi] = [
+                        cover.estimate_for_prefix(k, n)
+                        for k in range(1, k_max + 1)
+                    ]
                 hb.advance()
             hb.finish()
-        self.lemma8_ok = self._lemma8_pivots()
         self.pivot_seconds = time.perf_counter() - start
 
         # ---- Algorithm 5: Voronoi worst-case sizing ----
@@ -457,8 +472,9 @@ class RisDaIndex:
         ``l(eps_pivot, delta_pivot, p, k, OPT_p^k)`` samples.  The pivot
         phase cuts every prefix at ``max_index_samples``, so only pivots
         whose uncapped size fits the cap qualify.  A pure function of
-        ``pivot_lower_bounds`` and the config: the build and the loader
-        both derive it, and no file stores it.
+        ``pivot_lower_bounds`` and the config: the build applies the same
+        rule pivot by pivot (and runs the greedy only where it holds),
+        the loader calls this, and no file stores it.
         """
         cap = self.config.max_index_samples
         return np.array(
@@ -684,8 +700,7 @@ class RisDaIndex:
         for plan in plans:
             t_start = time.perf_counter()
             k = plan.k
-            if not 0 < k <= self.k_max:
-                raise QueryError(f"k must be in [1, {self.k_max}], got {k}")
+            validate_k(k, self.k_max)
             w_node = multi_location_weights(
                 self.decay, coords, plan.locations
             )
@@ -959,9 +974,7 @@ class RisDaIndex:
         non-uniform costs.
         """
         location = as_point(q)
-        budget = float(budget)
-        if not math.isfinite(budget):
-            raise QueryError(f"budget must be finite, got {budget}")
+        budget = validate_budget(budget)
         costs = validate_costs(costs, self.network.n)
         k_eff = min(self.k_max, int(budget // float(costs.min())))
         if k_eff < 1:

@@ -251,7 +251,10 @@ class SharedIndexArrays:
                     and arr.dtype.str == spec.dtype
                     and (
                         np.shares_memory(arr, old_view)
-                        or np.array_equal(arr, old_view)
+                        # NaN-equal: a cut pivot's estimate row is NaN.
+                        or np.array_equal(
+                            arr, old_view, equal_nan=arr.dtype.kind == "f"
+                        )
                     )
                 ):
                     reused.add(name)

@@ -106,7 +106,10 @@ def _check_case(saved, kind, data: bytes) -> str:
     assert got.keys() == arrays.keys()
     for name, arr in arrays.items():
         assert got[name].dtype == arr.dtype, name
-        assert np.array_equal(got[name], arr), name
+        # A cut pivot's pivot_estimates row is NaN (see RisDaIndex).
+        assert np.array_equal(
+            got[name], arr, equal_nan=arr.dtype.kind == "f"
+        ), name
     return "unchanged"
 
 

@@ -73,7 +73,10 @@ class TestRoundTrip:
         assert loaded.config == index.config
         assert loaded.decay.alpha == index.decay.alpha
         assert np.array_equal(loaded.pivots, index.pivots)
-        assert np.allclose(loaded.pivot_estimates, index.pivot_estimates)
+        # Bit-exact, the NaN rows of cut pivots included.
+        assert np.array_equal(
+            loaded.pivot_estimates, index.pivot_estimates, equal_nan=True
+        )
         assert len(loaded.corpus) == len(index.corpus)
 
     def test_corpus_members_preserved(self, net, index, tmp_path):
@@ -301,6 +304,78 @@ class TestLegacyAndTamperedFiles:
 _LEGACY = Path(__file__).parent / "data" / "ris_v1_legacy_config.npz"
 _LEGACY_ANSWERS = _LEGACY.with_name("ris_v1_legacy_config_answers.json")
 _LEGACY_LOCS = [(10.0, 10.0), (50.0, 80.0), (90.0, 20.0)]
+
+
+@pytest.fixture(scope="module")
+def mixed_index(net):
+    """A cap that cuts some pivots' Algorithm 4 prefixes but not all."""
+    return RisDaIndex(net, DistanceDecay(alpha=0.03), RisDaConfig(
+        k_max=4, n_pivots=6, epsilon_pivot=0.4, max_index_samples=16_000,
+        seed=3,
+    ))
+
+
+def _set_estimates(rows, value):
+    """Set ``pivot_estimates[rows]`` (a bool mask or an index) to ``value``."""
+    def edit(meta, arrays):
+        est = arrays["pivot_estimates"].copy()
+        est[rows] = value
+        arrays["pivot_estimates"] = est
+    return edit
+
+
+@pytest.mark.usefixtures("lemma7_sizing")
+class TestPivotEstimateRows:
+    """A build keeps NaN in the ``pivot_estimates`` rows of the pivots the
+    cap cut short, since Lemma 8 never reads them.  The loader takes NaN
+    there, and any number (older builds ran the greedy at every pivot),
+    but refuses a non-finite entry in a row Lemma 8 reads.  The Lemma 7
+    path is forced, since only it reads the pivot table."""
+
+    LOCS = [(10.0, 10.0), (50.0, 80.0), (90.0, 20.0), (35.0, 55.0)]
+
+    @pytest.fixture
+    def saved(self, mixed_index, tmp_path):
+        path = tmp_path / "index.npz"
+        save_ris_index(mixed_index, path)
+        return path
+
+    def _answers(self, index):
+        return [
+            _answer_record(*index.query(q, k, return_diagnostics=True))
+            for q in self.LOCS for k in (1, 4)
+        ]
+
+    def test_nan_cut_rows_load(self, net, mixed_index, saved):
+        cut = ~mixed_index.lemma8_ok
+        assert cut.any() and not cut.all()
+        loaded = load_ris_index(saved, net)
+        assert np.isnan(loaded.pivot_estimates[cut]).all()
+        assert np.isfinite(loaded.pivot_estimates[~cut]).all()
+        assert self._answers(loaded) == self._answers(mixed_index)
+
+    def test_finite_cut_rows_load_and_are_never_read(
+        self, net, mixed_index, saved, tmp_path
+    ):
+        """A huge number in every cut row would size every query near
+        its pivot by Lemma 8 if anything read it; the answers stay."""
+        older = tmp_path / "older.npz"
+        _rewrite_npz(saved, older, _set_estimates(~mixed_index.lemma8_ok, 1e9))
+        loaded = load_ris_index(older, net)
+        assert np.isfinite(loaded.pivot_estimates).all()
+        assert self._answers(loaded) == self._answers(mixed_index)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_usable_row_rejected(
+        self, net, mixed_index, saved, tmp_path, bad
+    ):
+        pi = int(np.flatnonzero(mixed_index.lemma8_ok)[-1])
+        damaged = tmp_path / "damaged.npz"
+        _rewrite_npz(saved, damaged, _set_estimates((pi, -1), bad))
+        with pytest.raises(DataFormatError) as err:
+            load_ris_index(damaged, net)
+        assert str(damaged) in str(err.value)
+        assert f"pivot {pi}" in str(err.value)
 
 
 def _answer_record(result, diag=None) -> dict:
@@ -653,6 +728,10 @@ MALFORMED = {
     "ris-narrow-estimates": ("ris", _narrow("pivot_estimates")),
     "ris-narrow-lower-bounds": ("ris", _narrow("pivot_lower_bounds")),
     "ris-nan-lower-bounds": ("ris", _nan("pivot_lower_bounds")),
+    # The fixture's cap cuts every pivot, so every estimate row is NaN; a
+    # raised cap makes those rows ones Lemma 8 reads.
+    "ris-nan-usable-estimates": (
+        "ris", _set("max_index_samples", 10**9, "config")),
     "mia-no-config": ("mia", lambda meta, arrays: meta.pop("config")),
     "mia-no-decay": ("mia", lambda meta, arrays: meta.pop("decay")),
     "mia-no-config-field": (

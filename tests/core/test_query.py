@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.mia_da import MiaDaConfig, MiaDaIndex
-from repro.core.query import DaimQuery, SeedResult, validate_mask
+from repro.core.multi_location import multi_location_query
+from repro.core.query import (
+    DaimQuery,
+    SeedResult,
+    validate_budget,
+    validate_k,
+    validate_mask,
+)
 from repro.core.ris_da import RisDaConfig, RisDaIndex
 from repro.exceptions import GeometryError, QueryError
 
@@ -116,3 +123,90 @@ class TestIndexMaskValidation:
         res = any_index.query_masked((50.0, 50.0), 3, mask)
         assert len(res.seeds) == 3
         assert np.isfinite(res.estimate)
+
+
+#: Seed counts every top-k query must refuse with a QueryError, for an
+#: index of ``k_max = 5``: floats (integral ones too), bools, strings and
+#: integers out of range.
+BAD_KS = {
+    "float": 2.5, "integral-float": 3.0, "numpy-float": np.float64(2.0),
+    "true": True, "false": False, "numpy-bool": np.bool_(True),
+    "string": "3", "zero": 0, "negative": -1, "above-k-max": 6,
+}
+
+#: Budgets both indexes' ``query_budgeted`` must refuse with a QueryError.
+BAD_BUDGETS = {"inf": np.inf, "nan": np.nan, "zero": 0, "negative": -1}
+
+
+class TestValidateK:
+    @pytest.mark.parametrize("k", [1, 5, np.int64(3), np.int32(5)])
+    def test_accepted(self, k):
+        validate_k(k, 5)
+
+    @pytest.mark.parametrize("name", sorted(BAD_KS))
+    def test_rejected(self, name):
+        with pytest.raises(QueryError):
+            validate_k(BAD_KS[name], 5)
+
+
+class TestValidateBudget:
+    def test_returns_float(self):
+        budget = validate_budget(np.int64(3))
+        assert type(budget) is float and budget == 3.0
+
+    @pytest.mark.parametrize("name", sorted(BAD_BUDGETS) + ["non-numeric"])
+    def test_rejected(self, name):
+        with pytest.raises(QueryError):
+            validate_budget(BAD_BUDGETS.get(name, "a lot"))
+
+
+def _top_k_kinds(index, small_net):
+    """Every top-k query kind of ``index`` as ``k -> SeedResult``."""
+    loc = (50.0, 50.0)
+    mask = np.zeros(small_net.n)
+    mask[::2] = 1.0
+    kinds = {
+        "point": lambda k: index.query(loc, k),
+        "masked": lambda k: index.query_masked(loc, k, mask),
+        "trajectory": lambda k: index.query_trajectory([loc, (20.0, 80.0)], k)[-1],
+    }
+    if isinstance(index, RisDaIndex):
+        kinds["multi"] = lambda k: multi_location_query(
+            index, [loc, (20.0, 80.0)], k
+        )
+    return kinds
+
+
+class TestIndexInputContract:
+    """Both index families decide one library input the same way: a k
+    that is not an integer in range, or a budget that is not a finite
+    positive number, is a QueryError before any work.  RIS-DA used to
+    fail deep in the selection with a raw TypeError on ``k = 2.5``,
+    ``3.0`` or ``True``, MIA-DA answered ``k = True`` with one seed, and
+    MIA-DA answered ``budget = inf`` with every node."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_KS))
+    def test_bad_k_rejected_by_every_top_k_kind(self, any_index, small_net, name):
+        k = BAD_KS[name]
+        if isinstance(any_index, MiaDaIndex) and name == "above-k-max":
+            k = small_net.n + 1  # MIA-DA's k ranges over the nodes
+        for kind, ask in _top_k_kinds(any_index, small_net).items():
+            with pytest.raises(QueryError):
+                ask(k)
+
+    def test_numpy_integer_k_answers_like_int(self, any_index, small_net):
+        for kind, ask in _top_k_kinds(any_index, small_net).items():
+            a, b = ask(3), ask(np.int64(3))
+            assert a.seeds == b.seeds, kind
+            assert a.estimate == b.estimate, kind
+
+    @pytest.mark.parametrize("name", sorted(BAD_BUDGETS))
+    def test_bad_budget_rejected(self, any_index, small_net, name):
+        with pytest.raises(QueryError):
+            any_index.query_budgeted(
+                (50.0, 50.0), BAD_BUDGETS[name], np.ones(small_net.n)
+            )
+
+    def test_finite_budget_answers(self, any_index, small_net):
+        res = any_index.query_budgeted((50.0, 50.0), 3.0, np.ones(small_net.n))
+        assert len(res.seeds) == 3

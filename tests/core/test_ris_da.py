@@ -60,16 +60,45 @@ class TestBuild:
         assert index.pivot_estimates.shape == (16, 10)
         assert index.pivot_lower_bounds.shape == (16, 10)
 
-    def test_pivot_estimates_monotone_in_k(self, index):
-        """Greedy prefixes: the estimate curve is non-decreasing in k."""
-        for row in index.pivot_estimates:
-            assert all(row[i] <= row[i + 1] + 1e-9 for i in range(9))
+    def test_pivot_estimates_monotone_in_k(self, index, uncapped_index):
+        """Greedy prefixes: the estimate curve is non-decreasing in k.
+        Only pivots Lemma 8 may transfer from have a curve; a pivot the
+        cap cut short keeps a NaN row."""
+        for built in (index, uncapped_index):
+            rows = built.pivot_estimates[built.lemma8_ok]
+            assert np.all(np.diff(rows, axis=1) >= -1e-9)
+            assert np.isnan(built.pivot_estimates[~built.lemma8_ok]).all()
+        assert not index.lemma8_ok.any() and uncapped_index.lemma8_ok.all()
 
-    def test_lower_bounds_below_estimates(self, index):
+    def test_lower_bounds_below_estimates(self, index, uncapped_index):
         """LB-EST bounds a quantity the greedy estimate approximates from
-        below; allow estimator noise but catch gross inversions."""
-        ok = index.pivot_lower_bounds <= index.pivot_estimates * 1.5 + 1.0
+        below; allow estimator noise but catch gross inversions.  Cut
+        pivots have no estimate to compare with."""
+        for built in (index, uncapped_index):
+            assert np.isnan(built.pivot_estimates[~built.lemma8_ok]).all()
+        ok = uncapped_index.pivot_lower_bounds <= (
+            uncapped_index.pivot_estimates * 1.5 + 1.0
+        )
         assert ok.mean() > 0.9
+
+    def test_pivot_greedy_runs_only_where_lemma8_reads(
+        self, index, uncapped_index, mixed_index
+    ):
+        """Algorithm 4's greedy feeds only Lemma 8, so the build runs it
+        only for pivots whose prefix reached its Lemma 7 size: their rows
+        equal the greedy over ``[0, l_p)`` prefix by prefix, every other
+        row is NaN, and the build's mark is the loader's rule."""
+        assert not index.lemma8_ok.any() and uncapped_index.lemma8_ok.all()
+        assert 0 < mixed_index.lemma8_ok.sum() < len(mixed_index.pivots)
+        for built in (index, uncapped_index, mixed_index):
+            assert np.array_equal(built.lemma8_ok, built._lemma8_pivots())
+            curves = _greedy_curves(built)
+            for pi, ok in enumerate(built.lemma8_ok):
+                row = built.pivot_estimates[pi]
+                if ok:
+                    assert row.tolist() == curves[pi].tolist()
+                else:
+                    assert np.isnan(row).all()
 
     def test_corpus_sized_for_worst_cell(self, index):
         assert len(index.corpus) >= min(
@@ -310,15 +339,39 @@ class TestNodeSpaceWeights:
         assert public.estimate == res.estimate
 
 
-def _lemma8_bound(index, loc, k):
-    """The nearest pivot's Lemma 8 transfer, as the online body takes it."""
+def _lemma8_bound(index, loc, k, estimates=None):
+    """The nearest pivot's Lemma 8 transfer, as the online body takes it
+    (from ``estimates``, the index's own pivot table by default)."""
     cfg, n = index.config, index.network.n
     dp, _ = cfg.resolved_deltas(n)
     pi, dist = index._pivot_tree.nearest(loc)
+    table = index.pivot_estimates if estimates is None else estimates
     return lemma8_lower_bound(
-        float(index.pivot_estimates[pi, k - 1]), dist, index.decay.alpha,
+        float(table[pi, k - 1]), dist, index.decay.alpha,
         cfg.epsilon_pivot, dp, n, k,
     )
+
+
+def _greedy_curves(index):
+    """Every pivot's Algorithm 4 curve, cut pivots included: the k_max
+    greedy over the pivot's capped prefix ``[0, l_p)`` of the corpus,
+    read prefix by prefix (the build only grows the corpus, so its first
+    ``l_p`` slots are the ones the pivot phase saw)."""
+    n = index.network.n
+    cap = index.config.max_index_samples
+    curves = np.empty_like(index.pivot_lower_bounds)
+    for pi, p in enumerate(index.pivots):
+        weights = index.decay.weights(
+            index.network.coords, (float(p[0]), float(p[1]))
+        )
+        l_p = min(index._pivot_sample_size(index.pivot_lower_bounds[pi]), cap)
+        cover = weighted_greedy_cover(
+            index.corpus, weights[index.corpus.roots[:l_p]], index.k_max,
+            prefix=l_p, compute_bound=False,
+        )
+        curves[pi] = [cover.estimate_for_prefix(k, n)
+                      for k in range(1, index.k_max + 1)]
+    return curves
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +380,15 @@ def uncapped_index(net):
     return RisDaIndex(net, DistanceDecay(alpha=0.02), RisDaConfig(
         k_max=6, n_pivots=8, epsilon_pivot=0.3,
         max_index_samples=400_000, seed=9,
+    ))
+
+
+@pytest.fixture(scope="module")
+def mixed_index(net):
+    """``uncapped_index``'s build under a cap that cuts 3 of 8 pivots."""
+    return RisDaIndex(net, DistanceDecay(alpha=0.02), RisDaConfig(
+        k_max=6, n_pivots=8, epsilon_pivot=0.3,
+        max_index_samples=70_000, seed=9,
     ))
 
 
@@ -343,14 +405,16 @@ class TestSizingRule:
 
     def test_capped_pivots_do_not_transfer(self, index, net):
         """The fixture's cap cuts every pivot's prefix, so a point query
-        is sized by LB-EST even where the transfer would be larger."""
+        is sized by LB-EST even where the transfer would be larger.  The
+        build keeps no curve for a cut pivot; the test runs its greedy."""
         assert index.truncated and not index.lemma8_ok.any()
+        curves = _greedy_curves(index)
         larger = 0
         for q in (self.Q, tuple(index.pivots[0]), (2.0, 97.0), (50.0, 50.0)):
             _, diag = index.query(q, 5, return_diagnostics=True)
             w = index.decay.weights(net.coords, q)
             assert diag.lower_bound == lb_est(net, w, 5, index.decay.w_max)
-            larger += _lemma8_bound(index, q, 5) > diag.lower_bound
+            larger += _lemma8_bound(index, q, 5, curves) > diag.lower_bound
             assert diag.guarantee_met == (
                 diag.samples_used >= diag.samples_required
             )

@@ -8,7 +8,8 @@ trajectory and multi-location.  Each answer is stored with its seeds,
 its Eq. 9 estimate, its diagnostics and the per-seed gains of the cover
 it ran (re-run through :mod:`repro.ris.coverage` on the same prefix, with
 the certification bound on), every float as ``float.hex``.  The build's
-Algorithm 4 pivot estimates are pinned too.
+Algorithm 4 pivot estimates are pinned too (NaN rows for the pivots the
+cap cuts short, whose greedy the build skips).
 
 Run from the repository root to rewrite ``golden_answers.json``::
 

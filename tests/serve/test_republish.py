@@ -93,6 +93,21 @@ class TestSegmentReuse:
         for n, v in successor.arrays.items():
             assert np.shares_memory(v, old_views[n])
 
+    def test_equal_copies_are_reused(self, published, ris_path):
+        """An array equal to its published one keeps its storage even as
+        a fresh copy; NaN entries (the estimate rows of the pivots the
+        cap cut short) count as equal."""
+        shared, handles = published
+        kind, meta, _ = read_index_arrays(ris_path)
+        old_views = dict(shared.arrays)
+        assert np.isnan(old_views["pivot_estimates"]).any()
+        copies = {n: np.array(v, copy=True) for n, v in old_views.items()}
+        successor, retired = shared.republish(kind, meta, copies, "fp#g1")
+        handles[:] = [successor, retired]
+        assert not retired.manifest.specs
+        for n, v in successor.arrays.items():
+            assert np.shares_memory(v, old_views[n])
+
     def test_retired_holds_only_replaced_segments(self, published, ris_path):
         shared, handles = published
         kind, meta, _ = read_index_arrays(ris_path)
